@@ -3,7 +3,7 @@ filtering, including a diversity-driven latent process, classical baselines
 (equal weighting, recursive and rolling BMA), proper-score evaluation, and
 synthetic benchmark generators."""
 
-from .combine import CombinerResult, bma_weights, model_log_predictive, run_combiner, single_model_result
+from .combine import CombinerResult, bma_weights, run_combiner, single_model_result
 from .core import (
     ConfigError,
     DataFormatError,
@@ -74,7 +74,6 @@ __all__ = [
     "log_likelihood",
     "log_score",
     "make_crps_runner",
-    "model_log_predictive",
     "propagate_particle",
     "rmsfe",
     "run_combiner",

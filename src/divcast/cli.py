@@ -6,9 +6,8 @@ configured experiment), ``gridsearch`` (initialization search), ``score``
 score files into one comparison table).
 
 A single INI-style config file is the canonical input for ``run`` and
-``gridsearch``; command-line flags override its values.  The only recognized
-environment variable is DIVCAST_THREADS, which sets the grid-search worker
-count (single runs are always deterministic and unthreaded).
+``gridsearch``; command-line flags override its values.  No environment
+variable is read, and every command is deterministic for a given seed.
 
 Exit codes: 0 success, 2 validation/configuration error, 3 numeric failure
 (filter degeneracy), 4 I/O error.
@@ -123,11 +122,10 @@ def _cmd_gridsearch(args) -> int:
     cfg, grid = load_config(args.config, _overrides(args))
     obs = load_observations(cfg.observations)
     panel = load_panel(cfg.panel)
-    workers = int(os.environ.get("DIVCAST_THREADS", "1"))
-    best, surface = run_grid_search(cfg, grid, obs, panel, n_workers=max(1, workers))
+    best, surface = run_grid_search(cfg, grid, obs, panel)
     os.makedirs(cfg.out_dir, exist_ok=True)
     surface_path = args.surface or os.path.join(cfg.out_dir, "surface.csv")
-    write_table(surface_path, ["alpha1", "alpha2", "crps"], [list(p) for p in surface])
+    write_table(surface_path, ["alpha1", "alpha2", "crps"], surface)
     best_value = min(v for _, _, v in surface)
     print(f"best alpha1={best[0]:g} alpha2={best[1]:g} crps={best_value:.6g}")
     print(f"wrote {surface_path}")

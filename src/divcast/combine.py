@@ -16,7 +16,6 @@ from .core import (
     InputError,
     ObservationSeries,
     PredictorPanel,
-    gaussian_logpdf_diag,
 )
 from .filtering import _logsumexp, systematic_resample
 from .rng import substream
@@ -52,20 +51,6 @@ def _gaussian_fit(panel: PredictorPanel, fallback_sigma: float) -> tuple[np.ndar
     else:
         sd = np.full_like(mu, fallback_sigma)
     return mu, sd
-
-
-def model_log_predictive(
-    panel: PredictorPanel,
-    obs: ObservationSeries,
-    t: int,
-    k: int,
-    fallback_sigma: float = 0.1,
-) -> float:
-    """Joint log density of the realized y_t under model k's one-step
-    predictive Gaussian (variables independent)."""
-    mu, sd = _gaussian_fit(panel, fallback_sigma)
-    y = obs.values[t - 1]
-    return float(gaussian_logpdf_diag(y, mu[t - 1, k - 1, :, 0], sd[t - 1, k - 1, :, 0]))
 
 
 def model_log_predictive_matrix(

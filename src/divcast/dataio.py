@@ -7,14 +7,18 @@ Two long-format inputs drive every run:
 * panel: header ``t,model,variable,horizon,draw,value`` — dense over
   models, variables, horizons 1..H and draws 1..D for every t.
 
-Floats are written with Python's shortest round-trip representation, so a
-load/emit cycle reproduces values bit-exactly.
+Every long-format table, these two and the run outputs alike, is parsed by
+``read_table`` and built by ``long_rows``: label columns first, in C order
+over a dense array, then the value columns.  Floats are written with
+Python's shortest round-trip representation, so a load/emit cycle
+reproduces values bit-exactly.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
+import itertools
 import os
 from dataclasses import dataclass, fields
 
@@ -25,152 +29,173 @@ from .core import ConfigError, DataFormatError, ObservationSeries, PredictorPane
 METHODS = ("equal", "bma", "bma_roll", "tvw", "adaptive_tvw", "dtvw")
 FILTER_METHODS = ("tvw", "adaptive_tvw", "dtvw")
 
-OBS_HEADER = ["t", "variable", "value"]
-PANEL_HEADER = ["t", "model", "variable", "horizon", "draw", "value"]
+OBS_COLUMNS = (("t", int), ("variable", str), ("value", float))
+PANEL_COLUMNS = (
+    ("t", int),
+    ("model", str),
+    ("variable", str),
+    ("horizon", int),
+    ("draw", int),
+    ("value", float),
+)
+
+_CHUNK_ROWS = 1 << 16  # rows parsed per block, bounding the text held at once
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def read_table(
+    path: str, columns: tuple, cell: str = "entry", finite: bool = True
+) -> tuple[list, np.ndarray, np.ndarray]:
+    """Parse a long-format CSV into one dense array.
 
-
-def _read_rows(path: str, header: list[str]) -> list[dict]:
+    ``columns`` is the expected header as (name, type) pairs: label columns
+    first, each ``int`` (a 1-based index) or ``str`` (a name), then the
+    ``float`` value columns.  Returns the levels of every label column
+    (``range(1, max + 1)`` for an index, names in order of first occurrence),
+    the values with shape (n_level_1, ..., n_level_k, n_values), NaN where
+    no row gives the cell, and the boolean mask of the cells the file gives.
+    Errors name the file line; ``cell`` is the noun of the duplicate-row
+    message, and ``finite`` rejects NaN and infinite values.
+    """
+    names = [name for name, _ in columns]
+    kinds = [kind for _, kind in columns]
+    n_labels = kinds.index(float)
+    codes: list[dict] = [{} for _ in names]
+    parts: list[list[np.ndarray]] = [[] for _ in names]
+    n = 0
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != header:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != names:
             raise DataFormatError(
-                f"{path}: expected header {','.join(header)}, got "
-                f"{','.join(reader.fieldnames or [])}"
+                f"{path}: expected header {','.join(names)}, got {','.join(header or [])}"
             )
-        return list(reader)
+        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+            rows = [row for row in chunk if row]
+            for i, row in enumerate(rows):
+                if len(row) != len(names):
+                    raise DataFormatError(f"{path}:{_line_of(path, n + i)}: expected {len(names)} fields")
+            for j, col in enumerate(zip(*rows)):
+                if kinds[j] is str:
+                    seen = codes[j]
+                    coded = (seen.setdefault(v, len(seen)) for v in col)
+                    parts[j].append(np.fromiter(coded, int, len(col)))
+                else:
+                    parts[j].append(_parse_column(col, kinds[j], path, n, names[j], finite))
+            n += len(rows)
+    if n == 0:
+        raise DataFormatError(f"{path}: no data rows")
+    cols = [np.concatenate(part) for part in parts]
+    for j in range(n_labels):
+        if kinds[j] is int:
+            if (bad := np.flatnonzero(cols[j] < 1)).size:
+                raise DataFormatError(f"{path}:{_line_of(path, int(bad[0]))}: indices must be >= 1")
+            cols[j] = cols[j] - 1
+    levels = [
+        list(codes[j]) if kinds[j] is str else range(1, int(cols[j].max()) + 2)
+        for j in range(n_labels)
+    ]
+    shape = tuple(len(level) for level in levels)
+    flat = np.ravel_multi_index(cols[:n_labels], shape)
+    _, first = np.unique(flat, return_index=True)
+    if len(first) < n:
+        repeat = np.ones(n, dtype=bool)
+        repeat[first] = False
+        i = int(np.argmax(repeat))
+        key = ", ".join(f"{names[j]}={levels[j][cols[j][i]]!r}" for j in range(n_labels))
+        raise DataFormatError(f"{path}:{_line_of(path, i)}: duplicate {cell} for {key}")
+    values = np.full((np.prod(shape), len(names) - n_labels), np.nan)
+    values[flat] = np.column_stack(cols[n_labels:])
+    present = np.zeros(len(values), dtype=bool)
+    present[flat] = True
+    return levels, values.reshape(*shape, -1), present.reshape(shape)
 
 
-def _parse_float(raw: str, path: str, line: int, column: str) -> float:
+def _parse_column(col: tuple, kind, path: str, start: int, name: str, finite: bool) -> np.ndarray:
+    """One block of a numeric column as an int or float array."""
     try:
-        value = float(raw)
+        parsed = np.fromiter(map(kind, col), kind, len(col))
     except ValueError:
-        raise DataFormatError(f"{path}:{line}: non-numeric {column} {raw!r}") from None
-    if not np.isfinite(value):
-        raise DataFormatError(f"{path}:{line}: non-finite {column} {raw!r}")
-    return value
+        for i, raw in enumerate(col):
+            try:
+                kind(raw)
+            except ValueError:
+                what = "non-integer" if kind is int else "non-numeric"
+                line = _line_of(path, start + i)
+                raise DataFormatError(f"{path}:{line}: {what} {name} {raw!r}") from None
+    if finite and not np.all(np.isfinite(parsed)):
+        i = int(np.argmin(np.isfinite(parsed)))
+        raise DataFormatError(f"{path}:{_line_of(path, start + i)}: non-finite {name} {col[i]!r}")
+    return parsed
 
 
-def _parse_int(raw: str, path: str, line: int, column: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise DataFormatError(f"{path}:{line}: non-integer {column} {raw!r}") from None
+def _line_of(path: str, record: int) -> int:
+    """File line of the 0-based data record (blank lines are not records)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        lines = (reader.line_num for row in reader if row)
+        return next(itertools.islice(lines, record, None))
+
+
+def long_rows(labels: list, *values) -> list[tuple]:
+    """Rows of a long-format table: one tuple per cell of the label axes in
+    C order, the labels first and then one entry from each value array
+    (each holding one value per cell, in the same order)."""
+    cols = [np.ravel(v).tolist() for v in values]
+    return [(*key, *vals) for key, *vals in zip(itertools.product(*labels), *cols, strict=True)]
 
 
 def load_observations(path: str) -> ObservationSeries:
     """Read an observation series, validating contiguity and completeness."""
-    rows = _read_rows(path, OBS_HEADER)
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    variables: list[str] = []
-    cells: dict[tuple[int, str], float] = {}
-    for i, row in enumerate(rows, start=2):
-        t = _parse_int(row["t"], path, i, "t")
-        name = row["variable"]
-        if name not in variables:
-            variables.append(name)
-        key = (t, name)
-        if key in cells:
-            raise DataFormatError(f"{path}:{i}: duplicate entry for t={t}, variable={name!r}")
-        cells[key] = _parse_float(row["value"], path, i, "value")
-    times = sorted({t for t, _ in cells})
-    T = times[-1]
-    if times[0] != 1 or times != list(range(1, T + 1)):
-        raise DataFormatError(f"{path}: time index must be contiguous from 1 (got {times[:5]}...)")
-    values = np.empty((T, len(variables)))
-    for t in range(1, T + 1):
-        for l, name in enumerate(variables):
-            if (t, name) not in cells:
-                raise DataFormatError(f"{path}: missing value for t={t}, variable={name!r}")
-            values[t - 1, l] = cells[(t, name)]
-    return ObservationSeries(values, tuple(variables))
+    (_, variables), values, present = read_table(path, OBS_COLUMNS)
+    times = np.flatnonzero(present.any(axis=1)) + 1
+    if len(times) < present.shape[0]:
+        raise DataFormatError(
+            f"{path}: time index must be contiguous from 1 (got {times[:5].tolist()}...)"
+        )
+    if not present.all():
+        t, l = np.argwhere(~present)[0]
+        raise DataFormatError(f"{path}: missing value for t={t + 1}, variable={variables[l]!r}")
+    return ObservationSeries(values[:, :, 0], tuple(variables))
 
 
 def save_observations(obs: ObservationSeries, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OBS_HEADER)
-        for t in range(1, obs.n_steps + 1):
-            for l, name in enumerate(obs.variable_names):
-                writer.writerow([t, name, _fmt(obs.values[t - 1, l])])
+    labels = [range(1, obs.n_steps + 1), obs.variable_names]
+    write_table(path, [name for name, _ in OBS_COLUMNS], long_rows(labels, obs.values))
 
 
 def load_panel(path: str) -> PredictorPanel:
     """Read a predictor panel, validating dense (t, model, variable,
     horizon, draw) coverage; model/variable order follows first occurrence."""
-    rows = _read_rows(path, PANEL_HEADER)
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    models: list[str] = []
-    variables: list[str] = []
-    cells: dict[tuple, float] = {}
-    max_t = max_h = max_d = 0
-    for i, row in enumerate(rows, start=2):
-        t = _parse_int(row["t"], path, i, "t")
-        h = _parse_int(row["horizon"], path, i, "horizon")
-        d = _parse_int(row["draw"], path, i, "draw")
-        if min(t, h, d) < 1:
-            raise DataFormatError(f"{path}:{i}: indices must be >= 1")
-        if row["model"] not in models:
-            models.append(row["model"])
-        if row["variable"] not in variables:
-            variables.append(row["variable"])
-        key = (t, row["model"], row["variable"], h, d)
-        if key in cells:
-            raise DataFormatError(
-                f"{path}:{i}: duplicate draw for t={t}, model={row['model']!r}, "
-                f"variable={row['variable']!r}, horizon={h}, draw={d}"
-            )
-        cells[key] = _parse_float(row["value"], path, i, "value")
-        max_t, max_h, max_d = max(max_t, t), max(max_h, h), max(max_d, d)
-    draws = np.empty((max_t, len(models), len(variables), max_h, max_d))
-    missing = []
-    for t in range(1, max_t + 1):
-        for k, m in enumerate(models):
-            for l, v in enumerate(variables):
-                for h in range(1, max_h + 1):
-                    for d in range(1, max_d + 1):
-                        key = (t, m, v, h, d)
-                        if key not in cells:
-                            missing.append(f"(t={t}, model={m}, variable={v}, horizon={h}, draw={d})")
-                        else:
-                            draws[t - 1, k, l, h - 1, d - 1] = cells[key]
-    if missing:
-        shown = ", ".join(missing[:5])
+    (_, models, variables, _, _), values, present = read_table(path, PANEL_COLUMNS, cell="draw")
+    if not present.all():
+        missing = np.argwhere(~present)
+        shown = ", ".join(
+            f"(t={t + 1}, model={models[k]}, variable={variables[l]}, horizon={h + 1}, draw={d + 1})"
+            for t, k, l, h, d in missing[:5]
+        )
         more = "" if len(missing) <= 5 else f" and {len(missing) - 5} more"
         raise DataFormatError(f"{path}: ragged panel, missing cells {shown}{more}")
-    return PredictorPanel(draws, tuple(models), tuple(variables))
+    return PredictorPanel(values[..., 0], tuple(models), tuple(variables))
 
 
 def save_panel(panel: PredictorPanel, path: str, variable_names: tuple[str, ...] | None = None) -> None:
     names = variable_names or panel.variable_names
     if names is None:
         names = ("y",) if panel.n_vars == 1 else tuple(f"y{l+1}" for l in range(panel.n_vars))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PANEL_HEADER)
-        for t in range(1, panel.n_steps + 1):
-            for k, model in enumerate(panel.model_names):
-                for l, var in enumerate(names):
-                    for h in range(1, panel.n_horizons + 1):
-                        for d in range(1, panel.n_draws + 1):
-                            writer.writerow(
-                                [t, model, var, h, d, _fmt(panel.draws[t - 1, k, l, h - 1, d - 1])]
-                            )
+    T, K, L, H, D = panel.draws.shape
+    labels = [range(1, T + 1), panel.model_names, names, range(1, H + 1), range(1, D + 1)]
+    write_table(path, [name for name, _ in PANEL_COLUMNS], long_rows(labels, panel.draws))
 
 
-def write_table(path: str, header: list[str], rows: list[list]) -> None:
+def write_table(path: str, header: list[str], rows: list[tuple]) -> None:
     """Write a generic output table; floats get round-trip formatting."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow(
-                [_fmt(x) if isinstance(x, (float, np.floating)) else x for x in row]
+                [repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row]
             )
 
 
@@ -202,8 +227,11 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.method == "bma_roll" and self.window is None:
+        if "bma_roll" in (self.method, self.baseline) and self.window is None:
             raise ConfigError("bma_roll requires a window")
+        samplers = (*FILTER_METHODS, "bma", "bma_roll")
+        if self.n_pred_draws < 2 and (self.method in samplers or self.baseline in samplers):
+            raise ConfigError("n_pred_draws must be >= 2: CRPS needs at least two draws")
         if not 0 < self.kappa <= 1:
             raise ConfigError("ess_threshold must lie in (0, 1]")
         if self.n_particles < 1:
@@ -237,6 +265,13 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
     return tuple(int(x) for x in raw.replace(",", " ").split())
 
 
+def _parse_bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
 def load_config(path: str, overrides: dict | None = None) -> tuple[RunConfig, GridConfig]:
     """Parse an INI-style config file; overrides (from CLI flags) win."""
     if not os.path.exists(path):
@@ -247,82 +282,79 @@ def load_config(path: str, overrides: dict | None = None) -> tuple[RunConfig, Gr
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    def get(section, key, default=None):
-        if parser.has_option(section, key):
-            value = parser.get(section, key).strip()
-            return value if value else default
-        return default
+    def get(section, key, cast=str):
+        """section.key converted by cast, or None when absent or blank."""
+        if not parser.has_option(section, key):
+            return None
+        raw = parser.get(section, key).strip()
+        if not raw:
+            return None
+        try:
+            return cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: [{section}] {key} = {raw!r}: {exc}") from None
 
-    values: dict = {}
-    values["observations"] = get("data", "observations")
-    values["panel"] = get("data", "panel")
-    values["method"] = get("run", "method", "equal")
-    if get("run", "horizons"):
-        values["horizons"] = _parse_ints(get("run", "horizons"))
-    for key, cast in [
-        ("n_particles", int),
-        ("seed", int),
-        ("n_pred_draws", int),
-        ("eval_start", int),
-        ("eval_end", int),
+    values: dict = {"method": get("run", "method") or "equal"}
+    for section, key, name, cast in [
+        ("data", "observations", "observations", str),
+        ("data", "panel", "panel", str),
+        ("run", "horizons", "horizons", _parse_ints),
+        ("run", "n_particles", "n_particles", int),
+        ("run", "seed", "seed", int),
+        ("run", "n_pred_draws", "n_pred_draws", int),
+        ("run", "eval_start", "eval_start", int),
+        ("run", "eval_end", "eval_end", int),
+        ("run", "ess_threshold", "kappa", float),
+        ("run", "baseline", "baseline", str),
+        ("run", "out_dir", "out_dir", str),
+        ("run", "emit_draws", "emit_draws", _parse_bool),
+        ("noise", "sigma_obs", "sigma_obs", _parse_floats),
+        ("noise", "sigma_x", "sigma_x", float),
+        ("noise", "sigma_alpha", "sigma_alpha", float),
     ]:
-        if get("run", key) is not None:
-            values[key] = cast(get("run", key))
-    if get("run", "ess_threshold") is not None:
-        values["kappa"] = float(get("run", "ess_threshold"))
-    if get("run", "baseline") is not None:
-        values["baseline"] = get("run", "baseline")
-    if get("run", "out_dir") is not None:
-        values["out_dir"] = get("run", "out_dir")
-    if get("run", "emit_draws") is not None:
-        values["emit_draws"] = parser.getboolean("run", "emit_draws")
+        if (value := get(section, key, cast)) is not None:
+            values[name] = value
 
-    if get("noise", "sigma_obs") is not None:
-        values["sigma_obs"] = _parse_floats(get("noise", "sigma_obs"))
-    for key in ("sigma_x", "sigma_alpha"):
-        if get("noise", key) is not None:
-            values[key] = float(get("noise", key))
-
-    method = overrides.get("method") if overrides and overrides.get("method") else values["method"]
-    if parser.has_section(method):
-        if get(method, "alpha0") is not None:
-            values["alpha0"] = _parse_floats(get(method, "alpha0"))
-        for key in ("x0_spread", "fallback_sigma"):
-            if get(method, key) is not None:
-                values[key] = float(get(method, key))
-        if get(method, "window") is not None:
-            values["window"] = int(get(method, "window"))
-
-    if overrides:
-        known = {f.name for f in fields(RunConfig)}
-        for key, value in overrides.items():
-            if value is None:
-                continue
-            if key not in known:
-                raise ConfigError(f"unknown config override {key!r}")
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    method = overrides.get("method") or values["method"]
+    baseline = overrides.get("baseline") or values.get("baseline")
+    section_keys = [
+        (method, "alpha0", _parse_floats),
+        (method, "x0_spread", float),
+        (method, "fallback_sigma", float),
+    ]
+    if "bma_roll" in (method, baseline):
+        section_keys.append(("bma_roll", "window", int))
+    for section, key, cast in section_keys:
+        if (value := get(section, key, cast)) is not None:
             values[key] = value
+
+    known = {f.name for f in fields(RunConfig)}
+    for key, value in overrides.items():
+        if key not in known:
+            raise ConfigError(f"unknown config override {key!r}")
+        values[key] = value
 
     if not values.get("observations") or not values.get("panel"):
         raise ConfigError(f"{path}: [data] must name observations and panel files")
 
     grid = GridConfig()
-    if parser.has_section("gridsearch"):
-        if get("gridsearch", "stage1") is not None:
-            lo, hi, step = _parse_floats(get("gridsearch", "stage1"))
-            grid.stage1_lo, grid.stage1_hi, grid.stage1_step = lo, hi, step
-        if get("gridsearch", "stage2_step") is not None:
-            raw = get("gridsearch", "stage2_step")
-            grid.stage2_step = None if raw.lower() == "none" else float(raw)
-        if get("gridsearch", "stage2_bounds") is not None:
-            vals = _parse_floats(get("gridsearch", "stage2_bounds"))
-            if len(vals) != 4:
-                raise ConfigError("stage2_bounds expects lo1, hi1, lo2, hi2")
-            grid.stage2_bounds = ((vals[0], vals[1]), (vals[2], vals[3]))
-        for key, cast in [("stage2_margin", int), ("eval_draws", int), ("grid_particles", int)]:
-            if get("gridsearch", key) is not None:
-                setattr(grid, key, cast(get("gridsearch", key)))
-        if get("gridsearch", "variable") is not None:
-            grid.variable = get("gridsearch", "variable")
+    stage1 = get("gridsearch", "stage1", _parse_floats)
+    if stage1 is not None:
+        if len(stage1) != 3:
+            raise ConfigError("stage1 expects lo, hi, step")
+        grid.stage1_lo, grid.stage1_hi, grid.stage1_step = stage1
+    step = get("gridsearch", "stage2_step")
+    if step is not None:
+        grid.stage2_step = None if step.lower() == "none" else get("gridsearch", "stage2_step", float)
+    bounds = get("gridsearch", "stage2_bounds", _parse_floats)
+    if bounds is not None:
+        if len(bounds) != 4:
+            raise ConfigError("stage2_bounds expects lo1, hi1, lo2, hi2")
+        grid.stage2_bounds = ((bounds[0], bounds[1]), (bounds[2], bounds[3]))
+    for key, cast in [("stage2_margin", int), ("eval_draws", int), ("grid_particles", int), ("variable", str)]:
+        if (value := get("gridsearch", key, cast)) is not None:
+            setattr(grid, key, value)
 
     try:
         cfg = RunConfig(**values)

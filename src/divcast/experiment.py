@@ -13,6 +13,7 @@ import numpy as np
 from .combine import CombinerResult, run_combiner, single_model_result
 from .core import (
     ConfigError,
+    DataFormatError,
     ForecastSeries,
     InputError,
     NoiseConfig,
@@ -20,7 +21,7 @@ from .core import (
     PredictorPanel,
     default_sigma_obs,
 )
-from .dataio import FILTER_METHODS, METHODS, GridConfig, RunConfig, write_table
+from .dataio import FILTER_METHODS, METHODS, GridConfig, RunConfig, long_rows, read_table, write_table
 from .filtering import ParticleFilter, FilterOutput
 from .latent import ADAPTIVE_TVW, DTVW, TVW, LatentMode
 from .metrics import dm_test, loss_series, score_forecasts
@@ -151,6 +152,68 @@ def _check_alignment(obs: ObservationSeries, panel: PredictorPanel) -> None:
         raise InputError("panel does not cover the observation range")
 
 
+FORECAST_COLUMNS = (
+    ("target", int),
+    ("horizon", int),
+    ("variable", str),
+    ("point", float),
+    ("log_pred", float),
+    ("lo95", float),
+    ("median", float),
+    ("hi95", float),
+)
+DRAWS_COLUMNS = (("target", int), ("horizon", int), ("variable", str), ("draw", int), ("value", float))
+SCORE_HEADER = [
+    "horizon", "variable", "rmsfe", "ls", "crps", "n_eval",
+    "dm_rmsfe_stat", "dm_rmsfe_p", "dm_ls_stat", "dm_ls_p", "dm_crps_stat", "dm_crps_p",
+]
+
+
+def _score_rows(
+    name: str,
+    fs: ForecastSeries,
+    base_name: str,
+    base_losses: dict | None,
+    obs: ObservationSeries,
+    window: tuple[int, int] | None,
+) -> list[tuple]:
+    """Score rows of one forecast block, in SCORE_HEADER's columns.
+
+    A per-variable row carries Diebold-Mariano statistics and p-values
+    against the baseline's losses for squared error, log score and CRPS when
+    the method is not the baseline, at least 10 targets are scored and both
+    score the same targets; other rows leave the six cells blank.
+    """
+    losses = loss_series(fs, obs, window)
+    rows = []
+    for row in score_forecasts(name, fs, obs, window):
+        dm_cells: list = [""] * 6
+        if (
+            name != base_name
+            and base_losses is not None
+            and row.variable in obs.variable_names
+            and row.n_eval >= 10
+            and np.array_equal(losses["targets"], base_losses["targets"])
+        ):
+            l = obs.variable_names.index(row.variable)
+            dm_cells = []
+            for key in ("sq_err", "neg_log_pred", "crps"):
+                dm = dm_test(losses[key][:, l], base_losses[key][:, l], h=fs.horizon)
+                dm_cells += [float(dm.statistic), float(dm.p_value)]
+        rows.append(
+            (
+                row.horizon,
+                row.variable,
+                _nan_blank(row.rmsfe),
+                _nan_blank(row.ls),
+                _nan_blank(row.crps),
+                row.n_eval,
+                *dm_cells,
+            )
+        )
+    return rows
+
+
 def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel) -> dict:
     """Execute the configured experiment and write all output files.
 
@@ -168,17 +231,12 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     T = obs.n_steps
-    score_rows: list[list] = []
-    forecast_rows: list[list] = []
-    draw_rows: list[list] = []
-    cumls_rows: list[list] = []
-    weight_rows: list[list] = []
-    alpha_rows: list[list] = []
-    dm_header = []
-    for metric in ("rmsfe", "ls", "crps"):
-        dm_header += [f"dm_{metric}_stat", f"dm_{metric}_p"]
-
-    main_runs: dict[int, MethodRun] = {}
+    names = obs.variable_names
+    scores: list[tuple] = []
+    forecasts: list[tuple] = []
+    draws: list[tuple] = []
+    cumls: list[tuple] = []
+    lead: MethodRun | None = None
     for horizon in cfg.horizons:
         window = _eval_window(cfg, horizon, T)
         runs: list[MethodRun] = []
@@ -189,7 +247,8 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
                 )
             )
         main = run_method(cfg.method, obs, panel, cfg, horizon, noise)
-        main_runs[horizon] = main
+        if horizon == min(cfg.horizons):
+            lead = main
         runs.append(main)
         if baseline in panel.model_names:
             base_run = runs[panel.model_names.index(baseline)]
@@ -201,127 +260,55 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
 
         base_losses = loss_series(base_run.forecasts, obs, window)
         for run in runs:
-            losses = loss_series(run.forecasts, obs, window)
-            rows = score_forecasts(run.method, run.forecasts, obs, window)
-            for row in rows:
-                dm_cells: list = [""] * 6
-                var_idx = (
-                    obs.variable_names.index(row.variable)
-                    if row.variable in obs.variable_names
-                    else None
-                )
-                if run.method != base_run.method and var_idx is not None and row.n_eval >= 10:
-                    cells = []
-                    for key in ("sq_err", "neg_log_pred", "crps"):
-                        dm = dm_test(
-                            losses[key][:, var_idx], base_losses[key][:, var_idx], h=horizon
-                        )
-                        cells += [float(dm.statistic), float(dm.p_value)]
-                    dm_cells = cells
-                score_rows.append(
-                    [
-                        row.method,
-                        run.kind,
-                        row.horizon,
-                        row.variable,
-                        _nan_blank(row.rmsfe),
-                        _nan_blank(row.ls),
-                        _nan_blank(row.crps),
-                        row.n_eval,
-                        *dm_cells,
-                        base_run.method,
-                    ]
-                )
+            for row in _score_rows(run.method, run.forecasts, base_run.method, base_losses, obs, window):
+                scores.append((run.method, run.kind, *row, base_run.method))
 
-        # Forecast rows, predictive-draw quantiles, and optional draw dump
-        # (all targets; the evaluation window only restricts scoring).
+        # Forecasts, predictive-draw quantiles and draws cover all targets;
+        # the evaluation window only restricts scoring.
         fs = main.forecasts
+        targets = fs.targets.tolist()
         q = np.percentile(fs.draws, [2.5, 50.0, 97.5], axis=1)  # (3, S, L)
-        for i, s in enumerate(fs.targets):
-            for l, name in enumerate(obs.variable_names):
-                forecast_rows.append(
-                    [
-                        int(s),
-                        horizon,
-                        name,
-                        float(fs.point[i, l]),
-                        float(fs.log_pred_marginal[i, l]),
-                        float(q[0, i, l]),
-                        float(q[1, i, l]),
-                        float(q[2, i, l]),
-                    ]
-                )
-                if cfg.emit_draws:
-                    for j in range(fs.draws.shape[1]):
-                        draw_rows.append([int(s), horizon, name, j + 1, float(fs.draws[i, j, l])])
+        forecasts += long_rows([targets, [horizon], names], fs.point, fs.log_pred_marginal, *q)
+        if cfg.emit_draws:
+            draw_ids = range(1, fs.draws.shape[1] + 1)
+            draws += long_rows([targets, [horizon], names, draw_ids], fs.draws.transpose(0, 2, 1))
 
         # Cumulative log-score differences vs the baseline over the window.
         main_l = loss_series(fs, obs, window)
+        targets_w = main_l["targets"].tolist()
         diff_m = -(main_l["neg_log_pred"] - base_losses["neg_log_pred"])  # (S, L)
-        cum_m = np.cumsum(diff_m, axis=0)
-        targets_w = main_l["targets"]
-        for i, s in enumerate(targets_w):
-            for l, name in enumerate(obs.variable_names):
-                cumls_rows.append([int(s), horizon, name, float(cum_m[i, l])])
+        cumls += long_rows([targets_w, [horizon], names], np.cumsum(diff_m, axis=0))
         if obs.n_vars > 1:
             diff_j = -(main_l["neg_log_pred_joint"] - base_losses["neg_log_pred_joint"])
-            cum_j = np.cumsum(diff_j)
-            for i, s in enumerate(targets_w):
-                cumls_rows.append([int(s), horizon, "joint", float(cum_j[i])])
+            cumls += long_rows([targets_w, [horizon], ["joint"]], np.cumsum(diff_j))
 
     # Weight / coefficient trajectories from the smallest configured horizon.
-    lead = main_runs[min(cfg.horizons)]
-    for t in range(1, T + 1):
-        for k, model in enumerate(panel.model_names):
-            for l, name in enumerate(obs.variable_names):
-                weight_rows.append(
-                    [
-                        t,
-                        model,
-                        name,
-                        float(lead.weights_mean[t - 1, k, l]),
-                        float(lead.weights_lo[t - 1, k, l]),
-                        float(lead.weights_hi[t - 1, k, l]),
-                    ]
-                )
-    if lead.alpha_mean is not None:
-        for t in range(1, T + 1):
-            for j, param in enumerate(("alpha0", "alpha1", "alpha2")):
-                alpha_rows.append(
-                    [
-                        t,
-                        param,
-                        float(lead.alpha_mean[t - 1, j]),
-                        float(lead.alpha_lo[t - 1, j]),
-                        float(lead.alpha_hi[t - 1, j]),
-                    ]
-                )
-
-    paths = {}
-
-    def emit(name, header, rows):
-        path = os.path.join(cfg.out_dir, name)
-        write_table(path, header, rows)
-        paths[name] = path
-
-    emit(
-        "scores.csv",
-        ["method", "kind", "horizon", "variable", "rmsfe", "ls", "crps", "n_eval"]
-        + dm_header
-        + ["baseline"],
-        score_rows,
-    )
-    emit(
-        "forecast.csv",
-        ["target", "horizon", "variable", "point", "log_pred", "lo95", "median", "hi95"],
-        forecast_rows,
-    )
+    times = range(1, T + 1)
+    tables = [
+        ("scores.csv", ["method", "kind", *SCORE_HEADER, "baseline"], scores),
+        ("forecast.csv", [name for name, _ in FORECAST_COLUMNS], forecasts),
+        ("cumls.csv", ["target", "horizon", "variable", "cum_ls_diff"], cumls),
+        (
+            "weights.csv",
+            ["t", "model", "variable", "mean", "lo95", "hi95"],
+            long_rows(
+                [times, panel.model_names, names],
+                lead.weights_mean, lead.weights_lo, lead.weights_hi,
+            ),
+        ),
+    ]
     if cfg.emit_draws:
-        emit("draws.csv", ["target", "horizon", "variable", "draw", "value"], draw_rows)
-    emit("cumls.csv", ["target", "horizon", "variable", "cum_ls_diff"], cumls_rows)
-    emit("weights.csv", ["t", "model", "variable", "mean", "lo95", "hi95"], weight_rows)
-    if alpha_rows:
-        emit("alphas.csv", ["t", "param", "mean", "lo95", "hi95"], alpha_rows)
+        tables.append(("draws.csv", [name for name, _ in DRAWS_COLUMNS], draws))
+    if lead.alpha_mean is not None:
+        tables.append((
+            "alphas.csv",
+            ["t", "param", "mean", "lo95", "hi95"],
+            long_rows([times, ("alpha0", "alpha1", "alpha2")], lead.alpha_mean, lead.alpha_lo, lead.alpha_hi),
+        ))
+    paths = {}
+    for name, header, rows in tables:
+        paths[name] = os.path.join(cfg.out_dir, name)
+        write_table(paths[name], header, rows)
     return paths
 
 
@@ -334,7 +321,6 @@ def run_grid_search(
     grid: GridConfig,
     obs: ObservationSeries,
     panel: PredictorPanel,
-    n_workers: int = 1,
 ) -> tuple[np.ndarray, list]:
     """Two-stage (or one-stage) initialization search minimizing CRPS."""
     _check_alignment(obs, panel)
@@ -370,7 +356,7 @@ def run_grid_search(
         stage2_bounds=grid.stage2_bounds,
         eval_draws=grid.eval_draws,
     )
-    return grid_search(spec, runner, seed=cfg.seed, n_workers=n_workers)
+    return grid_search(spec, runner, seed=cfg.seed)
 
 
 def _load_forecast_dir(directory: str, obs: ObservationSeries) -> dict[int, ForecastSeries]:
@@ -379,97 +365,51 @@ def _load_forecast_dir(directory: str, obs: ObservationSeries) -> dict[int, Fore
     Joint log predictives are not recoverable from the per-variable files,
     so file-based scoring reports marginal log scores only.
     """
-    import csv as _csv
-
     forecast_path = os.path.join(directory, "forecast.csv")
     draws_path = os.path.join(directory, "draws.csv")
-    points: dict[int, dict[int, dict[str, tuple[float, float]]]] = {}
-    with open(forecast_path, newline="") as fh:
-        for row in _csv.DictReader(fh):
-            h, s = int(row["horizon"]), int(row["target"])
-            points.setdefault(h, {}).setdefault(s, {})[row["variable"]] = (
-                float(row["point"]),
-                float(row["log_pred"]),
-            )
-    draw_map: dict[int, dict[int, dict[str, list[float]]]] = {}
-    with open(draws_path, newline="") as fh:
-        for row in _csv.DictReader(fh):
-            h, s = int(row["horizon"]), int(row["target"])
-            draw_map.setdefault(h, {}).setdefault(s, {}).setdefault(row["variable"], []).append(
-                float(row["value"])
-            )
+    (_, _, f_names), f_values, f_seen = read_table(forecast_path, FORECAST_COLUMNS, finite=False)
+    (_, _, d_names, _), d_values, d_seen = read_table(draws_path, DRAWS_COLUMNS, finite=False)
+    f_cols = _variable_columns(f_names, obs, forecast_path)
+    d_cols = _variable_columns(d_names, obs, draws_path)
+    f_values, f_seen = f_values[:, :, f_cols], f_seen[:, :, f_cols]
+    d_values, d_seen = d_values[:, :, d_cols], d_seen[:, :, d_cols]
+    if d_seen.shape[:2] != f_seen.shape[:2]:
+        raise DataFormatError(f"{draws_path}: targets or horizons differ from {forecast_path}")
     out: dict[int, ForecastSeries] = {}
-    for h, per_target in sorted(points.items()):
-        targets = np.array(sorted(per_target), dtype=int)
-        L = obs.n_vars
-        point = np.empty((len(targets), L))
-        log_pred_marginal = np.empty((len(targets), L))
-        first = draw_map[h][targets[0]][obs.variable_names[0]]
-        draws = np.empty((len(targets), len(first), L))
-        for i, s in enumerate(targets):
-            for l, name in enumerate(obs.variable_names):
-                point[i, l], log_pred_marginal[i, l] = per_target[s][name]
-                draws[i, :, l] = draw_map[h][s][name]
+    for h in (np.flatnonzero(f_seen.any(axis=(0, 2))) + 1).tolist():
+        rows = np.flatnonzero(f_seen[:, h - 1].any(axis=1))
+        if not (f_seen[rows, h - 1].all() and d_seen[rows, h - 1].all()):
+            raise DataFormatError(f"{directory}: incomplete forecasts or draws at horizon {h}")
         out[h] = ForecastSeries(
             horizon=h,
-            targets=targets,
-            point=point,
-            log_pred=np.full(len(targets), np.nan),
-            log_pred_marginal=log_pred_marginal,
-            draws=draws,
+            targets=rows + 1,
+            point=f_values[rows, h - 1, :, 0],
+            log_pred=np.full(len(rows), np.nan),
+            log_pred_marginal=f_values[rows, h - 1, :, 1],
+            draws=d_values[rows, h - 1, :, :, 0].transpose(0, 2, 1),
         )
     return out
 
 
-def score_runs(obs: ObservationSeries, named_dirs: list[tuple[str, str]]) -> tuple[list[str], list[list]]:
+def _variable_columns(names: list[str], obs: ObservationSeries, path: str) -> list[int]:
+    missing = [v for v in obs.variable_names if v not in names]
+    if missing:
+        raise DataFormatError(f"{path}: no rows for variables {missing}")
+    return [names.index(v) for v in obs.variable_names]
+
+
+def score_runs(obs: ObservationSeries, named_dirs: list[tuple[str, str]]) -> tuple[list[str], list[tuple]]:
     """Score emitted forecast directories against observations, with DM
     comparisons of every run to the first-listed one."""
-    header = ["method", "horizon", "variable", "rmsfe", "ls", "crps", "n_eval"]
-    for metric in ("rmsfe", "ls", "crps"):
-        header += [f"dm_{metric}_stat", f"dm_{metric}_p"]
-    header.append("baseline")
     loaded = [(name, _load_forecast_dir(directory, obs)) for name, directory in named_dirs]
-    base_name = loaded[0][0]
-    rows: list[list] = []
+    base_name, base_by_horizon = loaded[0]
+    base_losses = {h: loss_series(fs, obs) for h, fs in base_by_horizon.items()}
+    rows: list[tuple] = []
     for name, by_horizon in loaded:
         for h, fs in sorted(by_horizon.items()):
-            window = None
-            base_fs = loaded[0][1].get(h)
-            losses = loss_series(fs, obs, window)
-            base_losses = loss_series(base_fs, obs, window) if base_fs is not None else None
-            for row in score_forecasts(name, fs, obs, window):
-                dm_cells: list = [""] * 6
-                var_idx = (
-                    obs.variable_names.index(row.variable)
-                    if row.variable in obs.variable_names
-                    else None
-                )
-                if (
-                    name != base_name
-                    and base_losses is not None
-                    and var_idx is not None
-                    and row.n_eval >= 10
-                    and np.array_equal(losses["targets"], base_losses["targets"])
-                ):
-                    cells = []
-                    for key in ("sq_err", "neg_log_pred", "crps"):
-                        dm = dm_test(losses[key][:, var_idx], base_losses[key][:, var_idx], h=h)
-                        cells += [float(dm.statistic), float(dm.p_value)]
-                    dm_cells = cells
-                rows.append(
-                    [
-                        row.method,
-                        row.horizon,
-                        row.variable,
-                        _nan_blank(row.rmsfe),
-                        _nan_blank(row.ls),
-                        _nan_blank(row.crps),
-                        row.n_eval,
-                        *dm_cells,
-                        base_name,
-                    ]
-                )
-    return header, rows
+            for row in _score_rows(name, fs, base_name, base_losses.get(h), obs, None):
+                rows.append((name, *row, base_name))
+    return ["method", *SCORE_HEADER, "baseline"], rows
 
 
 def build_report(score_files: list[str]) -> tuple[list[str], list[list]]:

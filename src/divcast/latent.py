@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, InputError, NoiseConfig, weights_from_latent
+from .core import ConfigError, InputError, NoiseConfig
 
 MODE_TAGS = ("tvw", "adaptive_tvw", "dtvw")
 
@@ -199,7 +199,3 @@ def cloud_weight_tensor(cloud_x: np.ndarray, n_models: int, n_vars: int) -> np.n
     z = np.exp(xm - xm.max(axis=2, keepdims=True))
     return z / z.sum(axis=2, keepdims=True)
 
-
-def particle_weight_matrix(p: LatentParticle, n_models: int, n_vars: int) -> np.ndarray:
-    """Weight matrix (K, L) of a single particle."""
-    return weights_from_latent(p.x, n_models, n_vars)

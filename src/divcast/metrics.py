@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .core import ForecastSeries, InputError, ObservationSeries
 
@@ -96,7 +96,7 @@ def dm_test(loss_a: np.ndarray, loss_b: np.ndarray, h: int = 1) -> DMResult:
     stat = dbar / np.sqrt(var / T)
     hln = np.sqrt((T + 1 - 2 * h + h * (h - 1) / T) / T)
     stat = float(hln * stat)
-    p = float(2.0 * stats.t.sf(abs(stat), df=T - 1))
+    p = float(2.0 * stdtr(T - 1, -abs(stat)))
     return DMResult(stat, p, degenerate=False)
 
 

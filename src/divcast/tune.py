@@ -11,7 +11,6 @@ L1 norm first, then lexicographic).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,32 +61,26 @@ def grid_search(
     spec: GridSpec,
     runner,
     seed: int = 0,
-    n_workers: int = 1,
 ) -> tuple[np.ndarray, list[tuple[float, float, float]]]:
     """Minimize runner(alpha_pair, seed) over the lattice.
 
     Returns the best (alpha1, alpha2) and the full evaluated surface as
-    (alpha1, alpha2, value) triples, each point exactly once.  Runner
-    failures are recorded as +inf and the search continues.
+    (alpha1, alpha2, value) triples, each point exactly once.  A runner
+    failure (a RuntimeError such as filter degeneracy, or an InputError) is
+    recorded as +inf and the search continues; any other exception
+    propagates.
     """
     cache: dict[tuple[float, float], float] = {}
     surface: list[tuple[float, float, float]] = []
 
     def evaluate_batch(points: list[tuple[float, float]]) -> None:
-        todo = [p for p in points if _point_key(*p) not in cache]
-
-        def one(p):
+        for p in points:
+            if _point_key(*p) in cache:
+                continue
             try:
-                return float(runner(np.asarray(p), seed))
-            except Exception:
-                return np.inf
-
-        if n_workers > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                values = list(pool.map(one, todo))
-        else:
-            values = [one(p) for p in todo]
-        for p, v in zip(todo, values):
+                v = float(runner(np.asarray(p), seed))
+            except (RuntimeError, InputError):
+                v = np.inf
             cache[_point_key(*p)] = v
             surface.append((p[0], p[1], v))
 

@@ -153,7 +153,7 @@ class TestA7Determinism:
         )
         assert rc.returncode == 0, rc.stderr
         outputs = []
-        for tag, threads in (("one", "1"), ("eight", "8")):
+        for tag in ("first", "second"):
             out_dir = tmp_path / tag
             cfg = tmp_path / f"{tag}.ini"
             cfg.write_text(
@@ -161,17 +161,21 @@ class TestA7Determinism:
                 f"observations = {data_dir / 'observations.csv'}\n"
                 f"panel = {data_dir / 'panel.csv'}\n\n"
                 "[run]\nmethod = dtvw\nseed = 12\nn_particles = 200\nn_pred_draws = 50\n"
-                f"out_dir = {out_dir}\n\n[dtvw]\nalpha0 = 0, 10, 8.5\n"
+                f"out_dir = {out_dir}\n\n[dtvw]\nalpha0 = 0, 10, 8.5\n\n"
+                "[gridsearch]\nstage1 = -4, 4, 2\nstage2_step = none\neval_draws = 5\n"
+                "grid_particles = 50\n"
             )
-            env = dict(os.environ, DIVCAST_THREADS=threads)
-            rc = subprocess.run(
-                [sys.executable, "-m", "divcast.cli", "run", "--config", str(cfg)],
-                capture_output=True, text=True, env=env,
+            for command in ("run", "gridsearch"):
+                rc = subprocess.run(
+                    [sys.executable, "-m", "divcast.cli", command, "--config", str(cfg)],
+                    capture_output=True, text=True,
+                )
+                assert rc.returncode == 0, rc.stderr
+            outputs.append(
+                ((out_dir / "scores.csv").read_bytes(), (out_dir / "surface.csv").read_bytes())
             )
-            assert rc.returncode == 0, rc.stderr
-            outputs.append((out_dir / "scores.csv").read_bytes())
         ok = outputs[0] == outputs[1]
-        assert report("A7", ok, "scores.csv byte-identical under thread counts 1 and 8")
+        assert report("A7", ok, "scores.csv and surface.csv byte-identical across two same-seed runs")
 
 
 # ----------------------------------------------------------------- part B

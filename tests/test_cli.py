@@ -3,8 +3,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+import pytest
 
 from divcast.cli import main
+from divcast.core import ObservationSeries, PredictorPanel
+from divcast.dataio import save_observations, save_panel
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "pseudo_empirical")
 
@@ -100,6 +104,60 @@ class TestRun:
             extra="[noise]\nsigma_obs = 0.001\n",
         )
         assert main(["run", "--config", cfg]) == 3
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"n_particles": "abc"},
+            {"method": "dtvw", "n_pred_draws": 1},
+            {"method": "dtvw", "extra": "baseline = bma_roll\n"},
+        ],
+        ids=["unparsable_int", "one_pred_draw", "baseline_bma_roll_without_window"],
+    )
+    def test_config_error_exit_2_before_loading(self, tmp_path, settings):
+        # absent data files would exit 4 if they were opened before the check
+        cfg, out_dir = write_config(
+            tmp_path,
+            observations=str(tmp_path / "absent_obs.csv"),
+            panel=str(tmp_path / "absent_panel.csv"),
+            **settings,
+        )
+        assert main(["run", "--config", cfg]) == 2
+        assert not os.path.exists(out_dir)
+
+    def test_names_needing_quotes_survive_run_and_score(self, tmp_path):
+        rng = np.random.default_rng(4)
+        names = ('in,fl', 'gr"owth')
+        obs = ObservationSeries(rng.normal(size=(30, 2)), names)
+        panel = PredictorPanel(rng.normal(size=(30, 2, 2, 1, 4)), ('m,1', 'm"2'), names)
+        save_observations(obs, str(tmp_path / "obs.csv"))
+        save_panel(panel, str(tmp_path / "panel.csv"))
+        cfg, out_dir = write_config(
+            tmp_path,
+            observations=str(tmp_path / "obs.csv"),
+            panel=str(tmp_path / "panel.csv"),
+            method="bma",
+        )
+        assert main(["run", "--config", cfg]) == 0
+        scored = str(tmp_path / "scored.csv")
+        rc = main([
+            "score", "--observations", str(tmp_path / "obs.csv"),
+            "--run", f"first={out_dir}", "--run", f"again={out_dir}", "--out", scored,
+        ])
+        assert rc == 0
+        run_rows = {
+            r["variable"]: r for r in csv.DictReader(open(os.path.join(out_dir, "scores.csv")))
+            if r["method"] == "bma"
+        }
+        score_rows = [r for r in csv.DictReader(open(scored)) if r["method"] == "again"]
+        assert [r["variable"] for r in score_rows] == [*names, "average"]
+        for r in score_rows:
+            in_run = run_rows[r["variable"]]
+            assert (r["rmsfe"], r["crps"]) == (in_run["rmsfe"], in_run["crps"])
+        weights = list(csv.DictReader(open(os.path.join(out_dir, "weights.csv"))))
+        assert {(r["model"], r["variable"]) for r in weights} == {
+            (m, v) for m in ('m,1', 'm"2') for v in names
+        }
 
 
 class TestGridsearch:

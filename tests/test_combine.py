@@ -3,7 +3,6 @@ import pytest
 
 from divcast.combine import (
     bma_weights,
-    model_log_predictive,
     model_log_predictive_matrix,
     run_combiner,
     single_model_result,
@@ -83,7 +82,7 @@ class TestModelLogPredictive:
         panel = _panel_from_means(means, D=4)
         obs = ObservationSeries(np.array([[2.0]]), ("y",))
         sigma0 = 0.3
-        lp = model_log_predictive(panel, obs, 1, 1, fallback_sigma=sigma0)
+        lp = model_log_predictive_matrix(panel, obs, fallback_sigma=sigma0)[0][0, 0]
         assert lp == pytest.approx(-0.5 * np.log(2 * np.pi * sigma0**2), abs=1e-12)
 
     def test_one_sigma_off(self):
@@ -94,7 +93,7 @@ class TestModelLogPredictive:
         mu = draws[0, 0, 0, 0].mean()
         sd = draws[0, 0, 0, 0].std(ddof=1)
         obs = ObservationSeries(np.array([[mu + sd]]), ("y",))
-        lp = model_log_predictive(panel, obs, 1, 1)
+        lp = model_log_predictive_matrix(panel, obs)[0][0, 0]
         assert lp == pytest.approx(-0.5 * np.log(2 * np.pi * sd**2) - 0.5, abs=1e-12)
 
     def test_sharper_correct_density_scores_higher(self):
@@ -104,8 +103,8 @@ class TestModelLogPredictive:
         draws[0, 1, 0, 0] = rng.normal(scale=5.0, size=200)
         panel = PredictorPanel(draws, ("tight", "diffuse"), ("y",))
         obs = ObservationSeries(np.array([[0.0]]), ("y",))
-        tight = model_log_predictive(panel, obs, 1, 1)
-        diffuse = model_log_predictive(panel, obs, 1, 2)
+        joint, _ = model_log_predictive_matrix(panel, obs)
+        tight, diffuse = joint[0, 0], joint[0, 1]
         assert tight > diffuse
 
     def test_matrix_shape(self):

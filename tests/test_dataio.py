@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from divcast.core import ConfigError, DataFormatError, ObservationSeries
+from divcast.core import ConfigError, DataFormatError, ObservationSeries, PredictorPanel
 from divcast.dataio import (
     load_config,
     load_observations,
@@ -53,6 +53,18 @@ class TestObservationsIO:
         path = tmp_path / "obs.csv"
         path.write_text("t,variable,value\n1,y,0.5\n2,y,oops\n")
         with pytest.raises(DataFormatError, match="obs.csv:3"):
+            load_observations(str(path))
+
+    def test_error_names_file_line_past_blank_line(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("t,variable,value\n1,y,0.5\n\n2,y,oops\n")
+        with pytest.raises(DataFormatError, match="obs.csv:4: non-numeric"):
+            load_observations(str(path))
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("t,variable,value\n1,y,0.5\n2,y\n")
+        with pytest.raises(DataFormatError, match="obs.csv:3: expected 3 fields"):
             load_observations(str(path))
 
     def test_bad_header(self, tmp_path):
@@ -114,6 +126,17 @@ class TestPanelIO:
         np.testing.assert_array_equal(back.draws, panel.draws)
         assert back.model_names == panel.model_names
 
+    def test_round_trip_names_needing_quotes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        panel = PredictorPanel(rng.normal(size=(3, 2, 2, 2, 2)), ('a,"b', "c"), ('x,"y', "z"))
+        path = str(tmp_path / "panel.csv")
+        save_panel(panel, path)
+        back = load_panel(path)
+        np.testing.assert_array_equal(back.draws, panel.draws)
+        assert back.model_names == panel.model_names
+        assert back.variable_names == panel.variable_names
+
+
 
 class TestConfig:
     def write(self, tmp_path, text):
@@ -164,6 +187,16 @@ class TestConfig:
         )
         with pytest.raises(ConfigError, match="window"):
             load_config(self.write(tmp_path, text))
+
+    def test_baseline_window_from_bma_roll_section(self, tmp_path):
+        text = self.BASE.replace("baseline = M1", "baseline = bma_roll")
+        cfg, _ = load_config(self.write(tmp_path, text))
+        assert cfg.method == "dtvw" and cfg.baseline == "bma_roll" and cfg.window == 24
+
+    def test_bad_value_names_section_and_key(self, tmp_path):
+        bad = self.BASE.replace("sigma_x = 0.3", "sigma_x = wide")
+        with pytest.raises(ConfigError, match=r"\[noise\] sigma_x"):
+            load_config(self.write(tmp_path, bad))
 
     def test_missing_data_section(self, tmp_path):
         with pytest.raises(ConfigError, match="observations"):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from divcast.core import ConfigError, InputError, ObservationSeries, PredictorPanel
+from divcast.core import ConfigError, DataFormatError, InputError, ObservationSeries, PredictorPanel
 from divcast.dataio import RunConfig, load_observations, load_panel
 from divcast.experiment import build_report, run_experiment, score_runs, _noise_config
 
@@ -171,6 +171,19 @@ class TestScoreAndReport:
         emitted = by_key[key]
         assert float(emitted[3]) == pytest.approx(float(in_memory[key]["rmsfe"]), rel=1e-12)
         assert emitted[-1] == "equal"  # first-listed run is the DM baseline
+
+    def test_incomplete_draws_rejected(self, pseudo_data, tmp_path):
+        obs, panel = pseudo_data
+        cfg = RunConfig(
+            method="equal", observations="-", panel="-", n_pred_draws=5, out_dir=str(tmp_path / "run"),
+        )
+        paths = run_experiment(cfg, obs, panel)
+        with open(paths["draws.csv"]) as fh:
+            lines = fh.readlines()
+        with open(paths["draws.csv"], "w") as fh:
+            fh.writelines(lines[:-1])
+        with pytest.raises(DataFormatError, match="incomplete forecasts or draws at horizon 1"):
+            score_runs(obs, [("equal", cfg.out_dir)])
 
     def test_build_report_layout(self, pseudo_data, tmp_path):
         obs, panel = pseudo_data

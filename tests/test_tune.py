@@ -76,12 +76,13 @@ class TestGridSearch:
         fine = [p for p in surface if p[0] % 2 != 0 or p[1] % 2 != 0]
         assert all(1.0 <= a1 <= 8.0 and 3.0 <= a2 <= 10.0 for a1, a2, _ in fine)
 
-    def test_worker_parallelism_same_result(self):
-        spec = GridSpec(stage1=((-6, 6, 2.0), (-6, 6, 2.0)), stage2_step=0.5)
-        b1, s1 = grid_search(spec, quadratic, seed=0, n_workers=1)
-        b4, s4 = grid_search(spec, quadratic, seed=0, n_workers=4)
-        np.testing.assert_array_equal(b1, b4)
-        assert sorted(s1) == sorted(s4)
+    def test_programming_error_propagates(self):
+        def broken(alpha, seed):
+            raise TypeError("bad call")
+
+        spec = GridSpec(stage1=((-2, 2, 2.0), (-2, 2, 2.0)), stage2_step=None)
+        with pytest.raises(TypeError, match="bad call"):
+            grid_search(spec, broken, seed=0)
 
     def test_spec_validation(self):
         with pytest.raises(InputError):
