@@ -27,10 +27,8 @@ from .latent import (
     DTVW,
     TVW,
     LatentMode,
-    LatentParticle,
     ParticleCloud,
     init_particles,
-    propagate_particle,
     theta_from_alpha,
 )
 from .metrics import DMResult, crps_from_draws, dm_test, log_score, rmsfe, score_forecasts
@@ -53,7 +51,6 @@ __all__ = [
     "GridSpec",
     "InputError",
     "LatentMode",
-    "LatentParticle",
     "NoiseConfig",
     "ObservationSeries",
     "ParticleCloud",
@@ -74,7 +71,6 @@ __all__ = [
     "log_likelihood",
     "log_score",
     "make_crps_runner",
-    "propagate_particle",
     "rmsfe",
     "run_combiner",
     "run_filter",

@@ -54,7 +54,11 @@ def read_table(
     the values with shape (n_level_1, ..., n_level_k, n_values), NaN where
     no row gives the cell, and the boolean mask of the cells the file gives.
     Errors name the file line; ``cell`` is the noun of the duplicate-row
-    message, and ``finite`` rejects NaN and infinite values.
+    message, and ``finite`` rejects NaN and infinite values.  An index above
+    twice the row count is rejected before the dense array is allocated:
+    the tables read here keep their indices below that (a forecast table's
+    targets start at their horizon), and a smaller gap is left to the
+    caller's own checks.
     """
     names = [name for name, _ in columns]
     kinds = [kind for _, kind in columns]
@@ -89,6 +93,11 @@ def read_table(
         if kinds[j] is int:
             if (bad := np.flatnonzero(cols[j] < 1)).size:
                 raise DataFormatError(f"{path}:{_line_of(path, int(bad[0]))}: indices must be >= 1")
+            if (bad := np.flatnonzero(cols[j] > 2 * n)).size:
+                i = int(bad[0])
+                raise DataFormatError(
+                    f"{path}:{_line_of(path, i)}: {names[j]} {cols[j][i]} is above twice the row count {n}"
+                )
             cols[j] = cols[j] - 1
     levels = [
         list(codes[j]) if kinds[j] is str else range(1, int(cols[j].max()) + 2)
@@ -114,14 +123,16 @@ def _parse_column(col: tuple, kind, path: str, start: int, name: str, finite: bo
     """One block of a numeric column as an int or float array."""
     try:
         parsed = np.fromiter(map(kind, col), kind, len(col))
-    except ValueError:
+    except (ValueError, OverflowError):
         for i, raw in enumerate(col):
             try:
-                kind(raw)
+                np.array(kind(raw), dtype=kind)
+                continue
+            except OverflowError:
+                what = "out-of-range"
             except ValueError:
                 what = "non-integer" if kind is int else "non-numeric"
-                line = _line_of(path, start + i)
-                raise DataFormatError(f"{path}:{line}: {what} {name} {raw!r}") from None
+            raise DataFormatError(f"{path}:{_line_of(path, start + i)}: {what} {name} {raw!r}") from None
     if finite and not np.all(np.isfinite(parsed)):
         i = int(np.argmin(np.isfinite(parsed)))
         raise DataFormatError(f"{path}:{_line_of(path, start + i)}: non-finite {name} {col[i]!r}")

@@ -412,6 +412,9 @@ def score_runs(obs: ObservationSeries, named_dirs: list[tuple[str, str]]) -> tup
     return ["method", *SCORE_HEADER, "baseline"], rows
 
 
+REPORT_COLUMNS = ("method", "horizon", "variable", "rmsfe", "ls", "crps")
+
+
 def build_report(score_files: list[str]) -> tuple[list[str], list[list]]:
     """Merge score files into one comparison table: rows are
     (horizon, variable, metric), columns are methods with individual models
@@ -423,14 +426,22 @@ def build_report(score_files: list[str]) -> tuple[list[str], list[list]]:
     combiner_order: list[str] = []
     for path in score_files:
         with open(path, newline="") as fh:
-            for row in _csv.DictReader(fh):
+            reader = _csv.DictReader(fh)
+            missing = [c for c in REPORT_COLUMNS if c not in (reader.fieldnames or [])]
+            if missing:
+                raise DataFormatError(f"{path}: score header lacks {','.join(missing)}")
+            for row in reader:
                 method = row["method"]
                 kind = row.get("kind", "combiner")
                 order = model_order if kind == "model" else combiner_order
                 if method not in order:
                     order.append(method)
+                try:
+                    horizon = int(row["horizon"])
+                except (TypeError, ValueError):
+                    raise DataFormatError(f"{path}:{reader.line_num}: non-integer horizon {row['horizon']!r}") from None
                 for metric in ("rmsfe", "ls", "crps"):
-                    key = (int(row["horizon"]), row["variable"], metric)
+                    key = (horizon, row["variable"], metric)
                     entries.setdefault(key, {})
                     if method not in entries[key] and row[metric] != "":
                         entries[key][method] = row[metric]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, InputError, NoiseConfig
+from .rng import Streams, standard_normal
 
 MODE_TAGS = ("tvw", "adaptive_tvw", "dtvw")
 
@@ -68,49 +69,23 @@ ADAPTIVE_TVW = LatentMode("adaptive_tvw")
 DTVW = LatentMode("dtvw")
 
 
-@dataclass(frozen=True)
-class LatentParticle:
-    """One particle: latent weights x (length K*L), coefficient state alpha
-    (length 3) and its importance weight omega."""
-
-    x: np.ndarray
-    alpha: np.ndarray
-    omega: float
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        alpha = np.asarray(self.alpha, dtype=float)
-        if alpha.shape != (3,):
-            raise InputError("alpha must have length 3")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(alpha))):
-            raise InputError("particle state must be finite")
-        if self.omega < 0:
-            raise InputError("importance weight must be >= 0")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "omega", float(self.omega))
-
-
 class ParticleCloud:
-    """Vectorized particle set behaving like a sequence of LatentParticle."""
+    """Vectorized particle set: latent weights x (N, K*L), coefficient states
+    alpha (N, 3) and importance weights omega (N,).  A block of P lattice
+    points carries a leading point axis, (P, N, ...), one cloud per point."""
 
     def __init__(self, x: np.ndarray, alpha: np.ndarray, omega: np.ndarray):
         self.x = np.asarray(x, dtype=float)
         self.alpha = np.asarray(alpha, dtype=float)
         self.omega = np.asarray(omega, dtype=float)
-        if self.x.ndim != 2 or self.alpha.shape != (len(self.x), 3):
-            raise InputError("cloud arrays must be (N, K*L) and (N, 3)")
-        if self.omega.shape != (len(self.x),):
-            raise InputError("omega must be an (N,) vector")
+        if self.x.ndim not in (2, 3) or self.alpha.shape != (*self.x.shape[:-1], 3):
+            raise InputError("cloud arrays must be ([P,] N, K*L) and ([P,] N, 3)")
+        if self.omega.shape != self.x.shape[:-1]:
+            raise InputError("omega must be an ([P,] N) array")
 
     def __len__(self) -> int:
-        return self.x.shape[0]
-
-    def __getitem__(self, i: int) -> LatentParticle:
-        return LatentParticle(self.x[i], self.alpha[i], float(self.omega[i]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        """Particle count, summed over the points of a block."""
+        return self.omega.size
 
     def copy(self) -> "ParticleCloud":
         return ParticleCloud(self.x.copy(), self.alpha.copy(), self.omega.copy())
@@ -122,22 +97,24 @@ def init_particles(
     n_vars: int,
     alpha0: np.ndarray,
     x0_spread: float,
-    rng: np.random.Generator,
+    rng: Streams,
 ) -> ParticleCloud:
     """Draw the initial cloud: x ~ N(0, x0_spread^2 I) (zero spread gives
-    all-equal initial weights), alpha set to alpha0 exactly, omega = 1/n."""
+    all-equal initial weights), alpha set to alpha0 exactly, omega = 1/n.
+    A (P, 3) alpha0 with a sequence of P Generators gives a block cloud."""
     if n < 1:
         raise InputError("need at least one particle")
     alpha0 = np.asarray(alpha0, dtype=float)
-    if alpha0.shape != (3,):
+    if alpha0.ndim not in (1, 2) or alpha0.shape[-1] != 3:
         raise InputError("alpha0 must have length 3")
-    dim = n_models * n_vars
-    if x0_spread > 0:
-        x = x0_spread * rng.standard_normal((n, dim))
-    else:
-        x = np.zeros((n, dim))
-    alpha = np.tile(alpha0, (n, 1))
-    omega = np.full(n, 1.0 / n)
+    single = isinstance(rng, np.random.Generator)
+    if single != (alpha0.ndim == 1) or (not single and len(rng) != len(alpha0)):
+        raise InputError("need one Generator per point")
+    lead = alpha0.shape[:-1]
+    shape = (*lead, n, n_models * n_vars)
+    x = x0_spread * standard_normal(rng, shape) if x0_spread > 0 else np.zeros(shape)
+    alpha = np.broadcast_to(alpha0[..., None, :], (*lead, n, 3)).copy()
+    omega = np.full((*lead, n), 1.0 / n)
     return ParticleCloud(x, alpha, omega)
 
 
@@ -146,56 +123,43 @@ def propagate_cloud(
     div: np.ndarray,
     mode: LatentMode,
     cfg: NoiseConfig,
-    rng: np.random.Generator,
+    rng: Streams,
 ) -> ParticleCloud:
-    """One transition of the whole cloud; importance weights pass through."""
-    n, dim = cloud.x.shape
+    """One transition of the whole cloud (or block of clouds, with one
+    Generator per point); importance weights pass through."""
+    dim = cloud.x.shape[-1]
     div = np.asarray(div, dtype=float)
     if mode.uses_diversity and div.shape != (dim,):
         raise InputError(f"diversity vector must have length {dim}")
 
     if mode.tag == "tvw":
         alpha = cloud.alpha
-        theta = np.tile(mode.theta_fixed, (n, 1))
+        theta = np.broadcast_to(mode.theta_fixed, alpha.shape)
     elif mode.tag == "adaptive_tvw":
         alpha = cloud.alpha.copy()
-        alpha[:, :2] += cfg.sigma_alpha * rng.standard_normal((n, 2))
+        alpha[..., :2] += cfg.sigma_alpha * standard_normal(rng, (*alpha.shape[:-1], 2))
         theta = theta_from_alpha(alpha)
-        theta[:, 2] = 0.0  # diversity term hard-excluded
+        theta[..., 2] = 0.0  # diversity term hard-excluded
     else:
-        alpha = cloud.alpha + cfg.sigma_alpha * rng.standard_normal((n, 3))
+        alpha = cloud.alpha + cfg.sigma_alpha * standard_normal(rng, cloud.alpha.shape)
         theta = theta_from_alpha(alpha)
 
     if mode.tag == "tvw" and mode.fixed_theta is None:
         x = cloud.x.copy()
     else:
-        x = theta[:, 0:1] + theta[:, 1:2] * cloud.x
+        x = theta[..., 0:1] + theta[..., 1:2] * cloud.x
         if mode.uses_diversity:
-            x = x + theta[:, 2:3] * div[None, :]
-    x += cfg.sigma_x * rng.standard_normal((n, dim))
+            x = x + theta[..., 2:3] * div
+    x += cfg.sigma_x * standard_normal(rng, x.shape)
     return ParticleCloud(x, alpha, cloud.omega.copy())
-
-
-def propagate_particle(
-    p: LatentParticle,
-    div: np.ndarray,
-    mode: LatentMode,
-    cfg: NoiseConfig,
-    rng: np.random.Generator,
-) -> LatentParticle:
-    """Propagate a single particle (the cloud kernel with N = 1)."""
-    cloud = ParticleCloud(p.x[None, :], p.alpha[None, :], np.array([p.omega]))
-    out = propagate_cloud(cloud, div, mode, cfg, rng)
-    return out[0]
 
 
 def cloud_weight_tensor(cloud_x: np.ndarray, n_models: int, n_vars: int) -> np.ndarray:
     """Per-particle weight matrices from latent states.
 
-    Input (N, K*L), output (N, L, K): softmax over the model axis for each
-    particle and variable.
+    Input ([P,] N, K*L), output ([P,] N, L, K): softmax over the model axis
+    for each particle and variable.
     """
-    xm = cloud_x.reshape(len(cloud_x), n_vars, n_models)
-    z = np.exp(xm - xm.max(axis=2, keepdims=True))
-    return z / z.sum(axis=2, keepdims=True)
-
+    xm = cloud_x.reshape(*cloud_x.shape[:-1], n_vars, n_models)
+    z = np.exp(xm - xm.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)

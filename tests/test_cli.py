@@ -86,6 +86,14 @@ class TestRun:
         cfg, _ = write_config(tmp_path, observations=str(obs))
         assert main(["run", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("t", ["1000000000000", "9" * 30], ids=["absurd_index", "overflowing_index"])
+    def test_huge_index_exit_2(self, tmp_path, t, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(f"t,variable,value\n1,infl,0.1\n1,growth,0.2\n{t},infl,0.3\n")
+        cfg, _ = write_config(tmp_path, observations=str(obs))
+        assert main(["run", "--config", cfg]) == 2
+        assert "obs.csv:4: " in capsys.readouterr().err
+
     def test_degeneracy_exit_3(self, tmp_path):
         # an observation astronomically far from every forecast under a tiny
         # noise scale drives all particle likelihoods to zero
@@ -177,6 +185,19 @@ class TestGridsearch:
         assert len(surface) == 9
         assert {"alpha1", "alpha2", "crps"} == set(surface[0])
 
+    def test_horizon_beyond_panel_exit_2_before_filtering(self, tmp_path, capsys):
+        # the fixture panel has horizons 1..3; the objective's filter is built
+        # once, so the search stops before any point instead of scoring all inf
+        cfg, out_dir = write_config(
+            tmp_path,
+            method="dtvw",
+            horizons="5",
+            extra="[gridsearch]\nstage1 = -2, 2, 2\nstage2_step = none\neval_draws = 5\n",
+        )
+        assert main(["gridsearch", "--config", cfg]) == 2
+        assert "horizon 5 outside panel range 1..3" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out_dir, "surface.csv"))
+
 
 class TestScoreReport:
     def test_score_and_report(self, tmp_path):
@@ -201,6 +222,21 @@ class TestScoreReport:
         header = open(report_out).readline().strip().split(",")
         assert header[:3] == ["horizon", "variable", "metric"]
         assert "equal" in header and "bma" in header
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("method,variable,rmsfe,ls,crps\nequal,y,1.0,-1.0,0.5\n", "scores.csv: score header lacks horizon"),
+            ("method,horizon,variable,rmsfe,ls,crps\nequal,one,y,1.0,-1.0,0.5\n", "scores.csv:2: non-integer horizon 'one'"),
+        ],
+        ids=["no_horizon_column", "non_integer_horizon"],
+    )
+    def test_malformed_score_file_exit_2(self, tmp_path, capsys, text, message):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(text)
+        assert main(["report", str(scores), "--out", str(tmp_path / "report.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "report.csv")
 
     def test_bad_run_spec_exit_2(self, tmp_path):
         rc = main([

@@ -67,6 +67,19 @@ class TestObservationsIO:
         with pytest.raises(DataFormatError, match="obs.csv:3: expected 3 fields"):
             load_observations(str(path))
 
+    def test_absurd_index_rejected_before_allocating(self, tmp_path):
+        # a dense array up to t = 10**12 would need 7.28 TiB
+        path = tmp_path / "obs.csv"
+        path.write_text("t,variable,value\n1,y,0.5\n1000000000000,y,0.6\n")
+        with pytest.raises(DataFormatError, match="obs.csv:3: t 1000000000000 is above twice the row count 2"):
+            load_observations(str(path))
+
+    def test_overflowing_index_names_line(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("t,variable,value\n1,y,0.5\n" + "9" * 30 + ",y,0.6\n")
+        with pytest.raises(DataFormatError, match="obs.csv:3: out-of-range t '9{30}'"):
+            load_observations(str(path))
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("time,var,val\n1,y,0.5\n")

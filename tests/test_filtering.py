@@ -38,6 +38,12 @@ class TestSystematicResample:
             counts += np.bincount(systematic_resample(w, np.random.default_rng(rep)), minlength=6)
         np.testing.assert_allclose(counts / (2000 * 6), w, atol=0.01)
 
+    def test_block_rows_match_single_rows(self):
+        w = np.random.default_rng(3).dirichlet(np.ones(12), size=4)
+        block = systematic_resample(w, [np.random.default_rng(s) for s in range(4)], n=7)
+        for s in range(4):
+            np.testing.assert_array_equal(block[s], systematic_resample(w[s], np.random.default_rng(s), n=7))
+
     def test_unnormalized_rejected(self):
         with pytest.raises(InputError):
             systematic_resample(np.array([0.5, 0.6]), np.random.default_rng(0))

@@ -7,12 +7,11 @@ from divcast.latent import (
     DTVW,
     TVW,
     LatentMode,
-    LatentParticle,
     init_particles,
     propagate_cloud,
-    propagate_particle,
     theta_from_alpha,
 )
+from oracles import LatentParticle, particles, propagate_particle
 
 ZERO_NOISE = NoiseConfig(np.array([1.0]), sigma_x=0.0, sigma_alpha=0.0)
 
@@ -64,7 +63,7 @@ class TestInitParticles:
     def test_zero_spread_equal_weights(self):
         rng = np.random.default_rng(0)
         cloud = init_particles(8, 3, 1, np.zeros(3), 0.0, rng)
-        for p in cloud:
+        for p in particles(cloud):
             np.testing.assert_allclose(
                 weights_from_latent(p.x, 3, 1)[:, 0], [1 / 3, 1 / 3, 1 / 3]
             )
@@ -138,6 +137,28 @@ class TestPropagation:
         out_shuffled = propagate_cloud(shuffled, div, DTVW, ZERO_NOISE, rng)
         np.testing.assert_array_equal(out.x[perm], out_shuffled.x)
         np.testing.assert_array_equal(out.alpha[perm], out_shuffled.alpha)
+
+    @pytest.mark.parametrize("mode", [TVW, ADAPTIVE_TVW, DTVW], ids=lambda m: m.tag)
+    def test_block_matches_each_point_alone(self, mode):
+        # a (P, N, .) block with one Generator per point moves every point
+        # exactly as that point's own cloud and Generator would
+        cfg = NoiseConfig(np.array([1.0]), sigma_x=0.2, sigma_alpha=0.1)
+        alpha0 = np.array([[0.0, 1.0, -2.0], [0.5, 3.0, 4.0], [0.0, -6.0, 0.0]])
+        div = np.array([0.1, 0.3, 0.6])
+        block = init_particles(5, 3, 1, alpha0, 0.7, [np.random.default_rng(9) for _ in alpha0])
+        block = propagate_cloud(block, div, mode, cfg, [np.random.default_rng(p) for p in range(3)])
+        for p, a0 in enumerate(alpha0):
+            alone = init_particles(5, 3, 1, a0, 0.7, np.random.default_rng(9))
+            alone = propagate_cloud(alone, div, mode, cfg, np.random.default_rng(p))
+            np.testing.assert_array_equal(block.x[p], alone.x)
+            np.testing.assert_array_equal(block.alpha[p], alone.alpha)
+            np.testing.assert_array_equal(block.omega[p], alone.omega)
+
+    def test_block_needs_one_generator_per_point(self):
+        with pytest.raises(InputError, match="one Generator per point"):
+            init_particles(4, 2, 1, np.zeros((3, 3)), 0.0, [np.random.default_rng(0)] * 2)
+        with pytest.raises(InputError, match="one Generator per point"):
+            init_particles(4, 2, 1, np.zeros((3, 3)), 0.0, np.random.default_rng(0))
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(1)

@@ -1,12 +1,24 @@
+import os
+
 import numpy as np
 import pytest
 
-from divcast.core import InputError
-from divcast.tune import GridSpec, grid_search
+from divcast import tune
+from divcast.core import DegeneracyError, InputError, NoiseConfig, ObservationSeries, PredictorPanel
+from divcast.dataio import load_observations, load_panel
+from divcast.dgp import SimSpec, generate
+from divcast.filtering import run_filter
+from divcast.latent import DTVW
+from divcast.tune import GridSpec, grid_search, make_crps_runner
+from oracles import crps_objective
 
 
-def quadratic(alpha, seed):
-    return (alpha[0] - 3.0) ** 2 + (alpha[1] - 4.0) ** 2
+def quadratic(points, seed):
+    return (points[:, 0] - 3.0) ** 2 + (points[:, 1] - 4.0) ** 2
+
+
+def constant(value):
+    return lambda points, seed: np.full(len(points), value)
 
 
 class TestGridSearch:
@@ -24,21 +36,21 @@ class TestGridSearch:
 
     def test_constant_objective_tie_break(self):
         spec = GridSpec(stage1=((-10, 10, 2.0), (-10, 10, 2.0)), stage2_step=0.5)
-        best, _ = grid_search(spec, lambda a, s: 1.0, seed=0)
+        best, _ = grid_search(spec, constant(1.0), seed=0)
         np.testing.assert_allclose(best, [0.0, 0.0])
 
     def test_tie_break_l1_then_lexicographic(self):
         # objective flat on a small lattice not containing the origin
         spec = GridSpec(stage1=((1.0, 2.0, 1.0), (-3.0, 3.0, 3.0)), stage2_step=None)
-        best, _ = grid_search(spec, lambda a, s: 0.5, seed=0)
+        best, _ = grid_search(spec, constant(0.5), seed=0)
         # |1|+|0| = 1 is the smallest L1 norm on the lattice
         np.testing.assert_allclose(best, [1.0, 0.0])
 
     def test_stage2_never_worse_than_stage1(self):
         rng = np.random.default_rng(0)
 
-        def noisy(alpha, seed):
-            return float(np.sin(alpha[0]) * np.cos(alpha[1]) + 0.1 * alpha[0])
+        def noisy(points, seed):
+            return np.sin(points[:, 0]) * np.cos(points[:, 1]) + 0.1 * points[:, 0]
 
         spec1 = GridSpec(stage1=((-10, 10, 2.0), (-10, 10, 2.0)), stage2_step=None)
         spec2 = GridSpec(stage1=((-10, 10, 2.0), (-10, 10, 2.0)), stage2_step=0.5)
@@ -48,10 +60,11 @@ class TestGridSearch:
         assert best2_val <= min(v for _, _, v in surf1)
 
     def test_runner_failure_recorded_as_inf(self):
-        def flaky(alpha, seed):
-            if alpha[0] == 0.0 and alpha[1] == 0.0:
-                raise RuntimeError("boom")
-            return quadratic(alpha, seed)
+        # a runner reports a failed point as +inf; the search records it and
+        # moves on
+        def flaky(points, seed):
+            failed = (points[:, 0] == 0.0) & (points[:, 1] == 0.0)
+            return np.where(failed, np.inf, quadratic(points, seed))
 
         spec = GridSpec(stage1=((-2, 2, 2.0), (-2, 2, 2.0)), stage2_step=None)
         best, surface = grid_search(spec, flaky, seed=0)
@@ -77,12 +90,43 @@ class TestGridSearch:
         assert all(1.0 <= a1 <= 8.0 and 3.0 <= a2 <= 10.0 for a1, a2, _ in fine)
 
     def test_programming_error_propagates(self):
-        def broken(alpha, seed):
+        def broken(points, seed):
             raise TypeError("bad call")
 
         spec = GridSpec(stage1=((-2, 2, 2.0), (-2, 2, 2.0)), stage2_step=None)
         with pytest.raises(TypeError, match="bad call"):
             grid_search(spec, broken, seed=0)
+
+    def test_runtime_error_propagates(self):
+        # failure handling belongs to the runner: the search itself lets a
+        # degeneracy-like error through instead of scoring it
+        def failing(points, seed):
+            raise RuntimeError("boom")
+
+        spec = GridSpec(stage1=((-2, 2, 2.0), (-2, 2, 2.0)), stage2_step=None)
+        with pytest.raises(RuntimeError, match="boom"):
+            grid_search(spec, failing, seed=0)
+
+    def test_each_stage_one_call_of_new_points_in_lattice_order(self):
+        calls = []
+
+        def recording(points, seed):
+            calls.append([tuple(p) for p in points.tolist()])
+            return quadratic(points, seed)
+
+        spec = GridSpec(stage1=((-4, 4, 2.0), (-4, 4, 2.0)), stage2_step=1.0)
+        _, surface = grid_search(spec, recording, seed=0)
+        coarse = [(a1, a2) for a1 in (-4.0, -2.0, 0.0, 2.0, 4.0) for a2 in (-4.0, -2.0, 0.0, 2.0, 4.0)]
+        # stage two refines [0, 4] x [2, 4] around the incumbent (2, 4),
+        # minus the coarse points already evaluated
+        fine = [(a1, a2) for a1 in (0.0, 1.0, 2.0, 3.0, 4.0) for a2 in (2.0, 3.0, 4.0)]
+        assert calls == [coarse, [p for p in fine if p not in coarse]]
+        assert [(a1, a2) for a1, a2, _ in surface] == calls[0] + calls[1]
+
+    def test_wrong_value_count_rejected(self):
+        spec = GridSpec(stage1=((-2, 2, 2.0), (-2, 2, 2.0)), stage2_step=None)
+        with pytest.raises(ValueError, match="values for 9 points"):
+            grid_search(spec, lambda points, seed: np.zeros(3), seed=0)
 
     def test_spec_validation(self):
         with pytest.raises(InputError):
@@ -91,3 +135,90 @@ class TestGridSearch:
             GridSpec(stage1=((1, 0, 1.0), (0, 1, 1.0)))
         with pytest.raises(InputError):
             GridSpec(eval_draws=1)
+
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "pseudo_empirical")
+POINTS = np.array([(a1, a2) for a1 in (-6.0, 0.0, 4.0) for a2 in (-3.0, 0.0, 7.5)])
+
+
+def oracle_values(obs, panel, points, seed, n_particles, eval_draws, runner_kw):
+    """Per-point run_filter + crps_series values, with the runner's keywords
+    translated to run_filter's."""
+    kw = dict(runner_kw)
+    window, variable = kw.pop("eval_window", None), kw.pop("variable", None)
+    return np.array([
+        crps_objective(
+            obs, panel, p, seed, eval_window=window, variable=variable,
+            n_particles=n_particles, n_pred_draws=eval_draws, **kw,
+        )
+        for p in points
+    ])
+
+
+class TestCrpsRunnerEquivalence:
+    """The batched objective equals each point's filter run alone, bit for
+    bit, whatever the block size."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("design", ["complete_ar", "nonlinear_incomplete"])
+    def test_designs_and_seeds(self, design, seed):
+        obs, panel = generate(SimSpec(design=design, T=25, seed=seed, n_pred_draws=5))
+        runner = make_crps_runner(obs, panel, n_particles=30, eval_draws=6)
+        expected = oracle_values(obs, panel, POINTS, seed, 30, 6, {})
+        np.testing.assert_array_equal(runner(POINTS, seed), expected)
+
+    @pytest.mark.parametrize(
+        "runner_kw",
+        [
+            {"horizon": 2},
+            {"x0_spread": 0.8, "kappa": 0.9},
+            {"horizon": 2, "x0_spread": 0.5, "eval_window": (8, 20)},
+        ],
+        ids=["horizon2", "x0_spread", "horizon2_window"],
+    )
+    def test_horizon_spread_window(self, runner_kw):
+        obs, panel = generate(SimSpec(design="complete_ar", T=25, seed=3, n_pred_draws=5, horizons=2))
+        runner = make_crps_runner(obs, panel, n_particles=30, eval_draws=6, **runner_kw)
+        expected = oracle_values(obs, panel, POINTS, 4, 30, 6, runner_kw)
+        np.testing.assert_array_equal(runner(POINTS, 4), expected)
+
+    @pytest.mark.parametrize("runner_kw", [{}, {"variable": 1, "horizon": 3, "x0_spread": 0.3}], ids=["average", "variable"])
+    def test_two_variable_fixture(self, runner_kw):
+        obs = load_observations(os.path.join(FIXTURE, "observations.csv"))
+        panel = load_panel(os.path.join(FIXTURE, "panel.csv"))
+        runner = make_crps_runner(obs, panel, n_particles=25, eval_draws=5, **runner_kw)
+        expected = oracle_values(obs, panel, POINTS, 2, 25, 5, runner_kw)
+        np.testing.assert_array_equal(runner(POINTS, 2), expected)
+
+    def test_block_size_does_not_matter(self, monkeypatch):
+        obs, panel = generate(SimSpec(design="nonlinear_incomplete", T=25, seed=1, n_pred_draws=5))
+        values = []
+        for points_per_block in (1, 4, len(POINTS)):
+            monkeypatch.setattr(tune, "BLOCK_ELEMENTS", points_per_block * 30 * panel.n_models)
+            values.append(make_crps_runner(obs, panel, n_particles=30, eval_draws=6)(POINTS, 0))
+        np.testing.assert_array_equal(values[0], values[1])
+        np.testing.assert_array_equal(values[0], values[2])
+
+    def test_degenerate_point_scores_inf_alone(self):
+        # model A forecasts y exactly, B and C sit 10 above it; with sigma_obs
+        # = 1e-154 a particle survives a step only if its combined forecast
+        # lies within ~1.3 of y.  alpha1 = 0 wipes the x0 spread, the cloud
+        # keeps near-equal weights and every likelihood underflows; a
+        # positive alpha1 keeps particles that favour model A.
+        T = 8
+        y = np.random.default_rng(0).normal(size=T)
+        draws = np.empty((T, 3, 1, 1, 2))
+        for k, offset in enumerate((0.0, 10.0, 10.5)):
+            draws[:, k, 0, 0, :] = (y + offset)[:, None]
+        panel = PredictorPanel(draws, ("A", "B", "C"))
+        obs = ObservationSeries(y[:, None], ("y",))
+        cfg = NoiseConfig(np.array([1e-154]))
+        points = np.array([(4.0, 0.0), (4.0, 5.0), (0.0, 0.0), (10.0, -5.0), (10.0, 5.0)])
+        with pytest.raises(DegeneracyError):
+            run_filter(obs, panel, DTVW, cfg=cfg, n_particles=64, seed=1, alpha0=(0.0, 0.0, 0.0), x0_spread=5.0)
+        runner = make_crps_runner(obs, panel, cfg=cfg, n_particles=64, eval_draws=5, x0_spread=5.0)
+        values = runner(points, 1)
+        expected = oracle_values(obs, panel, points, 1, 64, 5, {"cfg": cfg, "x0_spread": 5.0})
+        assert values[2] == np.inf
+        assert np.all(np.isfinite(np.delete(values, 2)))
+        np.testing.assert_array_equal(values, expected)
