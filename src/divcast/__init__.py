@@ -13,11 +13,7 @@ from .core import (
     NoiseConfig,
     ObservationSeries,
     PredictorPanel,
-    combined_point,
     default_sigma_obs,
-    log_likelihood,
-    softmax_link,
-    weights_from_latent,
 )
 from .dgp import SimSpec, gen_complete_ar, gen_nonlinear_incomplete, generate
 from .diversity import diversity_vector, scaled_diversity
@@ -31,7 +27,7 @@ from .latent import (
     init_particles,
     theta_from_alpha,
 )
-from .metrics import DMResult, crps_from_draws, dm_test, log_score, rmsfe, score_forecasts
+from .metrics import DMResult, dm_test, log_score, rmsfe, score_forecasts
 from .tune import GridSpec, grid_search, make_crps_runner
 
 __version__ = "0.1.0"
@@ -58,8 +54,6 @@ __all__ = [
     "PredictorPanel",
     "SimSpec",
     "bma_weights",
-    "combined_point",
-    "crps_from_draws",
     "default_sigma_obs",
     "diversity_vector",
     "dm_test",
@@ -68,7 +62,6 @@ __all__ = [
     "generate",
     "grid_search",
     "init_particles",
-    "log_likelihood",
     "log_score",
     "make_crps_runner",
     "rmsfe",
@@ -76,8 +69,6 @@ __all__ = [
     "run_filter",
     "score_forecasts",
     "single_model_result",
-    "softmax_link",
     "systematic_resample",
     "theta_from_alpha",
-    "weights_from_latent",
 ]

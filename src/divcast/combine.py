@@ -17,7 +17,7 @@ from .core import (
     ObservationSeries,
     PredictorPanel,
 )
-from .filtering import _logsumexp, systematic_resample
+from .filtering import _gaussian_logpdf, _logsumexp, systematic_resample
 from .rng import substream
 
 VAR_FLOOR = 1e-8
@@ -29,7 +29,6 @@ class CombinerResult:
     baselines) plus the out-of-sample forecast block at one horizon."""
 
     method: str
-    times: np.ndarray
     weights: np.ndarray  # (T, K, L)
     forecasts: ForecastSeries
 
@@ -65,9 +64,7 @@ def model_log_predictive_matrix(
     T = obs.n_steps
     m = mu[:T, :, :, horizon - 1]
     s = sd[:T, :, :, horizon - 1]
-    r = (obs.values[:, None, :] - m) / s
-    with np.errstate(over="ignore"):
-        marginal = -0.5 * (np.log(2.0 * np.pi * s**2) + r**2)
+    marginal = _gaussian_logpdf(obs.values[:, None, :], m, s)
     return marginal.sum(axis=2), marginal
 
 
@@ -115,9 +112,7 @@ def _combined_forecasts(
     s_ = sd[targets - 1, :, :, horizon - 1]
     point = np.einsum("sk,skl->sl", w, m)
     y = obs.values[targets - 1]
-    r = (y[:, None, :] - m) / s_
-    with np.errstate(over="ignore"):
-        comp_marg = -0.5 * (np.log(2.0 * np.pi * s_**2) + r**2)  # (S, K, L)
+    comp_marg = _gaussian_logpdf(y[:, None, :], m, s_)  # (S, K, L)
     with np.errstate(divide="ignore"):
         logw = np.where(w > 0, np.log(w), -np.inf)
     log_pred = _logsumexp(logw + comp_marg.sum(axis=2), axis=1)
@@ -183,7 +178,6 @@ def run_combiner(
     weights = np.repeat(weight_rows[:, :, None], L, axis=2)
     return CombinerResult(
         method=method,
-        times=np.arange(1, T + 1),
         weights=weights,
         forecasts=forecasts,
     )
@@ -212,7 +206,6 @@ def single_model_result(
     weights = np.repeat(weight_rows[:, :, None], L, axis=2)
     return CombinerResult(
         method=panel.model_names[k - 1],
-        times=np.arange(1, T + 1),
         weights=weights,
         forecasts=forecasts,
     )

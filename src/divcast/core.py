@@ -1,5 +1,4 @@
-"""Domain types shared across the package, plus the softmax link and the
-Gaussian combination likelihood.
+"""Domain types shared across the package.
 
 Conventions used throughout:
 
@@ -35,9 +34,6 @@ class DataFormatError(InputError):
 
 class DegeneracyError(RuntimeError):
     """Numerical failure of the filter (exit code 3 at the CLI)."""
-
-
-SIMPLEX_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -181,89 +177,9 @@ class ForecastSeries:
     draws: np.ndarray
 
 
-def validate_weight_matrix(w: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
-    """Check the (K, L) weight-matrix invariants and return w as float array."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    if np.any(w < -tol) or np.any(w > 1 + tol):
-        raise InputError("weight entries must lie in [0, 1]")
-    if np.any(np.abs(w.sum(axis=0) - 1.0) > tol):
-        raise InputError("weight columns must sum to 1")
-    return w
-
-
-def softmax_link(x_col: np.ndarray) -> np.ndarray:
-    """Map a latent K-vector to simplex weights, exp(x_k)/sum(exp(x)).
-
-    Computed with max-subtraction so arbitrarily large inputs cannot
-    overflow.
-    """
-    x_col = np.asarray(x_col, dtype=float)
-    if not np.all(np.isfinite(x_col)):
-        raise InputError("softmax input must be finite")
-    z = np.exp(x_col - x_col.max())
-    return z / z.sum()
-
-
-def latent_to_matrix(x: np.ndarray, n_models: int, n_vars: int) -> np.ndarray:
-    """Un-vectorize a latent K*L vector into its (K, L) matrix."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n_models * n_vars,):
-        raise InputError(f"latent vector must have length {n_models * n_vars}")
-    return x.reshape(n_vars, n_models).T
-
-
 def matrix_to_latent(m: np.ndarray) -> np.ndarray:
     """Vectorize a (K, L) matrix column by column (variable-major)."""
     return np.asarray(m, dtype=float).T.ravel()
-
-
-def weights_from_latent(x: np.ndarray, n_models: int, n_vars: int) -> np.ndarray:
-    """Apply the softmax link per variable: column l of the result is the
-    softmax of the latent entries for variable l."""
-    xm = latent_to_matrix(x, n_models, n_vars)
-    if not np.all(np.isfinite(xm)):
-        raise InputError("latent vector must be finite")
-    z = np.exp(xm - xm.max(axis=0, keepdims=True))
-    return z / z.sum(axis=0, keepdims=True)
-
-
-def combined_point(w: np.ndarray, ytilde: np.ndarray) -> np.ndarray:
-    """Weight-combined point forecast: component l is sum_k w[k,l]*ytilde[k,l]."""
-    w = np.asarray(w, dtype=float)
-    ytilde = np.asarray(ytilde, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    if ytilde.ndim == 1:
-        ytilde = ytilde[:, None]
-    if w.shape != ytilde.shape:
-        raise InputError(f"shape mismatch: weights {w.shape} vs forecasts {ytilde.shape}")
-    return (w * ytilde).sum(axis=0)
-
-
-def gaussian_logpdf_diag(y: np.ndarray, mean: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Sum over the last axis of independent Gaussian log densities."""
-    r = (np.asarray(y, dtype=float) - mean) / sigma
-    return -0.5 * (np.log(2.0 * np.pi * sigma**2) + r**2).sum(axis=-1)
-
-
-def log_likelihood(y: np.ndarray, w: np.ndarray, ytilde: np.ndarray, cfg: NoiseConfig) -> float:
-    """Log of the Gaussian combination density of y given weights and
-    predictor values, with diagonal observation covariance.
-
-    Includes the -0.5*sum(log(2 pi sigma_l^2)) normalizer, so exp of the
-    result integrates to one over y.
-    """
-    if np.any(cfg.sigma_obs <= 0):
-        raise ConfigError("sigma_obs must be strictly positive for likelihoods")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if not np.all(np.isfinite(y)):
-        raise InputError("observation must be finite")
-    c = combined_point(w, ytilde)
-    if y.shape != c.shape:
-        raise InputError(f"observation has {y.shape[0]} entries, expected {c.shape[0]}")
-    return float(gaussian_logpdf_diag(y, c, cfg.sigma_obs))
 
 
 def default_sigma_obs(obs: ObservationSeries, panel: PredictorPanel) -> np.ndarray:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import ConfigError, DataFormatError, ObservationSeries, PredictorPanel
+from .tune import GridSpec
 
 METHODS = ("equal", "bma", "bma_roll", "tvw", "adaptive_tvw", "dtvw")
 FILTER_METHODS = ("tvw", "adaptive_tvw", "dtvw")
@@ -200,14 +201,13 @@ def save_panel(panel: PredictorPanel, path: str, variable_names: tuple[str, ...]
 
 
 def write_table(path: str, header: list[str], rows: list[tuple]) -> None:
-    """Write a generic output table; floats get round-trip formatting."""
+    """Write a generic output table as given.  A Python float is written as
+    its repr, the shortest round-trip text, so rows must hold Python floats
+    (ndarray.tolist() gives them), not numpy scalars."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row]
-            )
+        writer.writerows(rows)
 
 
 @dataclass
@@ -255,7 +255,8 @@ class RunConfig:
 
 @dataclass
 class GridConfig:
-    """Grid-search settings layered on top of a RunConfig."""
+    """Grid-search settings layered on top of a RunConfig, checked when
+    built, so a bad [gridsearch] value fails before any data is read."""
 
     stage1_lo: float = -10.0
     stage1_hi: float = 10.0
@@ -266,6 +267,22 @@ class GridConfig:
     eval_draws: int = 10
     grid_particles: int | None = None  # default: n_particles // 4
     variable: str | None = None
+
+    def __post_init__(self):
+        if self.grid_particles is not None and self.grid_particles < 1:
+            raise ConfigError("grid_particles must be >= 1")
+        self.spec()  # GridSpec rejects a bad lattice or draw budget
+
+    def spec(self) -> GridSpec:
+        """The search lattice and the objective's draw budget."""
+        axis = (self.stage1_lo, self.stage1_hi, self.stage1_step)
+        return GridSpec(
+            stage1=(axis, axis),
+            stage2_step=self.stage2_step,
+            stage2_margin=self.stage2_margin,
+            stage2_bounds=self.stage2_bounds,
+            eval_draws=self.eval_draws,
+        )
 
 
 def _parse_floats(raw: str) -> tuple[float, ...]:
@@ -349,26 +366,26 @@ def load_config(path: str, overrides: dict | None = None) -> tuple[RunConfig, Gr
     if not values.get("observations") or not values.get("panel"):
         raise ConfigError(f"{path}: [data] must name observations and panel files")
 
-    grid = GridConfig()
+    grid: dict = {}
     stage1 = get("gridsearch", "stage1", _parse_floats)
     if stage1 is not None:
         if len(stage1) != 3:
             raise ConfigError("stage1 expects lo, hi, step")
-        grid.stage1_lo, grid.stage1_hi, grid.stage1_step = stage1
+        grid["stage1_lo"], grid["stage1_hi"], grid["stage1_step"] = stage1
     step = get("gridsearch", "stage2_step")
     if step is not None:
-        grid.stage2_step = None if step.lower() == "none" else get("gridsearch", "stage2_step", float)
+        grid["stage2_step"] = None if step.lower() == "none" else get("gridsearch", "stage2_step", float)
     bounds = get("gridsearch", "stage2_bounds", _parse_floats)
     if bounds is not None:
         if len(bounds) != 4:
             raise ConfigError("stage2_bounds expects lo1, hi1, lo2, hi2")
-        grid.stage2_bounds = ((bounds[0], bounds[1]), (bounds[2], bounds[3]))
+        grid["stage2_bounds"] = ((bounds[0], bounds[1]), (bounds[2], bounds[3]))
     for key, cast in [("stage2_margin", int), ("eval_draws", int), ("grid_particles", int), ("variable", str)]:
         if (value := get("gridsearch", key, cast)) is not None:
-            setattr(grid, key, value)
+            grid[key] = value
 
     try:
         cfg = RunConfig(**values)
     except TypeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return cfg, grid
+    return cfg, GridConfig(**grid)

@@ -6,7 +6,6 @@ cumulative log-score differences, forecasts and predictive draws)."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,29 +21,13 @@ from .core import (
     default_sigma_obs,
 )
 from .dataio import FILTER_METHODS, METHODS, GridConfig, RunConfig, long_rows, read_table, write_table
-from .filtering import ParticleFilter, FilterOutput
+from .filtering import FilterOutput, ParticleFilter
 from .latent import ADAPTIVE_TVW, DTVW, TVW, LatentMode
 from .metrics import dm_test, loss_series, score_forecasts
 from .rng import substream
-from .tune import GridSpec, grid_search, make_crps_runner
+from .tune import grid_search, make_crps_runner
 
 MODE_BY_METHOD = {"tvw": TVW, "adaptive_tvw": ADAPTIVE_TVW, "dtvw": DTVW}
-
-
-@dataclass
-class MethodRun:
-    """Uniform view of one method's output at one horizon."""
-
-    method: str
-    kind: str  # "combiner" or "model"
-    horizon: int
-    forecasts: ForecastSeries
-    weights_mean: np.ndarray
-    weights_lo: np.ndarray
-    weights_hi: np.ndarray
-    alpha_mean: np.ndarray | None = None
-    alpha_lo: np.ndarray | None = None
-    alpha_hi: np.ndarray | None = None
 
 
 def _noise_config(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel) -> NoiseConfig:
@@ -59,33 +42,6 @@ def _noise_config(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel)
     return NoiseConfig(sigma, sigma_x=cfg.sigma_x, sigma_alpha=cfg.sigma_alpha)
 
 
-def _from_combiner(result: CombinerResult, kind: str) -> MethodRun:
-    return MethodRun(
-        method=result.method,
-        kind=kind,
-        horizon=result.forecasts.horizon,
-        forecasts=result.forecasts,
-        weights_mean=result.weights,
-        weights_lo=result.weights,
-        weights_hi=result.weights,
-    )
-
-
-def _from_filter(method: str, out: FilterOutput) -> MethodRun:
-    return MethodRun(
-        method=method,
-        kind="combiner",
-        horizon=out.horizon,
-        forecasts=out.forecasts,
-        weights_mean=out.weights_mean,
-        weights_lo=out.weights_lo,
-        weights_hi=out.weights_hi,
-        alpha_mean=out.alpha_mean,
-        alpha_lo=out.alpha_lo,
-        alpha_hi=out.alpha_hi,
-    )
-
-
 def run_method(
     method: str,
     obs: ObservationSeries,
@@ -94,8 +50,9 @@ def run_method(
     horizon: int,
     noise: NoiseConfig,
     rng_role: str = "filter",
-) -> MethodRun:
-    """Run one combination method at one horizon."""
+) -> FilterOutput | CombinerResult:
+    """Run one combination method at one horizon: a filter run for the
+    filter methods, a combiner result for the others."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
     if method in FILTER_METHODS:
@@ -109,15 +66,14 @@ def run_method(
             n_pred_draws=cfg.n_pred_draws,
         )
         rng = substream(cfg.seed, rng_role, horizon)
-        out = pf.run(
+        return pf.run(
             obs,
             cfg.n_particles,
             np.asarray(cfg.alpha0, dtype=float),
             rng,
             x0_spread=cfg.x0_spread,
         )
-        return _from_filter(method, out)
-    result = run_combiner(
+    return run_combiner(
         method,
         obs,
         panel,
@@ -127,7 +83,6 @@ def run_method(
         n_pred_draws=cfg.n_pred_draws,
         seed=cfg.seed,
     )
-    return _from_combiner(result, "combiner")
 
 
 def _eval_window(cfg: RunConfig, horizon: int, T: int) -> tuple[int, int]:
@@ -171,22 +126,22 @@ SCORE_HEADER = [
 
 def _score_rows(
     name: str,
-    fs: ForecastSeries,
+    horizon: int,
+    losses: dict,
     base_name: str,
     base_losses: dict | None,
     obs: ObservationSeries,
-    window: tuple[int, int] | None,
 ) -> list[tuple]:
-    """Score rows of one forecast block, in SCORE_HEADER's columns.
+    """Score rows of one forecast block from its loss_series, in
+    SCORE_HEADER's columns.
 
     A per-variable row carries Diebold-Mariano statistics and p-values
     against the baseline's losses for squared error, log score and CRPS when
     the method is not the baseline, at least 10 targets are scored and both
     score the same targets; other rows leave the six cells blank.
     """
-    losses = loss_series(fs, obs, window)
     rows = []
-    for row in score_forecasts(name, fs, obs, window):
+    for row in score_forecasts(name, horizon, losses, obs.variable_names):
         dm_cells: list = [""] * 6
         if (
             name != base_name
@@ -198,7 +153,7 @@ def _score_rows(
             l = obs.variable_names.index(row.variable)
             dm_cells = []
             for key in ("sq_err", "neg_log_pred", "crps"):
-                dm = dm_test(losses[key][:, l], base_losses[key][:, l], h=fs.horizon)
+                dm = dm_test(losses[key][:, l], base_losses[key][:, l], h=horizon)
                 dm_cells += [float(dm.statistic), float(dm.p_value)]
         rows.append(
             (
@@ -230,38 +185,37 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
         raise ConfigError(f"baseline {baseline!r} is neither a panel model nor a method")
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    T = obs.n_steps
+    T, K = obs.n_steps, panel.n_models
     names = obs.variable_names
     scores: list[tuple] = []
     forecasts: list[tuple] = []
     draws: list[tuple] = []
     cumls: list[tuple] = []
-    lead: MethodRun | None = None
+    lead: FilterOutput | CombinerResult | None = None
     for horizon in cfg.horizons:
         window = _eval_window(cfg, horizon, T)
-        runs: list[MethodRun] = []
-        for k in range(1, panel.n_models + 1):
-            runs.append(
-                _from_combiner(
-                    single_model_result(obs, panel, k, horizon, cfg.fallback_sigma), "model"
-                )
-            )
+        runs = [
+            (r.method, "model", r.forecasts)
+            for r in (single_model_result(obs, panel, k, horizon, cfg.fallback_sigma) for k in range(1, K + 1))
+        ]
         main = run_method(cfg.method, obs, panel, cfg, horizon, noise)
         if horizon == min(cfg.horizons):
             lead = main
-        runs.append(main)
+        runs.append((cfg.method, "combiner", main.forecasts))
         if baseline in panel.model_names:
-            base_run = runs[panel.model_names.index(baseline)]
+            base = panel.model_names.index(baseline)
         elif baseline == cfg.method:
-            base_run = main
+            base = K
         else:
-            base_run = run_method(baseline, obs, panel, cfg, horizon, noise, rng_role="baseline")
-            runs.append(base_run)
+            base_fs = run_method(baseline, obs, panel, cfg, horizon, noise, rng_role="baseline").forecasts
+            runs.append((baseline, "combiner", base_fs))
+            base = K + 1
 
-        base_losses = loss_series(base_run.forecasts, obs, window)
-        for run in runs:
-            for row in _score_rows(run.method, run.forecasts, base_run.method, base_losses, obs, window):
-                scores.append((run.method, run.kind, *row, base_run.method))
+        losses = [loss_series(fs, obs, window) for _, _, fs in runs]
+        base_name, base_losses = runs[base][0], losses[base]
+        for (name, kind, _), run_losses in zip(runs, losses):
+            for row in _score_rows(name, horizon, run_losses, base_name, base_losses, obs):
+                scores.append((name, kind, *row, base_name))
 
         # Forecasts, predictive-draw quantiles and draws cover all targets;
         # the evaluation window only restricts scoring.
@@ -274,7 +228,7 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
             draws += long_rows([targets, [horizon], names, draw_ids], fs.draws.transpose(0, 2, 1))
 
         # Cumulative log-score differences vs the baseline over the window.
-        main_l = loss_series(fs, obs, window)
+        main_l = losses[K]
         targets_w = main_l["targets"].tolist()
         diff_m = -(main_l["neg_log_pred"] - base_losses["neg_log_pred"])  # (S, L)
         cumls += long_rows([targets_w, [horizon], names], np.cumsum(diff_m, axis=0))
@@ -282,8 +236,13 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
             diff_j = -(main_l["neg_log_pred_joint"] - base_losses["neg_log_pred_joint"])
             cumls += long_rows([targets_w, [horizon], ["joint"]], np.cumsum(diff_j))
 
-    # Weight / coefficient trajectories from the smallest configured horizon.
+    # Weight / coefficient trajectories from the smallest configured horizon;
+    # a combiner's weights are their own band.
     times = range(1, T + 1)
+    if isinstance(lead, FilterOutput):
+        bands = (lead.weights_mean, lead.weights_lo, lead.weights_hi)
+    else:
+        bands = (lead.weights,) * 3
     tables = [
         ("scores.csv", ["method", "kind", *SCORE_HEADER, "baseline"], scores),
         ("forecast.csv", [name for name, _ in FORECAST_COLUMNS], forecasts),
@@ -291,15 +250,12 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
         (
             "weights.csv",
             ["t", "model", "variable", "mean", "lo95", "hi95"],
-            long_rows(
-                [times, panel.model_names, names],
-                lead.weights_mean, lead.weights_lo, lead.weights_hi,
-            ),
+            long_rows([times, panel.model_names, names], *bands),
         ),
     ]
     if cfg.emit_draws:
         tables.append(("draws.csv", [name for name, _ in DRAWS_COLUMNS], draws))
-    if lead.alpha_mean is not None:
+    if isinstance(lead, FilterOutput):
         tables.append((
             "alphas.csv",
             ["t", "param", "mean", "lo95", "hi95"],
@@ -346,17 +302,7 @@ def run_grid_search(
         sigma_x=cfg.sigma_x,
         sigma_alpha=cfg.sigma_alpha,
     )
-    spec = GridSpec(
-        stage1=(
-            (grid.stage1_lo, grid.stage1_hi, grid.stage1_step),
-            (grid.stage1_lo, grid.stage1_hi, grid.stage1_step),
-        ),
-        stage2_step=grid.stage2_step,
-        stage2_margin=grid.stage2_margin,
-        stage2_bounds=grid.stage2_bounds,
-        eval_draws=grid.eval_draws,
-    )
-    return grid_search(spec, runner, seed=cfg.seed)
+    return grid_search(grid.spec(), runner, seed=cfg.seed)
 
 
 def _load_forecast_dir(directory: str, obs: ObservationSeries) -> dict[int, ForecastSeries]:
@@ -401,13 +347,15 @@ def _variable_columns(names: list[str], obs: ObservationSeries, path: str) -> li
 def score_runs(obs: ObservationSeries, named_dirs: list[tuple[str, str]]) -> tuple[list[str], list[tuple]]:
     """Score emitted forecast directories against observations, with DM
     comparisons of every run to the first-listed one."""
-    loaded = [(name, _load_forecast_dir(directory, obs)) for name, directory in named_dirs]
-    base_name, base_by_horizon = loaded[0]
-    base_losses = {h: loss_series(fs, obs) for h, fs in base_by_horizon.items()}
+    losses = [
+        (name, {h: loss_series(fs, obs) for h, fs in _load_forecast_dir(directory, obs).items()})
+        for name, directory in named_dirs
+    ]
+    base_name, base_losses = losses[0]
     rows: list[tuple] = []
-    for name, by_horizon in loaded:
-        for h, fs in sorted(by_horizon.items()):
-            for row in _score_rows(name, fs, base_name, base_losses.get(h), obs, None):
+    for name, by_horizon in losses:
+        for h, run_losses in sorted(by_horizon.items()):
+            for row in _score_rows(name, h, run_losses, base_name, base_losses.get(h), obs):
                 rows.append((name, *row, base_name))
     return ["method", *SCORE_HEADER, "baseline"], rows
 

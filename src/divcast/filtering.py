@@ -8,10 +8,11 @@ threshold.  Forecasts emitted at step t target time t+h-1: they pair the
 prior-side particle weights (information through t-1) with the panel's
 horizon-h cell for that target, so every emitted forecast is out-of-sample.
 
-The same step advances a block of P lattice points of the grid search at
-once: the cloud arrays carry a leading point axis and every point has its
-own random stream, from which it draws exactly what a run of that point
-alone would.  A single run is the block with P = 1.
+The filter advances a block of P points: every cloud array is (P, N, ...),
+every point has its own random stream, from which it draws exactly what a
+run of that point alone would, and every record entry carries the point
+axis.  A single run is the block with P = 1; the grid search advances many
+lattice points at once.
 """
 
 from __future__ import annotations
@@ -76,26 +77,21 @@ def effective_sample_size(omega: np.ndarray) -> float | np.ndarray:
     return 1.0 / (omega.shape[-1] * np.sum(omega**2, axis=-1))
 
 
-def _weighted_quantiles(values: np.ndarray, omega: np.ndarray, qs: tuple[float, ...]) -> list[np.ndarray]:
-    """Weighted quantiles along axis 0 of a (N, M) array."""
-    order = np.argsort(values, axis=0)
-    sorted_vals = np.take_along_axis(values, order, axis=0)
-    cum = np.cumsum(omega[order], axis=0)
-    cum /= cum[-1:, :]
-    out = []
-    for q in qs:
-        first = (cum >= q).argmax(axis=0)
-        out.append(np.take_along_axis(sorted_vals, first[None, :], axis=0)[0])
-    return out
-
-
 def _band_stats(values: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted mean and 95% band of per-particle statistics (N, M).
+    """Weighted mean and 95% band of per-particle statistics (P, N, M) under
+    the weights omega (P, N): three (P, M) arrays.
 
     Bands are widened to contain the mean in degenerate heavy-tail cases.
     """
-    mean = omega @ values
-    lo, hi = _weighted_quantiles(values, omega, (BAND_LO, BAND_HI))
+    mean = (omega[:, None, :] @ values)[:, 0]
+    order = np.argsort(values, axis=1)
+    sorted_vals = np.take_along_axis(values, order, axis=1)
+    cum = np.cumsum(np.take_along_axis(omega[:, :, None], order, axis=1), axis=1)
+    cum /= cum[:, -1:]
+    lo, hi = (
+        np.take_along_axis(sorted_vals, (cum >= q).argmax(axis=1)[:, None], axis=1)[:, 0]
+        for q in (BAND_LO, BAND_HI)
+    )
     return mean, np.minimum(lo, mean), np.maximum(hi, mean)
 
 
@@ -106,14 +102,17 @@ def _logsumexp(logv: np.ndarray, axis: int = 0) -> np.ndarray:
         return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(logv - m), axis=axis))
 
 
-def _stack_points(per_point: list[np.ndarray]) -> np.ndarray:
-    """Per-point results stacked along a leading point axis; a one-point
-    block takes no copy."""
-    return per_point[0][None] if len(per_point) == 1 else np.stack(per_point)
+def _gaussian_logpdf(y: np.ndarray, mean: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Per-variable Gaussian log densities of y around mean with scales
+    sigma (all broadcast over the last, variable axis); overflow of extreme
+    residuals legitimately maps to -inf."""
+    r = (y - mean) / sigma
+    with np.errstate(over="ignore"):
+        return -0.5 * (np.log(2.0 * np.pi * sigma**2) + r**2)
 
 
 def _combine_cloud(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Per-particle combined forecasts: ([P,] N, L, K) weights against a
+    """Per-particle combined forecasts: (P, N, L, K) weights against a
     (K, L) mean matrix.  Summed model-by-model so a single-particle run
     reproduces a plain accumulation loop bit-for-bit."""
     return (weights * means.T).sum(axis=-1)
@@ -121,42 +120,46 @@ def _combine_cloud(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FilterState:
-    """Mutable filter position: the cloud, the time index of the last
-    processed observation, the latest normalized ESS and the random stream.
-
-    A block of P lattice points advances as one state: the cloud arrays
-    carry a leading point axis, ess is a (P,) array and rng holds one
+    """Mutable filter position of a block of P points: the cloud, whose
+    arrays are (P, N, ...), the time index of the last processed
+    observation, the latest normalized ESS per point, (P,), and one
     Generator per point."""
 
     cloud: ParticleCloud
     t: int
-    ess: float | np.ndarray
-    rng: Streams
+    ess: np.ndarray
+    rng: Sequence[np.random.Generator]
 
 
 @dataclass
 class FilterOutput:
-    """Per-run summaries: posterior weight/coefficient trajectories with 95%
-    bands, ESS path, one-step log predictives, and the out-of-sample
-    forecast block at the run's horizon.  A run without summaries leaves the
-    bands, prior weights, marginal log predictives and the forecasts' point
-    and log predictives as None; the draws are always there."""
+    """One point's run: posterior weight (T, K, L) and coefficient (T, 3)
+    trajectories with 95% bands, the ESS path and resample flags, the
+    one-step log predictives (T,), and the out-of-sample forecast block at
+    the run's horizon.  A run without summaries leaves the bands and the
+    forecasts' point and log predictives as None; the draws are always
+    there."""
 
     horizon: int
-    n_particles: int
-    times: np.ndarray
     weights_mean: np.ndarray | None
     weights_lo: np.ndarray | None
     weights_hi: np.ndarray | None
-    prior_weights_mean: np.ndarray | None
     alpha_mean: np.ndarray | None
     alpha_lo: np.ndarray | None
     alpha_hi: np.ndarray | None
     ess: np.ndarray
     resampled: np.ndarray
     one_step_log_pred: np.ndarray
-    one_step_log_pred_marginal: np.ndarray | None
     forecasts: ForecastSeries
+
+
+# FilterOutput fields taken from one record entry per step, and the record
+# entries of the forecast emitted at a step.
+_STEP_FIELDS = (
+    "weights_mean", "weights_lo", "weights_hi", "alpha_mean", "alpha_lo", "alpha_hi",
+    "ess", "resampled", "one_step_log_pred",
+)
+_FORECAST_KEYS = ("point", "pred_means", "log_prior", "draws")
 
 
 class ParticleFilter:
@@ -193,33 +196,24 @@ class ParticleFilter:
         n_particles: int,
         alpha0: np.ndarray,
         x0_spread: float,
-        rng: Streams,
+        rngs: Sequence[np.random.Generator],
     ) -> FilterState:
-        """Initial state of one point, or of a block when alpha0 is (P, 3)
-        and rng holds P Generators."""
+        """Initial state of a block: point p starts from alpha0[p] (a (P, 3)
+        array) with its own Generator rngs[p]."""
         cloud = init_particles(
-            n_particles, self.panel.n_models, self.panel.n_vars, alpha0, x0_spread, rng
+            n_particles, self.panel.n_models, self.panel.n_vars, alpha0, x0_spread, rngs
         )
-        ess = 1.0 if cloud.x.ndim == 2 else np.ones(len(cloud.omega))
-        return FilterState(cloud=cloud, t=0, ess=ess, rng=rng)
+        return FilterState(cloud=cloud, t=0, ess=np.ones(len(rngs)), rng=rngs)
 
     def step(self, state: FilterState, y_t: np.ndarray, summaries: bool = True) -> tuple[FilterState, dict]:
-        """Advance the filter by one observation; returns the new state and a
-        record of everything emitted at this step.
+        """Advance every point of the block by one observation; returns the
+        new state and a record of everything emitted at this step, each
+        entry with the point axis first.
 
-        The kernel works on a block of P points, each with its own cloud and
-        Generator; an unbatched state is the block with P = 1, and gets its
-        state and record back without the point axis.  Every point draws
-        exactly what it would draw alone.  summaries=False skips the weight
-        and coefficient bands, the prior weights, the point forecast and the
-        marginal log predictive.
+        Every point draws exactly what it would draw alone.  summaries=False
+        skips the weight and coefficient bands and the forecast's point,
+        particle means and log prior weights.
         """
-        single = state.cloud.x.ndim == 2
-        if single:
-            c = state.cloud
-            state = FilterState(
-                ParticleCloud(c.x[None], c.alpha[None], c.omega[None]), state.t, state.ess, (state.rng,)
-            )
         panel, cfg = self.panel, self.cfg
         K, L = panel.n_models, panel.n_vars
         t = state.t + 1
@@ -238,34 +232,23 @@ class ParticleFilter:
         P, n = cloud.omega.shape
         weights = cloud_weight_tensor(cloud.x, K, L)  # (P, N, L, K)
         omega_prior = cloud.omega / cloud.omega.sum(axis=-1, keepdims=True)
-
-        record: dict = {"t": t}
-        if summaries:
-            record["prior_weights_mean"] = _stack_points(
-                [np.einsum("n,nlk->kl", o, w) for o, w in zip(omega_prior, weights)]
-            )
-
-        # Out-of-sample forecast for target s = t + h - 1, prior-side weights.
-        target = t + self.horizon - 1
-        if target <= panel.n_steps:
-            record["target"] = target
-            if summaries:
-                pred_means = _combine_cloud(weights, panel.mean_matrix(target, self.horizon))
-                record["point"] = _stack_points([o @ m for o, m in zip(omega_prior, pred_means)])
-                record["pred_omega"] = omega_prior.copy()
-                record["pred_means"] = pred_means
-            record["draws"] = self._predictive_draws(weights, omega_prior, target, rngs)
-
-        # One-step likelihood update (log-space, max-shifted); overflow of
-        # extreme residuals legitimately maps to -inf likelihoods.
-        c1 = _combine_cloud(weights, panel.mean_matrix(t, 1))
-        r = (y_t - c1) / cfg.sigma_obs
-        with np.errstate(over="ignore"):
-            loglik_marg = -0.5 * (np.log(2.0 * np.pi * cfg.sigma_obs**2) + r**2)
-        loglik = loglik_marg.sum(axis=-1)
         with np.errstate(divide="ignore"):
             log_prior = np.where(omega_prior > 0, np.log(omega_prior), -np.inf)
-        logw = log_prior + loglik
+
+        # Out-of-sample forecast for target s = t + h - 1, prior-side weights.
+        record: dict = {}
+        target = t + self.horizon - 1
+        if target <= panel.n_steps:
+            if summaries:
+                pred_means = _combine_cloud(weights, panel.mean_matrix(target, self.horizon))
+                record["point"] = (omega_prior[:, None, :] @ pred_means)[:, 0]
+                record["pred_means"] = pred_means
+                record["log_prior"] = log_prior
+            record["draws"] = self._predictive_draws(weights, omega_prior, target, rngs)
+
+        # One-step likelihood update (log-space, max-shifted).
+        c1 = _combine_cloud(weights, panel.mean_matrix(t, 1))
+        logw = log_prior + _gaussian_logpdf(y_t, c1, cfg.sigma_obs).sum(axis=-1)
         shift = logw.max(axis=-1, keepdims=True)
         if not np.all(np.isfinite(shift)):
             raise DegeneracyError(
@@ -281,10 +264,6 @@ class ParticleFilter:
             )
         omega = w / total
         record["one_step_log_pred"] = (shift + np.log(total))[:, 0]
-        if summaries:
-            record["one_step_log_pred_marginal"] = _stack_points(
-                [_logsumexp(lp[:, None] + lm, axis=0) for lp, lm in zip(log_prior, loglik_marg)]
-            )
 
         # Resample, per point, the points whose ESS fell below the threshold.
         ess = effective_sample_size(omega)
@@ -299,21 +278,14 @@ class ParticleFilter:
             omega[which] = 1.0 / n
             rows = np.arange(P)[:, None]
             x, alpha, weights = x[rows, idx], alpha[rows, idx], weights[rows, idx]
-        cloud = ParticleCloud(x, alpha, omega)
 
         if summaries:
-            for name, values in (("weights", weights.reshape(P, n, L * K)), ("alpha", alpha)):
-                bands = [_band_stats(v, o) for v, o in zip(values, omega)]
-                for i, stat in enumerate(("mean", "lo", "hi")):
-                    record[f"{name}_{stat}"] = _stack_points([b[i] for b in bands])
-            for key in ("weights_mean", "weights_lo", "weights_hi"):
-                record[key] = record[key].reshape(P, L, K).transpose(0, 2, 1)
-
-        if single:
-            cloud = ParticleCloud(x[0], alpha[0], omega[0])
-            record = {k: v[0] if isinstance(v, np.ndarray) else v for k, v in record.items()}
-            return FilterState(cloud=cloud, t=t, ess=float(ess[0]), rng=rngs[0]), record
-        return FilterState(cloud=cloud, t=t, ess=ess, rng=rngs), record
+            bands = _band_stats(weights.reshape(P, n, L * K), omega)
+            for stat, band in zip(("mean", "lo", "hi"), bands):
+                record[f"weights_{stat}"] = band.reshape(P, L, K).transpose(0, 2, 1)
+            for stat, band in zip(("mean", "lo", "hi"), _band_stats(alpha, omega)):
+                record[f"alpha_{stat}"] = band
+        return FilterState(cloud=ParticleCloud(x, alpha, omega), t=t, ess=ess, rng=rngs), record
 
     def _predictive_draws(
         self,
@@ -358,94 +330,54 @@ class ParticleFilter:
         """Filter a block of P points at once, point p starting from
         alpha0[p] (a (P, 3) array) with its own Generator rngs[p]; returns one
         output per point, each equal to that point's run alone.  Any point's
-        failure raises for the whole block."""
-        panel = self.panel
-        T, L = obs.n_steps, panel.n_vars
-        if obs.n_vars != L:
+        failure raises for the whole block.
+
+        Steps 1..S, S = T - h + 1, emit the forecasts of targets h..T.  Their
+        joint and marginal log predictives are the prior-side particle
+        mixtures evaluated at the realized targets, for every horizon at
+        once; at horizon one they equal the update's one-step predictives.
+        """
+        panel, h = self.panel, self.horizon
+        T = obs.n_steps
+        if obs.n_vars != panel.n_vars:
             raise InputError("observation and panel variable counts differ")
         if panel.n_steps < T:
             raise InputError("panel does not cover the observation range")
+        if T < h:
+            raise InputError(f"horizon {h} leaves no forecast target among {T} observations")
 
         state = self.init_state(n_particles, alpha0, x0_spread, rngs)
         records = []
-        for t in range(1, T + 1):
-            state, record = self.step(state, obs.values[t - 1], summaries)
+        for y_t in obs.values:
+            state, record = self.step(state, y_t, summaries)
             records.append(record)
 
-        P = len(rngs)
-        forecast_records = [r for r in records if "target" in r and r["target"] <= T]
-        targets = np.array([r["target"] for r in forecast_records], dtype=int)
-        if forecast_records:
-            draws = _stack_records(forecast_records, "draws")
-        else:
-            draws = np.zeros((P, 0, self.n_pred_draws, L))
-        point = log_pred = log_pred_marg = None
+        # Each key's per-step arrays are popped, so they are freed once stacked.
+        S = T - h + 1
+        out = {
+            key: np.stack([r.pop(key) for r in (records[:S] if key in _FORECAST_KEYS else records)], axis=1)
+            for key in list(records[0])
+        }
+        targets = np.arange(h, T + 1)
         if summaries:
-            point, log_pred, log_pred_marg = self._forecast_summaries(obs, forecast_records, P)
-        per_step = {key: _stack_records(records, key) for key in _STEP_FIELDS}
+            marg = _gaussian_logpdf(obs.values[targets - 1][:, None], out.pop("pred_means"), self.cfg.sigma_obs)
+            log_prior = out.pop("log_prior")  # (P, S, N), against marg (P, S, N, L)
+            out["log_pred"] = _logsumexp(log_prior + marg.sum(axis=-1), axis=-1)
+            out["log_pred_marginal"] = _logsumexp(log_prior[..., None] + marg, axis=2)
 
-        def at(a, p):
-            return None if a is None else a[p]
+        def at(key, p):
+            return out[key][p] if key in out else None
 
         return [
             FilterOutput(
-                horizon=self.horizon,
-                n_particles=n_particles,
-                times=np.arange(1, T + 1),
-                **{key: at(a, p) for key, a in per_step.items()},
+                h,
+                *(at(key, p) for key in _STEP_FIELDS),
                 forecasts=ForecastSeries(
-                    horizon=self.horizon,
-                    targets=targets,
-                    point=at(point, p),
-                    log_pred=at(log_pred, p),
-                    log_pred_marginal=at(log_pred_marg, p),
-                    draws=draws[p],
+                    h, targets, at("point", p), at("log_pred", p), at("log_pred_marginal", p), out["draws"][p]
                 ),
             )
-            for p in range(P)
+            for p in range(len(rngs))
         ]
-
-    def _forecast_summaries(self, obs: ObservationSeries, forecast_records: list, P: int):
-        """Point forecasts (P, S, L) and the joint and marginal log predictive
-        densities of the realized targets, (P, S) and (P, S, L).  At horizon
-        one these are the update's one-step predictives; beyond it they are
-        evaluated from the recorded prior-side particle means and weights."""
-        S, L = len(forecast_records), self.panel.n_vars
-        if S == 0:
-            return np.zeros((P, 0, L)), np.empty((P, 0)), np.empty((P, 0, L))
-        point = _stack_records(forecast_records, "point")
-        if self.horizon == 1:
-            return (
-                point,
-                _stack_records(forecast_records, "one_step_log_pred"),
-                _stack_records(forecast_records, "one_step_log_pred_marginal"),
-            )
-        log_pred = np.empty((P, S))
-        log_pred_marg = np.empty((P, S, L))
-        sigma = self.cfg.sigma_obs
-        for i, r in enumerate(forecast_records):
-            y_s = obs.values[r["target"] - 1]
-            for p in range(P):
-                resid = (y_s[None, :] - r["pred_means"][p]) / sigma[None, :]
-                marg = -0.5 * (np.log(2.0 * np.pi * sigma**2)[None, :] + resid**2)
-                with np.errstate(divide="ignore"):
-                    lo = np.where(r["pred_omega"][p] > 0, np.log(r["pred_omega"][p]), -np.inf)
-                log_pred[p, i] = float(_logsumexp(lo + marg.sum(axis=1)))
-                log_pred_marg[p, i] = _logsumexp(lo[:, None] + marg, axis=0)
-        return point, log_pred, log_pred_marg
-
-
-def _stack_records(records: list[dict], key: str) -> np.ndarray | None:
-    """(P, len(records), ...) from the records' (P, ...) entries; None for a
-    summary the run skipped."""
-    return np.stack([r[key] for r in records], axis=1) if key in records[0] else None
-
-
-# FilterOutput fields stacked from one record entry per step.
-_STEP_FIELDS = (
-    "weights_mean", "weights_lo", "weights_hi", "prior_weights_mean", "alpha_mean", "alpha_lo", "alpha_hi",
-    "ess", "resampled", "one_step_log_pred", "one_step_log_pred_marginal",
-)
 
 
 def run_filter(

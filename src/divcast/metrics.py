@@ -3,6 +3,7 @@ equal predictive accuracy."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,25 +31,12 @@ def log_score(log_predictives: np.ndarray) -> float:
     return float(-np.mean(lp))
 
 
-def crps_from_draws(draws: np.ndarray, y: float) -> float:
-    """Sample CRPS of an ensemble against a scalar outcome.
+def crps_series(draws: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Sample CRPS per time step: draws (S, D) against outcomes (S,).
 
     Uses the sorted-form identity for the pairwise term, which equals the
     kernel form mean|X - y| - 0.5 mean|X - X'| exactly, in O(D log D).
     """
-    draws = np.sort(np.asarray(draws, dtype=float))
-    D = draws.size
-    if D < 2:
-        raise InputError("CRPS needs at least two draws")
-    term1 = np.mean(np.abs(draws - y))
-    # sum_{i,j} |x_i - x_j| = 2 * sum_i (2i - D - 1) x_i for sorted x, i 1-based
-    coeff = 2.0 * np.arange(1, D + 1) - D - 1
-    pairwise = 2.0 * np.dot(coeff, draws)
-    return float(term1 - 0.5 * pairwise / (D * D))
-
-
-def crps_series(draws: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """CRPS per time step: draws (S, D) against outcomes (S,)."""
     draws = np.asarray(draws, dtype=float)
     ys = np.asarray(ys, dtype=float)
     srt = np.sort(draws, axis=1)
@@ -57,7 +45,7 @@ def crps_series(draws: np.ndarray, ys: np.ndarray) -> np.ndarray:
         raise InputError("CRPS needs at least two draws")
     term1 = np.mean(np.abs(srt - ys[:, None]), axis=1)
     coeff = 2.0 * np.arange(1, D + 1) - D - 1
-    pairwise = 2.0 * (srt @ coeff)
+    pairwise = 2.0 * (srt @ coeff)  # sum_{i,j} |x_i - x_j| for sorted x, i 1-based
     return term1 - 0.5 * pairwise / (D * D)
 
 
@@ -76,9 +64,11 @@ def dm_test(loss_a: np.ndarray, loss_b: np.ndarray, h: int = 1) -> DMResult:
     applied and the two-sided p-value comes from a Student-t with T-1 degrees
     of freedom.  Negative statistics favor method a.
     """
-    d = np.asarray(loss_a, dtype=float) - np.asarray(loss_b, dtype=float)
-    if len(np.asarray(loss_a)) != len(np.asarray(loss_b)):
+    loss_a = np.asarray(loss_a, dtype=float)
+    loss_b = np.asarray(loss_b, dtype=float)
+    if len(loss_a) != len(loss_b):
         raise InputError("loss series must have equal length")
+    d = loss_a - loss_b
     T = d.size
     if T < 10:
         raise InputError("DM test needs at least 10 observations")
@@ -151,27 +141,22 @@ def loss_series(
     }
 
 
-def score_forecasts(
-    method: str,
-    fs: ForecastSeries,
-    obs: ObservationSeries,
-    window: tuple[int, int] | None = None,
-) -> list[ScoreRow]:
-    """Score one forecast block: one row per variable, an unweighted
-    average row, and a joint row (log score only) when L > 1."""
-    losses = loss_series(fs, obs, window)
+def score_forecasts(method: str, horizon: int, losses: dict, variable_names: Sequence[str]) -> list[ScoreRow]:
+    """Score one forecast block from its loss_series: one row per variable,
+    an unweighted average row, and a joint row (log score only) when there
+    is more than one variable."""
     n_eval = len(losses["targets"])
     rows = []
     per_var = []
-    for l, name in enumerate(obs.variable_names):
+    for l, name in enumerate(variable_names):
         r = float(np.sqrt(losses["sq_err"][:, l].mean()))
         ls = float(losses["neg_log_pred"][:, l].mean())
         c = float(losses["crps"][:, l].mean())
         per_var.append((r, ls, c))
-        rows.append(ScoreRow(method, fs.horizon, name, r, ls, c, n_eval))
+        rows.append(ScoreRow(method, horizon, name, r, ls, c, n_eval))
     avg = tuple(float(np.mean([v[i] for v in per_var])) for i in range(3))
-    rows.append(ScoreRow(method, fs.horizon, "average", avg[0], avg[1], avg[2], n_eval))
-    if obs.n_vars > 1 and np.all(np.isfinite(losses["neg_log_pred_joint"])):
+    rows.append(ScoreRow(method, horizon, "average", avg[0], avg[1], avg[2], n_eval))
+    if len(variable_names) > 1 and np.all(np.isfinite(losses["neg_log_pred_joint"])):
         joint_ls = float(losses["neg_log_pred_joint"].mean())
-        rows.append(ScoreRow(method, fs.horizon, "joint", np.nan, joint_ls, np.nan, n_eval))
+        rows.append(ScoreRow(method, horizon, "joint", np.nan, joint_ls, np.nan, n_eval))
     return rows

@@ -62,9 +62,9 @@ class GridSpec:
             raise InputError("eval_draws must be >= 2 for a CRPS objective")
 
 
-def _lattice(lo: float, hi: float, step: float) -> np.ndarray:
+def _lattice(lo: float, hi: float, step: float) -> list[float]:
     n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    return (lo + step * np.arange(n)).tolist()
 
 
 def _point_key(a1: float, a2: float) -> tuple[float, float]:

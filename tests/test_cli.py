@@ -119,8 +119,14 @@ class TestRun:
             {"n_particles": "abc"},
             {"method": "dtvw", "n_pred_draws": 1},
             {"method": "dtvw", "extra": "baseline = bma_roll\n"},
+            {"method": "dtvw", "extra": "[gridsearch]\ngrid_particles = -5\n"},
+            {"method": "dtvw", "extra": "[gridsearch]\neval_draws = 1\n"},
+            {"method": "dtvw", "extra": "[gridsearch]\nstage2_step = -1\n"},
         ],
-        ids=["unparsable_int", "one_pred_draw", "baseline_bma_roll_without_window"],
+        ids=[
+            "unparsable_int", "one_pred_draw", "baseline_bma_roll_without_window",
+            "negative_grid_particles", "one_eval_draw", "negative_stage2_step",
+        ],
     )
     def test_config_error_exit_2_before_loading(self, tmp_path, settings):
         # absent data files would exit 4 if they were opened before the check
@@ -130,7 +136,8 @@ class TestRun:
             panel=str(tmp_path / "absent_panel.csv"),
             **settings,
         )
-        assert main(["run", "--config", cfg]) == 2
+        for command in ("run", "gridsearch"):
+            assert main([command, "--config", cfg]) == 2
         assert not os.path.exists(out_dir)
 
     def test_names_needing_quotes_survive_run_and_score(self, tmp_path):
@@ -184,6 +191,9 @@ class TestGridsearch:
         surface = list(csv.DictReader(open(os.path.join(out_dir, "surface.csv"))))
         assert len(surface) == 9
         assert {"alpha1", "alpha2", "crps"} == set(surface[0])
+        for row in surface:
+            for cell in row.values():
+                assert cell == repr(float(cell))  # Python float text, never np.float64(...)
 
     def test_horizon_beyond_panel_exit_2_before_filtering(self, tmp_path, capsys):
         # the fixture panel has horizons 1..3; the objective's filter is built

@@ -7,11 +7,14 @@ from divcast.core import (
     NoiseConfig,
     ObservationSeries,
     PredictorPanel,
-    combined_point,
     default_sigma_obs,
+    matrix_to_latent,
+)
+from divcast.latent import cloud_weight_tensor
+from oracles import (
+    combined_point,
     latent_to_matrix,
     log_likelihood,
-    matrix_to_latent,
     softmax_link,
     validate_weight_matrix,
     weights_from_latent,
@@ -19,15 +22,17 @@ from divcast.core import (
 
 
 class TestSoftmaxLink:
+    # cloud_weight_tensor(x, K, 1)[0] is the softmax of one latent K-vector
     def test_symmetry(self):
-        np.testing.assert_allclose(softmax_link([0.0, 0.0, 0.0]), np.full(3, 1 / 3), atol=1e-15)
+        np.testing.assert_allclose(cloud_weight_tensor(np.zeros(3), 3, 1)[0], np.full(3, 1 / 3), atol=1e-15)
 
     def test_direct_value(self):
         # exp(ln 2) = 2 against exp(0) = 1 gives 2/3, 1/3
-        np.testing.assert_allclose(softmax_link([np.log(2.0), 0.0]), [2 / 3, 1 / 3], atol=1e-15)
+        w = cloud_weight_tensor(np.array([np.log(2.0), 0.0]), 2, 1)[0]
+        np.testing.assert_allclose(w, [2 / 3, 1 / 3], atol=1e-15)
 
     def test_large_input_no_overflow(self):
-        w = softmax_link([1000.0, 0.0, 0.0])
+        w = cloud_weight_tensor(np.array([1000.0, 0.0, 0.0]), 3, 1)[0]
         assert np.all(np.isfinite(w))
         np.testing.assert_allclose(w, [1.0, 0.0, 0.0], atol=1e-300)
 
@@ -35,8 +40,7 @@ class TestSoftmaxLink:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(10_000, 5), scale=3.0)
         c = rng.normal(size=(10_000, 1), scale=50.0)
-        for xi, ci in zip(x[:200], c[:200]):
-            np.testing.assert_allclose(softmax_link(xi + ci), softmax_link(xi), atol=1e-12)
+        np.testing.assert_allclose(cloud_weight_tensor(x + c, 5, 1), cloud_weight_tensor(x, 5, 1), atol=1e-12)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InputError):
@@ -46,17 +50,18 @@ class TestSoftmaxLink:
 
 
 class TestWeightsFromLatent:
+    # cloud_weight_tensor returns the transpose, (L, K), of the (K, L) matrix
     def test_all_zero(self):
-        w = weights_from_latent(np.zeros(6), 3, 2)
-        np.testing.assert_allclose(w, np.full((3, 2), 1 / 3), atol=1e-15)
+        w = cloud_weight_tensor(np.zeros(6), 3, 2)
+        np.testing.assert_allclose(w.T, np.full((3, 2), 1 / 3), atol=1e-15)
 
     def test_degenerate_column(self):
-        w = weights_from_latent(np.array([0.0, -1e6, -1e6]), 3, 1)
-        np.testing.assert_allclose(w[:, 0], [1.0, 0.0, 0.0], atol=1e-12)
+        w = cloud_weight_tensor(np.array([0.0, -1e6, -1e6]), 3, 1)
+        np.testing.assert_allclose(w[0], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_direct_value(self):
-        w = weights_from_latent(np.array([np.log(3.0), 0.0]), 2, 1)
-        np.testing.assert_allclose(w[:, 0], [0.75, 0.25], atol=1e-15)
+        w = cloud_weight_tensor(np.array([np.log(3.0), 0.0]), 2, 1)
+        np.testing.assert_allclose(w[0], [0.75, 0.25], atol=1e-15)
 
     def test_wrong_length(self):
         with pytest.raises(InputError):
@@ -67,14 +72,13 @@ class TestWeightsFromLatent:
         rng = np.random.default_rng(11)
         K, L = 4, 3
         xs = rng.normal(scale=20.0, size=(10_000, K * L))
-        xm = xs.reshape(-1, L, K)
-        z = np.exp(xm - xm.max(axis=2, keepdims=True))
-        w = z / z.sum(axis=2, keepdims=True)
+        w = cloud_weight_tensor(xs, K, L)
         assert np.all(w >= 0) and np.all(w <= 1)
         np.testing.assert_allclose(w.sum(axis=2), 1.0, atol=1e-10)
-        # spot-check against the scalar API
-        for x in xs[:50]:
+        # spot-check against the scalar oracle
+        for x, wx in zip(xs[:50], w[:50]):
             validate_weight_matrix(weights_from_latent(x, K, L))
+            np.testing.assert_allclose(wx.T, weights_from_latent(x, K, L), atol=1e-15)
 
     def test_layout_variable_major(self):
         x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])

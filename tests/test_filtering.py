@@ -1,11 +1,25 @@
 import numpy as np
 import pytest
 
-from divcast.core import DegeneracyError, InputError, NoiseConfig, ObservationSeries, PredictorPanel
+from divcast.core import (
+    DegeneracyError,
+    InputError,
+    NoiseConfig,
+    ObservationSeries,
+    PredictorPanel,
+    default_sigma_obs,
+)
 from divcast.dgp import SimSpec, gen_complete_ar
-from divcast.filtering import ParticleFilter, effective_sample_size, run_filter, systematic_resample
+from divcast.filtering import (
+    ParticleFilter,
+    _gaussian_logpdf,
+    effective_sample_size,
+    run_filter,
+    systematic_resample,
+)
 from divcast.latent import DTVW, TVW
 from divcast.rng import substream
+from oracles import gaussian_logpdf_diag
 
 
 class TestSystematicResample:
@@ -80,11 +94,11 @@ class TestStep:
         obs, panel = make_problem()
         cfg = NoiseConfig(np.array([0.1]))
         pf = ParticleFilter(panel, DTVW, cfg, n_pred_draws=8)
-        state = pf.init_state(64, np.array([0.0, 2.0, 1.0]), 0.0, substream(0, "filter"))
+        state = pf.init_state(64, np.array([0.0, 2.0, 1.0])[None], 0.0, [substream(0, "filter")])
         for t in range(1, 11):
             state, rec = pf.step(state, obs.values[t - 1])
             assert abs(state.cloud.omega.sum() - 1.0) < 1e-10
-            assert 1 / 64 - 1e-9 <= rec["ess"] <= 1 + 1e-9
+            assert 1 / 64 - 1e-9 <= rec["ess"][0] <= 1 + 1e-9
 
     def test_log_predictive_prior_side(self):
         # the recorded predictive must equal logsumexp(log w_prior + loglik),
@@ -94,24 +108,24 @@ class TestStep:
         obs, panel = make_problem()
         cfg = NoiseConfig(np.array([0.1]))
         pf = ParticleFilter(panel, TVW, cfg, n_pred_draws=4)
-        state = pf.init_state(32, np.zeros(3), 0.5, substream(1, "filter"))
+        state = pf.init_state(32, np.zeros(3)[None], 0.5, [substream(1, "filter")])
         for t in range(1, 8):
             cloud_before = state.cloud.copy()
-            rng_state = state.rng.bit_generator.state
+            rng_state = state.rng[0].bit_generator.state
             state, rec = pf.step(state, obs.values[t - 1])
 
             replay_rng = np.random.default_rng()
             replay_rng.bit_generator.state = rng_state
-            cloud = propagate_cloud(cloud_before, np.zeros(3), TVW, cfg, replay_rng)
-            w_prior = cloud.omega / cloud.omega.sum()
-            weights = cloud_weight_tensor(cloud.x, panel.n_models, panel.n_vars)
+            cloud = propagate_cloud(cloud_before, np.zeros(3), TVW, cfg, [replay_rng])
+            w_prior = cloud.omega[0] / cloud.omega[0].sum()
+            weights = cloud_weight_tensor(cloud.x[0], panel.n_models, panel.n_vars)
             c = np.einsum("nlk,kl->nl", weights, panel.mean_matrix(t, 1))
             r = (obs.values[t - 1][None, :] - c) / cfg.sigma_obs[None, :]
             loglik = (-0.5 * (np.log(2 * np.pi * cfg.sigma_obs**2)[None, :] + r**2)).sum(axis=1)
             logv = np.log(w_prior) + loglik
             m = logv.max()
             expected = m + np.log(np.exp(logv - m).sum())
-            assert rec["one_step_log_pred"] == pytest.approx(expected, abs=1e-10)
+            assert rec["one_step_log_pred"][0] == pytest.approx(expected, abs=1e-10)
 
     def test_future_perturbation_invariance(self):
         obs, panel = make_problem(T=20, seed=3)
@@ -131,7 +145,7 @@ class TestStep:
         bad[2] = 1e200
         cfg = NoiseConfig(np.array([1e-3]))
         pf = ParticleFilter(panel, TVW, cfg, n_pred_draws=2)
-        state = pf.init_state(8, np.zeros(3), 0.0, substream(0, "filter"))
+        state = pf.init_state(8, np.zeros(3)[None], 0.0, [substream(0, "filter")])
         state, _ = pf.step(state, bad[0])
         state, _ = pf.step(state, bad[1])
         with pytest.raises(DegeneracyError, match="t=3"):
@@ -218,6 +232,39 @@ class TestRun:
         assert out.forecasts.log_pred_marginal.shape == (T, L)
         assert out.forecasts.draws.shape == (T, 25, L)
         assert np.all(np.isfinite(out.forecasts.log_pred))
+
+    def test_horizon_one_log_pred_is_the_update_predictive(self):
+        obs, panel = make_problem(T=25, seed=2)
+        out = run_filter(obs, panel, DTVW, n_particles=100, seed=11, alpha0=(0.0, 5.0, 2.0), n_pred_draws=16)
+        np.testing.assert_array_equal(out.forecasts.log_pred, out.one_step_log_pred)
+
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_block_summaries_match_each_point_alone(self, horizon):
+        obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
+        cfg = NoiseConfig(default_sigma_obs(obs, panel))
+        pf = ParticleFilter(panel, DTVW, cfg, horizon=horizon, kappa=0.9, n_pred_draws=8)
+        alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0]])
+        block = pf.run_block(obs, 40, alpha0, [substream(3, "filter") for _ in alpha0], x0_spread=0.5)
+        for a0, got in zip(alpha0, block):
+            alone = pf.run(obs, 40, a0, substream(3, "filter"), x0_spread=0.5)
+            for name in ("weights_mean", "weights_lo", "weights_hi", "alpha_mean", "alpha_lo", "alpha_hi",
+                         "ess", "resampled", "one_step_log_pred"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
+            for name in ("targets", "point", "log_pred", "log_pred_marginal", "draws"):
+                np.testing.assert_array_equal(getattr(got.forecasts, name), getattr(alone.forecasts, name))
+
+    def test_horizon_beyond_observations_rejected(self):
+        obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=20, seed=1, n_pred_draws=4, horizons=3))
+        short = ObservationSeries(obs.values[:2], obs.variable_names)
+        with pytest.raises(InputError, match="no forecast target"):
+            run_filter(short, panel, TVW, n_particles=10, horizon=3, n_pred_draws=4)
+
+    def test_gaussian_logpdf_matches_oracle(self):
+        rng = np.random.default_rng(4)
+        y, mean, sigma = rng.normal(size=3), rng.normal(size=(50, 3)), rng.uniform(0.1, 2.0, size=3)
+        np.testing.assert_allclose(
+            _gaussian_logpdf(y, mean, sigma).sum(axis=-1), gaussian_logpdf_diag(y, mean, sigma), rtol=1e-14
+        )
 
     def test_invalid_kappa_and_horizon(self):
         obs, panel = make_problem(T=5)

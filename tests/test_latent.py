@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from divcast.core import ConfigError, InputError, NoiseConfig, weights_from_latent
+from divcast.core import ConfigError, InputError, NoiseConfig
 from divcast.latent import (
     ADAPTIVE_TVW,
     DTVW,
     TVW,
     LatentMode,
+    cloud_weight_tensor,
     init_particles,
     propagate_cloud,
     theta_from_alpha,
@@ -64,9 +65,7 @@ class TestInitParticles:
         rng = np.random.default_rng(0)
         cloud = init_particles(8, 3, 1, np.zeros(3), 0.0, rng)
         for p in particles(cloud):
-            np.testing.assert_allclose(
-                weights_from_latent(p.x, 3, 1)[:, 0], [1 / 3, 1 / 3, 1 / 3]
-            )
+            np.testing.assert_allclose(cloud_weight_tensor(p.x, 3, 1)[0], [1 / 3, 1 / 3, 1 / 3])
 
     def test_alpha_exact_and_omega(self):
         rng = np.random.default_rng(0)

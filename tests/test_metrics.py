@@ -3,7 +3,8 @@ import pytest
 from scipy import stats
 
 from divcast.core import InputError
-from divcast.metrics import crps_from_draws, crps_series, dm_test, log_score, rmsfe
+from divcast.metrics import crps_series, dm_test, log_score, rmsfe
+from oracles import crps_from_draws
 
 
 class TestRmsfe:
@@ -43,12 +44,17 @@ def naive_crps(draws, y):
     return term1 - 0.5 * term2
 
 
+def crps(draws, y):
+    """crps_series on one ensemble."""
+    return crps_series(np.asarray(draws, dtype=float)[None], [y])[0]
+
+
 class TestCrps:
     def test_point_mass(self):
-        assert crps_from_draws(np.full(5, 3.0), 3.0) == pytest.approx(0.0)
+        assert crps(np.full(5, 3.0), 3.0) == pytest.approx(0.0)
 
     def test_two_draws(self):
-        assert crps_from_draws(np.array([0.0, 2.0]), 1.0) == pytest.approx(0.5)
+        assert crps(np.array([0.0, 2.0]), 1.0) == pytest.approx(0.5)
 
     def test_matches_naive(self):
         rng = np.random.default_rng(9)
@@ -56,22 +62,22 @@ class TestCrps:
             D = rng.integers(2, 200)
             draws = rng.normal(scale=rng.uniform(0.5, 4.0), size=D)
             y = rng.normal()
-            assert crps_from_draws(draws, y) == pytest.approx(naive_crps(draws, y), abs=1e-10)
+            assert crps(draws, y) == pytest.approx(naive_crps(draws, y), abs=1e-10)
 
     def test_gaussian_analytic(self):
         rng = np.random.default_rng(42)
         draws = rng.standard_normal(10_000)
         # analytic CRPS of N(0,1) at y=0: 2*phi(0) - 1/sqrt(pi)
         analytic = 2 / np.sqrt(2 * np.pi) - 1 / np.sqrt(np.pi)
-        assert crps_from_draws(draws, 0.0) == pytest.approx(analytic, rel=0.02)
+        assert crps(draws, 0.0) == pytest.approx(analytic, rel=0.02)
 
     def test_nonnegative_zero_iff_point_mass(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
             draws = rng.normal(size=rng.integers(2, 30))
-            assert crps_from_draws(draws, rng.normal()) >= 0
-        assert crps_from_draws(np.array([1.0, 1.0, 1.0]), 1.0) == 0.0
-        assert crps_from_draws(np.array([1.0, 1.0]), 1.1) > 0
+            assert crps(draws, rng.normal()) >= 0
+        assert crps(np.array([1.0, 1.0, 1.0]), 1.0) == 0.0
+        assert crps(np.array([1.0, 1.0]), 1.1) > 0
 
     def test_series_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -83,7 +89,7 @@ class TestCrps:
 
     def test_single_draw_rejected(self):
         with pytest.raises(InputError):
-            crps_from_draws(np.array([1.0]), 0.0)
+            crps(np.array([1.0]), 0.0)
 
 
 def reference_dm(loss_a, loss_b, h):
@@ -141,3 +147,7 @@ class TestDmTest:
     def test_short_series_rejected(self):
         with pytest.raises(InputError):
             dm_test(np.ones(5), np.zeros(5), h=1)
+
+    def test_unequal_lengths_rejected_before_subtracting(self):
+        with pytest.raises(InputError, match="loss series must have equal length"):
+            dm_test(np.zeros(12), np.zeros(13))

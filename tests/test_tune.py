@@ -78,6 +78,12 @@ class TestGridSearch:
         pts = [(a1, a2) for a1, a2, _ in surface]
         assert len(pts) == len(set(pts))
 
+    def test_surface_holds_python_floats(self):
+        # write_table writes cells as given, so no numpy scalar may reach it
+        spec = GridSpec(stage1=((-4, 4, 2.0), (-4, 4, 2.0)), stage2_step=1.0)
+        _, surface = grid_search(spec, quadratic, seed=0)
+        assert {type(v) for row in surface for v in row} == {float}
+
     def test_explicit_stage2_bounds(self):
         spec = GridSpec(
             stage1=((-10, 10, 2.0), (-10, 10, 2.0)),
