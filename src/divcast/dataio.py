@@ -8,7 +8,7 @@ Two long-format inputs drive every run:
   models, variables, horizons 1..H and draws 1..D for every t.
 
 Every long-format table, these two and the run outputs alike, is parsed by
-``read_table`` and built by ``long_rows``: label columns first, in C order
+``read_table`` and written by ``write_long``: label columns first, in C order
 over a dense array, then the value columns.  Floats are written with
 Python's shortest round-trip representation, so a load/emit cycle
 reproduces values bit-exactly.
@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import configparser
 import csv
+import io
 import itertools
+import operator
 import os
 from dataclasses import dataclass, fields
 
@@ -149,14 +151,6 @@ def _line_of(path: str, record: int) -> int:
         return next(itertools.islice(lines, record, None))
 
 
-def long_rows(labels: list, *values) -> list[tuple]:
-    """Rows of a long-format table: one tuple per cell of the label axes in
-    C order, the labels first and then one entry from each value array
-    (each holding one value per cell, in the same order)."""
-    cols = [np.ravel(v).tolist() for v in values]
-    return [(*key, *vals) for key, *vals in zip(itertools.product(*labels), *cols, strict=True)]
-
-
 def load_observations(path: str) -> ObservationSeries:
     """Read an observation series, validating contiguity and completeness."""
     (_, variables), values, present = read_table(path, OBS_COLUMNS)
@@ -173,7 +167,7 @@ def load_observations(path: str) -> ObservationSeries:
 
 def save_observations(obs: ObservationSeries, path: str) -> None:
     labels = [range(1, obs.n_steps + 1), obs.variable_names]
-    write_table(path, [name for name, _ in OBS_COLUMNS], long_rows(labels, obs.values))
+    write_long(path, [name for name, _ in OBS_COLUMNS], [(labels, obs.values)])
 
 
 def load_panel(path: str) -> PredictorPanel:
@@ -197,12 +191,39 @@ def save_panel(panel: PredictorPanel, path: str, variable_names: tuple[str, ...]
         names = ("y",) if panel.n_vars == 1 else tuple(f"y{l+1}" for l in range(panel.n_vars))
     T, K, L, H, D = panel.draws.shape
     labels = [range(1, T + 1), panel.model_names, names, range(1, H + 1), range(1, D + 1)]
-    write_table(path, [name for name, _ in PANEL_COLUMNS], long_rows(labels, panel.draws))
+    write_long(path, [name for name, _ in PANEL_COLUMNS], [(labels, panel.draws)])
+
+
+def write_long(path: str, header: list[str], blocks: list[tuple]) -> None:
+    """Write a long-format table.  Each block ``(labels, *values)`` gives one
+    row per cell of its label axes in C order: the labels, then one entry
+    from each value array.  The text equals ``csv`` ``writerows`` over those
+    rows, but each label is quoted once per block, each value is written as
+    its repr, and the rows go out one prefix of all but the last label at a
+    time."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for labels, *values in blocks:
+            *outer, inner = [list(map(_label_cell, axis)) for axis in labels]
+            cols = [np.reshape(v, (-1, len(inner))) for v in values]
+            for head, *rows in zip(map("".join, itertools.product(*outer)), *cols, strict=True):
+                cells = map(",".join, zip(*(map(repr, row.tolist()) for row in rows)))
+                # joining on the line break plus the head puts the head before every row
+                fh.write(head + ("\r\n" + head).join(map(operator.add, inner, cells)) + "\r\n")
+
+
+def _label_cell(label) -> str:
+    """A label as its CSV field and the delimiter.  The empty field after it
+    keeps ``csv`` from quoting an empty label as it would a row's only field."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((label, ""))
+    return buf.getvalue()[:-2]
 
 
 def write_table(path: str, header: list[str], rows: list[tuple]) -> None:
-    """Write a generic output table as given.  A Python float is written as
-    its repr, the shortest round-trip text, so rows must hold Python floats
+    """Write rows as given: ``scores.csv``, ``surface.csv`` and the outputs
+    of ``score`` and ``report``.  A Python float is written as its repr, the
+    shortest round-trip text, so rows must hold Python floats
     (ndarray.tolist() gives them), not numpy scalars."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -20,7 +20,7 @@ from .core import (
     PredictorPanel,
     default_sigma_obs,
 )
-from .dataio import FILTER_METHODS, METHODS, GridConfig, RunConfig, long_rows, read_table, write_table
+from .dataio import FILTER_METHODS, METHODS, GridConfig, RunConfig, read_table, write_long, write_table
 from .filtering import FilterOutput, ParticleFilter
 from .latent import ADAPTIVE_TVW, DTVW, TVW, LatentMode
 from .metrics import dm_test, loss_series, score_forecasts
@@ -170,7 +170,8 @@ def _score_rows(
 
 
 def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel) -> dict:
-    """Execute the configured experiment and write all output files.
+    """Execute the configured experiment and write all output files after
+    the last horizon, so a run that fails writes none.
 
     Returns the mapping of logical output names to written paths.
     """
@@ -188,6 +189,7 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
     T, K = obs.n_steps, panel.n_models
     names = obs.variable_names
     scores: list[tuple] = []
+    # long tables as write_long blocks, one or two per horizon
     forecasts: list[tuple] = []
     draws: list[tuple] = []
     cumls: list[tuple] = []
@@ -222,19 +224,19 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
         fs = main.forecasts
         targets = fs.targets.tolist()
         q = np.percentile(fs.draws, [2.5, 50.0, 97.5], axis=1)  # (3, S, L)
-        forecasts += long_rows([targets, [horizon], names], fs.point, fs.log_pred_marginal, *q)
+        forecasts.append(([targets, [horizon], names], fs.point, fs.log_pred_marginal, *q))
         if cfg.emit_draws:
             draw_ids = range(1, fs.draws.shape[1] + 1)
-            draws += long_rows([targets, [horizon], names, draw_ids], fs.draws.transpose(0, 2, 1))
+            draws.append(([targets, [horizon], names, draw_ids], fs.draws.transpose(0, 2, 1)))
 
         # Cumulative log-score differences vs the baseline over the window.
         main_l = losses[K]
         targets_w = main_l["targets"].tolist()
         diff_m = -(main_l["neg_log_pred"] - base_losses["neg_log_pred"])  # (S, L)
-        cumls += long_rows([targets_w, [horizon], names], np.cumsum(diff_m, axis=0))
+        cumls.append(([targets_w, [horizon], names], np.cumsum(diff_m, axis=0)))
         if obs.n_vars > 1:
             diff_j = -(main_l["neg_log_pred_joint"] - base_losses["neg_log_pred_joint"])
-            cumls += long_rows([targets_w, [horizon], ["joint"]], np.cumsum(diff_j))
+            cumls.append(([targets_w, [horizon], ["joint"]], np.cumsum(diff_j)))
 
     # Weight / coefficient trajectories from the smallest configured horizon;
     # a combiner's weights are their own band.
@@ -243,28 +245,22 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
         bands = (lead.weights_mean, lead.weights_lo, lead.weights_hi)
     else:
         bands = (lead.weights,) * 3
+    weights = ([times, panel.model_names, names], *bands)
     tables = [
-        ("scores.csv", ["method", "kind", *SCORE_HEADER, "baseline"], scores),
         ("forecast.csv", [name for name, _ in FORECAST_COLUMNS], forecasts),
         ("cumls.csv", ["target", "horizon", "variable", "cum_ls_diff"], cumls),
-        (
-            "weights.csv",
-            ["t", "model", "variable", "mean", "lo95", "hi95"],
-            long_rows([times, panel.model_names, names], *bands),
-        ),
+        ("weights.csv", ["t", "model", "variable", "mean", "lo95", "hi95"], [weights]),
     ]
     if cfg.emit_draws:
         tables.append(("draws.csv", [name for name, _ in DRAWS_COLUMNS], draws))
     if isinstance(lead, FilterOutput):
-        tables.append((
-            "alphas.csv",
-            ["t", "param", "mean", "lo95", "hi95"],
-            long_rows([times, ("alpha0", "alpha1", "alpha2")], lead.alpha_mean, lead.alpha_lo, lead.alpha_hi),
-        ))
-    paths = {}
-    for name, header, rows in tables:
+        alphas = ([times, ("alpha0", "alpha1", "alpha2")], lead.alpha_mean, lead.alpha_lo, lead.alpha_hi)
+        tables.append(("alphas.csv", ["t", "param", "mean", "lo95", "hi95"], [alphas]))
+    paths = {"scores.csv": os.path.join(cfg.out_dir, "scores.csv")}
+    write_table(paths["scores.csv"], ["method", "kind", *SCORE_HEADER, "baseline"], scores)
+    for name, header, blocks in tables:
         paths[name] = os.path.join(cfg.out_dir, name)
-        write_table(paths[name], header, rows)
+        write_long(paths[name], header, blocks)
     return paths
 
 

@@ -7,7 +7,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .core import ForecastSeries, InputError, ObservationSeries
 
@@ -86,6 +85,9 @@ def dm_test(loss_a: np.ndarray, loss_b: np.ndarray, h: int = 1) -> DMResult:
     stat = dbar / np.sqrt(var / T)
     hln = np.sqrt((T + 1 - 2 * h + h * (h - 1) / T) / T)
     stat = float(hln * stat)
+    # imported here, as scipy.special is most of the CLI's start-up time
+    from scipy.special import stdtr
+
     p = float(2.0 * stdtr(T - 1, -abs(stat)))
     return DMResult(stat, p, degenerate=False)
 

@@ -3,6 +3,7 @@ against.  Nothing in the package imports them."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,14 @@ def crps_from_draws(draws: np.ndarray, y: float) -> float:
     coeff = 2.0 * np.arange(1, D + 1) - D - 1
     pairwise = 2.0 * np.dot(coeff, draws)
     return float(term1 - 0.5 * pairwise / (D * D))
+
+
+def long_tuple_rows(labels: list, *values) -> list[tuple]:
+    """Rows of a long-format table as tuples, for ``csv.writer().writerows``:
+    one per cell of the label axes in C order, the labels first and then one
+    entry from each value array."""
+    cols = [np.ravel(v).tolist() for v in values]
+    return [(*key, *vals) for key, *vals in zip(itertools.product(*labels), *cols, strict=True)]
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@ import csv
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import divcast
 from divcast.cli import main
 from divcast.core import ObservationSeries, PredictorPanel
 from divcast.dataio import save_observations, save_panel
@@ -107,11 +109,13 @@ class TestRun:
             for m in ("a", "b"):
                 prows.append(f"{t},{m},y,1,1,0.1")
         panel.write_text("\n".join(prows) + "\n")
-        cfg, _ = write_config(
+        cfg, out_dir = write_config(
             tmp_path, observations=str(obs), panel=str(panel), method="tvw",
             extra="[noise]\nsigma_obs = 0.001\n",
         )
         assert main(["run", "--config", cfg]) == 3
+        # tables are written only after the last horizon
+        assert not [name for name in os.listdir(out_dir) if name.endswith(".csv")]
 
     @pytest.mark.parametrize(
         "settings",
@@ -265,3 +269,30 @@ class TestConsoleEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert os.path.exists(tmp_path / "panel.csv")
+
+
+class TestStartup:
+    def test_scipy_imported_only_by_the_dm_test(self, tmp_path):
+        # scipy.special is most of the start-up time of a command that never
+        # scores forecasts
+        cfg, _ = write_config(
+            tmp_path,
+            observations="observations.csv",
+            panel="panel.csv",
+            method="dtvw",
+            n_particles=20,
+            extra="[gridsearch]\nstage1 = -2, 2, 2\nstage2_step = none\neval_draws = 2\n",
+        )
+        code = textwrap.dedent(f"""
+            import sys
+            from divcast.cli import main
+            assert "scipy" not in sys.modules, "import divcast.cli"
+            args = ["--design", "complete_ar", "--length", "15", "--draws", "2", "--out-dir", "."]
+            assert main(["simulate", *args]) == 0
+            assert "scipy" not in sys.modules, "simulate"
+            assert main(["gridsearch", "--config", {cfg!r}]) == 0
+            assert "scipy" not in sys.modules, "gridsearch"
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(divcast.__file__)))
+        result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

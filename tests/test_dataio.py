@@ -1,7 +1,13 @@
 
 
+import csv
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from divcast.core import ConfigError, DataFormatError, ObservationSeries, PredictorPanel
 from divcast.dataio import (
@@ -10,8 +16,10 @@ from divcast.dataio import (
     load_panel,
     save_observations,
     save_panel,
+    write_long,
 )
 from divcast.dgp import SimSpec, gen_nonlinear_incomplete
+from oracles import long_tuple_rows
 
 
 class TestObservationsIO:
@@ -149,6 +157,75 @@ class TestPanelIO:
         assert back.model_names == panel.model_names
         assert back.variable_names == panel.variable_names
 
+
+NAMES = st.one_of(
+    st.sampled_from(["", " lead", "a,b", 'q"uote', "cr\r", "lf\n", "crlf\r\n", '",\r\n ']),
+    st.text(alphabet=' ,"\r\nab\u00e9', max_size=4),
+)
+VALUES = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, 0.1]), st.floats())
+
+
+@st.composite
+def long_blocks(draw):
+    """One to three blocks over the same number (1..5) of label axes, each
+    axis an index range or a tuple of names, with one to three value arrays."""
+    n_axes = draw(st.integers(1, 5))
+    n_values = draw(st.integers(1, 3))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        labels = []
+        for _ in range(n_axes):
+            size = draw(st.integers(1, 3))
+            if draw(st.booleans()):
+                labels.append(range(1, size + 1))
+            else:
+                labels.append(tuple(draw(st.lists(NAMES, min_size=size, max_size=size))))
+        shape = tuple(len(axis) for axis in labels)
+        n = int(np.prod(shape))
+        values = [np.array(draw(st.lists(VALUES, min_size=n, max_size=n))).reshape(shape) for _ in range(n_values)]
+        blocks.append((labels, *values))
+    return blocks
+
+
+class TestWriteLong:
+    @settings(max_examples=300, deadline=None)
+    @given(blocks=long_blocks())
+    @example(
+        blocks=[
+            ([("",), ("", "a,b", 'q"', " lead", "cr\r\nlf")], np.array([[np.nan, np.inf, -np.inf, -0.0, 5e-324]])),
+        ],
+    )
+    @example(
+        blocks=[
+            (
+                [range(1, 3), ("",), ("x", ""), (" y",), range(1, 2)],
+                np.full((2, 1, 2, 1, 1), -0.0),
+                np.full((2, 1, 2, 1, 1), 5e-324),
+            ),
+            (
+                [range(4, 5), ('"',), ("",), (",",), range(1, 3)],
+                np.array([np.nan, -np.inf]).reshape(1, 1, 1, 1, 2),
+                np.zeros((1, 1, 1, 1, 2)),
+            ),
+        ],
+    )
+    def test_matches_csv_writerows(self, blocks):
+        header = [f"c{j}" for j in range(len(blocks[0]))]
+        with tempfile.TemporaryDirectory() as tmp:
+            expected, got = os.path.join(tmp, "expected.csv"), os.path.join(tmp, "got.csv")
+            with open(expected, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for block in blocks:
+                    writer.writerows(long_tuple_rows(*block))
+            write_long(got, header, blocks)
+            with open(expected, "rb") as fa, open(got, "rb") as fb:
+                assert fb.read() == fa.read()
+
+    @pytest.mark.parametrize("n_values", [2, 3, 6])
+    def test_value_count_must_match_label_cells(self, tmp_path, n_values):
+        with pytest.raises(ValueError):
+            write_long(str(tmp_path / "t.csv"), ["a", "b", "c"], [([range(1, 3), range(1, 3)], np.zeros(n_values))])
 
 
 class TestConfig:
