@@ -50,9 +50,11 @@ def run_method(
     horizon: int,
     noise: NoiseConfig,
     rng_role: str = "filter",
+    bands: bool = True,
 ) -> FilterOutput | CombinerResult:
     """Run one combination method at one horizon: a filter run for the
-    filter methods, a combiner result for the others."""
+    filter methods, with weight and coefficient bands only if asked, a
+    combiner result for the others."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
     if method in FILTER_METHODS:
@@ -72,6 +74,7 @@ def run_method(
             np.asarray(cfg.alpha0, dtype=float),
             rng,
             x0_spread=cfg.x0_spread,
+            bands=bands,
         )
     return run_combiner(
         method,
@@ -200,8 +203,10 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
             (r.method, "model", r.forecasts)
             for r in (single_model_result(obs, panel, k, horizon, cfg.fallback_sigma) for k in range(1, K + 1))
         ]
-        main = run_method(cfg.method, obs, panel, cfg, horizon, noise)
-        if horizon == min(cfg.horizons):
+        # Only the smallest horizon's weight and coefficient bands are written.
+        is_lead = horizon == min(cfg.horizons)
+        main = run_method(cfg.method, obs, panel, cfg, horizon, noise, bands=is_lead)
+        if is_lead:
             lead = main
         runs.append((cfg.method, "combiner", main.forecasts))
         if baseline in panel.model_names:
@@ -209,7 +214,9 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
         elif baseline == cfg.method:
             base = K
         else:
-            base_fs = run_method(baseline, obs, panel, cfg, horizon, noise, rng_role="baseline").forecasts
+            base_fs = run_method(
+                baseline, obs, panel, cfg, horizon, noise, rng_role="baseline", bands=False
+            ).forecasts
             runs.append((baseline, "combiner", base_fs))
             base = K + 1
 

@@ -13,12 +13,17 @@ every point has its own random stream, from which it draws exactly what a
 run of that point alone would, and every record entry carries the point
 axis.  A single run is the block with P = 1; the grid search advances many
 lattice points at once.
+
+The panel is frozen, so each filter builds its diversity path, the vector
+for every step t, once, on its first step, and every block it runs reads
+that path.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +37,15 @@ from .core import (
     default_sigma_obs,
 )
 from .diversity import diversity_vector
-from .latent import LatentMode, ParticleCloud, cloud_weight_tensor, init_particles, propagate_cloud
+from .latent import (
+    PAIRWISE_FROM,
+    LatentMode,
+    ParticleCloud,
+    cloud_weight_tensor,
+    init_particles,
+    propagate_cloud,
+    reduce_models,
+)
 from .rng import Streams, standard_normal, substream
 
 BAND_LO = 0.025
@@ -58,6 +71,8 @@ def systematic_resample(weights: np.ndarray, rng: Streams, n: int | None = None)
     n_out = w.shape[-1] if n is None else int(n)
     if w.ndim == 1:
         offset = rng.uniform()
+    elif len(rng) != len(w):
+        raise InputError("need one Generator per point")
     else:
         offset = np.array([g.uniform() for g in rng])[:, None]
     positions = (np.arange(n_out) + offset) / n_out
@@ -66,7 +81,7 @@ def systematic_resample(weights: np.ndarray, rng: Streams, n: int | None = None)
     if w.ndim == 1:
         idx = np.searchsorted(cum, positions, side="right")
     else:
-        idx = np.stack([np.searchsorted(c, q, side="right") for c, q in zip(cum, positions)])
+        idx = np.array([c.searchsorted(q, side="right") for c, q in zip(cum, positions)])
     return np.minimum(idx, w.shape[-1] - 1)
 
 
@@ -113,9 +128,23 @@ def _gaussian_logpdf(y: np.ndarray, mean: np.ndarray, sigma: np.ndarray) -> np.n
 
 def _combine_cloud(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
     """Per-particle combined forecasts: (P, N, L, K) weights against a
-    (K, L) mean matrix.  Summed model-by-model so a single-particle run
-    reproduces a plain accumulation loop bit-for-bit."""
-    return (weights * means.T).sum(axis=-1)
+    (K, L) mean matrix.  For a handful of models the products are
+    accumulated model by model, as reduce_models does: the bits of numpy's
+    sum over the model axis, in a fraction of its time."""
+    if len(means) >= PAIRWISE_FROM:
+        return reduce_models(np.add, weights * means.T)
+    out = weights[..., 0] * means[0] + 0.0  # numpy's sum starts from +0.0
+    for k in range(1, len(means)):
+        out += weights[..., k] * means[k]
+    return out
+
+
+def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Row idx[p, j] of point p's (N, ...) slab of a (P, N, ...) block, as a
+    (P, J, ...) array, through one flat index into the (P*N, ...) view."""
+    P, n = a.shape[:2]
+    flat = (idx + n * np.arange(P)[:, None]).ravel()
+    return a.reshape(P * n, *a.shape[2:])[flat].reshape(*idx.shape, *a.shape[2:])
 
 
 @dataclass
@@ -136,9 +165,9 @@ class FilterOutput:
     """One point's run: posterior weight (T, K, L) and coefficient (T, 3)
     trajectories with 95% bands, the ESS path and resample flags, the
     one-step log predictives (T,), and the out-of-sample forecast block at
-    the run's horizon.  A run without summaries leaves the bands and the
-    forecasts' point and log predictives as None; the draws are always
-    there."""
+    the run's horizon.  A run without bands leaves the six band fields as
+    None, and one without summaries the forecasts' point and log
+    predictives; the draws are always there."""
 
     horizon: int
     weights_mean: np.ndarray | None
@@ -191,6 +220,14 @@ class ParticleFilter:
         self.kappa = kappa
         self.n_pred_draws = n_pred_draws
 
+    @cached_property
+    def diversity_path(self) -> np.ndarray:
+        """(T, K*L): row t-1 is the diversity vector the step at t injects,
+        for every t of the panel.  The panel is frozen, so the path is built
+        on the first step that needs it and shared by every later block."""
+        h = self.horizon
+        return np.stack([diversity_vector(self.panel, t, h) for t in range(1, self.panel.n_steps + 1)])
+
     def init_state(
         self,
         n_particles: int,
@@ -205,14 +242,17 @@ class ParticleFilter:
         )
         return FilterState(cloud=cloud, t=0, ess=np.ones(len(rngs)), rng=rngs)
 
-    def step(self, state: FilterState, y_t: np.ndarray, summaries: bool = True) -> tuple[FilterState, dict]:
+    def step(
+        self, state: FilterState, y_t: np.ndarray, summaries: bool = True, bands: bool = True
+    ) -> tuple[FilterState, dict]:
         """Advance every point of the block by one observation; returns the
         new state and a record of everything emitted at this step, each
         entry with the point axis first.
 
         Every point draws exactly what it would draw alone.  summaries=False
-        skips the weight and coefficient bands and the forecast's point,
-        particle means and log prior weights.
+        skips the forecast's point, particle means and log prior weights;
+        bands=False skips the weight and coefficient bands.  Neither draws
+        from the random streams.
         """
         panel, cfg = self.panel, self.cfg
         K, L = panel.n_models, panel.n_vars
@@ -223,11 +263,9 @@ class ParticleFilter:
         if not np.all(np.isfinite(y_t)):
             raise InputError(f"observation at t={t} is not finite")
 
+        means_t = panel.mean_matrix(t, 1)  # rejects a t past the panel's end
         rngs = state.rng
-        if self.mode.uses_diversity:
-            div = diversity_vector(panel, t, self.horizon)
-        else:
-            div = np.zeros(K * L)
+        div = self.diversity_path[t - 1] if self.mode.uses_diversity else np.zeros(K * L)
         cloud = propagate_cloud(state.cloud, div, self.mode, cfg, rngs)
         P, n = cloud.omega.shape
         weights = cloud_weight_tensor(cloud.x, K, L)  # (P, N, L, K)
@@ -247,8 +285,8 @@ class ParticleFilter:
             record["draws"] = self._predictive_draws(weights, omega_prior, target, rngs)
 
         # One-step likelihood update (log-space, max-shifted).
-        c1 = _combine_cloud(weights, panel.mean_matrix(t, 1))
-        logw = log_prior + _gaussian_logpdf(y_t, c1, cfg.sigma_obs).sum(axis=-1)
+        c1 = _combine_cloud(weights, means_t)
+        logw = log_prior + reduce_models(np.add, _gaussian_logpdf(y_t, c1, cfg.sigma_obs))
         shift = logw.max(axis=-1, keepdims=True)
         if not np.all(np.isfinite(shift)):
             raise DegeneracyError(
@@ -276,12 +314,12 @@ class ParticleFilter:
             idx = np.tile(np.arange(n), (P, 1))
             idx[which] = systematic_resample(omega[which], [rngs[p] for p in which])
             omega[which] = 1.0 / n
-            rows = np.arange(P)[:, None]
-            x, alpha, weights = x[rows, idx], alpha[rows, idx], weights[rows, idx]
+            x, alpha = _gather(x, idx), _gather(alpha, idx)
+            if bands:
+                weights = _gather(weights, idx)
 
-        if summaries:
-            bands = _band_stats(weights.reshape(P, n, L * K), omega)
-            for stat, band in zip(("mean", "lo", "hi"), bands):
+        if bands:
+            for stat, band in zip(("mean", "lo", "hi"), _band_stats(weights.reshape(P, n, L * K), omega)):
                 record[f"weights_{stat}"] = band.reshape(P, L, K).transpose(0, 2, 1)
             for stat, band in zip(("mean", "lo", "hi"), _band_stats(alpha, omega)):
                 record[f"alpha_{stat}"] = band
@@ -300,10 +338,10 @@ class ParticleFilter:
         J, L = self.n_pred_draws, self.panel.n_vars
         P = len(rngs)
         idx = systematic_resample(omega_prior, rngs, n=J)  # (P, J)
-        d = np.stack([rng.integers(0, self.panel.n_draws, size=J) for rng in rngs])
+        d = np.array([rng.integers(0, self.panel.n_draws, size=J) for rng in rngs])
         block = self.panel.draw_block(target, self.horizon)  # (K, L, D)
-        ysel = np.moveaxis(block[:, :, d], (2, 3), (0, 1))  # (P, J, K, L)
-        comb = np.einsum("pjlk,pjkl->pjl", weights[np.arange(P)[:, None], idx], ysel)
+        ysel = block[:, :, d].transpose(2, 3, 0, 1)  # (P, J, K, L)
+        comb = np.einsum("pjlk,pjkl->pjl", _gather(weights, idx), ysel)
         return comb + self.cfg.sigma_obs * standard_normal(rngs, (P, J, L))
 
     def run(
@@ -313,10 +351,11 @@ class ParticleFilter:
         alpha0: np.ndarray,
         rng: np.random.Generator,
         x0_spread: float = 0.0,
+        bands: bool = True,
     ) -> FilterOutput:
         """Filter one point: the block run with P = 1."""
         alpha0 = np.asarray(alpha0, dtype=float)
-        return self.run_block(obs, n_particles, alpha0[None], (rng,), x0_spread)[0]
+        return self.run_block(obs, n_particles, alpha0[None], (rng,), x0_spread, bands=bands)[0]
 
     def run_block(
         self,
@@ -326,6 +365,7 @@ class ParticleFilter:
         rngs: Sequence[np.random.Generator],
         x0_spread: float = 0.0,
         summaries: bool = True,
+        bands: bool = True,
     ) -> list[FilterOutput]:
         """Filter a block of P points at once, point p starting from
         alpha0[p] (a (P, 3) array) with its own Generator rngs[p]; returns one
@@ -349,7 +389,7 @@ class ParticleFilter:
         state = self.init_state(n_particles, alpha0, x0_spread, rngs)
         records = []
         for y_t in obs.values:
-            state, record = self.step(state, y_t, summaries)
+            state, record = self.step(state, y_t, summaries, bands)
             records.append(record)
 
         # Each key's per-step arrays are popped, so they are freed once stacked.
@@ -362,7 +402,7 @@ class ParticleFilter:
         if summaries:
             marg = _gaussian_logpdf(obs.values[targets - 1][:, None], out.pop("pred_means"), self.cfg.sigma_obs)
             log_prior = out.pop("log_prior")  # (P, S, N), against marg (P, S, N, L)
-            out["log_pred"] = _logsumexp(log_prior + marg.sum(axis=-1), axis=-1)
+            out["log_pred"] = _logsumexp(log_prior + reduce_models(np.add, marg), axis=-1)
             out["log_pred_marginal"] = _logsumexp(log_prior[..., None] + marg, axis=2)
 
         def at(key, p):

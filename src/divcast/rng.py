@@ -13,6 +13,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .core import InputError
+
 # One Generator, or one per point of a block of lattice points.
 Streams = np.random.Generator | Sequence[np.random.Generator]
 
@@ -31,6 +33,8 @@ def standard_normal(rng: Streams, shape: tuple[int, ...]) -> np.ndarray:
     exactly as it would be drawn for that point alone."""
     if isinstance(rng, np.random.Generator):
         return rng.standard_normal(shape)
+    if len(rng) != shape[0]:
+        raise InputError("need one Generator per point")
     out = np.empty(shape)
     for g, slab in zip(rng, out):
         g.standard_normal(out=slab)

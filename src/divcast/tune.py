@@ -31,9 +31,12 @@ from .rng import substream
 Axis = tuple[float, float, float]  # (lo, hi, step)
 
 # Points x particles x latent entries advanced as one block.  Bigger blocks
-# buy little more speed for a growing peak memory: on the nonlinear design
-# (250 particles, K*L = 6) a search with 8-point blocks took 3.6 s and 58 MB,
-# with 32-point blocks 3.1 s and 62 MB, with 121-point blocks 2.8 s and 70 MB.
+# run faster but hold more memory.  On the nonlinear design (T = 100, 250
+# particles, K*L = 6, 193 points; median of 7 searches in one process each,
+# 2-vCPU Xeon, numpy 2.4) 8-point blocks took 2.3 s at 39 MB peak RSS,
+# 32-point blocks 1.7 s at 42 MB and 133-point blocks 1.8 s at 50 MB.  Blocks
+# stay at 8 points because the benchmark bounds peak RSS at 5% above its
+# baseline.
 BLOCK_ELEMENTS = 12_000
 
 
@@ -167,7 +170,7 @@ def make_crps_runner(
         alpha0 = np.column_stack([np.zeros(len(points)), points])
         rngs = [substream(seed, "filter") for _ in points]
         try:
-            outs = pf.run_block(obs, n_particles, alpha0, rngs, x0_spread=x0_spread, summaries=False)
+            outs = pf.run_block(obs, n_particles, alpha0, rngs, x0_spread=x0_spread, summaries=False, bands=False)
         except (RuntimeError, InputError):
             if len(points) == 1:
                 return [np.inf]

@@ -42,6 +42,21 @@ def softmax_link(x_col: np.ndarray) -> np.ndarray:
     return z / z.sum()
 
 
+def cloud_weight_tensor_numpy(cloud_x: np.ndarray, n_models: int, n_vars: int) -> np.ndarray:
+    """Softmax over the model axis of ([P,] N, K*L) latent states, reduced by
+    numpy over the last axis: the expression the column-wise kernel must
+    reproduce bit for bit."""
+    xm = cloud_x.reshape(*cloud_x.shape[:-1], n_vars, n_models)
+    z = np.exp(xm - xm.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
+
+
+def combine_cloud_numpy(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Combined forecasts of (P, N, L, K) weights against a (K, L) mean
+    matrix, summed by numpy over the model axis."""
+    return (weights * means.T).sum(axis=-1)
+
+
 def latent_to_matrix(x: np.ndarray, n_models: int, n_vars: int) -> np.ndarray:
     """Un-vectorize a latent K*L vector into its (K, L) matrix."""
     x = np.asarray(x, dtype=float)

@@ -85,6 +85,29 @@ class TestRunExperiment:
         w1_final = [float(r["mean"]) for r in weights if r["model"] == "M1" and r["t"] == "60"]
         assert w1_final[0] > 0.8
 
+    def test_bands_only_at_the_smallest_horizon(self, pseudo_data, tmp_path, monkeypatch):
+        import divcast.experiment as experiment
+
+        asked = []
+        run_method = experiment.run_method
+
+        def recording(method, *args, bands=True, **kwargs):
+            out = run_method(method, *args, bands=bands, **kwargs)
+            asked.append((method, args[3], bands, out.weights_mean is not None))
+            return out
+
+        monkeypatch.setattr(experiment, "run_method", recording)
+        obs, panel = pseudo_data
+        cfg = RunConfig(
+            method="dtvw", observations="-", panel="-", horizons=(3, 1), baseline="tvw",
+            n_particles=30, n_pred_draws=10, seed=2, out_dir=str(tmp_path / "out"),
+        )
+        paths = run_experiment(cfg, obs, panel)
+        assert sorted(asked) == [
+            ("dtvw", 1, True, True), ("dtvw", 3, False, False), ("tvw", 1, False, False), ("tvw", 3, False, False),
+        ]
+        assert len(read_csv(paths["alphas.csv"])) == 3 * obs.n_steps
+
     def test_equal_on_two_model_panel_constant_half(self, tmp_path):
         rng = np.random.default_rng(0)
         draws = rng.normal(size=(12, 2, 1, 1, 4))

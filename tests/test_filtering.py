@@ -10,16 +10,19 @@ from divcast.core import (
     default_sigma_obs,
 )
 from divcast.dgp import SimSpec, gen_complete_ar
+from divcast.diversity import diversity_vector
 from divcast.filtering import (
     ParticleFilter,
+    _combine_cloud,
+    _gather,
     _gaussian_logpdf,
     effective_sample_size,
     run_filter,
     systematic_resample,
 )
 from divcast.latent import DTVW, TVW
-from divcast.rng import substream
-from oracles import gaussian_logpdf_diag
+from divcast.rng import standard_normal, substream
+from oracles import combine_cloud_numpy, gaussian_logpdf_diag
 
 
 class TestSystematicResample:
@@ -58,11 +61,72 @@ class TestSystematicResample:
         for s in range(4):
             np.testing.assert_array_equal(block[s], systematic_resample(w[s], np.random.default_rng(s), n=7))
 
+    @pytest.mark.parametrize("n_rngs", [1, 3, 5])
+    def test_block_needs_one_generator_per_row(self, n_rngs):
+        w = np.full((4, 6), 1 / 6)
+        with pytest.raises(InputError, match="one Generator per point"):
+            systematic_resample(w, [np.random.default_rng(s) for s in range(n_rngs)], n=3)
+
     def test_unnormalized_rejected(self):
         with pytest.raises(InputError):
             systematic_resample(np.array([0.5, 0.6]), np.random.default_rng(0))
         with pytest.raises(InputError):
             systematic_resample(np.array([1.5, -0.5]), np.random.default_rng(0))
+
+
+class TestStandardNormalBlock:
+    @pytest.mark.parametrize("n_rngs", [2, 4])
+    def test_needs_one_generator_per_slab(self, n_rngs):
+        # zip would stop at the shorter side and leave slabs uninitialised
+        with pytest.raises(InputError, match="one Generator per point"):
+            standard_normal([np.random.default_rng(s) for s in range(n_rngs)], (3, 2))
+
+
+class TestKernels:
+    def test_combine_cloud_bitwise_equal_to_numpy_sum(self):
+        rng = np.random.default_rng(5)
+        for K in range(2, 13):
+            for L in range(1, 4):
+                weights = rng.dirichlet(np.ones(K), size=(3, 40, L))
+                means = rng.normal(scale=rng.choice([1.0, 1e3]), size=(K, L))
+                if L > 1:  # products all -0.0: numpy's sum starts from +0.0
+                    means[:, -1] = -0.0
+                got = _combine_cloud(weights, means)
+                expected = combine_cloud_numpy(weights, means)
+                assert got.shape == expected.shape == (3, 40, L)
+                assert got.tobytes() == expected.tobytes(), (K, L)
+
+    def test_gather_equals_fancy_indexing(self):
+        rng = np.random.default_rng(2)
+        a = rng.normal(size=(3, 10, 2, 4))
+        idx = rng.integers(0, 10, size=(3, 7))
+        np.testing.assert_array_equal(_gather(a, idx), a[np.arange(3)[:, None], idx])
+
+
+class TestDiversityPath:
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_rows_are_the_diversity_vectors(self, horizon):
+        obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=15, seed=4, n_pred_draws=4, horizons=2))
+        pf = ParticleFilter(panel, DTVW, NoiseConfig(np.array([0.1])), horizon=horizon)
+        assert pf.diversity_path.shape == (panel.n_steps, panel.n_models * panel.n_vars)
+        for t in range(1, panel.n_steps + 1):
+            assert pf.diversity_path[t - 1].tobytes() == diversity_vector(panel, t, horizon).tobytes()
+
+    def test_built_once_per_filter(self, monkeypatch):
+        import divcast.filtering as filtering
+
+        calls = []
+
+        def counting(panel, t, h):
+            calls.append(t)
+            return diversity_vector(panel, t, h)
+
+        monkeypatch.setattr(filtering, "diversity_vector", counting)
+        obs, panel = make_problem(T=12, seed=1)
+        pf = ParticleFilter(panel, DTVW, NoiseConfig(np.array([0.1])), n_pred_draws=4)
+        for seed in range(3):
+            pf.run_block(obs, 16, np.zeros((2, 3)), [substream(seed, "filter") for _ in range(2)])
+        assert calls == list(range(1, panel.n_steps + 1))
 
 
 class TestEss:
@@ -150,6 +214,16 @@ class TestStep:
         state, _ = pf.step(state, bad[1])
         with pytest.raises(DegeneracyError, match="t=3"):
             pf.step(state, bad[2])
+
+
+    def test_step_past_the_panel_rejected(self):
+        obs, panel = make_problem(T=5)
+        pf = ParticleFilter(panel, DTVW, NoiseConfig(np.array([0.1])), n_pred_draws=2)
+        state = pf.init_state(4, np.zeros((1, 3)), 0.0, [substream(0, "filter")])
+        for y in obs.values:
+            state, _ = pf.step(state, y)
+        with pytest.raises(InputError, match="time index 6 outside 1..5"):
+            pf.step(state, obs.values[0])
 
 
 class TestDeterministicLimit:
@@ -252,6 +326,18 @@ class TestRun:
                 np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
             for name in ("targets", "point", "log_pred", "log_pred_marginal", "draws"):
                 np.testing.assert_array_equal(getattr(got.forecasts, name), getattr(alone.forecasts, name))
+
+    def test_bands_flag_drops_only_the_bands(self):
+        obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
+        pf = ParticleFilter(panel, DTVW, NoiseConfig(default_sigma_obs(obs, panel)), kappa=0.9, n_pred_draws=8)
+        full = pf.run(obs, 40, np.array([0.0, 1.0, 0.5]), substream(3, "filter"), x0_spread=0.5)
+        lean = pf.run(obs, 40, np.array([0.0, 1.0, 0.5]), substream(3, "filter"), x0_spread=0.5, bands=False)
+        for name in ("weights_mean", "weights_lo", "weights_hi", "alpha_mean", "alpha_lo", "alpha_hi"):
+            assert getattr(lean, name) is None and getattr(full, name) is not None
+        for name in ("ess", "resampled", "one_step_log_pred"):
+            np.testing.assert_array_equal(getattr(lean, name), getattr(full, name))
+        for name in ("targets", "point", "log_pred", "log_pred_marginal", "draws"):
+            np.testing.assert_array_equal(getattr(lean.forecasts, name), getattr(full.forecasts, name))
 
     def test_horizon_beyond_observations_rejected(self):
         obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=20, seed=1, n_pred_draws=4, horizons=3))
