@@ -18,16 +18,8 @@ from .core import (
 from .dgp import SimSpec, gen_complete_ar, gen_nonlinear_incomplete, generate
 from .diversity import diversity_vector, scaled_diversity
 from .filtering import FilterOutput, FilterState, ParticleFilter, run_filter, systematic_resample
-from .latent import (
-    ADAPTIVE_TVW,
-    DTVW,
-    TVW,
-    LatentMode,
-    ParticleCloud,
-    init_particles,
-    theta_from_alpha,
-)
-from .metrics import DMResult, dm_test, log_score, rmsfe, score_forecasts
+from .latent import ADAPTIVE_TVW, DTVW, TVW, LatentMode
+from .metrics import DMResult, dm_test
 from .tune import GridSpec, grid_search, make_crps_runner
 
 __version__ = "0.1.0"
@@ -49,7 +41,6 @@ __all__ = [
     "LatentMode",
     "NoiseConfig",
     "ObservationSeries",
-    "ParticleCloud",
     "ParticleFilter",
     "PredictorPanel",
     "SimSpec",
@@ -61,14 +52,9 @@ __all__ = [
     "gen_nonlinear_incomplete",
     "generate",
     "grid_search",
-    "init_particles",
-    "log_score",
     "make_crps_runner",
-    "rmsfe",
     "run_combiner",
     "run_filter",
-    "score_forecasts",
     "single_model_result",
     "systematic_resample",
-    "theta_from_alpha",
 ]

@@ -139,7 +139,7 @@ class NoiseConfig:
     covariance; sigma_x and sigma_alpha drive the latent random walks.
 
     Zero sigma_x / sigma_alpha are permitted (deterministic-limit mode);
-    sigma_obs must be strictly positive wherever a likelihood is evaluated.
+    sigma_obs must be strictly positive.
     """
 
     sigma_obs: np.ndarray
@@ -150,10 +150,10 @@ class NoiseConfig:
         sigma_obs = np.atleast_1d(np.asarray(self.sigma_obs, dtype=float))
         if sigma_obs.ndim != 1:
             raise ConfigError("sigma_obs must be a vector")
-        if not np.all(np.isfinite(sigma_obs)):
-            raise ConfigError("sigma_obs must be finite")
-        if self.sigma_x < 0 or self.sigma_alpha < 0:
-            raise ConfigError("sigma_x and sigma_alpha must be >= 0")
+        if not np.all(np.isfinite(sigma_obs) & (sigma_obs > 0)):
+            raise ConfigError("sigma_obs must be finite and > 0")
+        if not (0 <= self.sigma_x < np.inf and 0 <= self.sigma_alpha < np.inf):
+            raise ConfigError("sigma_x and sigma_alpha must be finite and >= 0")
         object.__setattr__(self, "sigma_obs", sigma_obs)
         object.__setattr__(self, "sigma_x", float(self.sigma_x))
         object.__setattr__(self, "sigma_alpha", float(self.sigma_alpha))

@@ -27,10 +27,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import ConfigError, DataFormatError, ObservationSeries, PredictorPanel
+from .latent import MODE_TAGS as FILTER_METHODS
 from .tune import GridSpec
 
-METHODS = ("equal", "bma", "bma_roll", "tvw", "adaptive_tvw", "dtvw")
-FILTER_METHODS = ("tvw", "adaptive_tvw", "dtvw")
+METHODS = ("equal", "bma", "bma_roll", *FILTER_METHODS)
 
 OBS_COLUMNS = (("t", int), ("variable", str), ("value", float))
 PANEL_COLUMNS = (
@@ -272,38 +272,10 @@ class RunConfig:
             raise ConfigError("horizons must be a non-empty list of positive integers")
         if len(self.alpha0) != 3:
             raise ConfigError("alpha0 must have three components")
-
-
-@dataclass
-class GridConfig:
-    """Grid-search settings layered on top of a RunConfig, checked when
-    built, so a bad [gridsearch] value fails before any data is read."""
-
-    stage1_lo: float = -10.0
-    stage1_hi: float = 10.0
-    stage1_step: float = 2.0
-    stage2_step: float | None = 0.5
-    stage2_margin: int = 1
-    stage2_bounds: tuple[tuple[float, float], tuple[float, float]] | None = None
-    eval_draws: int = 10
-    grid_particles: int | None = None  # default: n_particles // 4
-    variable: str | None = None
-
-    def __post_init__(self):
-        if self.grid_particles is not None and self.grid_particles < 1:
-            raise ConfigError("grid_particles must be >= 1")
-        self.spec()  # GridSpec rejects a bad lattice or draw budget
-
-    def spec(self) -> GridSpec:
-        """The search lattice and the objective's draw budget."""
-        axis = (self.stage1_lo, self.stage1_hi, self.stage1_step)
-        return GridSpec(
-            stage1=(axis, axis),
-            stage2_step=self.stage2_step,
-            stage2_margin=self.stage2_margin,
-            stage2_bounds=self.stage2_bounds,
-            eval_draws=self.eval_draws,
-        )
+        if self.sigma_obs is not None and not all(0 < s < np.inf for s in self.sigma_obs):
+            raise ConfigError("sigma_obs must be finite and > 0")
+        if not (0 <= self.sigma_x < np.inf and 0 <= self.sigma_alpha < np.inf):
+            raise ConfigError("sigma_x and sigma_alpha must be finite and >= 0")
 
 
 def _parse_floats(raw: str) -> tuple[float, ...]:
@@ -321,7 +293,7 @@ def _parse_bool(raw: str) -> bool:
         raise ValueError(f"not a boolean: {raw!r}") from None
 
 
-def load_config(path: str, overrides: dict | None = None) -> tuple[RunConfig, GridConfig]:
+def load_config(path: str, overrides: dict | None = None) -> tuple[RunConfig, GridSpec]:
     """Parse an INI-style config file; overrides (from CLI flags) win."""
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -392,7 +364,7 @@ def load_config(path: str, overrides: dict | None = None) -> tuple[RunConfig, Gr
     if stage1 is not None:
         if len(stage1) != 3:
             raise ConfigError("stage1 expects lo, hi, step")
-        grid["stage1_lo"], grid["stage1_hi"], grid["stage1_step"] = stage1
+        grid["stage1"] = (stage1, stage1)
     step = get("gridsearch", "stage2_step")
     if step is not None:
         grid["stage2_step"] = None if step.lower() == "none" else get("gridsearch", "stage2_step", float)
@@ -409,4 +381,4 @@ def load_config(path: str, overrides: dict | None = None) -> tuple[RunConfig, Gr
         cfg = RunConfig(**values)
     except TypeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return cfg, GridConfig(**grid)
+    return cfg, GridSpec(**grid)

@@ -20,14 +20,12 @@ from .core import (
     PredictorPanel,
     default_sigma_obs,
 )
-from .dataio import FILTER_METHODS, METHODS, GridConfig, RunConfig, read_table, write_long, write_table
+from .dataio import FILTER_METHODS, METHODS, RunConfig, read_table, write_long, write_table
 from .filtering import FilterOutput, ParticleFilter
-from .latent import ADAPTIVE_TVW, DTVW, TVW, LatentMode
+from .latent import LatentMode
 from .metrics import dm_test, loss_series, score_forecasts
 from .rng import substream
-from .tune import grid_search, make_crps_runner
-
-MODE_BY_METHOD = {"tvw": TVW, "adaptive_tvw": ADAPTIVE_TVW, "dtvw": DTVW}
+from .tune import GridSpec, grid_search, make_crps_runner
 
 
 def _noise_config(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel) -> NoiseConfig:
@@ -58,10 +56,9 @@ def run_method(
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
     if method in FILTER_METHODS:
-        mode: LatentMode = MODE_BY_METHOD[method]
         pf = ParticleFilter(
             panel,
-            mode,
+            LatentMode(method),
             noise,
             horizon=horizon,
             kappa=cfg.kappa,
@@ -187,9 +184,10 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
     baseline = cfg.baseline or panel.model_names[0]
     if baseline not in panel.model_names and baseline not in METHODS:
         raise ConfigError(f"baseline {baseline!r} is neither a panel model nor a method")
+    T, K = obs.n_steps, panel.n_models
+    windows = [_eval_window(cfg, horizon, T) for horizon in cfg.horizons]
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    T, K = obs.n_steps, panel.n_models
     names = obs.variable_names
     scores: list[tuple] = []
     # long tables as write_long blocks, one or two per horizon
@@ -197,8 +195,7 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
     draws: list[tuple] = []
     cumls: list[tuple] = []
     lead: FilterOutput | CombinerResult | None = None
-    for horizon in cfg.horizons:
-        window = _eval_window(cfg, horizon, T)
+    for horizon, window in zip(cfg.horizons, windows):
         runs = [
             (r.method, "model", r.forecasts)
             for r in (single_model_result(obs, panel, k, horizon, cfg.fallback_sigma) for k in range(1, K + 1))
@@ -277,7 +274,7 @@ def _nan_blank(x: float):
 
 def run_grid_search(
     cfg: RunConfig,
-    grid: GridConfig,
+    grid: GridSpec,
     obs: ObservationSeries,
     panel: PredictorPanel,
 ) -> tuple[np.ndarray, list]:
@@ -302,10 +299,8 @@ def run_grid_search(
         x0_spread=cfg.x0_spread,
         eval_window=window,
         variable=variable,
-        sigma_x=cfg.sigma_x,
-        sigma_alpha=cfg.sigma_alpha,
     )
-    return grid_search(grid.spec(), runner, seed=cfg.seed)
+    return grid_search(grid, runner, seed=cfg.seed)
 
 
 def _load_forecast_dir(directory: str, obs: ObservationSeries) -> dict[int, ForecastSeries]:

@@ -11,8 +11,8 @@ horizon-h cell for that target, so every emitted forecast is out-of-sample.
 The filter advances a block of P points: every cloud array is (P, N, ...),
 every point has its own random stream, from which it draws exactly what a
 run of that point alone would, and every record entry carries the point
-axis.  A single run is the block with P = 1; the grid search advances many
-lattice points at once.
+axis.  Every random kernel takes one Generator per point.  A single run is
+the block with P = 1; the grid search advances many lattice points at once.
 
 The panel is frozen, so each filter builds its diversity path, the vector
 for every step t, once, on its first step, and every block it runs reads
@@ -46,43 +46,43 @@ from .latent import (
     propagate_cloud,
     reduce_models,
 )
-from .rng import Streams, standard_normal, substream
+from .rng import standard_normal, substream
 
 BAND_LO = 0.025
 BAND_HI = 0.975
 
 
-def systematic_resample(weights: np.ndarray, rng: Streams, n: int | None = None) -> np.ndarray:
-    """Systematic (single-offset stratified) resampling.
+def systematic_resample(
+    weights: np.ndarray, rngs: Sequence[np.random.Generator] | np.random.Generator, n: int | None = None
+) -> np.ndarray:
+    """Systematic (single-offset stratified) resampling of each row of a
+    (P, N) block of weight vectors, one Generator per row.
 
-    Returns n index choices (default: len(weights)) with expected
-    multiplicity n*w_i and total variance below one per index.  A (P, N)
-    block of weight vectors with one Generator per row returns (P, n)
-    choices, each row drawn exactly as it would be alone.
+    Returns (P, n) index choices (default n: N), row p with expected
+    multiplicity n*w[p, i] and total variance below one per index.  A single
+    (N,) vector with one Generator is the one-row block and returns (n,)
+    choices.
     """
     w = np.asarray(weights, dtype=float)
-    if w.ndim not in (1, 2):
-        raise InputError("weights must be a vector")
+    if single := w.ndim == 1:
+        w, rngs = w[None], [rngs]
+    if w.ndim != 2:
+        raise InputError("weights must be a vector or a (P, N) block")
     if np.any(w < -1e-12):
         raise InputError("weights must be non-negative")
-    sums = np.atleast_1d(w.sum(axis=-1))
+    sums = w.sum(axis=-1)
     if np.any(bad := np.abs(sums - 1.0) > 1e-8):
         raise InputError(f"weights sum to {sums[bad][0]:.6g}, expected 1")
-    n_out = w.shape[-1] if n is None else int(n)
-    if w.ndim == 1:
-        offset = rng.uniform()
-    elif len(rng) != len(w):
+    if len(rngs) != len(w):
         raise InputError("need one Generator per point")
-    else:
-        offset = np.array([g.uniform() for g in rng])[:, None]
+    n_out = w.shape[-1] if n is None else int(n)
+    offset = np.array([g.uniform() for g in rngs])[:, None]
     positions = (np.arange(n_out) + offset) / n_out
     cum = np.cumsum(w, axis=-1)
-    cum[..., -1] = 1.0  # guard accumulated rounding
-    if w.ndim == 1:
-        idx = np.searchsorted(cum, positions, side="right")
-    else:
-        idx = np.array([c.searchsorted(q, side="right") for c, q in zip(cum, positions)])
-    return np.minimum(idx, w.shape[-1] - 1)
+    cum[:, -1] = 1.0  # guard accumulated rounding
+    idx = np.array([c.searchsorted(q, side="right") for c, q in zip(cum, positions)])
+    idx = np.minimum(idx, w.shape[-1] - 1)
+    return idx[0] if single else idx
 
 
 def effective_sample_size(omega: np.ndarray) -> float | np.ndarray:
@@ -151,12 +151,10 @@ def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 class FilterState:
     """Mutable filter position of a block of P points: the cloud, whose
     arrays are (P, N, ...), the time index of the last processed
-    observation, the latest normalized ESS per point, (P,), and one
-    Generator per point."""
+    observation, and one Generator per point."""
 
     cloud: ParticleCloud
     t: int
-    ess: np.ndarray
     rng: Sequence[np.random.Generator]
 
 
@@ -240,7 +238,7 @@ class ParticleFilter:
         cloud = init_particles(
             n_particles, self.panel.n_models, self.panel.n_vars, alpha0, x0_spread, rngs
         )
-        return FilterState(cloud=cloud, t=0, ess=np.ones(len(rngs)), rng=rngs)
+        return FilterState(cloud=cloud, t=0, rng=rngs)
 
     def step(
         self, state: FilterState, y_t: np.ndarray, summaries: bool = True, bands: bool = True
@@ -323,7 +321,7 @@ class ParticleFilter:
                 record[f"weights_{stat}"] = band.reshape(P, L, K).transpose(0, 2, 1)
             for stat, band in zip(("mean", "lo", "hi"), _band_stats(alpha, omega)):
                 record[f"alpha_{stat}"] = band
-        return FilterState(cloud=ParticleCloud(x, alpha, omega), t=t, ess=ess, rng=rngs), record
+        return FilterState(cloud=ParticleCloud(x, alpha, omega), t=t, rng=rngs), record
 
     def _predictive_draws(
         self,
@@ -432,13 +430,11 @@ def run_filter(
     alpha0: np.ndarray = (0.0, 0.0, 0.0),
     x0_spread: float = 0.0,
     n_pred_draws: int = 1000,
-    sigma_x: float = 0.25,
-    sigma_alpha: float = 0.05,
 ) -> FilterOutput:
     """Configure and run the filter; sigma_obs defaults to the calibrated
     equal-weight residual scale when no NoiseConfig is given."""
     if cfg is None:
-        cfg = NoiseConfig(default_sigma_obs(obs, panel), sigma_x=sigma_x, sigma_alpha=sigma_alpha)
+        cfg = NoiseConfig(default_sigma_obs(obs, panel))
     pf = ParticleFilter(panel, mode, cfg, horizon=horizon, kappa=kappa, n_pred_draws=n_pred_draws)
     rng = substream(seed, "filter")
     return pf.run(obs, n_particles, np.asarray(alpha0, dtype=float), rng, x0_spread=x0_spread)

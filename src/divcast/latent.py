@@ -13,16 +13,21 @@ Three schemes share one propagation kernel:
 
 Coefficients are kept in (-1, 1) by th_i = tanh(alpha_i / 2), where alpha
 follows a Gaussian random walk.
+
+Clouds are blocks: every array carries a leading axis of P points, and each
+point draws from its own Generator exactly what it would draw alone.  One
+point's cloud is the block with P = 1.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConfigError, InputError, NoiseConfig
-from .rng import Streams, standard_normal
+from .rng import standard_normal
 
 MODE_TAGS = ("tvw", "adaptive_tvw", "dtvw")
 
@@ -56,25 +61,22 @@ DTVW = LatentMode("dtvw")
 
 
 class ParticleCloud:
-    """Vectorized particle set: latent weights x (N, K*L), coefficient states
-    alpha (N, 3) and importance weights omega (N,).  A block of P lattice
-    points carries a leading point axis, (P, N, ...), one cloud per point."""
+    """Vectorized particle sets of a block of P points: latent weights x
+    (P, N, K*L), coefficient states alpha (P, N, 3) and importance weights
+    omega (P, N), one cloud per point."""
 
     def __init__(self, x: np.ndarray, alpha: np.ndarray, omega: np.ndarray):
         self.x = np.asarray(x, dtype=float)
         self.alpha = np.asarray(alpha, dtype=float)
         self.omega = np.asarray(omega, dtype=float)
-        if self.x.ndim not in (2, 3) or self.alpha.shape != (*self.x.shape[:-1], 3):
-            raise InputError("cloud arrays must be ([P,] N, K*L) and ([P,] N, 3)")
+        if self.x.ndim != 3 or self.alpha.shape != (*self.x.shape[:-1], 3):
+            raise InputError("cloud arrays must be (P, N, K*L) and (P, N, 3)")
         if self.omega.shape != self.x.shape[:-1]:
-            raise InputError("omega must be an ([P,] N) array")
+            raise InputError("omega must be a (P, N) array")
 
     def __len__(self) -> int:
-        """Particle count, summed over the points of a block."""
+        """Particle count, summed over the points of the block."""
         return self.omega.size
-
-    def copy(self) -> "ParticleCloud":
-        return ParticleCloud(self.x.copy(), self.alpha.copy(), self.omega.copy())
 
 
 def init_particles(
@@ -83,24 +85,24 @@ def init_particles(
     n_vars: int,
     alpha0: np.ndarray,
     x0_spread: float,
-    rng: Streams,
+    rngs: Sequence[np.random.Generator],
 ) -> ParticleCloud:
-    """Draw the initial cloud: x ~ N(0, x0_spread^2 I) (zero spread gives
-    all-equal initial weights), alpha set to alpha0 exactly, omega = 1/n.
-    A (P, 3) alpha0 with a sequence of P Generators gives a block cloud."""
+    """Draw the initial block cloud: point p starts from alpha0[p] (a (P, 3)
+    array) with its own Generator rngs[p]; x ~ N(0, x0_spread^2 I) (zero
+    spread gives all-equal initial weights), alpha set to alpha0 exactly,
+    omega = 1/n."""
     if n < 1:
         raise InputError("need at least one particle")
     alpha0 = np.asarray(alpha0, dtype=float)
-    if alpha0.ndim not in (1, 2) or alpha0.shape[-1] != 3:
-        raise InputError("alpha0 must have length 3")
-    single = isinstance(rng, np.random.Generator)
-    if single != (alpha0.ndim == 1) or (not single and len(rng) != len(alpha0)):
+    if alpha0.ndim != 2 or alpha0.shape[-1] != 3:
+        raise InputError("alpha0 must be a (P, 3) array")
+    if len(rngs) != len(alpha0):
         raise InputError("need one Generator per point")
-    lead = alpha0.shape[:-1]
-    shape = (*lead, n, n_models * n_vars)
-    x = x0_spread * standard_normal(rng, shape) if x0_spread > 0 else np.zeros(shape)
-    alpha = np.broadcast_to(alpha0[..., None, :], (*lead, n, 3)).copy()
-    omega = np.full((*lead, n), 1.0 / n)
+    P = len(alpha0)
+    shape = (P, n, n_models * n_vars)
+    x = x0_spread * standard_normal(rngs, shape) if x0_spread > 0 else np.zeros(shape)
+    alpha = np.broadcast_to(alpha0[:, None, :], (P, n, 3)).copy()
+    omega = np.full((P, n), 1.0 / n)
     return ParticleCloud(x, alpha, omega)
 
 
@@ -109,10 +111,10 @@ def propagate_cloud(
     div: np.ndarray,
     mode: LatentMode,
     cfg: NoiseConfig,
-    rng: Streams,
+    rngs: Sequence[np.random.Generator],
 ) -> ParticleCloud:
-    """One transition of the whole cloud (or block of clouds, with one
-    Generator per point); importance weights pass through."""
+    """One transition of a block of clouds, with one Generator per point;
+    importance weights pass through."""
     dim = cloud.x.shape[-1]
     div = np.asarray(div, dtype=float)
     if mode.uses_diversity and div.shape != (dim,):
@@ -124,14 +126,14 @@ def propagate_cloud(
     else:
         if mode.tag == "adaptive_tvw":
             alpha = cloud.alpha.copy()
-            alpha[..., :2] += cfg.sigma_alpha * standard_normal(rng, (*alpha.shape[:-1], 2))
+            alpha[..., :2] += cfg.sigma_alpha * standard_normal(rngs, (*alpha.shape[:-1], 2))
         else:
-            alpha = cloud.alpha + cfg.sigma_alpha * standard_normal(rng, cloud.alpha.shape)
+            alpha = cloud.alpha + cfg.sigma_alpha * standard_normal(rngs, cloud.alpha.shape)
         theta = theta_from_alpha(alpha)
         x = theta[..., 0:1] + theta[..., 1:2] * cloud.x
         if mode.uses_diversity:  # adaptive_tvw hard-excludes the diversity term
             x = x + theta[..., 2:3] * div
-    x += cfg.sigma_x * standard_normal(rng, x.shape)
+    x += cfg.sigma_x * standard_normal(rngs, x.shape)
     return ParticleCloud(x, alpha, cloud.omega.copy())
 
 

@@ -11,25 +11,6 @@ import numpy as np
 from .core import ForecastSeries, InputError, ObservationSeries
 
 
-def rmsfe(actuals: np.ndarray, forecasts: np.ndarray) -> float:
-    """Root mean squared forecast error over the evaluation window."""
-    actuals = np.asarray(actuals, dtype=float)
-    forecasts = np.asarray(forecasts, dtype=float)
-    if actuals.shape != forecasts.shape:
-        raise InputError("actuals and forecasts must have equal length")
-    if actuals.size < 1:
-        raise InputError("need at least one forecast")
-    return float(np.sqrt(np.mean((actuals - forecasts) ** 2)))
-
-
-def log_score(log_predictives: np.ndarray) -> float:
-    """Negative mean log predictive density; lower is better."""
-    lp = np.asarray(log_predictives, dtype=float)
-    if not np.all(np.isfinite(lp)):
-        raise InputError("log predictives must be finite")
-    return float(-np.mean(lp))
-
-
 def crps_series(draws: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Sample CRPS per time step: draws (S, D) against outcomes (S,).
 

@@ -4,6 +4,9 @@ Every random draw in the package flows from a single experiment seed through
 named substreams, so results are bit-identical regardless of evaluation order
 or worker count.  A substream is identified by ``(seed, role, index)`` where
 ``role`` is a short string ("truth", "filter", "grid", ...) hashed with CRC32.
+
+The particle kernels draw for a block of P points, one Generator per point;
+a single run is the block with P = 1.
 """
 
 from __future__ import annotations
@@ -15,9 +18,6 @@ import numpy as np
 
 from .core import InputError
 
-# One Generator, or one per point of a block of lattice points.
-Streams = np.random.Generator | Sequence[np.random.Generator]
-
 
 def substream(seed: int, role: str, index: int = 0) -> np.random.Generator:
     """Return an independent generator for the given (seed, role, index)."""
@@ -27,15 +27,12 @@ def substream(seed: int, role: str, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), key, int(index)]))
 
 
-def standard_normal(rng: Streams, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normals of the given shape from one Generator, or, for a
-    (P, ...) block, each point's slab from that point's own Generator,
-    exactly as it would be drawn for that point alone."""
-    if isinstance(rng, np.random.Generator):
-        return rng.standard_normal(shape)
-    if len(rng) != shape[0]:
+def standard_normal(rngs: Sequence[np.random.Generator], shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normals of a (P, ...) block: each point's slab from that
+    point's own Generator, exactly as it would be drawn for that point alone."""
+    if len(rngs) != shape[0]:
         raise InputError("need one Generator per point")
     out = np.empty(shape)
-    for g, slab in zip(rng, out):
+    for g, slab in zip(rngs, out):
         g.standard_normal(out=slab)
     return out

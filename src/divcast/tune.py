@@ -43,13 +43,17 @@ BLOCK_ELEMENTS = 12_000
 @dataclass(frozen=True)
 class GridSpec:
     """Search lattice: stage1 bounds/step per axis, optional refinement step,
-    refinement margin in coarse cells, and the objective's draw budget."""
+    refinement margin in coarse cells, and the objective's draw budget,
+    particle count (None: a quarter of the run's) and scored variable (None:
+    the average over all)."""
 
     stage1: tuple[Axis, Axis] = ((-10.0, 10.0, 2.0), (-10.0, 10.0, 2.0))
     stage2_step: float | None = 0.5
     stage2_margin: int = 1
     stage2_bounds: tuple[tuple[float, float], tuple[float, float]] | None = None
     eval_draws: int = 10
+    grid_particles: int | None = None
+    variable: str | None = None
 
     def __post_init__(self):
         for lo, hi, step in self.stage1:
@@ -63,6 +67,8 @@ class GridSpec:
             raise InputError("stage2_margin must be >= 0")
         if self.eval_draws < 2:
             raise InputError("eval_draws must be >= 2 for a CRPS objective")
+        if self.grid_particles is not None and self.grid_particles < 1:
+            raise InputError("grid_particles must be >= 1")
 
 
 def _lattice(lo: float, hi: float, step: float) -> list[float]:
@@ -145,15 +151,13 @@ def make_crps_runner(
     x0_spread: float = 0.0,
     eval_window: tuple[int, int] | None = None,
     variable: int | None = None,
-    sigma_x: float = 0.25,
-    sigma_alpha: float = 0.05,
 ):
     """Objective factory: a reduced-cost diversity-driven filter run per
     point, scored by mean CRPS over the evaluation window (one variable, or
     the average).  A point whose filter run fails alone (a RuntimeError such
     as degeneracy, or an InputError) scores +inf."""
     if cfg is None:
-        cfg = NoiseConfig(default_sigma_obs(obs, panel), sigma_x=sigma_x, sigma_alpha=sigma_alpha)
+        cfg = NoiseConfig(default_sigma_obs(obs, panel))
     pf = ParticleFilter(panel, DTVW, cfg, horizon=horizon, kappa=kappa, n_pred_draws=eval_draws)
     block = max(1, BLOCK_ELEMENTS // (n_particles * panel.n_models * panel.n_vars))
     cols = range(obs.n_vars) if variable is None else [variable]

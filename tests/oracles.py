@@ -112,6 +112,16 @@ def log_likelihood(y: np.ndarray, w: np.ndarray, ytilde: np.ndarray, cfg: NoiseC
     return float(gaussian_logpdf_diag(y, c, cfg.sigma_obs))
 
 
+def rmsfe(actuals: np.ndarray, forecasts: np.ndarray) -> float:
+    """Root mean squared forecast error over the evaluation window."""
+    return float(np.sqrt(np.mean((np.asarray(actuals) - np.asarray(forecasts)) ** 2)))
+
+
+def log_score(log_predictives: np.ndarray) -> float:
+    """Negative mean log predictive density; lower is better."""
+    return float(-np.mean(log_predictives))
+
+
 def crps_from_draws(draws: np.ndarray, y: float) -> float:
     """Sample CRPS of an ensemble against a scalar outcome, from the sorted
     form of the pairwise term."""
@@ -158,8 +168,8 @@ class LatentParticle:
 
 
 def particles(cloud: ParticleCloud) -> list[LatentParticle]:
-    """The particles of an unbatched (N, ...) cloud, one by one."""
-    return [LatentParticle(x, a, float(o)) for x, a, o in zip(cloud.x, cloud.alpha, cloud.omega)]
+    """The particles of a one-point (1, N, ...) cloud, one by one."""
+    return [LatentParticle(x, a, float(o)) for x, a, o in zip(cloud.x[0], cloud.alpha[0], cloud.omega[0])]
 
 
 def propagate_particle(
@@ -169,9 +179,9 @@ def propagate_particle(
     cfg: NoiseConfig,
     rng: np.random.Generator,
 ) -> LatentParticle:
-    """Propagate a single particle (the cloud kernel with N = 1)."""
-    cloud = ParticleCloud(p.x[None, :], p.alpha[None, :], np.array([p.omega]))
-    return particles(propagate_cloud(cloud, div, mode, cfg, rng))[0]
+    """Propagate a single particle (the cloud kernel with P = N = 1)."""
+    cloud = ParticleCloud(p.x[None, None], p.alpha[None, None], np.array([[p.omega]]))
+    return particles(propagate_cloud(cloud, div, mode, cfg, [rng]))[0]
 
 
 def crps_objective(obs, panel, point, seed, eval_window=None, variable=None, **filter_kw) -> float:

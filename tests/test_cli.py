@@ -126,10 +126,15 @@ class TestRun:
             {"method": "dtvw", "extra": "[gridsearch]\ngrid_particles = -5\n"},
             {"method": "dtvw", "extra": "[gridsearch]\neval_draws = 1\n"},
             {"method": "dtvw", "extra": "[gridsearch]\nstage2_step = -1\n"},
+            {"method": "dtvw", "extra": "[noise]\nsigma_obs = -1\n"},
+            {"method": "dtvw", "extra": "[noise]\nsigma_obs = 0\n"},
+            {"method": "dtvw", "extra": "[noise]\nsigma_x = -1\n"},
+            {"method": "dtvw", "extra": "[noise]\nsigma_alpha = nan\n"},
         ],
         ids=[
             "unparsable_int", "one_pred_draw", "baseline_bma_roll_without_window",
             "negative_grid_particles", "one_eval_draw", "negative_stage2_step",
+            "negative_sigma_obs", "zero_sigma_obs", "negative_sigma_x", "nan_sigma_alpha",
         ],
     )
     def test_config_error_exit_2_before_loading(self, tmp_path, settings):
@@ -142,6 +147,19 @@ class TestRun:
         )
         for command in ("run", "gridsearch"):
             assert main([command, "--config", cfg]) == 2
+        assert not os.path.exists(out_dir)
+
+    def test_empty_window_at_a_later_horizon_exit_2_before_any_filter(self, tmp_path, monkeypatch):
+        from divcast import experiment
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a method ran before the evaluation windows were checked")
+
+        monkeypatch.setattr(experiment, "run_method", fail)
+        cfg, out_dir = write_config(
+            tmp_path, method="dtvw", horizons="1,3", extra="eval_end = 2\nbaseline = bma\n"
+        )
+        assert main(["run", "--config", cfg]) == 2
         assert not os.path.exists(out_dir)
 
     def test_names_needing_quotes_survive_run_and_score(self, tmp_path):

@@ -8,7 +8,7 @@ from divcast.combine import (
     single_model_result,
 )
 from divcast.core import InputError, ObservationSeries, PredictorPanel
-from divcast.metrics import rmsfe
+from oracles import rmsfe
 
 
 class TestBmaWeights:

@@ -178,6 +178,11 @@ class TestDomainTypes:
     def test_noise_config_validation(self):
         with pytest.raises(ConfigError):
             NoiseConfig(np.array([1.0]), sigma_x=-0.1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                NoiseConfig(np.array([1.0]), sigma_x=bad)
+            with pytest.raises(ConfigError):
+                NoiseConfig(np.array([1.0]), sigma_alpha=bad)
         cfg = NoiseConfig([1.0, 2.0])
         assert cfg.sigma_obs.shape == (2,)
 

@@ -174,7 +174,7 @@ class TestStep:
         pf = ParticleFilter(panel, TVW, cfg, n_pred_draws=4)
         state = pf.init_state(32, np.zeros(3)[None], 0.5, [substream(1, "filter")])
         for t in range(1, 8):
-            cloud_before = state.cloud.copy()
+            cloud_before = state.cloud  # step builds a new cloud; this one is not mutated
             rng_state = state.rng[0].bit_generator.state
             state, rec = pf.step(state, obs.values[t - 1])
 

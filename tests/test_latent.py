@@ -118,21 +118,21 @@ class TestCloudWeightTensor:
 class TestInitParticles:
     def test_zero_spread_equal_weights(self):
         rng = np.random.default_rng(0)
-        cloud = init_particles(8, 3, 1, np.zeros(3), 0.0, rng)
+        cloud = init_particles(8, 3, 1, np.zeros((1, 3)), 0.0, [rng])
         for p in particles(cloud):
             np.testing.assert_allclose(cloud_weight_tensor(p.x, 3, 1)[0], [1 / 3, 1 / 3, 1 / 3])
 
     def test_alpha_exact_and_omega(self):
         rng = np.random.default_rng(0)
         alpha0 = np.array([0.0, 9.0, 8.5])
-        cloud = init_particles(16, 2, 2, alpha0, 0.5, rng)
-        assert np.all(cloud.alpha == alpha0)
-        assert cloud.omega.sum() == pytest.approx(1.0)
-        assert len(cloud) == 16 and cloud.x.shape == (16, 4)
+        cloud = init_particles(16, 2, 2, alpha0[None], 0.5, [rng])
+        assert np.all(cloud.alpha[0] == alpha0)
+        assert cloud.omega[0].sum() == pytest.approx(1.0)
+        assert len(cloud) == 16 and cloud.x[0].shape == (16, 4)
 
     def test_zero_count_rejected(self):
         with pytest.raises(InputError):
-            init_particles(0, 2, 1, np.zeros(3), 0.0, np.random.default_rng(0))
+            init_particles(0, 2, 1, np.zeros((1, 3)), 0.0, [np.random.default_rng(0)])
 
 
 class TestPropagation:
@@ -162,35 +162,36 @@ class TestPropagation:
 
     def test_hundred_step_identity(self):
         rng = np.random.default_rng(1)
-        cloud = init_particles(4, 3, 2, np.zeros(3), 1.0, rng)
-        x0 = cloud.x.copy()
+        cloud = init_particles(4, 3, 2, np.zeros((1, 3)), 1.0, [rng])
+        x0 = cloud.x[0].copy()
         for _ in range(100):
-            cloud = propagate_cloud(cloud, np.zeros(6), TVW, ZERO_NOISE, rng)
-        np.testing.assert_array_equal(cloud.x, x0)
+            cloud = propagate_cloud(cloud, np.zeros(6), TVW, ZERO_NOISE, [rng])
+        np.testing.assert_array_equal(cloud.x[0], x0)
 
     def test_adaptive_freezes_alpha2(self):
         rng = np.random.default_rng(1)
         cfg = NoiseConfig(np.array([1.0]), sigma_x=0.1, sigma_alpha=0.3)
-        cloud = init_particles(64, 2, 1, np.array([0.0, 1.0, 5.5]), 0.0, rng)
+        cloud = init_particles(64, 2, 1, np.array([[0.0, 1.0, 5.5]]), 0.0, [rng])
         for _ in range(10):
-            cloud = propagate_cloud(cloud, np.array([0.5, 0.5]), ADAPTIVE_TVW, cfg, rng)
-        assert np.all(cloud.alpha[:, 2] == 5.5)
-        assert cloud.alpha[:, 0].std() > 0 and cloud.alpha[:, 1].std() > 0
+            cloud = propagate_cloud(cloud, np.array([0.5, 0.5]), ADAPTIVE_TVW, cfg, [rng])
+        alpha = cloud.alpha[0]
+        assert np.all(alpha[:, 2] == 5.5)
+        assert alpha[:, 0].std() > 0 and alpha[:, 1].std() > 0
 
     def test_no_cross_particle_coupling(self):
         # with zero noise propagation is per-particle deterministic, so a
         # permutation of the cloud propagates to the permuted result
         rng = np.random.default_rng(1)
-        cloud = init_particles(10, 2, 1, np.array([0.3, 0.6, -0.4]), 1.0, rng)
+        cloud = init_particles(10, 2, 1, np.array([[0.3, 0.6, -0.4]]), 1.0, [rng])
         perm = np.random.default_rng(2).permutation(10)
         from divcast.latent import ParticleCloud
 
-        shuffled = ParticleCloud(cloud.x[perm], cloud.alpha[perm], cloud.omega[perm])
+        shuffled = ParticleCloud(cloud.x[:, perm], cloud.alpha[:, perm], cloud.omega[:, perm])
         div = np.array([0.7, 0.3])
-        out = propagate_cloud(cloud, div, DTVW, ZERO_NOISE, rng)
-        out_shuffled = propagate_cloud(shuffled, div, DTVW, ZERO_NOISE, rng)
-        np.testing.assert_array_equal(out.x[perm], out_shuffled.x)
-        np.testing.assert_array_equal(out.alpha[perm], out_shuffled.alpha)
+        out = propagate_cloud(cloud, div, DTVW, ZERO_NOISE, [rng])
+        out_shuffled = propagate_cloud(shuffled, div, DTVW, ZERO_NOISE, [rng])
+        np.testing.assert_array_equal(out.x[0, perm], out_shuffled.x[0])
+        np.testing.assert_array_equal(out.alpha[0, perm], out_shuffled.alpha[0])
 
     @pytest.mark.parametrize("mode", [TVW, ADAPTIVE_TVW, DTVW], ids=lambda m: m.tag)
     def test_block_matches_each_point_alone(self, mode):
@@ -202,17 +203,15 @@ class TestPropagation:
         block = init_particles(5, 3, 1, alpha0, 0.7, [np.random.default_rng(9) for _ in alpha0])
         block = propagate_cloud(block, div, mode, cfg, [np.random.default_rng(p) for p in range(3)])
         for p, a0 in enumerate(alpha0):
-            alone = init_particles(5, 3, 1, a0, 0.7, np.random.default_rng(9))
-            alone = propagate_cloud(alone, div, mode, cfg, np.random.default_rng(p))
-            np.testing.assert_array_equal(block.x[p], alone.x)
-            np.testing.assert_array_equal(block.alpha[p], alone.alpha)
-            np.testing.assert_array_equal(block.omega[p], alone.omega)
+            alone = init_particles(5, 3, 1, a0[None], 0.7, [np.random.default_rng(9)])
+            alone = propagate_cloud(alone, div, mode, cfg, [np.random.default_rng(p)])
+            np.testing.assert_array_equal(block.x[p], alone.x[0])
+            np.testing.assert_array_equal(block.alpha[p], alone.alpha[0])
+            np.testing.assert_array_equal(block.omega[p], alone.omega[0])
 
     def test_block_needs_one_generator_per_point(self):
         with pytest.raises(InputError, match="one Generator per point"):
             init_particles(4, 2, 1, np.zeros((3, 3)), 0.0, [np.random.default_rng(0)] * 2)
-        with pytest.raises(InputError, match="one Generator per point"):
-            init_particles(4, 2, 1, np.zeros((3, 3)), 0.0, np.random.default_rng(0))
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(1)

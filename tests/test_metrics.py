@@ -3,38 +3,54 @@ import pytest
 from scipy import stats
 
 from divcast.core import InputError
-from divcast.metrics import crps_series, dm_test, log_score, rmsfe
-from oracles import crps_from_draws
+from divcast.metrics import crps_series, dm_test, score_forecasts
+from oracles import crps_from_draws, log_score, rmsfe
+
+
+def scored(errors, log_pred):
+    """score_forecasts' row for one variable, over a hand-built loss_series
+    dict of the given forecast errors and log predictives."""
+    errors, log_pred = np.asarray(errors, dtype=float), np.asarray(log_pred, dtype=float)
+    losses = {
+        "targets": np.arange(1, len(errors) + 1),
+        "sq_err": errors[:, None] ** 2,
+        "neg_log_pred": -log_pred[:, None],
+        "neg_log_pred_joint": -log_pred,
+        "crps": np.zeros((len(errors), 1)),
+    }
+    return score_forecasts("m", 1, losses, ("y",))[0]
 
 
 class TestRmsfe:
     def test_perfect(self):
-        assert rmsfe(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
+        actuals, forecasts = np.array([1.0, 2.0]), np.array([1.0, 2.0])
+        row = scored(actuals - forecasts, np.zeros(2))
+        assert row.rmsfe == 0.0 == rmsfe(actuals, forecasts)
 
     def test_constant_error(self):
-        assert rmsfe(np.zeros(5), np.full(5, 2.0)) == pytest.approx(2.0)
+        row = scored(np.zeros(5) - np.full(5, 2.0), np.zeros(5))
+        assert row.rmsfe == pytest.approx(2.0)
+        assert row.rmsfe == rmsfe(np.zeros(5), np.full(5, 2.0))
 
     def test_direct(self):
-        assert rmsfe(np.array([3.0, 4.0]), np.zeros(2)) == pytest.approx(np.sqrt(12.5))
-
-    def test_length_mismatch(self):
-        with pytest.raises(InputError):
-            rmsfe(np.zeros(3), np.zeros(4))
+        row = scored(np.array([3.0, 4.0]) - np.zeros(2), np.zeros(2))
+        assert row.rmsfe == pytest.approx(np.sqrt(12.5))
+        assert row.rmsfe == rmsfe(np.array([3.0, 4.0]), np.zeros(2))
 
 
 class TestLogScore:
     def test_standard_normal_mode(self):
         lp = np.array([-0.5 * np.log(2 * np.pi)])
-        assert log_score(lp) == pytest.approx(0.9189385332046727)
+        row = scored(np.zeros(1), lp)
+        assert row.ls == pytest.approx(0.9189385332046727)
+        assert row.ls == log_score(lp)
 
     def test_doubling_density(self):
         rng = np.random.default_rng(0)
         lp = rng.normal(size=50)
-        assert log_score(lp + np.log(2.0)) == pytest.approx(log_score(lp) - np.log(2.0))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InputError):
-            log_score(np.array([0.0, -np.inf]))
+        doubled = scored(np.zeros(50), lp + np.log(2.0)).ls
+        assert doubled == pytest.approx(scored(np.zeros(50), lp).ls - np.log(2.0))
+        assert doubled == log_score(lp + np.log(2.0))
 
 
 def naive_crps(draws, y):
