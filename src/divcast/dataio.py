@@ -272,6 +272,10 @@ class RunConfig:
             raise ConfigError("horizons must be a non-empty list of positive integers")
         if len(self.alpha0) != 3:
             raise ConfigError("alpha0 must have three components")
+        if not np.all(np.isfinite(self.alpha0)):
+            raise ConfigError("alpha0 must be finite")
+        if not 0 <= self.x0_spread < np.inf:
+            raise ConfigError("x0_spread must be finite and >= 0")
         if self.sigma_obs is not None and not all(0 < s < np.inf for s in self.sigma_obs):
             raise ConfigError("sigma_obs must be finite and > 0")
         if not (0 <= self.sigma_x < np.inf and 0 <= self.sigma_alpha < np.inf):

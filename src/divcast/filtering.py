@@ -9,10 +9,19 @@ prior-side particle weights (information through t-1) with the panel's
 horizon-h cell for that target, so every emitted forecast is out-of-sample.
 
 The filter advances a block of P points: every cloud array is (P, N, ...),
-every point has its own random stream, from which it draws exactly what a
-run of that point alone would, and every record entry carries the point
-axis.  Every random kernel takes one Generator per point.  A single run is
-the block with P = 1; the grid search advances many lattice points at once.
+every point draws from its random stream exactly what a run of that point
+alone would, and every record entry carries the point axis.  Every random
+kernel takes one Generator per point.  A single run is the block with P = 1;
+the grid search advances many lattice points at once.
+
+One Generator object held by several points is one stream state: the
+kernels draw from it once for all of them.  Within a step every point makes
+the same draws in the same sizes, except the resampling offset, which only
+the resampling points draw; the step first moves those to their own copy of
+a stream they share with others (rng.split_streams).  A point's stream
+state after step t is therefore a function of its resample flags alone, and
+the grid's common random numbers stay one stream until resampling splits
+them.
 
 The panel is frozen, so each filter builds its diversity path, the vector
 for every step t, once, on its first step, and every block it runs reads
@@ -46,7 +55,7 @@ from .latent import (
     propagate_cloud,
     reduce_models,
 )
-from .rng import standard_normal, substream
+from .rng import distinct_streams, split_streams, standard_normal, substream
 
 BAND_LO = 0.025
 BAND_HI = 0.975
@@ -56,7 +65,8 @@ def systematic_resample(
     weights: np.ndarray, rngs: Sequence[np.random.Generator] | np.random.Generator, n: int | None = None
 ) -> np.ndarray:
     """Systematic (single-offset stratified) resampling of each row of a
-    (P, N) block of weight vectors, one Generator per row.
+    (P, N) block of weight vectors, one Generator per row; rows holding one
+    Generator share one offset.
 
     Returns (P, n) index choices (default n: N), row p with expected
     multiplicity n*w[p, i] and total variance below one per index.  A single
@@ -76,7 +86,9 @@ def systematic_resample(
     if len(rngs) != len(w):
         raise InputError("need one Generator per point")
     n_out = w.shape[-1] if n is None else int(n)
-    offset = np.array([g.uniform() for g in rngs])[:, None]
+    uniq, where = distinct_streams(rngs)
+    offset = np.array([g.random() for g in uniq])
+    offset = (offset if where is None else offset[where])[:, None]
     positions = (np.arange(n_out) + offset) / n_out
     cum = np.cumsum(w, axis=-1)
     cum[:, -1] = 1.0  # guard accumulated rounding
@@ -151,7 +163,8 @@ def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 class FilterState:
     """Mutable filter position of a block of P points: the cloud, whose
     arrays are (P, N, ...), the time index of the last processed
-    observation, and one Generator per point."""
+    observation, and one Generator per point.  Points holding one Generator
+    object are in one stream state."""
 
     cloud: ParticleCloud
     t: int
@@ -234,7 +247,8 @@ class ParticleFilter:
         rngs: Sequence[np.random.Generator],
     ) -> FilterState:
         """Initial state of a block: point p starts from alpha0[p] (a (P, 3)
-        array) with its own Generator rngs[p]."""
+        array) with Generator rngs[p], which it may share with other
+        points."""
         cloud = init_particles(
             n_particles, self.panel.n_models, self.panel.n_vars, alpha0, x0_spread, rngs
         )
@@ -247,10 +261,12 @@ class ParticleFilter:
         new state and a record of everything emitted at this step, each
         entry with the point axis first.
 
-        Every point draws exactly what it would draw alone.  summaries=False
-        skips the forecast's point, particle means and log prior weights;
-        bands=False skips the weight and coefficient bands.  Neither draws
-        from the random streams.
+        Every point draws exactly what it would draw alone.  Before the
+        resampling draw, the resampling points are split off the streams
+        they share with points that do not resample; the new state holds
+        the split list.  summaries=False skips the forecast's point,
+        particle means and log prior weights; bands=False skips the weight
+        and coefficient bands.  Neither draws from the random streams.
         """
         panel, cfg = self.panel, self.cfg
         K, L = panel.n_models, panel.n_vars
@@ -308,6 +324,7 @@ class ParticleFilter:
         record["resampled"] = resampled
         x, alpha = cloud.x, cloud.alpha
         if resampled.any():
+            rngs = split_streams(rngs, resampled)
             which = np.flatnonzero(resampled)
             idx = np.tile(np.arange(n), (P, 1))
             idx[which] = systematic_resample(omega[which], [rngs[p] for p in which])
@@ -332,11 +349,15 @@ class ParticleFilter:
     ) -> np.ndarray:
         """Sample each point's combined predictive mixture: pick particles by
         their prior weights, one panel draw per pick, plus observation noise.
-        Returns (P, J, L)."""
+        Returns (P, J, L).  The picks of the panel draws depend on the
+        target alone, so points holding one Generator share them."""
         J, L = self.n_pred_draws, self.panel.n_vars
         P = len(rngs)
         idx = systematic_resample(omega_prior, rngs, n=J)  # (P, J)
-        d = np.array([rng.integers(0, self.panel.n_draws, size=J) for rng in rngs])
+        uniq, where = distinct_streams(rngs)
+        d = np.array([g.integers(0, self.panel.n_draws, size=J) for g in uniq])
+        if where is not None:
+            d = d[where]
         block = self.panel.draw_block(target, self.horizon)  # (K, L, D)
         ysel = block[:, :, d].transpose(2, 3, 0, 1)  # (P, J, K, L)
         comb = np.einsum("pjlk,pjkl->pjl", _gather(weights, idx), ysel)
@@ -366,9 +387,11 @@ class ParticleFilter:
         bands: bool = True,
     ) -> list[FilterOutput]:
         """Filter a block of P points at once, point p starting from
-        alpha0[p] (a (P, 3) array) with its own Generator rngs[p]; returns one
-        output per point, each equal to that point's run alone.  Any point's
-        failure raises for the whole block.
+        alpha0[p] (a (P, 3) array) with Generator rngs[p]; returns one output
+        per point, each equal to that point's run alone.  Points may share
+        one Generator object: they then start from one stream state, as if
+        each held its own copy.  Any point's failure raises for the whole
+        block.
 
         Steps 1..S, S = T - h + 1, emit the forecasts of targets h..T.  Their
         joint and marginal log predictives are the prior-side particle

@@ -15,8 +15,9 @@ Coefficients are kept in (-1, 1) by th_i = tanh(alpha_i / 2), where alpha
 follows a Gaussian random walk.
 
 Clouds are blocks: every array carries a leading axis of P points, and each
-point draws from its own Generator exactly what it would draw alone.  One
-point's cloud is the block with P = 1.
+point draws from its Generator exactly what it would draw alone; points
+holding one Generator object are in one stream state and share its draws.
+One point's cloud is the block with P = 1.
 """
 
 from __future__ import annotations
@@ -88,9 +89,9 @@ def init_particles(
     rngs: Sequence[np.random.Generator],
 ) -> ParticleCloud:
     """Draw the initial block cloud: point p starts from alpha0[p] (a (P, 3)
-    array) with its own Generator rngs[p]; x ~ N(0, x0_spread^2 I) (zero
-    spread gives all-equal initial weights), alpha set to alpha0 exactly,
-    omega = 1/n."""
+    array) with Generator rngs[p] (points holding one Generator share its
+    draws); x ~ N(0, x0_spread^2 I) (zero spread gives all-equal initial
+    weights), alpha set to alpha0 exactly, omega = 1/n."""
     if n < 1:
         raise InputError("need at least one particle")
     alpha0 = np.asarray(alpha0, dtype=float)
@@ -113,8 +114,9 @@ def propagate_cloud(
     cfg: NoiseConfig,
     rngs: Sequence[np.random.Generator],
 ) -> ParticleCloud:
-    """One transition of a block of clouds, with one Generator per point;
-    importance weights pass through."""
+    """One transition of a block of clouds, with one Generator per point
+    (points holding one Generator share its draws); importance weights pass
+    through."""
     dim = cloud.x.shape[-1]
     div = np.asarray(div, dtype=float)
     if mode.uses_diversity and div.shape != (dim,):

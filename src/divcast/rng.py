@@ -6,11 +6,16 @@ or worker count.  A substream is identified by ``(seed, role, index)`` where
 ``role`` is a short string ("truth", "filter", "grid", ...) hashed with CRC32.
 
 The particle kernels draw for a block of P points, one Generator per point;
-a single run is the block with P = 1.
+a single run is the block with P = 1.  One Generator object held by several
+points of a block is one stream state shared by them: the kernels draw from
+it once and hand every holder the same numbers, which are what each of
+those points would draw alone.  A draw that only some holders make must
+first move them to their own copy (split_streams).
 """
 
 from __future__ import annotations
 
+import copy
 import zlib
 from collections.abc import Sequence
 
@@ -27,12 +32,37 @@ def substream(seed: int, role: str, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), key, int(index)]))
 
 
+def distinct_streams(
+    rngs: Sequence[np.random.Generator],
+) -> tuple[list[np.random.Generator], np.ndarray | None]:
+    """A block's distinct Generators in first-use order, and each point's
+    index among them (None when every point holds its own)."""
+    uniq = list(dict.fromkeys(rngs))
+    if len(uniq) == len(rngs):
+        return uniq, None
+    where = {g: i for i, g in enumerate(uniq)}
+    return uniq, np.array([where[g] for g in rngs])
+
+
+def split_streams(rngs: Sequence[np.random.Generator], mask: np.ndarray) -> list[np.random.Generator]:
+    """Per-point Generators before a draw only the points of mask make: a
+    Generator held by points both inside and outside the mask is replaced,
+    for the points inside, by one copy shared among them.  No state
+    advances."""
+    inside = {g for g, m in zip(rngs, mask) if m}
+    mixed = inside.intersection(g for g, m in zip(rngs, mask) if not m)
+    copies = {g: copy.deepcopy(g) for g in mixed}
+    return [copies[g] if m and g in copies else g for g, m in zip(rngs, mask)]
+
+
 def standard_normal(rngs: Sequence[np.random.Generator], shape: tuple[int, ...]) -> np.ndarray:
     """Standard normals of a (P, ...) block: each point's slab from that
-    point's own Generator, exactly as it would be drawn for that point alone."""
+    point's Generator, exactly as it would be drawn for that point alone.
+    Points holding one Generator share one slab, drawn once."""
     if len(rngs) != shape[0]:
         raise InputError("need one Generator per point")
-    out = np.empty(shape)
-    for g, slab in zip(rngs, out):
+    uniq, where = distinct_streams(rngs)
+    out = np.empty((len(uniq), *shape[1:]))
+    for g, slab in zip(uniq, out):
         g.standard_normal(out=slab)
-    return out
+    return out if where is None else out[where]

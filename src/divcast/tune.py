@@ -10,10 +10,12 @@ L1 norm first, then lexicographic).
 
 The CRPS objective advances the lattice points in blocks, one particle
 cloud per point stacked along a leading axis, so the per-step interpreter
-overhead is paid once per block rather than once per point.  Each point
-keeps its own random stream, the same one for every point, and draws from
-it exactly what a run of that point alone would: the surface does not
-depend on the block size.
+overhead is paid once per block rather than once per point.  A block's
+points hold one Generator object, the same stream for every point, so each
+draw is made once for all points in the same stream state; a point that
+resamples where others do not moves to its own copy first (see filtering).
+Every point draws exactly what a run of that point alone would: the surface
+does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -31,13 +33,19 @@ from .rng import substream
 Axis = tuple[float, float, float]  # (lo, hi, step)
 
 # Points x particles x latent entries advanced as one block.  Bigger blocks
-# run faster but hold more memory.  On the nonlinear design (T = 100, 250
-# particles, K*L = 6, 193 points; median of 7 searches in one process each,
-# 2-vCPU Xeon, numpy 2.4) 8-point blocks took 2.3 s at 39 MB peak RSS,
-# 32-point blocks 1.7 s at 42 MB and 133-point blocks 1.8 s at 50 MB.  Blocks
-# stay at 8 points because the benchmark bounds peak RSS at 5% above its
-# baseline.
-BLOCK_ELEMENTS = 12_000
+# run faster, as their points share more of the random draws, but hold more
+# memory.  On the nonlinear design (T = 100, 250 particles, K*L = 6, 193
+# points; perfbench's grid_nonlinear, median of 10 alternating pairs against
+# one stream copy per point at 12,000 elements; 2-vCPU Xeon, numpy 2.4):
+#
+#   elements  points  op seconds      peak RSS MB
+#     12,000       8  3.09 -> 2.69    39.26 -> 39.26
+#     18,000      12  3.14 -> 2.56    39.28 -> 39.69
+#     24,000      16  3.18 -> 2.35    39.25 -> 40.16 (+2.3%)
+#
+# Blocks hold 16 points, the largest size measured whose peak RSS stayed
+# within 2.5% of the per-point streams' (the benchmark bounds it at 5%).
+BLOCK_ELEMENTS = 24_000
 
 
 @dataclass(frozen=True)
@@ -56,13 +64,23 @@ class GridSpec:
     variable: str | None = None
 
     def __post_init__(self):
+        for key in ("stage1", "stage2_step", "stage2_bounds"):
+            value = getattr(self, key)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise InputError(f"{key} must be finite")
         for lo, hi, step in self.stage1:
             if step <= 0:
                 raise InputError("grid step must be > 0")
             if lo >= hi:
                 raise InputError("grid lower bound must be below upper bound")
-        if self.stage2_step is not None and self.stage2_step <= 0:
-            raise InputError("stage2_step must be > 0")
+            _check_count("stage1", lo, hi, step)
+        if self.stage2_step is not None:
+            if self.stage2_step <= 0:
+                raise InputError("stage2_step must be > 0")
+            # Stage two refines inside stage one's bounds unless given its own.
+            key = "stage2_step" if self.stage2_bounds is None else "stage2_bounds"
+            for lo, hi in self.stage2_bounds or [axis[:2] for axis in self.stage1]:
+                _check_count(key, lo, hi, self.stage2_step)
         if self.stage2_margin < 0:
             raise InputError("stage2_margin must be >= 0")
         if self.eval_draws < 2:
@@ -71,9 +89,17 @@ class GridSpec:
             raise InputError("grid_particles must be >= 1")
 
 
+def _count(lo: float, hi: float, step: float) -> float:
+    return np.floor((hi - lo) / step + 1e-9) + 1
+
+
+def _check_count(key: str, lo: float, hi: float, step: float) -> None:
+    if _count(lo, hi, step) > np.iinfo(np.intp).max:
+        raise InputError(f"{key} gives more grid points on an axis than can be indexed")
+
+
 def _lattice(lo: float, hi: float, step: float) -> list[float]:
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return (lo + step * np.arange(n)).tolist()
+    return (lo + step * np.arange(int(_count(lo, hi, step)))).tolist()
 
 
 def _point_key(a1: float, a2: float) -> tuple[float, float]:
@@ -172,7 +198,7 @@ def make_crps_runner(
 
     def run_points(points: np.ndarray, seed: int) -> list[float]:
         alpha0 = np.column_stack([np.zeros(len(points)), points])
-        rngs = [substream(seed, "filter") for _ in points]
+        rngs = [substream(seed, "filter")] * len(points)
         try:
             outs = pf.run_block(obs, n_particles, alpha0, rngs, x0_spread=x0_spread, summaries=False, bands=False)
         except (RuntimeError, InputError):

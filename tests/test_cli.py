@@ -130,11 +130,23 @@ class TestRun:
             {"method": "dtvw", "extra": "[noise]\nsigma_obs = 0\n"},
             {"method": "dtvw", "extra": "[noise]\nsigma_x = -1\n"},
             {"method": "dtvw", "extra": "[noise]\nsigma_alpha = nan\n"},
+            {"method": "dtvw", "extra": "[gridsearch]\nstage1 = 0, inf, 1\n"},
+            {"method": "dtvw", "extra": "[gridsearch]\nstage1 = nan, 1, 1\n"},
+            {"method": "dtvw", "extra": "[gridsearch]\nstage2_step = nan\n"},
+            {"method": "dtvw", "extra": "[gridsearch]\nstage2_step = inf\n"},
+            {"method": "dtvw", "extra": "[gridsearch]\nstage2_bounds = -2, nan, -2, 2\n"},
+            {"method": "dtvw", "extra": "[gridsearch]\nstage1 = 0, 1e12, 1e-9\n"},
+            {"method": "dtvw", "extra": "[dtvw]\nx0_spread = -1\n"},
+            {"method": "dtvw", "extra": "[dtvw]\nx0_spread = nan\n"},
+            {"method": "dtvw", "extra": "[dtvw]\nalpha0 = 0, nan, 1\n"},
         ],
         ids=[
             "unparsable_int", "one_pred_draw", "baseline_bma_roll_without_window",
             "negative_grid_particles", "one_eval_draw", "negative_stage2_step",
             "negative_sigma_obs", "zero_sigma_obs", "negative_sigma_x", "nan_sigma_alpha",
+            "infinite_stage1", "nan_stage1", "nan_stage2_step", "infinite_stage2_step",
+            "nan_stage2_bounds", "unindexable_stage1", "negative_x0_spread", "nan_x0_spread",
+            "nan_alpha0",
         ],
     )
     def test_config_error_exit_2_before_loading(self, tmp_path, settings):

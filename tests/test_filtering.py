@@ -327,6 +327,26 @@ class TestRun:
             for name in ("targets", "point", "log_pred", "log_pred_marginal", "draws"):
                 np.testing.assert_array_equal(getattr(got.forecasts, name), getattr(alone.forecasts, name))
 
+    @pytest.mark.parametrize("horizon", [1, 2])
+    @pytest.mark.parametrize("summaries,bands", [(True, True), (True, False), (False, True), (False, False)])
+    def test_points_sharing_one_generator_match_each_point_alone(self, horizon, summaries, bands):
+        obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
+        cfg = NoiseConfig(default_sigma_obs(obs, panel))
+        pf = ParticleFilter(panel, DTVW, cfg, horizon=horizon, kappa=0.9, n_pred_draws=8)
+        alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0], [0.0, 0.0, 0.0], [0.0, 8.0, 8.0]])
+        kw = dict(x0_spread=0.5, summaries=summaries, bands=bands)
+        for n_points in (3, 5):
+            block = pf.run_block(obs, 40, alpha0[:n_points], [substream(3, "filter")] * n_points, **kw)
+            # the points resample at different steps, so the shared stream splits
+            assert len({out.resampled.tobytes() for out in block}) > 1
+            for a0, got in zip(alpha0, block):
+                (alone,) = pf.run_block(obs, 40, a0[None], [substream(3, "filter")], **kw)
+                for name in ("weights_mean", "weights_lo", "weights_hi", "alpha_mean", "alpha_lo", "alpha_hi",
+                             "ess", "resampled", "one_step_log_pred"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
+                for name in ("targets", "point", "log_pred", "log_pred_marginal", "draws"):
+                    np.testing.assert_array_equal(getattr(got.forecasts, name), getattr(alone.forecasts, name))
+
     def test_bands_flag_drops_only_the_bands(self):
         obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
         pf = ParticleFilter(panel, DTVW, NoiseConfig(default_sigma_obs(obs, panel)), kappa=0.9, n_pred_draws=8)
