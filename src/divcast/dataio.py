@@ -42,7 +42,13 @@ PANEL_COLUMNS = (
     ("value", float),
 )
 
-_CHUNK_ROWS = 1 << 16  # rows parsed per block, bounding the text held at once
+# Rows parsed per block, bounding the text held at once.  A chunk's row
+# lists go back to Python's allocator, which numpy's buffers never reuse, so
+# small chunks keep the process small: loading a 360,001-row panel (200
+# steps, 6 models, 3 horizons, 100 draws; 2-vCPU Xeon, Python 3.11, numpy
+# 2.4, three runs each) took 1.36-1.53 s at a peak RSS of 99-100 MB with
+# 65,536-row chunks, and 0.92-1.06 s at 80 MB with 1,024-row chunks.
+_CHUNK_ROWS = 1 << 10
 
 
 def read_table(

@@ -26,12 +26,20 @@ them.
 The panel is frozen, so each filter builds its diversity path, the vector
 for every step t, once, on its first step, and every block it runs reads
 that path.
+
+A step advances the block's state in place.  The state carries one scratch
+array the size of the latent cloud x and one the size of the coefficient
+cloud alpha; the propagation's noise and terms, the softmax weights and the
+resampled particles are written into them, and resampling swaps them with
+the cloud's arrays.  So a step holds no temporary of the cloud's size, and
+larger blocks fit in the same memory.  The in-place operations keep the
+operand order of the allocating expressions, so every result keeps its bits.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -85,16 +93,24 @@ def systematic_resample(
         raise InputError(f"weights sum to {sums[bad][0]:.6g}, expected 1")
     if len(rngs) != len(w):
         raise InputError("need one Generator per point")
-    n_out = w.shape[-1] if n is None else int(n)
+    idx = _resample_indices(w, rngs, w.shape[-1] if n is None else int(n))
+    return idx[0] if single else idx
+
+
+def _resample_indices(w: np.ndarray, rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
+    """systematic_resample's (P, n) choices for a (P, N) block of weight
+    rows already known to be normalized, with one Generator per row;
+    nothing is checked."""
     uniq, where = distinct_streams(rngs)
     offset = np.array([g.random() for g in uniq])
     offset = (offset if where is None else offset[where])[:, None]
-    positions = (np.arange(n_out) + offset) / n_out
     cum = np.cumsum(w, axis=-1)
     cum[:, -1] = 1.0  # guard accumulated rounding
-    idx = np.array([c.searchsorted(q, side="right") for c, q in zip(cum, positions)])
-    idx = np.minimum(idx, w.shape[-1] - 1)
-    return idx[0] if single else idx
+    idx = np.empty((len(w), n), dtype=np.intp)
+    steps = np.arange(n)
+    for c, o, row in zip(cum, offset[:, 0], idx):
+        row[:] = c.searchsorted((steps + o) / n, side="right")
+    return np.minimum(idx, w.shape[-1] - 1, out=idx)
 
 
 def effective_sample_size(omega: np.ndarray) -> float | np.ndarray:
@@ -129,13 +145,20 @@ def _logsumexp(logv: np.ndarray, axis: int = 0) -> np.ndarray:
         return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(logv - m), axis=axis))
 
 
-def _gaussian_logpdf(y: np.ndarray, mean: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _gaussian_logpdf(
+    y: np.ndarray, mean: np.ndarray, sigma: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Per-variable Gaussian log densities of y around mean with scales
-    sigma (all broadcast over the last, variable axis); overflow of extreme
-    residuals legitimately maps to -inf."""
-    r = (y - mean) / sigma
+    sigma (all broadcast over the last, variable axis), written into out
+    (which may be mean) when given; overflow of extreme residuals
+    legitimately maps to -inf."""
+    r = np.subtract(y, mean, out=out)
+    r /= sigma
     with np.errstate(over="ignore"):
-        return -0.5 * (np.log(2.0 * np.pi * sigma**2) + r**2)
+        np.square(r, out=r)
+    r += np.log(2.0 * np.pi * sigma**2)
+    r *= -0.5
+    return r
 
 
 def _combine_cloud(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -151,12 +174,18 @@ def _combine_cloud(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _gather(a: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row idx[p, j] of point p's (N, ...) slab of a (P, N, ...) block, as a
-    (P, J, ...) array, through one flat index into the (P*N, ...) view."""
+    (P, J, ...) array, through one flat index into the (P*N, ...) view;
+    written into out (C-contiguous, not overlapping a) when given."""
     P, n = a.shape[:2]
+    inner = a.shape[2:]
     flat = (idx + n * np.arange(P)[:, None]).ravel()
-    return a.reshape(P * n, *a.shape[2:])[flat].reshape(*idx.shape, *a.shape[2:])
+    if out is None:
+        out = np.empty((*idx.shape, *inner), dtype=a.dtype)
+    # mode="clip" writes straight into out; the default mode buffers it.
+    np.take(a.reshape(P * n, *inner), flat, axis=0, out=out.reshape(flat.size, *inner), mode="clip")
+    return out
 
 
 @dataclass
@@ -164,11 +193,20 @@ class FilterState:
     """Mutable filter position of a block of P points: the cloud, whose
     arrays are (P, N, ...), the time index of the last processed
     observation, and one Generator per point.  Points holding one Generator
-    object are in one stream state."""
+    object are in one stream state.
+
+    step advances the state in place.  Its scratch, one array shaped like
+    the cloud's x and one like its alpha, made with the state, holds the
+    step's temporaries; a resampling step gathers the particles into it and
+    swaps it with the cloud's arrays."""
 
     cloud: ParticleCloud
     t: int
     rng: Sequence[np.random.Generator]
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty(self.cloud.x.shape), np.empty(self.cloud.alpha.shape))
 
 
 @dataclass
@@ -257,16 +295,20 @@ class ParticleFilter:
     def step(
         self, state: FilterState, y_t: np.ndarray, summaries: bool = True, bands: bool = True
     ) -> tuple[FilterState, dict]:
-        """Advance every point of the block by one observation; returns the
-        new state and a record of everything emitted at this step, each
-        entry with the point axis first.
+        """Advance every point of the block by one observation, in place;
+        returns the state and a record of everything emitted at this step,
+        each entry with the point axis first.  A step that raises leaves the
+        state undefined.
 
-        Every point draws exactly what it would draw alone.  Before the
-        resampling draw, the resampling points are split off the streams
-        they share with points that do not resample; the new state holds
-        the split list.  summaries=False skips the forecast's point,
-        particle means and log prior weights; bands=False skips the weight
-        and coefficient bands.  Neither draws from the random streams.
+        The propagation's temporaries and, unless bands are kept, the
+        weight tensor live in the state's scratch, so a step allocates
+        nothing of the cloud's size.  Every point draws exactly what it
+        would draw alone.  Before the resampling draw, the resampling points
+        are split off the streams they share with points that do not
+        resample; the state then holds the split list.  summaries=False
+        skips the forecast's point, particle means and log prior weights;
+        bands=False skips the weight and coefficient bands.  Neither draws
+        from the random streams.
         """
         panel, cfg = self.panel, self.cfg
         K, L = panel.n_models, panel.n_vars
@@ -278,14 +320,17 @@ class ParticleFilter:
             raise InputError(f"observation at t={t} is not finite")
 
         means_t = panel.mean_matrix(t, 1)  # rejects a t past the panel's end
-        rngs = state.rng
+        rngs, cloud = state.rng, state.cloud
         div = self.diversity_path[t - 1] if self.mode.uses_diversity else np.zeros(K * L)
-        cloud = propagate_cloud(state.cloud, div, self.mode, cfg, rngs)
+        propagate_cloud(cloud, div, self.mode, cfg, rngs, state.scratch)
         P, n = cloud.omega.shape
-        weights = cloud_weight_tensor(cloud.x, K, L)  # (P, N, L, K)
-        omega_prior = cloud.omega / cloud.omega.sum(axis=-1, keepdims=True)
-        with np.errstate(divide="ignore"):
-            log_prior = np.where(omega_prior > 0, np.log(omega_prior), -np.inf)
+        # The bands read the weights after resampling, so only they keep a
+        # buffer of their own; otherwise the weights die before resampling.
+        weights = cloud_weight_tensor(cloud.x, K, L, out=None if bands else state.scratch[0].reshape(P, n, L, K))
+        omega_prior = cloud.omega  # renormalized in place; the update overwrites it
+        omega_prior /= omega_prior.sum(axis=-1, keepdims=True)
+        log_prior = np.full_like(omega_prior, -np.inf)
+        np.log(omega_prior, out=log_prior, where=omega_prior > 0)
 
         # Out-of-sample forecast for target s = t + h - 1, prior-side weights.
         record: dict = {}
@@ -298,47 +343,52 @@ class ParticleFilter:
                 record["log_prior"] = log_prior
             record["draws"] = self._predictive_draws(weights, omega_prior, target, rngs)
 
-        # One-step likelihood update (log-space, max-shifted).
-        c1 = _combine_cloud(weights, means_t)
-        logw = log_prior + reduce_models(np.add, _gaussian_logpdf(y_t, c1, cfg.sigma_obs))
+        # One-step likelihood update (log-space, max-shifted), each array
+        # rewritten in place.
+        logw = _combine_cloud(weights, means_t)
+        logw = reduce_models(np.add, _gaussian_logpdf(y_t, logw, cfg.sigma_obs, out=logw))
+        logw += log_prior
         shift = logw.max(axis=-1, keepdims=True)
         if not np.all(np.isfinite(shift)):
             raise DegeneracyError(
                 f"all particle likelihoods vanished at t={t}; "
                 "raise sigma_obs or the particle count"
             )
-        w = np.exp(logw - shift)
-        total = w.sum(axis=-1, keepdims=True)
+        logw -= shift
+        total = np.exp(logw, out=logw).sum(axis=-1, keepdims=True)
         if not np.all((total > 0) & np.isfinite(total)):
             raise DegeneracyError(
                 f"importance weights degenerated at t={t}; "
                 "raise sigma_obs or the particle count"
             )
-        omega = w / total
+        omega = np.divide(logw, total, out=cloud.omega)
         record["one_step_log_pred"] = (shift + np.log(total))[:, 0]
+        del logw, log_prior  # free them before resampling (the record may keep log_prior)
 
         # Resample, per point, the points whose ESS fell below the threshold.
         ess = effective_sample_size(omega)
         record["ess"] = ess
         resampled = ess < self.kappa
         record["resampled"] = resampled
-        x, alpha = cloud.x, cloud.alpha
         if resampled.any():
             rngs = split_streams(rngs, resampled)
             which = np.flatnonzero(resampled)
             idx = np.tile(np.arange(n), (P, 1))
-            idx[which] = systematic_resample(omega[which], [rngs[p] for p in which])
+            idx[which] = _resample_indices(omega[which], [rngs[p] for p in which], n)
             omega[which] = 1.0 / n
-            x, alpha = _gather(x, idx), _gather(alpha, idx)
             if bands:
                 weights = _gather(weights, idx)
+            big, small = state.scratch
+            state.scratch = cloud.x, cloud.alpha
+            cloud.x, cloud.alpha = _gather(cloud.x, idx, out=big), _gather(cloud.alpha, idx, out=small)
 
         if bands:
             for stat, band in zip(("mean", "lo", "hi"), _band_stats(weights.reshape(P, n, L * K), omega)):
                 record[f"weights_{stat}"] = band.reshape(P, L, K).transpose(0, 2, 1)
-            for stat, band in zip(("mean", "lo", "hi"), _band_stats(alpha, omega)):
+            for stat, band in zip(("mean", "lo", "hi"), _band_stats(cloud.alpha, omega)):
                 record[f"alpha_{stat}"] = band
-        return FilterState(cloud=ParticleCloud(x, alpha, omega), t=t, rng=rngs), record
+        state.t, state.rng = t, rngs
+        return state, record
 
     def _predictive_draws(
         self,
@@ -353,7 +403,7 @@ class ParticleFilter:
         target alone, so points holding one Generator share them."""
         J, L = self.n_pred_draws, self.panel.n_vars
         P = len(rngs)
-        idx = systematic_resample(omega_prior, rngs, n=J)  # (P, J)
+        idx = _resample_indices(omega_prior, rngs, J)  # (P, J)
         uniq, where = distinct_streams(rngs)
         d = np.array([g.integers(0, self.panel.n_draws, size=J) for g in uniq])
         if where is not None:
@@ -412,6 +462,7 @@ class ParticleFilter:
         for y_t in obs.values:
             state, record = self.step(state, y_t, summaries, bands)
             records.append(record)
+        del state  # the cloud and its scratch, freed before the records are stacked
 
         # Each key's per-step arrays are popped, so they are freed once stacked.
         S = T - h + 1

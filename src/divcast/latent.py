@@ -18,6 +18,13 @@ Clouds are blocks: every array carries a leading axis of P points, and each
 point draws from its Generator exactly what it would draw alone; points
 holding one Generator object are in one stream state and share its draws.
 One point's cloud is the block with P = 1.
+
+The kernels write into the buffers they are given: propagate_cloud advances
+a cloud's arrays in place, with its temporaries in a scratch pair, and
+cloud_weight_tensor writes its softmax into out.  Every in-place operation
+keeps the operand order of the expression it replaces (x *= th1; x += th0
+gives the bits of th0 + th1*x), so the results are those of the allocating
+expressions.
 """
 
 from __future__ import annotations
@@ -33,12 +40,13 @@ from .rng import standard_normal
 MODE_TAGS = ("tvw", "adaptive_tvw", "dtvw")
 
 
-def theta_from_alpha(alpha: np.ndarray) -> np.ndarray:
-    """Squash unconstrained alpha into (-1, 1): 2*(logistic(a) - 1/2)."""
+def theta_from_alpha(alpha: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squash unconstrained alpha into (-1, 1): 2*(logistic(a) - 1/2),
+    written into out when given."""
     alpha = np.asarray(alpha, dtype=float)
     if not np.all(np.isfinite(alpha)):
         raise InputError("alpha must be finite")
-    return np.tanh(alpha / 2.0)
+    return np.tanh(np.divide(alpha, 2.0, out=out), out=out)
 
 
 @dataclass(frozen=True)
@@ -101,7 +109,11 @@ def init_particles(
         raise InputError("need one Generator per point")
     P = len(alpha0)
     shape = (P, n, n_models * n_vars)
-    x = x0_spread * standard_normal(rngs, shape) if x0_spread > 0 else np.zeros(shape)
+    if x0_spread > 0:
+        x = standard_normal(rngs, shape)
+        x *= x0_spread
+    else:
+        x = np.zeros(shape)
     alpha = np.broadcast_to(alpha0[:, None, :], (P, n, 3)).copy()
     omega = np.full((P, n), 1.0 / n)
     return ParticleCloud(x, alpha, omega)
@@ -113,30 +125,39 @@ def propagate_cloud(
     mode: LatentMode,
     cfg: NoiseConfig,
     rngs: Sequence[np.random.Generator],
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ParticleCloud:
-    """One transition of a block of clouds, with one Generator per point
-    (points holding one Generator share its draws); importance weights pass
-    through."""
+    """One transition of a block of clouds, in place, with one Generator per
+    point (points holding one Generator share its draws); returns the cloud.
+
+    The noise, the coefficients and the diversity term are written into
+    scratch, a pair of C-contiguous float arrays shaped like cloud.x and
+    cloud.alpha (allocated when not given), whose contents are then
+    undefined.  Importance weights pass through.  A transition that raises
+    leaves the cloud undefined.
+    """
     dim = cloud.x.shape[-1]
     div = np.asarray(div, dtype=float)
     if mode.uses_diversity and div.shape != (dim,):
         raise InputError(f"diversity vector must have length {dim}")
+    x, alpha = cloud.x, cloud.alpha
+    big, small = scratch or (np.empty(x.shape), np.empty(alpha.shape))
 
-    if mode.tag == "tvw":
-        alpha = cloud.alpha
-        x = cloud.x.copy()
-    else:
-        if mode.tag == "adaptive_tvw":
-            alpha = cloud.alpha.copy()
-            alpha[..., :2] += cfg.sigma_alpha * standard_normal(rngs, (*alpha.shape[:-1], 2))
-        else:
-            alpha = cloud.alpha + cfg.sigma_alpha * standard_normal(rngs, cloud.alpha.shape)
-        theta = theta_from_alpha(alpha)
-        x = theta[..., 0:1] + theta[..., 1:2] * cloud.x
+    if mode.tag != "tvw":
+        # adaptive_tvw's diversity coefficient stays where it started.
+        moving = alpha[..., :2] if mode.tag == "adaptive_tvw" else alpha
+        z = standard_normal(rngs, moving.shape, out=small.reshape(-1)[: moving.size].reshape(moving.shape))
+        z *= cfg.sigma_alpha
+        moving += z
+        theta = theta_from_alpha(alpha, out=small)
+        x *= theta[..., 1:2]
+        x += theta[..., 0:1]
         if mode.uses_diversity:  # adaptive_tvw hard-excludes the diversity term
-            x = x + theta[..., 2:3] * div
-    x += cfg.sigma_x * standard_normal(rngs, x.shape)
-    return ParticleCloud(x, alpha, cloud.omega.copy())
+            x += np.multiply(theta[..., 2:3], div, out=big)
+    z = standard_normal(rngs, x.shape, out=big)
+    z *= cfg.sigma_x
+    x += z
+    return cloud
 
 
 # numpy sums a reduction axis of this many entries or more pairwise.
@@ -162,14 +183,19 @@ def reduce_models(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def cloud_weight_tensor(cloud_x: np.ndarray, n_models: int, n_vars: int) -> np.ndarray:
+def cloud_weight_tensor(
+    cloud_x: np.ndarray, n_models: int, n_vars: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Per-particle weight matrices from latent states.
 
     Input ([P,] N, K*L), output ([P,] N, L, K): softmax over the model axis
-    for each particle and variable.  The max and the sum over the models go
-    through reduce_models: the same bits as a numpy reduction over the last
-    axis, in a fraction of its time for a handful of models.
+    for each particle and variable, written into out when given.  The max
+    and the sum over the models go through reduce_models: the same bits as
+    a numpy reduction over the last axis, in a fraction of its time for a
+    handful of models.
     """
     xm = cloud_x.reshape(*cloud_x.shape[:-1], n_vars, n_models)
-    z = np.exp(xm - reduce_models(np.maximum, xm)[..., None])
-    return z / reduce_models(np.add, z)[..., None]
+    z = np.subtract(xm, reduce_models(np.maximum, xm)[..., None], out=out)
+    np.exp(z, out=z)
+    z /= reduce_models(np.add, z)[..., None]
+    return z

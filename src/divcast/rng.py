@@ -10,7 +10,9 @@ a single run is the block with P = 1.  One Generator object held by several
 points of a block is one stream state shared by them: the kernels draw from
 it once and hand every holder the same numbers, which are what each of
 those points would draw alone.  A draw that only some holders make must
-first move them to their own copy (split_streams).
+first move them to their own copy (split_streams).  standard_normal writes
+into a caller's buffer when given one, so the filter draws its noise into
+per-block scratch.
 """
 
 from __future__ import annotations
@@ -55,14 +57,24 @@ def split_streams(rngs: Sequence[np.random.Generator], mask: np.ndarray) -> list
     return [copies[g] if m and g in copies else g for g, m in zip(rngs, mask)]
 
 
-def standard_normal(rngs: Sequence[np.random.Generator], shape: tuple[int, ...]) -> np.ndarray:
+def standard_normal(
+    rngs: Sequence[np.random.Generator], shape: tuple[int, ...], out: np.ndarray | None = None
+) -> np.ndarray:
     """Standard normals of a (P, ...) block: each point's slab from that
     point's Generator, exactly as it would be drawn for that point alone.
-    Points holding one Generator share one slab, drawn once."""
+    Points holding one Generator share one slab, drawn once into the first
+    holder's slab and copied to the others.  The block is written into out
+    (a C-contiguous float array of that shape) when given, so a caller's
+    scratch buffer takes the draws and nothing of the block's size is
+    allocated."""
     if len(rngs) != shape[0]:
         raise InputError("need one Generator per point")
-    uniq, where = distinct_streams(rngs)
-    out = np.empty((len(uniq), *shape[1:]))
-    for g, slab in zip(uniq, out):
-        g.standard_normal(out=slab)
-    return out if where is None else out[where]
+    out = np.empty(shape) if out is None else out
+    first: dict[np.random.Generator, int] = {}
+    for p, g in enumerate(rngs):
+        if g in first:
+            out[p] = out[first[g]]
+        else:
+            first[g] = p
+            g.standard_normal(out=out[p])
+    return out

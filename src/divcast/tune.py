@@ -33,19 +33,29 @@ from .rng import substream
 Axis = tuple[float, float, float]  # (lo, hi, step)
 
 # Points x particles x latent entries advanced as one block.  Bigger blocks
-# run faster, as their points share more of the random draws, but hold more
-# memory.  On the nonlinear design (T = 100, 250 particles, K*L = 6, 193
-# points; perfbench's grid_nonlinear, median of 10 alternating pairs against
-# one stream copy per point at 12,000 elements; 2-vCPU Xeon, numpy 2.4):
+# run faster, as their points share more of the random draws and pay the
+# per-step overhead once, but hold more memory: a block's filter state and
+# its scratch hold two (points, particles, K*L) arrays and two (points,
+# particles, 3) arrays (see filtering).
+# On the nonlinear design (T = 100, 250 particles, K*L = 6, 193 points;
+# perfbench's grid_nonlinear, median of 10 alternating pairs against the
+# allocating step at 24,000 elements; 2-vCPU Xeon, numpy 2.4):
 #
-#   elements  points  op seconds      peak RSS MB
-#     12,000       8  3.09 -> 2.69    39.26 -> 39.26
-#     18,000      12  3.14 -> 2.56    39.28 -> 39.69
-#     24,000      16  3.18 -> 2.35    39.25 -> 40.16 (+2.3%)
+#   elements  points  op seconds     peak RSS MB
+#     48,000      32  2.28 -> 1.76   40.18 -> 38.64 (-3.8%)
+#     72,000      48  1.10 -> 0.82   40.18 -> 39.54 (-1.6%)
+#     96,000      64  0.99 -> 0.74   40.20 -> 40.42 (+0.5%)
 #
-# Blocks hold 16 points, the largest size measured whose peak RSS stayed
-# within 2.5% of the per-point streams' (the benchmark bounds it at 5%).
-BLOCK_ELEMENTS = 24_000
+# (The shared machine ran faster during the later sizes' pairs, so only the
+# seconds within a row compare.)  Blocks hold 64 points, the largest size
+# measured whose peak RSS stayed within 2.5% of the allocating step's (the
+# benchmark bounds it at 5%).
+BLOCK_ELEMENTS = 96_000
+
+# The most lattice points one stage may hold, far above any useful grid: a
+# larger stage fails validation, before any data is read, rather than
+# failing to allocate its lattice after the data is loaded.
+MAX_STAGE_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -68,21 +78,23 @@ class GridSpec:
             value = getattr(self, key)
             if value is not None and not np.all(np.isfinite(value)):
                 raise InputError(f"{key} must be finite")
+        if self.stage2_margin < 0:
+            raise InputError("stage2_margin must be >= 0")
         for lo, hi, step in self.stage1:
             if step <= 0:
                 raise InputError("grid step must be > 0")
             if lo >= hi:
                 raise InputError("grid lower bound must be below upper bound")
-            _check_count("stage1", lo, hi, step)
+        _check_points("stage1", [_count(*axis) for axis in self.stage1])
         if self.stage2_step is not None:
             if self.stage2_step <= 0:
                 raise InputError("stage2_step must be > 0")
-            # Stage two refines inside stage one's bounds unless given its own.
-            key = "stage2_step" if self.stage2_bounds is None else "stage2_bounds"
-            for lo, hi in self.stage2_bounds or [axis[:2] for axis in self.stage1]:
-                _check_count(key, lo, hi, self.stage2_step)
-        if self.stage2_margin < 0:
-            raise InputError("stage2_margin must be >= 0")
+            if self.stage2_bounds is not None:
+                key, spans = "stage2_bounds", [hi - lo for lo, hi in self.stage2_bounds]
+            else:  # at most stage2_margin coarse cells on each side of the incumbent
+                key = "stage2_step"
+                spans = [min(hi - lo, 2 * self.stage2_margin * step) for lo, hi, step in self.stage1]
+            _check_points(key, [_count(0.0, span, self.stage2_step) for span in spans])
         if self.eval_draws < 2:
             raise InputError("eval_draws must be >= 2 for a CRPS objective")
         if self.grid_particles is not None and self.grid_particles < 1:
@@ -93,9 +105,10 @@ def _count(lo: float, hi: float, step: float) -> float:
     return np.floor((hi - lo) / step + 1e-9) + 1
 
 
-def _check_count(key: str, lo: float, hi: float, step: float) -> None:
-    if _count(lo, hi, step) > np.iinfo(np.intp).max:
-        raise InputError(f"{key} gives more grid points on an axis than can be indexed")
+def _check_points(key: str, counts: list[float]) -> None:
+    counts = np.maximum(counts, 0.0)  # a reversed axis holds no points
+    if counts.max() > MAX_STAGE_POINTS or counts.prod() > MAX_STAGE_POINTS:
+        raise InputError(f"{key} gives more than {MAX_STAGE_POINTS:,} grid points in one stage")
 
 
 def _lattice(lo: float, hi: float, step: float) -> list[float]:

@@ -8,10 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from divcast.core import ConfigError, InputError, NoiseConfig
-from divcast.filtering import run_filter
-from divcast.latent import DTVW, LatentMode, ParticleCloud, propagate_cloud
+from divcast.core import ConfigError, DegeneracyError, InputError, NoiseConfig
+from divcast.filtering import FilterState, _band_stats, effective_sample_size, run_filter, systematic_resample
+from divcast.latent import DTVW, LatentMode, ParticleCloud, propagate_cloud, theta_from_alpha
 from divcast.metrics import crps_series
+from divcast.rng import distinct_streams, split_streams, standard_normal
 
 
 SIMPLEX_TOL = 1e-10
@@ -179,8 +180,9 @@ def propagate_particle(
     cfg: NoiseConfig,
     rng: np.random.Generator,
 ) -> LatentParticle:
-    """Propagate a single particle (the cloud kernel with P = N = 1)."""
-    cloud = ParticleCloud(p.x[None, None], p.alpha[None, None], np.array([[p.omega]]))
+    """Propagate a single particle (the cloud kernel with P = N = 1); p
+    itself is left as it was."""
+    cloud = ParticleCloud(p.x[None, None].copy(), p.alpha[None, None].copy(), np.array([[p.omega]]))
     return particles(propagate_cloud(cloud, div, mode, cfg, [rng]))[0]
 
 
@@ -198,3 +200,93 @@ def crps_objective(obs, panel, point, seed, eval_window=None, variable=None, **f
     y = obs.values[fs.targets[mask] - 1]
     cols = range(obs.n_vars) if variable is None else [variable]
     return float(np.mean([crps_series(fs.draws[mask][:, :, l], y[:, l]).mean() for l in cols]))
+
+
+def propagate_cloud_allocating(cloud, div, mode, cfg, rngs) -> ParticleCloud:
+    """One transition of a block of clouds into new arrays, each term its
+    own temporary: the expressions the in-place kernel reproduces."""
+    if mode.tag == "tvw":
+        alpha = cloud.alpha
+        x = cloud.x.copy()
+    else:
+        if mode.tag == "adaptive_tvw":
+            alpha = cloud.alpha.copy()
+            alpha[..., :2] += cfg.sigma_alpha * standard_normal(rngs, (*alpha.shape[:-1], 2))
+        else:
+            alpha = cloud.alpha + cfg.sigma_alpha * standard_normal(rngs, cloud.alpha.shape)
+        theta = theta_from_alpha(alpha)
+        x = theta[..., 0:1] + theta[..., 1:2] * cloud.x
+        if mode.uses_diversity:
+            x = x + theta[..., 2:3] * div
+    x += cfg.sigma_x * standard_normal(rngs, x.shape)
+    return ParticleCloud(x, alpha, cloud.omega.copy())
+
+
+def step_allocating(pf, state: FilterState, y_t: np.ndarray, summaries: bool = True, bands: bool = True):
+    """ParticleFilter.step written with a new array for every intermediate
+    and numpy's reductions; leaves state untouched and returns a new state
+    and the record."""
+    panel, cfg = pf.panel, pf.cfg
+    K, L = panel.n_models, panel.n_vars
+    t = state.t + 1
+    y_t = np.atleast_1d(np.asarray(y_t, dtype=float))
+    means_t = panel.mean_matrix(t, 1)
+    rngs = state.rng
+    div = pf.diversity_path[t - 1] if pf.mode.uses_diversity else np.zeros(K * L)
+    cloud = propagate_cloud_allocating(state.cloud, div, pf.mode, cfg, rngs)
+    P, n = cloud.omega.shape
+    weights = cloud_weight_tensor_numpy(cloud.x, K, L)
+    omega_prior = cloud.omega / cloud.omega.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        log_prior = np.where(omega_prior > 0, np.log(omega_prior), -np.inf)
+
+    def logpdf(y, mean):
+        r = (y - mean) / cfg.sigma_obs
+        with np.errstate(over="ignore"):
+            return -0.5 * (np.log(2.0 * np.pi * cfg.sigma_obs**2) + r**2)
+
+    record: dict = {}
+    target = t + pf.horizon - 1
+    if target <= panel.n_steps:
+        if summaries:
+            pred_means = combine_cloud_numpy(weights, panel.mean_matrix(target, pf.horizon))
+            record["point"] = (omega_prior[:, None, :] @ pred_means)[:, 0]
+            record["pred_means"] = pred_means
+            record["log_prior"] = log_prior
+        J = pf.n_pred_draws
+        idx = systematic_resample(omega_prior, rngs, n=J)
+        uniq, where = distinct_streams(rngs)
+        d = np.array([g.integers(0, panel.n_draws, size=J) for g in uniq])
+        if where is not None:
+            d = d[where]
+        ysel = panel.draw_block(target, pf.horizon)[:, :, d].transpose(2, 3, 0, 1)
+        comb = np.einsum("pjlk,pjkl->pjl", weights[np.arange(P)[:, None], idx], ysel)
+        record["draws"] = comb + cfg.sigma_obs * standard_normal(rngs, (P, J, L))
+
+    logw = log_prior + logpdf(y_t, combine_cloud_numpy(weights, means_t)).sum(axis=-1)
+    shift = logw.max(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(shift)):
+        raise DegeneracyError(f"all particle likelihoods vanished at t={t}")
+    w = np.exp(logw - shift)
+    total = w.sum(axis=-1, keepdims=True)
+    omega = w / total
+    record["one_step_log_pred"] = (shift + np.log(total))[:, 0]
+    ess = effective_sample_size(omega)
+    record["ess"] = ess
+    resampled = ess < pf.kappa
+    record["resampled"] = resampled
+    x, alpha = cloud.x, cloud.alpha
+    if resampled.any():
+        rngs = split_streams(rngs, resampled)
+        which = np.flatnonzero(resampled)
+        idx = np.tile(np.arange(n), (P, 1))
+        idx[which] = systematic_resample(omega[which], [rngs[p] for p in which])
+        omega[which] = 1.0 / n
+        rows = np.arange(P)[:, None]
+        x, alpha, weights = x[rows, idx], alpha[rows, idx], weights[rows, idx]
+    if bands:
+        for stat, band in zip(("mean", "lo", "hi"), _band_stats(weights.reshape(P, n, L * K), omega)):
+            record[f"weights_{stat}"] = band.reshape(P, L, K).transpose(0, 2, 1)
+        for stat, band in zip(("mean", "lo", "hi"), _band_stats(alpha, omega)):
+            record[f"alpha_{stat}"] = band
+    return FilterState(cloud=ParticleCloud(x, alpha, omega), t=t, rng=rngs), record

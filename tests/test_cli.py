@@ -139,6 +139,8 @@ class TestRun:
             {"method": "dtvw", "extra": "[dtvw]\nx0_spread = -1\n"},
             {"method": "dtvw", "extra": "[dtvw]\nx0_spread = nan\n"},
             {"method": "dtvw", "extra": "[dtvw]\nalpha0 = 0, nan, 1\n"},
+            {"method": "dtvw", "extra": "[gridsearch]\nstage1 = 0, 1e9, 1e-9\n"},
+            {"method": "dtvw", "extra": "[gridsearch]\nstage2_step = 1e-6\n"},
         ],
         ids=[
             "unparsable_int", "one_pred_draw", "baseline_bma_roll_without_window",
@@ -146,7 +148,7 @@ class TestRun:
             "negative_sigma_obs", "zero_sigma_obs", "negative_sigma_x", "nan_sigma_alpha",
             "infinite_stage1", "nan_stage1", "nan_stage2_step", "infinite_stage2_step",
             "nan_stage2_bounds", "unindexable_stage1", "negative_x0_spread", "nan_x0_spread",
-            "nan_alpha0",
+            "nan_alpha0", "huge_stage1", "huge_stage2",
         ],
     )
     def test_config_error_exit_2_before_loading(self, tmp_path, settings):

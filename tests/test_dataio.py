@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from divcast import dataio
 from divcast.core import ConfigError, DataFormatError, ObservationSeries, PredictorPanel
 from divcast.dataio import (
     load_config,
@@ -102,6 +103,58 @@ class TestObservationsIO:
         back = load_observations(path)
         np.testing.assert_array_equal(back.values, obs.values)
         assert back.variable_names == obs.variable_names
+
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "pseudo_empirical")
+ONE_CHUNK = 1 << 30
+
+# Observations with blank lines between records; {bad} is the fifth record,
+# on file line 8.
+BLANK_LINED_OBS = "t,variable,value\n1,a,0.1\n\n1,b,0.2\n2,a,0.3\n\n\n{bad}\n3,a,0.5\n3,b,0.6\n"
+
+
+class TestChunkBoundaries:
+    """read_table parses in chunks of _CHUNK_ROWS rows; where the chunks
+    fall must not change the arrays it returns or the lines its errors
+    name."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "name,columns", [("observations.csv", dataio.OBS_COLUMNS), ("panel.csv", dataio.PANEL_COLUMNS)]
+    )
+    def test_fixture_parses_as_one_chunk(self, monkeypatch, chunk, name, columns):
+        path = os.path.join(FIXTURE, name)
+        monkeypatch.setattr(dataio, "_CHUNK_ROWS", ONE_CHUNK)
+        levels, values, present = dataio.read_table(path, columns)
+        monkeypatch.setattr(dataio, "_CHUNK_ROWS", chunk)
+        got_levels, got_values, got_present = dataio.read_table(path, columns)
+        assert [list(level) for level in got_levels] == [list(level) for level in levels]
+        assert got_values.tobytes() == values.tobytes() and got_values.shape == values.shape
+        np.testing.assert_array_equal(got_present, present)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("2,b", "expected 3 fields"),
+            ("2,b,abc", "non-numeric value 'abc'"),
+            ("2,b,inf", "non-finite value 'inf'"),
+            ("1,b,0.4", "duplicate entry for t=1, variable='b'"),
+            ("0,b,0.4", "indices must be >= 1"),
+        ],
+        ids=["field_count", "non_numeric", "non_finite", "duplicate", "index_below_one"],
+    )
+    def test_error_names_the_same_line(self, tmp_path, monkeypatch, chunk, bad, message):
+        path = tmp_path / "obs.csv"
+        path.write_text(BLANK_LINED_OBS.format(bad=bad))
+        errors = []
+        for rows in (ONE_CHUNK, chunk):
+            monkeypatch.setattr(dataio, "_CHUNK_ROWS", rows)
+            with pytest.raises(DataFormatError) as err:
+                dataio.read_table(str(path), dataio.OBS_COLUMNS)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert errors[1] == f"{path}:8: {message}"
 
 
 class TestPanelIO:

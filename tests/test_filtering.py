@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from divcast.core import (
     PredictorPanel,
     default_sigma_obs,
 )
-from divcast.dgp import SimSpec, gen_complete_ar
+from divcast.dgp import SimSpec, gen_complete_ar, gen_nonlinear_incomplete
 from divcast.diversity import diversity_vector
 from divcast.filtering import (
     ParticleFilter,
@@ -20,9 +22,9 @@ from divcast.filtering import (
     run_filter,
     systematic_resample,
 )
-from divcast.latent import DTVW, TVW
-from divcast.rng import standard_normal, substream
-from oracles import combine_cloud_numpy, gaussian_logpdf_diag
+from divcast.latent import ADAPTIVE_TVW, DTVW, TVW
+from divcast.rng import distinct_streams, standard_normal, substream
+from oracles import combine_cloud_numpy, gaussian_logpdf_diag, step_allocating
 
 
 class TestSystematicResample:
@@ -167,14 +169,15 @@ class TestStep:
     def test_log_predictive_prior_side(self):
         # the recorded predictive must equal logsumexp(log w_prior + loglik),
         # recomputed here by replaying the propagation from a state snapshot
-        from divcast.latent import cloud_weight_tensor, propagate_cloud
+        from divcast.latent import ParticleCloud, cloud_weight_tensor, propagate_cloud
 
         obs, panel = make_problem()
         cfg = NoiseConfig(np.array([0.1]))
         pf = ParticleFilter(panel, TVW, cfg, n_pred_draws=4)
         state = pf.init_state(32, np.zeros(3)[None], 0.5, [substream(1, "filter")])
         for t in range(1, 8):
-            cloud_before = state.cloud  # step builds a new cloud; this one is not mutated
+            # step advances the state's arrays in place, so replay from copies
+            cloud_before = ParticleCloud(state.cloud.x.copy(), state.cloud.alpha.copy(), state.cloud.omega.copy())
             rng_state = state.rng[0].bit_generator.state
             state, rec = pf.step(state, obs.values[t - 1])
 
@@ -224,6 +227,65 @@ class TestStep:
             state, _ = pf.step(state, y)
         with pytest.raises(InputError, match="time index 6 outside 1..5"):
             pf.step(state, obs.values[0])
+
+
+class TestInPlaceStep:
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+    @pytest.mark.parametrize("summaries,bands", [(True, True), (True, False), (False, True), (False, False)])
+    @pytest.mark.parametrize("mode", [TVW, ADAPTIVE_TVW, DTVW], ids=lambda m: m.tag)
+    def test_bitwise_equal_to_allocating_step(self, mode, summaries, bands, shared):
+        obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
+        cfg = NoiseConfig(default_sigma_obs(obs, panel), sigma_x=0.3, sigma_alpha=0.2)
+        pf = ParticleFilter(panel, mode, cfg, horizon=2, kappa=0.9, n_pred_draws=8)
+        alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0], [0.5, 0.0, 0.0], [0.0, 8.0, 8.0]])
+
+        def streams():
+            if shared:
+                return [substream(3, "filter")] * len(alpha0)
+            return [substream(3, "filter", p) for p in range(len(alpha0))]
+
+        state = pf.init_state(40, alpha0, 0.5, streams())
+        ref = pf.init_state(40, alpha0, 0.5, streams())
+        some_resample = False
+        for t, y in enumerate(obs.values, start=1):
+            ref, expected = step_allocating(pf, ref, y, summaries, bands)
+            state, got = pf.step(state, y, summaries, bands)
+            assert got.keys() == expected.keys()
+            for key, value in expected.items():
+                assert got[key].shape == value.shape and got[key].tobytes() == value.tobytes(), (t, key)
+            for name in ("x", "alpha", "omega"):
+                assert getattr(state.cloud, name).tobytes() == getattr(ref.cloud, name).tobytes(), (t, name)
+            assert state.t == ref.t == t
+            assert [g.bit_generator.state for g in state.rng] == [g.bit_generator.state for g in ref.rng]
+            got_where, expected_where = distinct_streams(state.rng)[1], distinct_streams(ref.rng)[1]
+            assert (got_where is None) == (expected_where is None)
+            if got_where is not None:
+                np.testing.assert_array_equal(got_where, expected_where)
+            some_resample |= 0 < got["resampled"].sum() < len(alpha0)
+        # Some steps resample some points and not others; tvw ignores alpha0,
+        # so its points on one stream move as one.
+        assert some_resample != (mode == TVW and shared)
+
+    def test_run_block_working_set(self):
+        # F is one (P, N, K*L) float array.  The state and its scratch hold
+        # 3 F; the records of 100 steps, 0.67 F of draws and their small
+        # entries, add about 1 F, and a step's temporaries stay below 1 F.
+        obs, panel = gen_nonlinear_incomplete(SimSpec(design="nonlinear_incomplete", T=100, seed=1, n_pred_draws=10))
+        assert panel.n_models * panel.n_vars == 6
+        pf = ParticleFilter(panel, DTVW, NoiseConfig(default_sigma_obs(obs, panel)), n_pred_draws=10)
+        pf.diversity_path  # built once per filter, outside the traced run
+        P, N = 64, 250
+        axis = np.linspace(-10.0, 10.0, 8)
+        alpha0 = np.column_stack([np.zeros(P), np.repeat(axis, 8), np.tile(axis, 8)])
+        F = P * N * 6 * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            pf.run_block(obs, N, alpha0, [substream(0, "filter")] * P, summaries=False, bands=False)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * F, f"run_block peaked {peak / F:.2f} F above its start"
 
 
 class TestDeterministicLimit:

@@ -142,6 +142,19 @@ class TestGridSearch:
         with pytest.raises(InputError):
             GridSpec(eval_draws=1)
 
+    def test_stage_point_limit(self):
+        # 1,000 x 1,000 points is the most a stage may hold
+        GridSpec(stage1=((0, 999, 1.0), (0, 999, 1.0)), stage2_step=None)
+        with pytest.raises(InputError, match="stage1 gives more than 1,000,000 grid points"):
+            GridSpec(stage1=((0, 1000, 1.0), (0, 999, 1.0)), stage2_step=None)
+        # stage two refines stage2_margin coarse cells on each side of the
+        # incumbent: 801 points an axis at margin 1, 1,601 at margin 2
+        GridSpec(stage1=((-100, 100, 2.0),) * 2, stage2_step=0.005, stage2_margin=1)
+        with pytest.raises(InputError, match="stage2_step gives more than"):
+            GridSpec(stage1=((-100, 100, 2.0),) * 2, stage2_step=0.005, stage2_margin=2)
+        with pytest.raises(InputError, match="stage2_bounds gives more than"):
+            GridSpec(stage2_step=0.001, stage2_bounds=((0.0, 1.0), (0.0, 1.0)))
+
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "pseudo_empirical")
 POINTS = np.array([(a1, a2) for a1 in (-6.0, 0.0, 4.0) for a2 in (-3.0, 0.0, 7.5)])
