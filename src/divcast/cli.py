@@ -40,6 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a configured combination experiment")
     run.add_argument("--config", required=True)
+    run.add_argument("--method", default=None)
     _add_overrides(run)
 
     grid = sub.add_parser("gridsearch", help="search the latent initialization")
@@ -66,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_overrides(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--method", default=None)
     cmd.add_argument("--seed", type=int, default=None)
     cmd.add_argument("--n-particles", type=int, default=None)
     cmd.add_argument("--horizons", default=None, help="comma-separated horizon list")
@@ -75,9 +75,9 @@ def _add_overrides(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--out-dir", default=None)
 
 
-def _overrides(args: argparse.Namespace) -> dict:
+def _overrides(args: argparse.Namespace, method: str | None) -> dict:
     over = {
-        "method": args.method,
+        "method": method,
         "seed": args.seed,
         "n_particles": args.n_particles,
         "observations": args.observations,
@@ -109,7 +109,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg, _ = load_config(args.config, _overrides(args))
+    cfg, _ = load_config(args.config, _overrides(args, args.method))
     obs = load_observations(cfg.observations)
     panel = load_panel(cfg.panel)
     paths = run_experiment(cfg, obs, panel)
@@ -119,7 +119,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gridsearch(args) -> int:
-    cfg, grid = load_config(args.config, _overrides(args))
+    # The search always tunes dtvw, so the [dtvw] section applies.
+    cfg, grid = load_config(args.config, _overrides(args, "dtvw"))
     obs = load_observations(cfg.observations)
     panel = load_panel(cfg.panel)
     best, surface = run_grid_search(cfg, grid, obs, panel)

@@ -276,6 +276,8 @@ class RunConfig:
             raise ConfigError("n_particles must be >= 1")
         if any(h < 1 for h in self.horizons) or not self.horizons:
             raise ConfigError("horizons must be a non-empty list of positive integers")
+        if len(set(self.horizons)) < len(self.horizons):
+            raise ConfigError(f"horizons must not repeat, got {', '.join(map(str, self.horizons))}")
         if len(self.alpha0) != 3:
             raise ConfigError("alpha0 must have three components")
         if not np.all(np.isfinite(self.alpha0)):

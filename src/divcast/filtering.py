@@ -8,20 +8,16 @@ threshold.  Forecasts emitted at step t target time t+h-1: they pair the
 prior-side particle weights (information through t-1) with the panel's
 horizon-h cell for that target, so every emitted forecast is out-of-sample.
 
-The filter advances a block of P points: every cloud array is (P, N, ...),
-every point draws from its random stream exactly what a run of that point
-alone would, and every record entry carries the point axis.  Every random
-kernel takes one Generator per point.  A single run is the block with P = 1;
-the grid search advances many lattice points at once.
+The filter advances a block of P points: every cloud array is (P, N, ...)
+and every record entry carries the point axis.  A single run is the block
+with P = 1; the grid search advances many lattice points at once.
 
-One Generator object held by several points is one stream state: the
-kernels draw from it once for all of them.  Within a step every point makes
-the same draws in the same sizes, except the resampling offset, which only
-the resampling points draw; the step first moves those to their own copy of
-a stream they share with others (rng.split_streams).  A point's stream
-state after step t is therefore a function of its resample flags alone, and
-the grid's common random numbers stay one stream until resampling splits
-them.
+Every step makes the same draws whatever the data: the coefficient noise,
+the latent noise, the predictive picks' offset, the panel-draw indices and
+the observation noise, then the resampling offset, which is drawn whether
+or not any point resamples.  So the points of a block share one Generator:
+each draw is made once, at one point's shape, and applies to every point,
+and each point gets exactly the numbers it would get in a run alone.
 
 The panel is frozen, so each filter builds its diversity path, the vector
 for every step t, once, on its first step, and every block it runs reads
@@ -38,7 +34,6 @@ operand order of the allocating expressions, so every result keeps its bits.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -63,27 +58,23 @@ from .latent import (
     propagate_cloud,
     reduce_models,
 )
-from .rng import distinct_streams, split_streams, standard_normal, substream
+from .rng import substream
 
 BAND_LO = 0.025
 BAND_HI = 0.975
 
 
-def systematic_resample(
-    weights: np.ndarray, rngs: Sequence[np.random.Generator] | np.random.Generator, n: int | None = None
-) -> np.ndarray:
+def systematic_resample(weights: np.ndarray, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Systematic (single-offset stratified) resampling of each row of a
-    (P, N) block of weight vectors, one Generator per row; rows holding one
-    Generator share one offset.
+    (P, N) block of weight vectors, every row with the same offset.
 
     Returns (P, n) index choices (default n: N), row p with expected
     multiplicity n*w[p, i] and total variance below one per index.  A single
-    (N,) vector with one Generator is the one-row block and returns (n,)
-    choices.
+    (N,) vector is the one-row block and returns (n,) choices.
     """
     w = np.asarray(weights, dtype=float)
     if single := w.ndim == 1:
-        w, rngs = w[None], [rngs]
+        w = w[None]
     if w.ndim != 2:
         raise InputError("weights must be a vector or a (P, N) block")
     if np.any(w < -1e-12):
@@ -91,26 +82,29 @@ def systematic_resample(
     sums = w.sum(axis=-1)
     if np.any(bad := np.abs(sums - 1.0) > 1e-8):
         raise InputError(f"weights sum to {sums[bad][0]:.6g}, expected 1")
-    if len(rngs) != len(w):
-        raise InputError("need one Generator per point")
-    idx = _resample_indices(w, rngs, w.shape[-1] if n is None else int(n))
+    idx = _resample_indices(w, rng.random(), w.shape[-1] if n is None else int(n))
     return idx[0] if single else idx
 
 
-def _resample_indices(w: np.ndarray, rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
+def _resample_indices(w: np.ndarray, offset: float, n: int) -> np.ndarray:
     """systematic_resample's (P, n) choices for a (P, N) block of weight
-    rows already known to be normalized, with one Generator per row;
-    nothing is checked."""
-    uniq, where = distinct_streams(rngs)
-    offset = np.array([g.random() for g in uniq])
-    offset = (offset if where is None else offset[where])[:, None]
+    rows already known to be normalized, every row with the given offset;
+    nothing is checked.
+
+    Choice j of a row counts its cumulative weights at or below the
+    position (j + offset) / n.  The positions are the same for every row,
+    so one search finds, for each cumulative weight, the first position it
+    does not exceed, and a per-row histogram of those finds every count."""
+    P, N = w.shape
     cum = np.cumsum(w, axis=-1)
-    cum[:, -1] = 1.0  # guard accumulated rounding
-    idx = np.empty((len(w), n), dtype=np.intp)
-    steps = np.arange(n)
-    for c, o, row in zip(cum, offset[:, 0], idx):
-        row[:] = c.searchsorted((steps + o) / n, side="right")
-    return np.minimum(idx, w.shape[-1] - 1, out=idx)
+    # Guard accumulated rounding: each row rises to exactly 1.
+    np.minimum(cum, 1.0, out=cum)
+    cum[:, -1] = 1.0
+    first = np.searchsorted((np.arange(n) + offset) / n, cum)
+    first += (n + 1) * np.arange(P)[:, None]
+    counts = np.bincount(first.ravel(), minlength=P * (n + 1)).reshape(P, n + 1)
+    idx = np.cumsum(counts[:, :n], axis=-1)
+    return np.minimum(idx, N - 1, out=idx)
 
 
 def effective_sample_size(omega: np.ndarray) -> float | np.ndarray:
@@ -192,8 +186,7 @@ def _gather(a: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None) -> np
 class FilterState:
     """Mutable filter position of a block of P points: the cloud, whose
     arrays are (P, N, ...), the time index of the last processed
-    observation, and one Generator per point.  Points holding one Generator
-    object are in one stream state.
+    observation, and the Generator the points share.
 
     step advances the state in place.  Its scratch, one array shaped like
     the cloud's x and one like its alpha, made with the state, holds the
@@ -202,7 +195,7 @@ class FilterState:
 
     cloud: ParticleCloud
     t: int
-    rng: Sequence[np.random.Generator]
+    rng: np.random.Generator
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -282,15 +275,12 @@ class ParticleFilter:
         n_particles: int,
         alpha0: np.ndarray,
         x0_spread: float,
-        rngs: Sequence[np.random.Generator],
+        rng: np.random.Generator,
     ) -> FilterState:
         """Initial state of a block: point p starts from alpha0[p] (a (P, 3)
-        array) with Generator rngs[p], which it may share with other
-        points."""
-        cloud = init_particles(
-            n_particles, self.panel.n_models, self.panel.n_vars, alpha0, x0_spread, rngs
-        )
-        return FilterState(cloud=cloud, t=0, rng=rngs)
+        array), and every point draws from rng."""
+        cloud = init_particles(n_particles, self.panel.n_models, self.panel.n_vars, alpha0, x0_spread, rng)
+        return FilterState(cloud=cloud, t=0, rng=rng)
 
     def step(
         self, state: FilterState, y_t: np.ndarray, summaries: bool = True, bands: bool = True
@@ -302,13 +292,9 @@ class ParticleFilter:
 
         The propagation's temporaries and, unless bands are kept, the
         weight tensor live in the state's scratch, so a step allocates
-        nothing of the cloud's size.  Every point draws exactly what it
-        would draw alone.  Before the resampling draw, the resampling points
-        are split off the streams they share with points that do not
-        resample; the state then holds the split list.  summaries=False
-        skips the forecast's point, particle means and log prior weights;
-        bands=False skips the weight and coefficient bands.  Neither draws
-        from the random streams.
+        nothing of the cloud's size.  summaries=False skips the forecast's
+        point, particle means and log prior weights; bands=False skips the
+        weight and coefficient bands.  Neither changes the draws.
         """
         panel, cfg = self.panel, self.cfg
         K, L = panel.n_models, panel.n_vars
@@ -320,9 +306,9 @@ class ParticleFilter:
             raise InputError(f"observation at t={t} is not finite")
 
         means_t = panel.mean_matrix(t, 1)  # rejects a t past the panel's end
-        rngs, cloud = state.rng, state.cloud
+        rng, cloud = state.rng, state.cloud
         div = self.diversity_path[t - 1] if self.mode.uses_diversity else np.zeros(K * L)
-        propagate_cloud(cloud, div, self.mode, cfg, rngs, state.scratch)
+        propagate_cloud(cloud, div, self.mode, cfg, rng, state.scratch)
         P, n = cloud.omega.shape
         # The bands read the weights after resampling, so only they keep a
         # buffer of their own; otherwise the weights die before resampling.
@@ -341,7 +327,7 @@ class ParticleFilter:
                 record["point"] = (omega_prior[:, None, :] @ pred_means)[:, 0]
                 record["pred_means"] = pred_means
                 record["log_prior"] = log_prior
-            record["draws"] = self._predictive_draws(weights, omega_prior, target, rngs)
+            record["draws"] = self._predictive_draws(weights, omega_prior, target, rng)
 
         # One-step likelihood update (log-space, max-shifted), each array
         # rewritten in place.
@@ -365,16 +351,17 @@ class ParticleFilter:
         record["one_step_log_pred"] = (shift + np.log(total))[:, 0]
         del logw, log_prior  # free them before resampling (the record may keep log_prior)
 
-        # Resample, per point, the points whose ESS fell below the threshold.
+        # Resample the points whose ESS fell below the threshold.  The offset
+        # is drawn whether or not any point resamples.
         ess = effective_sample_size(omega)
         record["ess"] = ess
         resampled = ess < self.kappa
         record["resampled"] = resampled
+        offset = rng.random()
         if resampled.any():
-            rngs = split_streams(rngs, resampled)
             which = np.flatnonzero(resampled)
             idx = np.tile(np.arange(n), (P, 1))
-            idx[which] = _resample_indices(omega[which], [rngs[p] for p in which], n)
+            idx[which] = _resample_indices(omega[which], offset, n)
             omega[which] = 1.0 / n
             if bands:
                 weights = _gather(weights, idx)
@@ -387,7 +374,7 @@ class ParticleFilter:
                 record[f"weights_{stat}"] = band.reshape(P, L, K).transpose(0, 2, 1)
             for stat, band in zip(("mean", "lo", "hi"), _band_stats(cloud.alpha, omega)):
                 record[f"alpha_{stat}"] = band
-        state.t, state.rng = t, rngs
+        state.t = t
         return state, record
 
     def _predictive_draws(
@@ -395,23 +382,19 @@ class ParticleFilter:
         weights: np.ndarray,
         omega_prior: np.ndarray,
         target: int,
-        rngs: Sequence[np.random.Generator],
+        rng: np.random.Generator,
     ) -> np.ndarray:
         """Sample each point's combined predictive mixture: pick particles by
         their prior weights, one panel draw per pick, plus observation noise.
-        Returns (P, J, L).  The picks of the panel draws depend on the
-        target alone, so points holding one Generator share them."""
+        Returns (P, J, L); the picks' offset, the panel draws and the noise
+        are the same for every point."""
         J, L = self.n_pred_draws, self.panel.n_vars
-        P = len(rngs)
-        idx = _resample_indices(omega_prior, rngs, J)  # (P, J)
-        uniq, where = distinct_streams(rngs)
-        d = np.array([g.integers(0, self.panel.n_draws, size=J) for g in uniq])
-        if where is not None:
-            d = d[where]
-        block = self.panel.draw_block(target, self.horizon)  # (K, L, D)
-        ysel = block[:, :, d].transpose(2, 3, 0, 1)  # (P, J, K, L)
-        comb = np.einsum("pjlk,pjkl->pjl", _gather(weights, idx), ysel)
-        return comb + self.cfg.sigma_obs * standard_normal(rngs, (P, J, L))
+        idx = _resample_indices(omega_prior, rng.random(), J)  # (P, J)
+        d = rng.integers(0, self.panel.n_draws, size=J)
+        ysel = self.panel.draw_block(target, self.horizon)[:, :, d].transpose(2, 0, 1)  # (J, K, L)
+        comb = np.einsum("pjlk,jkl->pjl", _gather(weights, idx), ysel)
+        comb += self.cfg.sigma_obs * rng.standard_normal((J, L))
+        return comb
 
     def run(
         self,
@@ -424,23 +407,22 @@ class ParticleFilter:
     ) -> FilterOutput:
         """Filter one point: the block run with P = 1."""
         alpha0 = np.asarray(alpha0, dtype=float)
-        return self.run_block(obs, n_particles, alpha0[None], (rng,), x0_spread, bands=bands)[0]
+        return self.run_block(obs, n_particles, alpha0[None], rng, x0_spread, bands=bands)[0]
 
     def run_block(
         self,
         obs: ObservationSeries,
         n_particles: int,
         alpha0: np.ndarray,
-        rngs: Sequence[np.random.Generator],
+        rng: np.random.Generator,
         x0_spread: float = 0.0,
         summaries: bool = True,
         bands: bool = True,
     ) -> list[FilterOutput]:
         """Filter a block of P points at once, point p starting from
-        alpha0[p] (a (P, 3) array) with Generator rngs[p]; returns one output
-        per point, each equal to that point's run alone.  Points may share
-        one Generator object: they then start from one stream state, as if
-        each held its own copy.  Any point's failure raises for the whole
+        alpha0[p] (a (P, 3) array), every point drawing from rng; returns one
+        output per point, each equal to that point's run alone with a
+        Generator in rng's state.  Any point's failure raises for the whole
         block.
 
         Steps 1..S, S = T - h + 1, emit the forecasts of targets h..T.  Their
@@ -457,7 +439,7 @@ class ParticleFilter:
         if T < h:
             raise InputError(f"horizon {h} leaves no forecast target among {T} observations")
 
-        state = self.init_state(n_particles, alpha0, x0_spread, rngs)
+        state = self.init_state(n_particles, alpha0, x0_spread, rng)
         records = []
         for y_t in obs.values:
             state, record = self.step(state, y_t, summaries, bands)
@@ -488,7 +470,7 @@ class ParticleFilter:
                     h, targets, at("point", p), at("log_pred", p), at("log_pred_marginal", p), out["draws"][p]
                 ),
             )
-            for p in range(len(rngs))
+            for p in range(len(alpha0))
         ]
 
 

@@ -14,10 +14,10 @@ Three schemes share one propagation kernel:
 Coefficients are kept in (-1, 1) by th_i = tanh(alpha_i / 2), where alpha
 follows a Gaussian random walk.
 
-Clouds are blocks: every array carries a leading axis of P points, and each
-point draws from its Generator exactly what it would draw alone; points
-holding one Generator object are in one stream state and share its draws.
-One point's cloud is the block with P = 1.
+Clouds are blocks: every array carries a leading axis of P points that
+share one Generator.  Each draw is made once at one point's shape and
+broadcast over the points, so every point moves exactly as it would alone
+with that Generator.  One point's cloud is the block with P = 1.
 
 The kernels write into the buffers they are given: propagate_cloud advances
 a cloud's arrays in place, with its temporaries in a scratch pair, and
@@ -29,13 +29,11 @@ expressions.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConfigError, InputError, NoiseConfig
-from .rng import standard_normal
 
 MODE_TAGS = ("tvw", "adaptive_tvw", "dtvw")
 
@@ -94,26 +92,21 @@ def init_particles(
     n_vars: int,
     alpha0: np.ndarray,
     x0_spread: float,
-    rngs: Sequence[np.random.Generator],
+    rng: np.random.Generator,
 ) -> ParticleCloud:
     """Draw the initial block cloud: point p starts from alpha0[p] (a (P, 3)
-    array) with Generator rngs[p] (points holding one Generator share its
-    draws); x ~ N(0, x0_spread^2 I) (zero spread gives all-equal initial
-    weights), alpha set to alpha0 exactly, omega = 1/n."""
+    array), and every point from the same x ~ N(0, x0_spread^2 I) (zero
+    spread gives all-equal initial weights); alpha set to alpha0 exactly,
+    omega = 1/n."""
     if n < 1:
         raise InputError("need at least one particle")
     alpha0 = np.asarray(alpha0, dtype=float)
     if alpha0.ndim != 2 or alpha0.shape[-1] != 3:
         raise InputError("alpha0 must be a (P, 3) array")
-    if len(rngs) != len(alpha0):
-        raise InputError("need one Generator per point")
     P = len(alpha0)
-    shape = (P, n, n_models * n_vars)
+    x = np.zeros((P, n, n_models * n_vars))
     if x0_spread > 0:
-        x = standard_normal(rngs, shape)
-        x *= x0_spread
-    else:
-        x = np.zeros(shape)
+        x[:] = x0_spread * rng.standard_normal(x.shape[1:])
     alpha = np.broadcast_to(alpha0[:, None, :], (P, n, 3)).copy()
     omega = np.full((P, n), 1.0 / n)
     return ParticleCloud(x, alpha, omega)
@@ -124,11 +117,12 @@ def propagate_cloud(
     div: np.ndarray,
     mode: LatentMode,
     cfg: NoiseConfig,
-    rngs: Sequence[np.random.Generator],
+    rng: np.random.Generator,
     scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ParticleCloud:
-    """One transition of a block of clouds, in place, with one Generator per
-    point (points holding one Generator share its draws); returns the cloud.
+    """One transition of a block of clouds, in place; returns the cloud.
+    Each noise term is drawn once at one point's (N, .) shape and added to
+    every point.
 
     The noise, the coefficients and the diversity term are written into
     scratch, a pair of C-contiguous float arrays shaped like cloud.x and
@@ -136,7 +130,7 @@ def propagate_cloud(
     undefined.  Importance weights pass through.  A transition that raises
     leaves the cloud undefined.
     """
-    dim = cloud.x.shape[-1]
+    n, dim = cloud.x.shape[1:]
     div = np.asarray(div, dtype=float)
     if mode.uses_diversity and div.shape != (dim,):
         raise InputError(f"diversity vector must have length {dim}")
@@ -146,7 +140,8 @@ def propagate_cloud(
     if mode.tag != "tvw":
         # adaptive_tvw's diversity coefficient stays where it started.
         moving = alpha[..., :2] if mode.tag == "adaptive_tvw" else alpha
-        z = standard_normal(rngs, moving.shape, out=small.reshape(-1)[: moving.size].reshape(moving.shape))
+        m = moving.shape[-1]
+        z = rng.standard_normal(out=small.reshape(-1)[: n * m].reshape(n, m))
         z *= cfg.sigma_alpha
         moving += z
         theta = theta_from_alpha(alpha, out=small)
@@ -154,7 +149,7 @@ def propagate_cloud(
         x += theta[..., 0:1]
         if mode.uses_diversity:  # adaptive_tvw hard-excludes the diversity term
             x += np.multiply(theta[..., 2:3], div, out=big)
-    z = standard_normal(rngs, x.shape, out=big)
+    z = rng.standard_normal(out=big[0])
     z *= cfg.sigma_x
     x += z
     return cloud

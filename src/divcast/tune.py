@@ -10,12 +10,11 @@ L1 norm first, then lexicographic).
 
 The CRPS objective advances the lattice points in blocks, one particle
 cloud per point stacked along a leading axis, so the per-step interpreter
-overhead is paid once per block rather than once per point.  A block's
-points hold one Generator object, the same stream for every point, so each
-draw is made once for all points in the same stream state; a point that
-resamples where others do not moves to its own copy first (see filtering).
-Every point draws exactly what a run of that point alone would: the surface
-does not depend on the block size.
+overhead is paid once per block rather than once per point.  Every block
+draws from its own substream(seed, "filter"), the stream a run of one point
+alone draws from, and the filter's draws do not depend on the data (see
+filtering), so every point gets exactly the numbers that run would: the
+surface does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 from .core import InputError, NoiseConfig, ObservationSeries, PredictorPanel, default_sigma_obs
 from .filtering import ParticleFilter
 from .latent import DTVW
-from .metrics import crps_series
+from .metrics import _eval_mask, crps_series
 from .rng import substream
 
 Axis = tuple[float, float, float]  # (lo, hi, step)
@@ -202,18 +201,17 @@ def make_crps_runner(
     cols = range(obs.n_vars) if variable is None else [variable]
 
     def score(fs) -> float:
-        mask = np.ones(len(fs.targets), dtype=bool)
-        if eval_window is not None:
-            mask = (fs.targets >= eval_window[0]) & (fs.targets <= eval_window[1])
+        mask = _eval_mask(fs.targets, eval_window)
         y = obs.values[fs.targets[mask] - 1]
         per_var = [crps_series(fs.draws[mask][:, :, l], y[:, l]).mean() for l in cols]
         return float(np.mean(per_var))
 
     def run_points(points: np.ndarray, seed: int) -> list[float]:
         alpha0 = np.column_stack([np.zeros(len(points)), points])
-        rngs = [substream(seed, "filter")] * len(points)
         try:
-            outs = pf.run_block(obs, n_particles, alpha0, rngs, x0_spread=x0_spread, summaries=False, bands=False)
+            outs = pf.run_block(
+                obs, n_particles, alpha0, substream(seed, "filter"), x0_spread=x0_spread, summaries=False, bands=False
+            )
         except (RuntimeError, InputError):
             if len(points) == 1:
                 return [np.inf]

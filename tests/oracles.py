@@ -9,10 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from divcast.core import ConfigError, DegeneracyError, InputError, NoiseConfig
-from divcast.filtering import FilterState, _band_stats, effective_sample_size, run_filter, systematic_resample
+from divcast.filtering import FilterState, _band_stats, effective_sample_size, run_filter
 from divcast.latent import DTVW, LatentMode, ParticleCloud, propagate_cloud, theta_from_alpha
 from divcast.metrics import crps_series
-from divcast.rng import distinct_streams, split_streams, standard_normal
 
 
 SIMPLEX_TOL = 1e-10
@@ -183,7 +182,7 @@ def propagate_particle(
     """Propagate a single particle (the cloud kernel with P = N = 1); p
     itself is left as it was."""
     cloud = ParticleCloud(p.x[None, None].copy(), p.alpha[None, None].copy(), np.array([[p.omega]]))
-    return particles(propagate_cloud(cloud, div, mode, cfg, [rng]))[0]
+    return particles(propagate_cloud(cloud, div, mode, cfg, rng))[0]
 
 
 def crps_objective(obs, panel, point, seed, eval_window=None, variable=None, **filter_kw) -> float:
@@ -202,38 +201,52 @@ def crps_objective(obs, panel, point, seed, eval_window=None, variable=None, **f
     return float(np.mean([crps_series(fs.draws[mask][:, :, l], y[:, l]).mean() for l in cols]))
 
 
-def propagate_cloud_allocating(cloud, div, mode, cfg, rngs) -> ParticleCloud:
+def systematic_indices(w: np.ndarray, offset: float, n: int) -> np.ndarray:
+    """Systematic choices of a (P, N) block of weight rows with one offset,
+    one binary search per row."""
+    positions = (np.arange(n) + offset) / n
+    idx = np.empty((len(w), n), dtype=np.intp)
+    for row, out in zip(w, idx):
+        cum = np.minimum(np.cumsum(row), 1.0)
+        cum[-1] = 1.0
+        out[:] = np.minimum(cum.searchsorted(positions, side="right"), len(row) - 1)
+    return idx
+
+
+def propagate_cloud_allocating(cloud, div, mode, cfg, rng) -> ParticleCloud:
     """One transition of a block of clouds into new arrays, each term its
-    own temporary: the expressions the in-place kernel reproduces."""
+    own temporary: the expressions the in-place kernel reproduces.  Each
+    noise term is drawn at one point's shape and broadcast over the points."""
+    n, dim = cloud.x.shape[1:]
     if mode.tag == "tvw":
         alpha = cloud.alpha
         x = cloud.x.copy()
     else:
         if mode.tag == "adaptive_tvw":
             alpha = cloud.alpha.copy()
-            alpha[..., :2] += cfg.sigma_alpha * standard_normal(rngs, (*alpha.shape[:-1], 2))
+            alpha[..., :2] += cfg.sigma_alpha * rng.standard_normal((n, 2))
         else:
-            alpha = cloud.alpha + cfg.sigma_alpha * standard_normal(rngs, cloud.alpha.shape)
+            alpha = cloud.alpha + cfg.sigma_alpha * rng.standard_normal((n, 3))
         theta = theta_from_alpha(alpha)
         x = theta[..., 0:1] + theta[..., 1:2] * cloud.x
         if mode.uses_diversity:
             x = x + theta[..., 2:3] * div
-    x += cfg.sigma_x * standard_normal(rngs, x.shape)
+    x += cfg.sigma_x * rng.standard_normal((n, dim))
     return ParticleCloud(x, alpha, cloud.omega.copy())
 
 
 def step_allocating(pf, state: FilterState, y_t: np.ndarray, summaries: bool = True, bands: bool = True):
     """ParticleFilter.step written with a new array for every intermediate
-    and numpy's reductions; leaves state untouched and returns a new state
-    and the record."""
+    and numpy's reductions; leaves state untouched (but for its Generator,
+    which it advances) and returns a new state and the record."""
     panel, cfg = pf.panel, pf.cfg
     K, L = panel.n_models, panel.n_vars
     t = state.t + 1
     y_t = np.atleast_1d(np.asarray(y_t, dtype=float))
     means_t = panel.mean_matrix(t, 1)
-    rngs = state.rng
+    rng = state.rng
     div = pf.diversity_path[t - 1] if pf.mode.uses_diversity else np.zeros(K * L)
-    cloud = propagate_cloud_allocating(state.cloud, div, pf.mode, cfg, rngs)
+    cloud = propagate_cloud_allocating(state.cloud, div, pf.mode, cfg, rng)
     P, n = cloud.omega.shape
     weights = cloud_weight_tensor_numpy(cloud.x, K, L)
     omega_prior = cloud.omega / cloud.omega.sum(axis=-1, keepdims=True)
@@ -254,14 +267,11 @@ def step_allocating(pf, state: FilterState, y_t: np.ndarray, summaries: bool = T
             record["pred_means"] = pred_means
             record["log_prior"] = log_prior
         J = pf.n_pred_draws
-        idx = systematic_resample(omega_prior, rngs, n=J)
-        uniq, where = distinct_streams(rngs)
-        d = np.array([g.integers(0, panel.n_draws, size=J) for g in uniq])
-        if where is not None:
-            d = d[where]
-        ysel = panel.draw_block(target, pf.horizon)[:, :, d].transpose(2, 3, 0, 1)
+        idx = systematic_indices(omega_prior, rng.random(), J)
+        d = rng.integers(0, panel.n_draws, size=J)
+        ysel = np.broadcast_to(panel.draw_block(target, pf.horizon)[:, :, d].transpose(2, 0, 1), (P, J, K, L))
         comb = np.einsum("pjlk,pjkl->pjl", weights[np.arange(P)[:, None], idx], ysel)
-        record["draws"] = comb + cfg.sigma_obs * standard_normal(rngs, (P, J, L))
+        record["draws"] = comb + cfg.sigma_obs * rng.standard_normal((J, L))
 
     logw = log_prior + logpdf(y_t, combine_cloud_numpy(weights, means_t)).sum(axis=-1)
     shift = logw.max(axis=-1, keepdims=True)
@@ -276,11 +286,11 @@ def step_allocating(pf, state: FilterState, y_t: np.ndarray, summaries: bool = T
     resampled = ess < pf.kappa
     record["resampled"] = resampled
     x, alpha = cloud.x, cloud.alpha
+    offset = rng.random()  # drawn on every step
     if resampled.any():
-        rngs = split_streams(rngs, resampled)
         which = np.flatnonzero(resampled)
         idx = np.tile(np.arange(n), (P, 1))
-        idx[which] = systematic_resample(omega[which], [rngs[p] for p in which])
+        idx[which] = systematic_indices(omega[which], offset, n)
         omega[which] = 1.0 / n
         rows = np.arange(P)[:, None]
         x, alpha, weights = x[rows, idx], alpha[rows, idx], weights[rows, idx]
@@ -289,4 +299,4 @@ def step_allocating(pf, state: FilterState, y_t: np.ndarray, summaries: bool = T
             record[f"weights_{stat}"] = band.reshape(P, L, K).transpose(0, 2, 1)
         for stat, band in zip(("mean", "lo", "hi"), _band_stats(alpha, omega)):
             record[f"alpha_{stat}"] = band
-    return FilterState(cloud=ParticleCloud(x, alpha, omega), t=t, rng=rngs), record
+    return FilterState(cloud=ParticleCloud(x, alpha, omega), t=t, rng=rng), record

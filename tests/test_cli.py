@@ -141,6 +141,8 @@ class TestRun:
             {"method": "dtvw", "extra": "[dtvw]\nalpha0 = 0, nan, 1\n"},
             {"method": "dtvw", "extra": "[gridsearch]\nstage1 = 0, 1e9, 1e-9\n"},
             {"method": "dtvw", "extra": "[gridsearch]\nstage2_step = 1e-6\n"},
+            {"method": "dtvw", "horizons": "1,1"},
+            {"method": "dtvw", "horizons": "1, 3, 1"},
         ],
         ids=[
             "unparsable_int", "one_pred_draw", "baseline_bma_roll_without_window",
@@ -148,7 +150,7 @@ class TestRun:
             "negative_sigma_obs", "zero_sigma_obs", "negative_sigma_x", "nan_sigma_alpha",
             "infinite_stage1", "nan_stage1", "nan_stage2_step", "infinite_stage2_step",
             "nan_stage2_bounds", "unindexable_stage1", "negative_x0_spread", "nan_x0_spread",
-            "nan_alpha0", "huge_stage1", "huge_stage2",
+            "nan_alpha0", "huge_stage1", "huge_stage2", "repeated_horizon", "horizon_repeated_later",
         ],
     )
     def test_config_error_exit_2_before_loading(self, tmp_path, settings):
@@ -230,6 +232,25 @@ class TestGridsearch:
         for row in surface:
             for cell in row.values():
                 assert cell == repr(float(cell))  # Python float text, never np.float64(...)
+
+    def test_reads_the_dtvw_section_whatever_the_run_method(self, tmp_path):
+        # the search always tunes dtvw: [dtvw] applies, [run] method and the
+        # section it names do not
+        grid = "[gridsearch]\nstage1 = -2, 2, 2\nstage2_step = none\neval_draws = 5\ngrid_particles = 40\n"
+        cases = {
+            "dtvw": ("dtvw", "[dtvw]\nx0_spread = 3\n\n"),
+            "tvw": ("tvw", "[tvw]\nx0_spread = 0.5\n\n[dtvw]\nx0_spread = 3\n\n"),
+            "no_spread": ("dtvw", ""),
+        }
+        surfaces = {}
+        for name, (method, section) in cases.items():
+            (tmp_path / name).mkdir()
+            cfg, out_dir = write_config(tmp_path / name, method=method, n_particles=60, extra=section + grid)
+            assert main(["gridsearch", "--config", cfg]) == 0
+            with open(os.path.join(out_dir, "surface.csv"), "rb") as fh:
+                surfaces[name] = fh.read()
+        assert surfaces["tvw"] == surfaces["dtvw"]
+        assert surfaces["no_spread"] != surfaces["dtvw"]
 
     def test_horizon_beyond_panel_exit_2_before_filtering(self, tmp_path, capsys):
         # the fixture panel has horizons 1..3; the objective's filter is built

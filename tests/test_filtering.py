@@ -18,13 +18,14 @@ from divcast.filtering import (
     _combine_cloud,
     _gather,
     _gaussian_logpdf,
+    _resample_indices,
     effective_sample_size,
     run_filter,
     systematic_resample,
 )
 from divcast.latent import ADAPTIVE_TVW, DTVW, TVW
-from divcast.rng import distinct_streams, standard_normal, substream
-from oracles import combine_cloud_numpy, gaussian_logpdf_diag, step_allocating
+from divcast.rng import substream
+from oracles import combine_cloud_numpy, gaussian_logpdf_diag, step_allocating, systematic_indices
 
 
 class TestSystematicResample:
@@ -58,30 +59,32 @@ class TestSystematicResample:
         np.testing.assert_allclose(counts / (2000 * 6), w, atol=0.01)
 
     def test_block_rows_match_single_rows(self):
+        # the rows of a block share one offset: each is the row resampled
+        # alone with a Generator in the same state
         w = np.random.default_rng(3).dirichlet(np.ones(12), size=4)
-        block = systematic_resample(w, [np.random.default_rng(s) for s in range(4)], n=7)
+        block = systematic_resample(w, np.random.default_rng(0), n=7)
         for s in range(4):
-            np.testing.assert_array_equal(block[s], systematic_resample(w[s], np.random.default_rng(s), n=7))
+            np.testing.assert_array_equal(block[s], systematic_resample(w[s], np.random.default_rng(0), n=7))
 
-    @pytest.mark.parametrize("n_rngs", [1, 3, 5])
-    def test_block_needs_one_generator_per_row(self, n_rngs):
-        w = np.full((4, 6), 1 / 6)
-        with pytest.raises(InputError, match="one Generator per point"):
-            systematic_resample(w, [np.random.default_rng(s) for s in range(n_rngs)], n=3)
+    @pytest.mark.parametrize("n", [1, 7, 12, 40])
+    def test_matches_one_search_per_row(self, n):
+        # rows with zero weights and cumulative weights that repeat or round
+        # past 1 before the last one, at offsets including both ends of
+        # [0, 1), choose as one binary search per row does
+        rng = np.random.default_rng(n)
+        w = rng.dirichlet(np.ones(12), size=300)
+        w[rng.random(w.shape) < 0.3] = 0.0
+        w[:, 0] += w.sum(axis=-1) == 0
+        w /= w.sum(axis=-1, keepdims=True)
+        assert (np.cumsum(w, axis=-1)[:, :-1] > 1.0).any()
+        for offset in (0.0, 0.5, np.nextafter(1.0, 0.0), *rng.random(5)):
+            assert _resample_indices(w, offset, n).tobytes() == systematic_indices(w, offset, n).tobytes()
 
     def test_unnormalized_rejected(self):
         with pytest.raises(InputError):
             systematic_resample(np.array([0.5, 0.6]), np.random.default_rng(0))
         with pytest.raises(InputError):
             systematic_resample(np.array([1.5, -0.5]), np.random.default_rng(0))
-
-
-class TestStandardNormalBlock:
-    @pytest.mark.parametrize("n_rngs", [2, 4])
-    def test_needs_one_generator_per_slab(self, n_rngs):
-        # zip would stop at the shorter side and leave slabs uninitialised
-        with pytest.raises(InputError, match="one Generator per point"):
-            standard_normal([np.random.default_rng(s) for s in range(n_rngs)], (3, 2))
 
 
 class TestKernels:
@@ -127,7 +130,7 @@ class TestDiversityPath:
         obs, panel = make_problem(T=12, seed=1)
         pf = ParticleFilter(panel, DTVW, NoiseConfig(np.array([0.1])), n_pred_draws=4)
         for seed in range(3):
-            pf.run_block(obs, 16, np.zeros((2, 3)), [substream(seed, "filter") for _ in range(2)])
+            pf.run_block(obs, 16, np.zeros((2, 3)), substream(seed, "filter"))
         assert calls == list(range(1, panel.n_steps + 1))
 
 
@@ -160,7 +163,7 @@ class TestStep:
         obs, panel = make_problem()
         cfg = NoiseConfig(np.array([0.1]))
         pf = ParticleFilter(panel, DTVW, cfg, n_pred_draws=8)
-        state = pf.init_state(64, np.array([0.0, 2.0, 1.0])[None], 0.0, [substream(0, "filter")])
+        state = pf.init_state(64, np.array([0.0, 2.0, 1.0])[None], 0.0, substream(0, "filter"))
         for t in range(1, 11):
             state, rec = pf.step(state, obs.values[t - 1])
             assert abs(state.cloud.omega.sum() - 1.0) < 1e-10
@@ -174,16 +177,16 @@ class TestStep:
         obs, panel = make_problem()
         cfg = NoiseConfig(np.array([0.1]))
         pf = ParticleFilter(panel, TVW, cfg, n_pred_draws=4)
-        state = pf.init_state(32, np.zeros(3)[None], 0.5, [substream(1, "filter")])
+        state = pf.init_state(32, np.zeros(3)[None], 0.5, substream(1, "filter"))
         for t in range(1, 8):
             # step advances the state's arrays in place, so replay from copies
             cloud_before = ParticleCloud(state.cloud.x.copy(), state.cloud.alpha.copy(), state.cloud.omega.copy())
-            rng_state = state.rng[0].bit_generator.state
+            rng_state = state.rng.bit_generator.state
             state, rec = pf.step(state, obs.values[t - 1])
 
             replay_rng = np.random.default_rng()
             replay_rng.bit_generator.state = rng_state
-            cloud = propagate_cloud(cloud_before, np.zeros(3), TVW, cfg, [replay_rng])
+            cloud = propagate_cloud(cloud_before, np.zeros(3), TVW, cfg, replay_rng)
             w_prior = cloud.omega[0] / cloud.omega[0].sum()
             weights = cloud_weight_tensor(cloud.x[0], panel.n_models, panel.n_vars)
             c = np.einsum("nlk,kl->nl", weights, panel.mean_matrix(t, 1))
@@ -212,7 +215,7 @@ class TestStep:
         bad[2] = 1e200
         cfg = NoiseConfig(np.array([1e-3]))
         pf = ParticleFilter(panel, TVW, cfg, n_pred_draws=2)
-        state = pf.init_state(8, np.zeros(3)[None], 0.0, [substream(0, "filter")])
+        state = pf.init_state(8, np.zeros(3)[None], 0.0, substream(0, "filter"))
         state, _ = pf.step(state, bad[0])
         state, _ = pf.step(state, bad[1])
         with pytest.raises(DegeneracyError, match="t=3"):
@@ -222,7 +225,7 @@ class TestStep:
     def test_step_past_the_panel_rejected(self):
         obs, panel = make_problem(T=5)
         pf = ParticleFilter(panel, DTVW, NoiseConfig(np.array([0.1])), n_pred_draws=2)
-        state = pf.init_state(4, np.zeros((1, 3)), 0.0, [substream(0, "filter")])
+        state = pf.init_state(4, np.zeros((1, 3)), 0.0, substream(0, "filter"))
         for y in obs.values:
             state, _ = pf.step(state, y)
         with pytest.raises(InputError, match="time index 6 outside 1..5"):
@@ -230,22 +233,16 @@ class TestStep:
 
 
 class TestInPlaceStep:
-    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+    @pytest.mark.parametrize("stream", ["shared"])  # the block's points share one Generator
     @pytest.mark.parametrize("summaries,bands", [(True, True), (True, False), (False, True), (False, False)])
     @pytest.mark.parametrize("mode", [TVW, ADAPTIVE_TVW, DTVW], ids=lambda m: m.tag)
-    def test_bitwise_equal_to_allocating_step(self, mode, summaries, bands, shared):
+    def test_bitwise_equal_to_allocating_step(self, mode, summaries, bands, stream):
         obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
         cfg = NoiseConfig(default_sigma_obs(obs, panel), sigma_x=0.3, sigma_alpha=0.2)
         pf = ParticleFilter(panel, mode, cfg, horizon=2, kappa=0.9, n_pred_draws=8)
         alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0], [0.5, 0.0, 0.0], [0.0, 8.0, 8.0]])
-
-        def streams():
-            if shared:
-                return [substream(3, "filter")] * len(alpha0)
-            return [substream(3, "filter", p) for p in range(len(alpha0))]
-
-        state = pf.init_state(40, alpha0, 0.5, streams())
-        ref = pf.init_state(40, alpha0, 0.5, streams())
+        state = pf.init_state(40, alpha0, 0.5, substream(3, "filter"))
+        ref = pf.init_state(40, alpha0, 0.5, substream(3, "filter"))
         some_resample = False
         for t, y in enumerate(obs.values, start=1):
             ref, expected = step_allocating(pf, ref, y, summaries, bands)
@@ -256,15 +253,11 @@ class TestInPlaceStep:
             for name in ("x", "alpha", "omega"):
                 assert getattr(state.cloud, name).tobytes() == getattr(ref.cloud, name).tobytes(), (t, name)
             assert state.t == ref.t == t
-            assert [g.bit_generator.state for g in state.rng] == [g.bit_generator.state for g in ref.rng]
-            got_where, expected_where = distinct_streams(state.rng)[1], distinct_streams(ref.rng)[1]
-            assert (got_where is None) == (expected_where is None)
-            if got_where is not None:
-                np.testing.assert_array_equal(got_where, expected_where)
+            assert state.rng.bit_generator.state == ref.rng.bit_generator.state
             some_resample |= 0 < got["resampled"].sum() < len(alpha0)
         # Some steps resample some points and not others; tvw ignores alpha0,
-        # so its points on one stream move as one.
-        assert some_resample != (mode == TVW and shared)
+        # so its points move as one.
+        assert some_resample != (mode == TVW)
 
     def test_run_block_working_set(self):
         # F is one (P, N, K*L) float array.  The state and its scratch hold
@@ -281,7 +274,7 @@ class TestInPlaceStep:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            pf.run_block(obs, N, alpha0, [substream(0, "filter")] * P, summaries=False, bands=False)
+            pf.run_block(obs, N, alpha0, substream(0, "filter"), summaries=False, bands=False)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -380,7 +373,7 @@ class TestRun:
         cfg = NoiseConfig(default_sigma_obs(obs, panel))
         pf = ParticleFilter(panel, DTVW, cfg, horizon=horizon, kappa=0.9, n_pred_draws=8)
         alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0]])
-        block = pf.run_block(obs, 40, alpha0, [substream(3, "filter") for _ in alpha0], x0_spread=0.5)
+        block = pf.run_block(obs, 40, alpha0, substream(3, "filter"), x0_spread=0.5)
         for a0, got in zip(alpha0, block):
             alone = pf.run(obs, 40, a0, substream(3, "filter"), x0_spread=0.5)
             for name in ("weights_mean", "weights_lo", "weights_hi", "alpha_mean", "alpha_lo", "alpha_hi",
@@ -398,11 +391,11 @@ class TestRun:
         alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0], [0.0, 0.0, 0.0], [0.0, 8.0, 8.0]])
         kw = dict(x0_spread=0.5, summaries=summaries, bands=bands)
         for n_points in (3, 5):
-            block = pf.run_block(obs, 40, alpha0[:n_points], [substream(3, "filter")] * n_points, **kw)
-            # the points resample at different steps, so the shared stream splits
+            block = pf.run_block(obs, 40, alpha0[:n_points], substream(3, "filter"), **kw)
+            # the points resample at different steps
             assert len({out.resampled.tobytes() for out in block}) > 1
             for a0, got in zip(alpha0, block):
-                (alone,) = pf.run_block(obs, 40, a0[None], [substream(3, "filter")], **kw)
+                (alone,) = pf.run_block(obs, 40, a0[None], substream(3, "filter"), **kw)
                 for name in ("weights_mean", "weights_lo", "weights_hi", "alpha_mean", "alpha_lo", "alpha_hi",
                              "ess", "resampled", "one_step_log_pred"):
                     np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
