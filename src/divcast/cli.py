@@ -120,7 +120,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_gridsearch(args) -> int:
     # The search always tunes dtvw, so the [dtvw] section applies.
-    cfg, grid = load_config(args.config, _overrides(args, "dtvw"))
+    cfg, grid = load_config(args.config, _overrides(args, "dtvw"), search=True)
     obs = load_observations(cfg.observations)
     panel = load_panel(cfg.panel)
     best, surface = run_grid_search(cfg, grid, obs, panel)
@@ -134,13 +134,15 @@ def _cmd_gridsearch(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    obs = load_observations(args.observations)
     named = []
     for item in args.runs:
-        if "=" not in item:
-            raise InputError(f"--run expects NAME=DIR, got {item!r}")
-        name, directory = item.split("=", 1)
+        name, eq, directory = item.partition("=")
+        if not eq or not name:
+            raise InputError(f"--run expects NAME=DIR with a non-empty NAME, got {item!r}")
+        if name in dict(named):
+            raise InputError(f"--run NAME {name!r} is given twice")
         named.append((name, directory))
+    obs = load_observations(args.observations)
     header, rows = score_runs(obs, named)
     write_table(args.out, header, rows)
     print(f"wrote {args.out}")

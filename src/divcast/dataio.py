@@ -305,8 +305,12 @@ def _parse_bool(raw: str) -> bool:
         raise ValueError(f"not a boolean: {raw!r}") from None
 
 
-def load_config(path: str, overrides: dict | None = None) -> tuple[RunConfig, GridSpec]:
-    """Parse an INI-style config file; overrides (from CLI flags) win."""
+def load_config(path: str, overrides: dict | None = None, search: bool = False) -> tuple[RunConfig, GridSpec]:
+    """Parse an INI-style config file; overrides (from CLI flags) win.
+
+    A grid search (``search``) reads neither ``[run] n_pred_draws`` nor
+    ``[run] baseline``, so their defaults stand and neither is checked.
+    """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -345,6 +349,8 @@ def load_config(path: str, overrides: dict | None = None) -> tuple[RunConfig, Gr
         ("noise", "sigma_x", "sigma_x", float),
         ("noise", "sigma_alpha", "sigma_alpha", float),
     ]:
+        if search and name in ("n_pred_draws", "baseline"):
+            continue
         if (value := get(section, key, cast)) is not None:
             values[name] = value
 

@@ -121,8 +121,8 @@ class TestRun:
         "settings",
         [
             {"n_particles": "abc"},
-            {"method": "dtvw", "n_pred_draws": 1},
-            {"method": "dtvw", "extra": "baseline = bma_roll\n"},
+            {"method": "dtvw", "n_pred_draws": 1, "commands": ("run",)},
+            {"method": "dtvw", "extra": "baseline = bma_roll\n", "commands": ("run",)},
             {"method": "dtvw", "extra": "[gridsearch]\ngrid_particles = -5\n"},
             {"method": "dtvw", "extra": "[gridsearch]\neval_draws = 1\n"},
             {"method": "dtvw", "extra": "[gridsearch]\nstage2_step = -1\n"},
@@ -154,14 +154,17 @@ class TestRun:
         ],
     )
     def test_config_error_exit_2_before_loading(self, tmp_path, settings):
-        # absent data files would exit 4 if they were opened before the check
+        # absent data files would exit 4 if they were opened before the check;
+        # a key only `run` reads is checked only by `run`
+        settings = dict(settings)
+        commands = settings.pop("commands", ("run", "gridsearch"))
         cfg, out_dir = write_config(
             tmp_path,
             observations=str(tmp_path / "absent_obs.csv"),
             panel=str(tmp_path / "absent_panel.csv"),
             **settings,
         )
-        for command in ("run", "gridsearch"):
+        for command in commands:
             assert main([command, "--config", cfg]) == 2
         assert not os.path.exists(out_dir)
 
@@ -252,6 +255,26 @@ class TestGridsearch:
         assert surfaces["tvw"] == surfaces["dtvw"]
         assert surfaces["no_spread"] != surfaces["dtvw"]
 
+    @pytest.mark.parametrize(
+        "settings",
+        [{"n_pred_draws": 1}, {"extra": "baseline = bma_roll\n"}, {"extra": "baseline = nope\n"}],
+        ids=["one_pred_draw", "baseline_bma_roll_without_window", "unknown_baseline"],
+    )
+    def test_ignores_the_run_only_keys(self, tmp_path, settings):
+        # the search samples eval_draws and scores no baseline, so a [run]
+        # n_pred_draws or baseline that `run` would reject leaves it unchanged
+        grid = "[gridsearch]\nstage1 = -2, 2, 2\nstage2_step = none\neval_draws = 5\ngrid_particles = 40\n"
+        surfaces = []
+        for name, keyed in (("plain", {}), ("keyed", settings)):
+            (tmp_path / name).mkdir()
+            kw = dict(method="dtvw", n_particles=60, **keyed)
+            kw["extra"] = kw.get("extra", "") + grid
+            cfg, out_dir = write_config(tmp_path / name, **kw)
+            assert main(["gridsearch", "--config", cfg]) == 0
+            with open(os.path.join(out_dir, "surface.csv"), "rb") as fh:
+                surfaces.append(fh.read())
+        assert surfaces[0] == surfaces[1]
+
     def test_horizon_beyond_panel_exit_2_before_filtering(self, tmp_path, capsys):
         # the fixture panel has horizons 1..3; the objective's filter is built
         # once, so the search stops before any point instead of scoring all inf
@@ -312,6 +335,31 @@ class TestScoreReport:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "runs, message",
+        [
+            (["a={out}", "a={absent}"], "--run NAME 'a' is given twice"),
+            (["={out}"], "--run expects NAME=DIR with a non-empty NAME"),
+        ],
+        ids=["repeated_name", "empty_name"],
+    )
+    def test_run_name_exit_2_before_reading(self, tmp_path, capsys, runs, message):
+        # a readable first directory and an absent second one: reading either
+        # before the names are checked would write rows or exit 4
+        cfg, out_dir = write_config(tmp_path)
+        assert main(["run", "--config", cfg]) == 0
+        args = []
+        for spec in runs:
+            args += ["--run", spec.format(out=out_dir, absent=tmp_path / "absent")]
+        scored = tmp_path / "scored.csv"
+        rc = main([
+            "score", "--observations", os.path.join(FIXTURE, "observations.csv"), *args,
+            "--out", str(scored),
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not scored.exists()
+
 
 class TestConsoleEntryPoint:
     def test_installed_script(self, tmp_path):
@@ -349,3 +397,28 @@ class TestStartup:
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(divcast.__file__)))
         result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+    def test_no_command_needs_scipy(self, tmp_path):
+        # with scipy unimportable, run (DM against a bma baseline over the
+        # fixture's 120 targets), score over two runs and report still work
+        cfg_equal, out_equal = write_config(tmp_path, out_dir=str(tmp_path / "equal"), extra="baseline = bma\n")
+        (tmp_path / "b").mkdir()
+        cfg_bma, out_bma = write_config(tmp_path / "b", method="bma", out_dir=str(tmp_path / "bma"))
+        observations = os.path.join(FIXTURE, "observations.csv")
+        code = textwrap.dedent(f"""
+            import sys
+            sys.modules["scipy"] = None  # any import of scipy now raises
+            from divcast.cli import main
+            assert main(["run", "--config", {cfg_equal!r}]) == 0, "run"
+            assert main(["run", "--config", {cfg_bma!r}]) == 0, "run"
+            args = ["--run", "equal={out_equal}", "--run", "bma={out_bma}", "--out", "scored.csv"]
+            assert main(["score", "--observations", {observations!r}, *args]) == 0, "score"
+            assert main(["report", "scored.csv", "--out", "report.csv"]) == 0, "report"
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(divcast.__file__)))
+        result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        for path, method in ((os.path.join(out_equal, "scores.csv"), "equal"), (tmp_path / "scored.csv", "bma")):
+            rows = [r for r in csv.DictReader(open(path)) if r["method"] == method and r["variable"] in ("infl", "growth")]
+            assert len(rows) == 2 and all(r["dm_crps_p"] != "" for r in rows)
+        assert (tmp_path / "report.csv").exists()

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from divcast.core import InputError
-from divcast.metrics import crps_series, dm_test, score_forecasts
+from divcast.metrics import _t_two_sided, crps_series, dm_test, score_forecasts
 from oracles import crps_from_draws, log_score, rmsfe
 
 
@@ -167,3 +171,40 @@ class TestDmTest:
     def test_unequal_lengths_rejected_before_subtracting(self):
         with pytest.raises(InputError, match="loss series must have equal length"):
             dm_test(np.zeros(12), np.zeros(13))
+
+
+class TestStudentTail:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        df=st.integers(9, 5000),
+        stat=st.floats(-40, 40, allow_nan=False),
+    )
+    @example(df=4999, stat=35.5)  # p near 1e-247, deep in the continued fraction
+    @example(df=4854, stat=2.0)  # the last point of the trig series
+    @example(df=9, stat=2.0000000000000004)
+    def test_matches_scipy(self, df, stat):
+        ref = 2 * stats.t.sf(abs(stat), df)
+        if ref > 1e-300:
+            assert _t_two_sided(stat, df) == pytest.approx(ref, rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("df", [1, 2, 9, 10, 5000])
+    def test_edges(self, df):
+        assert _t_two_sided(0.0, df) == 1.0
+        assert _t_two_sided(-0.0, df) == 1.0
+        assert _t_two_sided(math.inf, df) == 0.0
+        assert _t_two_sided(-math.inf, df) == 0.0
+        assert math.isnan(_t_two_sided(math.nan, df))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        df=st.integers(1, 5000),
+        stats_pair=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=2),
+    )
+    def test_a_probability_even_and_falling_in_abs_stat(self, df, stats_pair):
+        lo, hi = sorted(stats_pair, key=abs)
+        p_lo, p_hi = _t_two_sided(lo, df), _t_two_sided(hi, df)
+        assert 0.0 <= p_hi <= 1.0 and 0.0 <= p_lo <= 1.0
+        assert _t_two_sided(-lo, df) == p_lo
+        # the two branches meet at |stat| = 2, each within 1e-11 of the true
+        # tail, so p may rise by at most that much across the seam
+        assert p_hi <= p_lo * (1 + 1e-11)
