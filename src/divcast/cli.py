@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 validation/configuration error, 3 numeric failure
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -121,11 +122,15 @@ def _cmd_run(args) -> int:
 def _cmd_gridsearch(args) -> int:
     # The search always tunes dtvw, so the [dtvw] section applies.
     cfg, grid = load_config(args.config, _overrides(args, "dtvw"), search=True)
+    # An unwritable output fails before the search, not after it.
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    surface_path = args.surface or os.path.join(cfg.out_dir, "surface.csv")
+    surface_dir = os.path.dirname(surface_path) or "."
+    if not os.path.isdir(surface_dir):
+        raise FileNotFoundError(errno.ENOENT, "no directory for the surface file", surface_dir)
     obs = load_observations(cfg.observations)
     panel = load_panel(cfg.panel)
     best, surface = run_grid_search(cfg, grid, obs, panel)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    surface_path = args.surface or os.path.join(cfg.out_dir, "surface.csv")
     write_table(surface_path, ["alpha1", "alpha2", "crps"], surface)
     best_value = min(v for _, _, v in surface)
     print(f"best alpha1={best[0]:g} alpha2={best[1]:g} crps={best_value:.6g}")

@@ -305,11 +305,13 @@ def _parse_bool(raw: str) -> bool:
         raise ValueError(f"not a boolean: {raw!r}") from None
 
 
-def load_config(path: str, overrides: dict | None = None, search: bool = False) -> tuple[RunConfig, GridSpec]:
+def load_config(path: str, overrides: dict | None = None, search: bool = False) -> tuple[RunConfig, GridSpec | None]:
     """Parse an INI-style config file; overrides (from CLI flags) win.
 
-    A grid search (``search``) reads neither ``[run] n_pred_draws`` nor
-    ``[run] baseline``, so their defaults stand and neither is checked.
+    Only a grid search (``search``) reads ``[gridsearch]``: otherwise the
+    section is neither read nor checked, and the GridSpec returned is None.
+    A grid search reads neither ``[run] n_pred_draws`` nor ``[run]
+    baseline``, so their defaults stand and neither is checked.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -376,6 +378,12 @@ def load_config(path: str, overrides: dict | None = None, search: bool = False) 
 
     if not values.get("observations") or not values.get("panel"):
         raise ConfigError(f"{path}: [data] must name observations and panel files")
+    try:
+        cfg = RunConfig(**values)
+    except TypeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if not search:
+        return cfg, None
 
     grid: dict = {}
     stage1 = get("gridsearch", "stage1", _parse_floats)
@@ -394,9 +402,4 @@ def load_config(path: str, overrides: dict | None = None, search: bool = False) 
     for key, cast in [("stage2_margin", int), ("eval_draws", int), ("grid_particles", int), ("variable", str)]:
         if (value := get("gridsearch", key, cast)) is not None:
             grid[key] = value
-
-    try:
-        cfg = RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     return cfg, GridSpec(**grid)

@@ -364,7 +364,9 @@ REPORT_COLUMNS = ("method", "horizon", "variable", "rmsfe", "ls", "crps")
 def build_report(score_files: list[str]) -> tuple[list[str], list[list]]:
     """Merge score files into one comparison table: rows are
     (horizon, variable, metric), columns are methods with individual models
-    on the left and combiners on the right."""
+    on the left and combiners on the right.  A method's cell may repeat
+    across rows and files, as every run repeats the model rows, but a
+    repeat that differs raises DataFormatError naming both files."""
     import csv as _csv
 
     entries: dict[tuple, dict] = {}
@@ -387,10 +389,15 @@ def build_report(score_files: list[str]) -> tuple[list[str], list[list]]:
                 except (TypeError, ValueError):
                     raise DataFormatError(f"{path}:{reader.line_num}: non-integer horizon {row['horizon']!r}") from None
                 for metric in ("rmsfe", "ls", "crps"):
-                    key = (horizon, row["variable"], metric)
-                    entries.setdefault(key, {})
-                    if method not in entries[key] and row[metric] != "":
-                        entries[key][method] = row[metric]
+                    cells = entries.setdefault((horizon, row["variable"], metric), {})
+                    if row[metric] == "":
+                        continue
+                    value, first = cells.setdefault(method, (row[metric], path))
+                    if value != row[metric]:
+                        raise DataFormatError(
+                            f"{method} {metric} at horizon {horizon}, variable {row['variable']!r}"
+                            f" is {value} in {first} but {row[metric]} in {path}"
+                        )
     combiners = [m for m in METHODS if m in combiner_order]
     combiners += [m for m in combiner_order if m not in combiners]
     methods = model_order + combiners
@@ -398,5 +405,5 @@ def build_report(score_files: list[str]) -> tuple[list[str], list[list]]:
     rows = []
     for key in sorted(entries, key=lambda k: (k[0], k[1], ("rmsfe", "ls", "crps").index(k[2]))):
         horizon, variable, metric = key
-        rows.append([horizon, variable, metric] + [entries[key].get(m, "") for m in methods])
+        rows.append([horizon, variable, metric] + [entries[key].get(m, ("",))[0] for m in methods])
     return header, rows

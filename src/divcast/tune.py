@@ -15,10 +15,19 @@ draws from its own substream(seed, "filter"), the stream a run of one point
 alone draws from, and the filter's draws do not depend on the data (see
 filtering), so every point gets exactly the numbers that run would: the
 surface does not depend on the block size.
+
+Each stage's new points are split into one contiguous chunk per CPU the
+process may run on (see _cpus), and never more chunks than points.  The
+first chunk runs in this process and every other one in a forked child, at
+the same time; each chunk is cut into blocks as above.  For the same reason,
+the surface does not depend on the number of workers either.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +40,8 @@ from .rng import substream
 
 Axis = tuple[float, float, float]  # (lo, hi, step)
 
-# Points x particles x latent entries advanced as one block.  Bigger blocks
+# Points x particles x latent entries advanced as one block; each worker cuts
+# its own chunk of a stage's points into blocks of this size.  Bigger blocks
 # run faster, as their points share more of the random draws and pay the
 # per-step overhead once, but hold more memory: a block's filter state and
 # its scratch hold two (points, particles, K*L) arrays and two (points,
@@ -48,7 +58,10 @@ Axis = tuple[float, float, float]  # (lo, hi, step)
 # (The shared machine ran faster during the later sizes' pairs, so only the
 # seconds within a row compare.)  Blocks hold 64 points, the largest size
 # measured whose peak RSS stayed within 2.5% of the allocating step's (the
-# benchmark bounds it at 5%).
+# benchmark bounds it at 5%).  These sizes were measured with one process
+# scoring every point.  Two workers split the 121 and 72 new points of the
+# two stages into chunks of 61 + 60 and 36 + 36 points, so every chunk now
+# fits in one block, and each process holds at most one block's state.
 BLOCK_ELEMENTS = 96_000
 
 # The most lattice points one stage may hold, far above any useful grid: a
@@ -220,8 +233,67 @@ def make_crps_runner(
         return [score(out.forecasts) for out in outs]
 
     def runner(points: np.ndarray, seed: int) -> np.ndarray:
+        def run_chunk(chunk: np.ndarray) -> list[float]:
+            return [v for i in range(0, len(chunk), block) for v in run_points(chunk[i : i + block], seed)]
+
         points = np.asarray(points, dtype=float).reshape(-1, 2)
-        values = [v for i in range(0, len(points), block) for v in run_points(points[i : i + block], seed)]
-        return np.asarray(values)
+        chunks = np.array_split(points, max(1, min(_cpus(), len(points))))
+        return np.asarray(_map_forked(run_chunk, chunks))
 
     return runner
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on: one grid worker each."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _map_forked(fn, chunks: list) -> list:
+    """fn(chunk) for every chunk, concatenated in chunk order: the first chunk
+    in this process, every other one in a forked child at the same time.
+
+    A child pipes back its list or its exception as a pickle and leaves by
+    os._exit, so it flushes no stdio buffer it shares with this process.  A
+    child's exception is re-raised here unchanged; a child that exits without
+    a result raises ChildProcessError.  Every child is killed and reaped
+    before this returns or raises.
+    """
+    children: dict[int, object] = {}  # pid -> read end of its pipe
+    try:
+        for chunk in chunks[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: never returns into the caller
+                code = 1
+                try:
+                    os.close(read_fd)
+                    try:
+                        payload = pickle.dumps((fn(chunk), None))
+                    except BaseException as exc:
+                        payload = pickle.dumps((None, exc))
+                    with os.fdopen(write_fd, "wb") as fh:
+                        fh.write(payload)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children[pid] = os.fdopen(read_fd, "rb")
+        values = list(fn(chunks[0]))
+        for pid, fh in list(children.items()):
+            with fh:
+                payload = fh.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if status != 0:
+                code = os.waitstatus_to_exitcode(status)  # -N: killed by signal N
+                raise ChildProcessError(f"grid worker {pid} exited with code {code} without a result")
+            result, exc = pickle.loads(payload)
+            if exc is not None:
+                raise exc
+            values.extend(result)
+        return values
+    finally:
+        for pid, fh in children.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

@@ -1,6 +1,6 @@
 """Byte-for-byte fingerprint of the CLI's outputs over a fixed command matrix.
 
-    python tests/output_manifest.py OUT_DIR [--src SRC]
+    python tests/output_manifest.py OUT_DIR [--src SRC] [--cpus N]
 
 Runs every command of MATRIX as `python -m divcast.cli ...` with SRC on
 PYTHONPATH (default: the src/ next to this file), from inside OUT_DIR and with
@@ -10,6 +10,10 @@ stdout, each command's exit code, and last the manifest digest: the sha256 of
 all the lines before it.  Two checkouts with the same digest wrote the same
 files, printed the same stdout and exited with the same codes.  Stderr is not
 fingerprinted: numpy's warnings name source lines.
+
+--cpus N pins this script to the first N CPUs it may run on before any
+command starts, so every command inherits the pin: `gridsearch` runs one
+worker per allowed CPU, and its outputs must not depend on how many.
 
 Give a checkout's own src/ to fingerprint it, e.g. a `git clone` of the parent
 commit:  python tests/output_manifest.py /tmp/m_parent --src ../parent/src
@@ -178,7 +182,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out_dir", help="new or empty directory the commands write into")
     parser.add_argument("--src", default=os.path.join(HERE, os.pardir, "src"), help="package source to run")
+    parser.add_argument("--cpus", type=int, default=None, help="run every command on the first N allowed CPUs")
     args = parser.parse_args(argv)
+    if args.cpus is not None:
+        if args.cpus < 1:
+            parser.error("--cpus must be >= 1")
+        os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[: args.cpus])
     out = os.path.abspath(args.out_dir)
     os.makedirs(out, exist_ok=True)
     if os.listdir(out):

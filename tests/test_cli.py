@@ -1,5 +1,6 @@
 import csv
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 
 import divcast
+from divcast import tune
 from divcast.cli import main
 from divcast.core import ObservationSeries, PredictorPanel
 from divcast.dataio import save_observations, save_panel
+from divcast.filtering import ParticleFilter
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "pseudo_empirical")
 
@@ -155,9 +158,11 @@ class TestRun:
     )
     def test_config_error_exit_2_before_loading(self, tmp_path, settings):
         # absent data files would exit 4 if they were opened before the check;
-        # a key only `run` reads is checked only by `run`
+        # a key only `run` reads is checked only by `run`, and a [gridsearch]
+        # key only by `gridsearch`
         settings = dict(settings)
-        commands = settings.pop("commands", ("run", "gridsearch"))
+        search_only = "[gridsearch]" in settings.get("extra", "")
+        commands = settings.pop("commands", ("gridsearch",) if search_only else ("run", "gridsearch"))
         cfg, out_dir = write_config(
             tmp_path,
             observations=str(tmp_path / "absent_obs.csv"),
@@ -167,6 +172,10 @@ class TestRun:
         for command in commands:
             assert main([command, "--config", cfg]) == 2
         assert not os.path.exists(out_dir)
+        if search_only:
+            cfg, out_dir = write_config(tmp_path, **settings)
+            assert main(["run", "--config", cfg]) == 0
+            assert os.path.exists(os.path.join(out_dir, "scores.csv"))
 
     def test_empty_window_at_a_later_horizon_exit_2_before_any_filter(self, tmp_path, monkeypatch):
         from divcast import experiment
@@ -289,6 +298,73 @@ class TestGridsearch:
         assert not os.path.exists(os.path.join(out_dir, "surface.csv"))
 
 
+def write_degenerate_inputs(tmp_path, problem):
+    """The degenerate_problem fixture as files, and a two-stage search config:
+    alpha1 <= 0 fails at every lattice point, alpha1 = 4 at none."""
+    obs, panel, _ = problem
+    save_observations(obs, str(tmp_path / "obs.csv"))
+    save_panel(panel, str(tmp_path / "panel.csv"))
+    return write_config(
+        tmp_path,
+        observations=str(tmp_path / "obs.csv"),
+        panel=str(tmp_path / "panel.csv"),
+        method="dtvw",
+        n_particles=256,
+        extra=(
+            "[noise]\nsigma_obs = 1e-154\n\n[dtvw]\nx0_spread = 5\n\n"
+            "[gridsearch]\nstage1 = -4, 4, 4\nstage2_step = 1\neval_draws = 5\n"
+        ),
+    )
+
+
+class TestGridWorkers:
+    """gridsearch runs one forked worker per CPU; tune._cpus sets the count."""
+
+    def test_surface_does_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, forked, degenerate_problem):
+        # stage one's 9 points split 5 + 4 at two workers and 3 + 3 + 3 at
+        # three, so a child's chunk holds failing points, alone or beside
+        # healthy ones
+        cfg, out_dir = write_degenerate_inputs(tmp_path, degenerate_problem)
+        surfaces = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tune, "_cpus", lambda: workers)
+            before = len(forked)
+            surface = str(tmp_path / f"surface{workers}.csv")
+            assert main(["gridsearch", "--config", cfg, "--surface", surface]) == 0
+            assert len(forked) - before == 2 * (workers - 1)  # two stages
+            with open(surface, "rb") as fh:
+                surfaces.append(fh.read())
+        rows = list(csv.reader(surfaces[0].decode().splitlines()))[1:]
+        assert [r[2] == "inf" for r in rows[:9]] == [True] * 6 + [False] * 3
+        assert len(rows) == 9 + 21
+        assert surfaces[1] == surfaces[0] and surfaces[2] == surfaces[0]
+
+    def test_lost_worker_exit_4(self, tmp_path, monkeypatch, capsys, forked, degenerate_problem):
+        parent, run_block = os.getpid(), ParticleFilter.run_block
+
+        def die_in_child(self, *args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_block(self, *args, **kwargs)
+
+        monkeypatch.setattr(ParticleFilter, "run_block", die_in_child)
+        monkeypatch.setattr(tune, "_cpus", lambda: 2)
+        cfg, out_dir = write_degenerate_inputs(tmp_path, degenerate_problem)
+        assert main(["gridsearch", "--config", cfg]) == 4
+        assert "exited with code -9 without a result" in capsys.readouterr().err
+        assert len(forked) == 1
+        assert not os.path.exists(os.path.join(out_dir, "surface.csv"))
+
+    def test_unwritable_surface_exit_4_before_the_search(self, tmp_path, monkeypatch, degenerate_problem):
+        def fail(*args, **kwargs):
+            raise AssertionError("the search ran before the output was checked")
+
+        monkeypatch.setattr(ParticleFilter, "run_block", fail)
+        cfg, _ = write_degenerate_inputs(tmp_path, degenerate_problem)
+        surface = str(tmp_path / "missing" / "dir" / "surface.csv")
+        assert main(["gridsearch", "--config", cfg, "--surface", surface]) == 4
+
+
 class TestScoreReport:
     def test_score_and_report(self, tmp_path):
         cfg_a, out_a = write_config(tmp_path, out_dir=str(tmp_path / "a"))
@@ -312,6 +388,32 @@ class TestScoreReport:
         header = open(report_out).readline().strip().split(",")
         assert header[:3] == ["horizon", "variable", "metric"]
         assert "equal" in header and "bma" in header
+
+    def test_conflicting_cells_exit_2_naming_both_files(self, tmp_path, capsys):
+        header = "method,kind,horizon,variable,rmsfe,ls,crps\n"
+        for name, crps in (("a.csv", "3.0"), ("b.csv", "9.0")):
+            (tmp_path / name).write_text(header + f"dtvw,combiner,1,y,1.0,-1.0,{crps}\n")
+        out = tmp_path / "report.csv"
+        assert main(["report", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "dtvw crps at horizon 1, variable 'y' is 3.0 in " in err
+        assert "a.csv" in err and "but 9.0 in " in err and "b.csv" in err
+        assert not out.exists()
+
+    def test_identical_repeats_merge(self, tmp_path):
+        header = "method,kind,horizon,variable,rmsfe,ls,crps\n"
+        rows = {"a.csv": "M1,model,1,y,1.0,-1.0,0.5\ndtvw,combiner,1,y,0.9,,0.4\n",
+                "b.csv": "M1,model,1,y,1.0,-1.0,0.5\ntvw,combiner,1,y,0.8,-0.7,0.3\n"}
+        for name, text in rows.items():
+            (tmp_path / name).write_text(header + text)
+        out = tmp_path / "report.csv"
+        assert main(["report", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == [
+            "horizon,variable,metric,M1,tvw,dtvw",
+            "1,y,rmsfe,1.0,0.8,0.9",
+            "1,y,ls,-1.0,-0.7,",
+            "1,y,crps,0.5,0.3,0.4",
+        ]
 
     @pytest.mark.parametrize(
         "text, message",

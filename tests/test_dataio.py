@@ -304,11 +304,13 @@ class TestConfig:
         assert cfg.alpha0 == (0.0, 10.0, 8.5)
         assert cfg.sigma_x == 0.3 and cfg.sigma_alpha == 0.1
         assert cfg.baseline == "M1"
+        assert grid is None  # only a search reads [gridsearch]
+        _, grid = load_config(self.write(tmp_path, self.BASE), search=True)
         assert grid.stage2_step == 0.5 and grid.stage1 == ((-10.0, 10.0, 2.0),) * 2
 
     def test_stage2_bounds(self, tmp_path):
         text = self.BASE + "stage2_bounds = 1, 8, 3, 10\n"
-        _, grid = load_config(self.write(tmp_path, text))
+        _, grid = load_config(self.write(tmp_path, text), search=True)
         assert grid.stage2_bounds == ((1.0, 8.0), (3.0, 10.0))
 
     def test_method_section_switch(self, tmp_path):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from divcast import tune
-from divcast.core import DegeneracyError, InputError, NoiseConfig, ObservationSeries, PredictorPanel
+from divcast.core import DegeneracyError, InputError
 from divcast.dataio import load_observations, load_panel
 from divcast.dgp import SimSpec, generate
-from divcast.filtering import run_filter
+from divcast.filtering import ParticleFilter, run_filter
 from divcast.latent import DTVW
 from divcast.tune import GridSpec, grid_search, make_crps_runner
 from oracles import crps_objective
@@ -218,20 +218,8 @@ class TestCrpsRunnerEquivalence:
         np.testing.assert_array_equal(values[0], values[1])
         np.testing.assert_array_equal(values[0], values[2])
 
-    def test_degenerate_point_scores_inf_alone(self):
-        # model A forecasts y exactly, B and C sit 10 above it; with sigma_obs
-        # = 1e-154 a particle survives a step only if its combined forecast
-        # lies within ~1.3 of y.  alpha1 = 0 wipes the x0 spread, the cloud
-        # keeps near-equal weights and every likelihood underflows; a
-        # positive alpha1 keeps particles that favour model A.
-        T = 8
-        y = np.random.default_rng(0).normal(size=T)
-        draws = np.empty((T, 3, 1, 1, 2))
-        for k, offset in enumerate((0.0, 10.0, 10.5)):
-            draws[:, k, 0, 0, :] = (y + offset)[:, None]
-        panel = PredictorPanel(draws, ("A", "B", "C"))
-        obs = ObservationSeries(y[:, None], ("y",))
-        cfg = NoiseConfig(np.array([1e-154]))
+    def test_degenerate_point_scores_inf_alone(self, degenerate_problem):
+        obs, panel, cfg = degenerate_problem
         points = np.array([(4.0, 0.0), (4.0, 5.0), (0.0, 0.0), (10.0, -5.0), (10.0, 5.0)])
         with pytest.raises(DegeneracyError):
             run_filter(obs, panel, DTVW, cfg=cfg, n_particles=64, seed=1, alpha0=(0.0, 0.0, 0.0), x0_spread=5.0)
@@ -241,3 +229,57 @@ class TestCrpsRunnerEquivalence:
         assert values[2] == np.inf
         assert np.all(np.isfinite(np.delete(values, 2)))
         np.testing.assert_array_equal(values, expected)
+
+
+class WorkerError(Exception):
+    """Raised by a patched filter in a forked worker only."""
+
+
+def use_workers(monkeypatch, n):
+    monkeypatch.setattr(tune, "_cpus", lambda: n)
+
+
+class TestWorkers:
+    """A stage's points are split over one forked worker per CPU (tune._cpus),
+    and the values do not depend on how many."""
+
+    def test_worker_count_does_not_matter(self, monkeypatch, forked, degenerate_problem):
+        obs, panel, cfg = degenerate_problem
+        # the failing point last, so it lies in a child's chunk at every count
+        # above one; at two workers it shares its block with a healthy point
+        points = np.array([(4.0, 0.0), (4.0, 5.0), (10.0, -5.0), (10.0, 5.0), (0.0, 0.0)])
+        values = []
+        for workers in (1, 2, 3):
+            use_workers(monkeypatch, workers)
+            before = len(forked)
+            runner = make_crps_runner(obs, panel, cfg=cfg, n_particles=64, eval_draws=5, x0_spread=5.0)
+            values.append(runner(points, 1))
+            assert len(forked) - before == workers - 1
+        assert values[0][-1] == np.inf and np.all(np.isfinite(values[0][:-1]))
+        np.testing.assert_array_equal(values[0], values[1])
+        np.testing.assert_array_equal(values[0], values[2])
+
+    def test_no_more_workers_than_points(self, monkeypatch, forked):
+        obs, panel = generate(SimSpec(design="complete_ar", T=15, seed=2, n_pred_draws=4))
+        use_workers(monkeypatch, 8)
+        runner = make_crps_runner(obs, panel, n_particles=20, eval_draws=4)
+        assert runner(POINTS[:3], 0).shape == (3,)
+        assert len(forked) == 2
+        assert runner(POINTS[:0], 0).shape == (0,)
+        assert len(forked) == 2
+
+    def test_child_exception_reraised_with_its_type(self, monkeypatch, forked):
+        obs, panel = generate(SimSpec(design="complete_ar", T=15, seed=2, n_pred_draws=4))
+        parent, run_block = os.getpid(), ParticleFilter.run_block
+
+        def fail_in_child(self, *args, **kwargs):
+            if os.getpid() != parent:
+                raise WorkerError("raised in a worker")
+            return run_block(self, *args, **kwargs)
+
+        monkeypatch.setattr(ParticleFilter, "run_block", fail_in_child)
+        use_workers(monkeypatch, 3)
+        runner = make_crps_runner(obs, panel, n_particles=20, eval_draws=4)
+        with pytest.raises(WorkerError, match="raised in a worker"):
+            runner(POINTS, 0)
+        assert len(forked) == 2
