@@ -20,7 +20,7 @@ import errno
 import os
 import sys
 
-from .core import DegeneracyError, InputError
+from .core import ConfigError, DegeneracyError, InputError
 from .dataio import load_config, load_observations, load_panel, save_observations, save_panel, write_table
 from .dgp import DESIGNS, SimSpec, generate
 from .experiment import build_report, run_experiment, run_grid_search, score_runs
@@ -86,7 +86,10 @@ def _overrides(args: argparse.Namespace, method: str | None) -> dict:
         "out_dir": args.out_dir,
     }
     if args.horizons:
-        over["horizons"] = tuple(int(h) for h in str(args.horizons).replace(",", " ").split())
+        try:
+            over["horizons"] = tuple(int(h) for h in str(args.horizons).replace(",", " ").split())
+        except ValueError:
+            raise ConfigError(f"--horizons expects comma-separated integers, got {args.horizons!r}") from None
     return over
 
 

@@ -288,6 +288,14 @@ class RunConfig:
             raise ConfigError("sigma_obs must be finite and > 0")
         if not (0 <= self.sigma_x < np.inf and 0 <= self.sigma_alpha < np.inf):
             raise ConfigError("sigma_x and sigma_alpha must be finite and >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.window is not None and self.window < 1:
+            raise ConfigError(f"window must be >= 1, got {self.window}")
+        if not 0 < self.fallback_sigma < np.inf:
+            raise ConfigError("fallback_sigma must be finite and > 0")
+        if any(v is not None and v < 1 for v in (self.eval_start, self.eval_end)):
+            raise ConfigError("eval_start and eval_end must be >= 1")
 
 
 def _parse_floats(raw: str) -> tuple[float, ...]:
@@ -310,8 +318,8 @@ def load_config(path: str, overrides: dict | None = None, search: bool = False) 
 
     Only a grid search (``search``) reads ``[gridsearch]``: otherwise the
     section is neither read nor checked, and the GridSpec returned is None.
-    A grid search reads neither ``[run] n_pred_draws`` nor ``[run]
-    baseline``, so their defaults stand and neither is checked.
+    A grid search reads neither ``[run] n_pred_draws``, ``[run] baseline``
+    nor ``fallback_sigma``, so their defaults stand and none is checked.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -359,11 +367,9 @@ def load_config(path: str, overrides: dict | None = None, search: bool = False) 
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     method = overrides.get("method") or values["method"]
     baseline = overrides.get("baseline") or values.get("baseline")
-    section_keys = [
-        (method, "alpha0", _parse_floats),
-        (method, "x0_spread", float),
-        (method, "fallback_sigma", float),
-    ]
+    section_keys = [(method, "alpha0", _parse_floats), (method, "x0_spread", float)]
+    if not search:
+        section_keys.append((method, "fallback_sigma", float))
     if "bma_roll" in (method, baseline):
         section_keys.append(("bma_roll", "window", int))
     for section, key, cast in section_keys:

@@ -64,6 +64,8 @@ class SimSpec:
             raise InputError(f"unknown design {self.design!r}; expected one of {DESIGNS}")
         if self.T < 2:
             raise InputError("T must be >= 2")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.sigma is None:
             default = 0.05 if self.design == "complete_ar" else 0.5
             object.__setattr__(self, "sigma", default)

@@ -12,10 +12,11 @@ The filter advances a block of P points: every cloud array is (P, N, ...)
 and every record entry carries the point axis.  A single run is the block
 with P = 1; the grid search advances many lattice points at once.
 
-Every step makes the same draws whatever the data: the coefficient noise,
-the latent noise, the predictive picks' offset, the panel-draw indices and
-the observation noise, then the resampling offset, which is drawn whether
-or not any point resamples.  So the points of a block share one Generator:
+Every step makes the same draws whatever the data: the coefficient noise
+(of alpha1, and of alpha2 under dtvw; alpha0 never moves), the latent
+noise, the predictive picks' offset, the panel-draw indices and the
+observation noise, then the resampling offset, which is drawn whether or
+not any point resamples.  So the points of a block share one Generator:
 each draw is made once, at one point's shape, and applies to every point,
 and each point gets exactly the numbers it would get in a run alone.
 
@@ -205,9 +206,9 @@ class FilterState:
 @dataclass
 class FilterOutput:
     """One point's run: posterior weight (T, K, L) and coefficient (T, 3)
-    trajectories with 95% bands, the ESS path and resample flags, the
-    one-step log predictives (T,), and the out-of-sample forecast block at
-    the run's horizon.  A run without bands leaves the six band fields as
+    trajectories with 95% bands (alpha0's stays at its initial value), the
+    ESS path and resample flags, the one-step log predictives (T,), and the
+    out-of-sample forecast block at the run's horizon.  A run without bands leaves the six band fields as
     None, and one without summaries the forecasts' point and log
     predictives; the draws are always there."""
 

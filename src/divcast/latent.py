@@ -3,16 +3,17 @@
 Three schemes share one propagation kernel:
 
 * ``tvw``          -- pure random walk on the latent weights x; the
-                      regression coefficients are pinned at (0, 1, 0) and the
+                      regression coefficients are pinned at (1, 0) and the
                       coefficient state alpha never moves.
-* ``adaptive_tvw`` -- intercept and persistence coefficients are learned
-                      through their own random walks, the diversity term is
-                      hard-excluded from the regression.
-* ``dtvw``         -- the full regression x' = th0 + th1*x + th2*div + noise
-                      with all three coefficients learned.
+* ``adaptive_tvw`` -- the persistence coefficient is learned through its own
+                      random walk, the diversity term is hard-excluded from
+                      the regression.
+* ``dtvw``         -- the full regression x' = th1*x + th2*div + noise with
+                      both coefficients learned.
 
 Coefficients are kept in (-1, 1) by th_i = tanh(alpha_i / 2), where alpha
-follows a Gaussian random walk.
+follows a Gaussian random walk.  alpha0 stays put: the paper's intercept
+th0 shifts every entry of x alike, which the softmax over the models ignores.
 
 Clouds are blocks: every array carries a leading axis of P points that
 share one Generator.  Each draw is made once at one point's shape and
@@ -22,8 +23,8 @@ with that Generator.  One point's cloud is the block with P = 1.
 The kernels write into the buffers they are given: propagate_cloud advances
 a cloud's arrays in place, with its temporaries in a scratch pair, and
 cloud_weight_tensor writes its softmax into out.  Every in-place operation
-keeps the operand order of the expression it replaces (x *= th1; x += th0
-gives the bits of th0 + th1*x), so the results are those of the allocating
+keeps the operand order of the expression it replaces (x *= th1; x += d
+gives the bits of th1*x + d), so the results are those of the allocating
 expressions.
 """
 
@@ -124,8 +125,8 @@ def propagate_cloud(
     Each noise term is drawn once at one point's (N, .) shape and added to
     every point.
 
-    The noise, the coefficients and the diversity term are written into
-    scratch, a pair of C-contiguous float arrays shaped like cloud.x and
+    The latent noise, the coefficients and the diversity term are written
+    into scratch, a pair of C-contiguous float arrays shaped like cloud.x and
     cloud.alpha (allocated when not given), whose contents are then
     undefined.  Importance weights pass through.  A transition that raises
     leaves the cloud undefined.
@@ -138,15 +139,14 @@ def propagate_cloud(
     big, small = scratch or (np.empty(x.shape), np.empty(alpha.shape))
 
     if mode.tag != "tvw":
-        # adaptive_tvw's diversity coefficient stays where it started.
-        moving = alpha[..., :2] if mode.tag == "adaptive_tvw" else alpha
-        m = moving.shape[-1]
-        z = rng.standard_normal(out=small.reshape(-1)[: n * m].reshape(n, m))
-        z *= cfg.sigma_alpha
-        moving += z
+        # alpha0 stays put, and so does adaptive_tvw's diversity coefficient.
+        m = 2 if mode.uses_diversity else 1
+        pad = np.zeros((n, 3))  # one contiguous add: a strided one is slower
+        pad[:, 1 : m + 1] = rng.standard_normal((n, m))
+        pad *= cfg.sigma_alpha
+        alpha += pad
         theta = theta_from_alpha(alpha, out=small)
         x *= theta[..., 1:2]
-        x += theta[..., 0:1]
         if mode.uses_diversity:  # adaptive_tvw hard-excludes the diversity term
             x += np.multiply(theta[..., 2:3], div, out=big)
     z = rng.standard_normal(out=big[0])

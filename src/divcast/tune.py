@@ -1,5 +1,6 @@
 """Grid search for the diversity-driven filter's coefficient initialization
-(alpha1_0, alpha2_0), with alpha0_0 pinned at zero.
+(alpha1_0, alpha2_0), with alpha0_0 pinned at zero: alpha0 drives no weight
+(see latent), so its value cannot change the objective.
 
 Supports a one-stage fine grid and a two-stage coarse-then-fine strategy:
 stage two refines a rectangle of coarse cells around the stage-one incumbent.

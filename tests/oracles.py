@@ -222,13 +222,12 @@ def propagate_cloud_allocating(cloud, div, mode, cfg, rng) -> ParticleCloud:
         alpha = cloud.alpha
         x = cloud.x.copy()
     else:
-        if mode.tag == "adaptive_tvw":
-            alpha = cloud.alpha.copy()
-            alpha[..., :2] += cfg.sigma_alpha * rng.standard_normal((n, 2))
-        else:
-            alpha = cloud.alpha + cfg.sigma_alpha * rng.standard_normal((n, 3))
+        m = 2 if mode.uses_diversity else 1
+        noise = np.zeros((n, 3))
+        noise[:, 1 : m + 1] = rng.standard_normal((n, m))
+        alpha = cloud.alpha + cfg.sigma_alpha * noise
         theta = theta_from_alpha(alpha)
-        x = theta[..., 0:1] + theta[..., 1:2] * cloud.x
+        x = theta[..., 1:2] * cloud.x
         if mode.uses_diversity:
             x = x + theta[..., 2:3] * div
     x += cfg.sigma_x * rng.standard_normal((n, dim))

@@ -17,12 +17,21 @@ worker per allowed CPU, and its outputs must not depend on how many.
 
 Give a checkout's own src/ to fingerprint it, e.g. a `git clone` of the parent
 commit:  python tests/output_manifest.py /tmp/m_parent --src ../parent/src
+
+--compare OTHER_DIR, the OUT_DIR of an earlier run, measures how far the two
+runs' outputs are apart when the digests differ.  After the manifest it
+prints one line for every CSV file both directories hold: the largest
+|a - b| / max(1, |b|) over the cells both parse as numbers (a from OUT_DIR,
+b from OTHER_DIR), the count of other cells that differ, and the two row
+counts when they differ.  A file only one directory holds is named too.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -178,12 +187,70 @@ def sha256_file(path: str) -> str:
     return digest.hexdigest()
 
 
+def _cells(path: str) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _as_float(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def compare_csv(path: str, other: str) -> str:
+    """One line on how far the CSV at path is from the one at other."""
+    rows, other_rows = _cells(path), _cells(other)
+    worst, text_diffs = 0.0, 0
+    for row, other_row in zip(rows, other_rows):
+        text_diffs += abs(len(row) - len(other_row))
+        for a, b in zip(row, other_row):
+            if a == b:
+                continue
+            x, y = _as_float(a), _as_float(b)
+            if x is None or y is None:
+                text_diffs += 1
+            else:
+                rel = abs(x - y) / max(1.0, abs(y))
+                worst = max(worst, math.inf if math.isnan(rel) else rel)
+    line = f"max_rel {worst:.3g}  text_diffs {text_diffs}"
+    if len(rows) != len(other_rows):
+        line += f"  rows {len(rows)} vs {len(other_rows)}"
+    return line
+
+
+def compare_dirs(out: str, other: str) -> list[str]:
+    """The --compare lines: one per CSV file of out or other, by relative path."""
+    def csvs(top):
+        return {
+            os.path.relpath(os.path.join(root, f), top)
+            for root, _, files in os.walk(top)
+            for f in files
+            if f.endswith(".csv")
+        }
+
+    mine, theirs = csvs(out), csvs(other)
+    lines = []
+    for rel in sorted(mine | theirs):
+        if rel not in theirs:
+            lines.append(f"compare {rel}  only in {out}")
+        elif rel not in mine:
+            lines.append(f"compare {rel}  only in {other}")
+        else:
+            lines.append(f"compare {rel}  {compare_csv(os.path.join(out, rel), os.path.join(other, rel))}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out_dir", help="new or empty directory the commands write into")
     parser.add_argument("--src", default=os.path.join(HERE, os.pardir, "src"), help="package source to run")
     parser.add_argument("--cpus", type=int, default=None, help="run every command on the first N allowed CPUs")
+    parser.add_argument("--compare", metavar="OTHER_DIR", default=None, help="an earlier run's OUT_DIR to diff against")
     args = parser.parse_args(argv)
+    if args.compare is not None and not os.path.isdir(args.compare):
+        parser.error(f"{args.compare} is not a directory")
     if args.cpus is not None:
         if args.cpus < 1:
             parser.error("--cpus must be >= 1")
@@ -210,6 +277,9 @@ def main(argv: list[str] | None = None) -> int:
     for line in lines:
         print(line)
     print(f"manifest {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
+    if args.compare is not None:
+        for line in compare_dirs(out, os.path.abspath(args.compare)):
+            print(line)
     return 0
 
 

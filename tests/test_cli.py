@@ -48,6 +48,12 @@ class TestSimulate:
         assert os.path.exists(tmp_path / "observations.csv")
         assert os.path.exists(tmp_path / "panel.csv")
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--design", "complete_ar", "--seed", "-1", "--out-dir", str(out_dir)]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
+
     def test_simulate_then_run(self, tmp_path):
         main([
             "simulate", "--design", "nonlinear_incomplete", "--length", "30",
@@ -146,6 +152,12 @@ class TestRun:
             {"method": "dtvw", "extra": "[gridsearch]\nstage2_step = 1e-6\n"},
             {"method": "dtvw", "horizons": "1,1"},
             {"method": "dtvw", "horizons": "1, 3, 1"},
+            {"seed": -1},
+            {"method": "bma_roll", "extra": "[bma_roll]\nwindow = 0\n", "commands": ("run",)},
+            {"method": "dtvw", "extra": "[dtvw]\nfallback_sigma = -1\n", "commands": ("run",)},
+            {"method": "dtvw", "extra": "[dtvw]\nfallback_sigma = nan\n", "commands": ("run",)},
+            {"method": "dtvw", "extra": "eval_end = 0\n"},
+            {"method": "dtvw", "extra": "eval_start = -5\n"},
         ],
         ids=[
             "unparsable_int", "one_pred_draw", "baseline_bma_roll_without_window",
@@ -154,6 +166,8 @@ class TestRun:
             "infinite_stage1", "nan_stage1", "nan_stage2_step", "infinite_stage2_step",
             "nan_stage2_bounds", "unindexable_stage1", "negative_x0_spread", "nan_x0_spread",
             "nan_alpha0", "huge_stage1", "huge_stage2", "repeated_horizon", "horizon_repeated_later",
+            "negative_seed", "zero_window", "negative_fallback_sigma", "nan_fallback_sigma",
+            "zero_eval_end", "negative_eval_start",
         ],
     )
     def test_config_error_exit_2_before_loading(self, tmp_path, settings):
@@ -176,6 +190,21 @@ class TestRun:
             cfg, out_dir = write_config(tmp_path, **settings)
             assert main(["run", "--config", cfg]) == 0
             assert os.path.exists(os.path.join(out_dir, "scores.csv"))
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--seed", "-1"], "seed must be >= 0"), (["--horizons", "x"], "--horizons"), (["--horizons", "1,2.5"], "--horizons")],
+        ids=["negative_seed", "unparsable_horizon", "fractional_horizon"],
+    )
+    def test_flag_error_exit_2_before_loading(self, tmp_path, capsys, flags, message):
+        cfg, out_dir = write_config(
+            tmp_path, method="dtvw",
+            observations=str(tmp_path / "absent_obs.csv"), panel=str(tmp_path / "absent_panel.csv"),
+        )
+        for command in ("run", "gridsearch"):
+            assert main([command, "--config", cfg, *flags]) == 2
+            assert message in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
 
     def test_empty_window_at_a_later_horizon_exit_2_before_any_filter(self, tmp_path, monkeypatch):
         from divcast import experiment
@@ -266,12 +295,18 @@ class TestGridsearch:
 
     @pytest.mark.parametrize(
         "settings",
-        [{"n_pred_draws": 1}, {"extra": "baseline = bma_roll\n"}, {"extra": "baseline = nope\n"}],
-        ids=["one_pred_draw", "baseline_bma_roll_without_window", "unknown_baseline"],
+        [
+            {"n_pred_draws": 1},
+            {"extra": "baseline = bma_roll\n"},
+            {"extra": "baseline = nope\n"},
+            {"extra": "[dtvw]\nfallback_sigma = -1\n"},
+        ],
+        ids=["one_pred_draw", "baseline_bma_roll_without_window", "unknown_baseline", "negative_fallback_sigma"],
     )
     def test_ignores_the_run_only_keys(self, tmp_path, settings):
-        # the search samples eval_draws and scores no baseline, so a [run]
-        # n_pred_draws or baseline that `run` would reject leaves it unchanged
+        # the search samples eval_draws and scores neither a baseline nor the
+        # single models, so a [run] n_pred_draws or baseline or a
+        # fallback_sigma that `run` would reject leaves it unchanged
         grid = "[gridsearch]\nstage1 = -2, 2, 2\nstage2_step = none\neval_draws = 5\ngrid_particles = 40\n"
         surfaces = []
         for name, keyed in (("plain", {}), ("keyed", settings)):

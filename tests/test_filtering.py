@@ -312,6 +312,24 @@ class TestRun:
         np.testing.assert_array_equal(a.alpha_mean, b.alpha_mean)
         np.testing.assert_array_equal(a.one_step_log_pred, b.one_step_log_pred)
 
+    @pytest.mark.parametrize("mode", [TVW, ADAPTIVE_TVW, DTVW], ids=lambda m: m.tag)
+    def test_alpha0_changes_nothing_but_its_own_row(self, mode):
+        # the softmax ignores a shift common to every model, so the intercept
+        # is left out of the transition and alpha0 stays at its initial value
+        obs, panel = gen_nonlinear_incomplete(SimSpec(design="nonlinear_incomplete", T=40, seed=3))
+        kw = dict(n_particles=120, seed=5, n_pred_draws=24)
+        ref = run_filter(obs, panel, mode, alpha0=(0.0, 5.0, 2.0), **kw)
+        assert ref.resampled.any()
+        for a0 in (0.3, -5.0):
+            out = run_filter(obs, panel, mode, alpha0=(a0, 5.0, 2.0), **kw)
+            for name in ("weights_mean", "weights_lo", "weights_hi", "ess", "resampled", "one_step_log_pred"):
+                np.testing.assert_array_equal(getattr(out, name), getattr(ref, name), err_msg=name)
+            for name in ("point", "log_pred", "log_pred_marginal", "draws"):
+                np.testing.assert_array_equal(getattr(out.forecasts, name), getattr(ref.forecasts, name), err_msg=name)
+            for name in ("alpha_mean", "alpha_lo", "alpha_hi"):
+                np.testing.assert_array_equal(getattr(out, name)[:, 1:], getattr(ref, name)[:, 1:], err_msg=name)
+                np.testing.assert_allclose(getattr(out, name)[:, 0], a0, rtol=1e-12, atol=0, err_msg=name)
+
     def test_output_invariants(self):
         obs, panel = make_problem(T=30, seed=4)
         out = run_filter(obs, panel, DTVW, n_particles=200, seed=3, alpha0=(0.0, 8.0, 4.0))

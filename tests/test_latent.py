@@ -168,15 +168,23 @@ class TestPropagation:
             cloud = propagate_cloud(cloud, np.zeros(6), TVW, ZERO_NOISE, rng)
         np.testing.assert_array_equal(cloud.x[0], x0)
 
-    def test_adaptive_freezes_alpha2(self):
+    @staticmethod
+    def _moved_coefficients(mode):
         rng = np.random.default_rng(1)
         cfg = NoiseConfig(np.array([1.0]), sigma_x=0.1, sigma_alpha=0.3)
-        cloud = init_particles(64, 2, 1, np.array([[0.0, 1.0, 5.5]]), 0.0, rng)
+        alpha0 = np.array([0.7, 1.0, 5.5])
+        cloud = init_particles(64, 2, 1, alpha0[None], 0.0, rng)
         for _ in range(10):
-            cloud = propagate_cloud(cloud, np.array([0.5, 0.5]), ADAPTIVE_TVW, cfg, rng)
-        alpha = cloud.alpha[0]
-        assert np.all(alpha[:, 2] == 5.5)
-        assert alpha[:, 0].std() > 0 and alpha[:, 1].std() > 0
+            cloud = propagate_cloud(cloud, np.array([0.5, 0.5]), mode, cfg, rng)
+        # the indices of the coefficients that moved; alpha0 never does, as
+        # the softmax cannot see the intercept
+        return [j for j in range(3) if np.any(cloud.alpha[0, :, j] != alpha0[j])]
+
+    def test_adaptive_freezes_alpha2(self):
+        assert self._moved_coefficients(ADAPTIVE_TVW) == [1]
+
+    def test_dtvw_freezes_alpha0(self):
+        assert self._moved_coefficients(DTVW) == [1, 2]
 
     def test_no_cross_particle_coupling(self):
         # with zero noise propagation is per-particle deterministic, so a
