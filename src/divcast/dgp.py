@@ -69,8 +69,8 @@ class SimSpec:
         if self.sigma is None:
             default = 0.05 if self.design == "complete_ar" else 0.5
             object.__setattr__(self, "sigma", default)
-        if self.sigma <= 0:
-            raise InputError("sigma must be > 0")
+        if not 0 < self.sigma < np.inf:
+            raise InputError("sigma must be finite and > 0")
         if self.n_pred_draws < 1 or self.horizons < 1:
             raise InputError("n_pred_draws and horizons must be >= 1")
 

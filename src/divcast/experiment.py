@@ -9,6 +9,7 @@ import os
 
 import numpy as np
 
+from . import tune
 from .combine import CombinerResult, run_combiner, single_model_result
 from .core import (
     ConfigError,
@@ -169,9 +170,99 @@ def _score_rows(
     return rows
 
 
+TABLE_HEADERS = {
+    "forecast.csv": [name for name, _ in FORECAST_COLUMNS],
+    "cumls.csv": ["target", "horizon", "variable", "cum_ls_diff"],
+    "weights.csv": ["t", "model", "variable", "mean", "lo95", "hi95"],
+    "draws.csv": [name for name, _ in DRAWS_COLUMNS],
+    "alphas.csv": ["t", "param", "mean", "lo95", "hi95"],
+}
+
+
+def _run_horizon(
+    cfg: RunConfig,
+    obs: ObservationSeries,
+    panel: PredictorPanel,
+    noise: NoiseConfig,
+    baseline: str,
+    horizon: int,
+    window: tuple[int, int],
+) -> tuple[list[tuple], dict[str, list[tuple]]]:
+    """Everything one horizon contributes to the outputs: its score rows and
+    its write_long blocks by table name.  Only the smallest configured
+    horizon runs its filter with bands and gives the weight and coefficient
+    tables their one block each."""
+    K = panel.n_models
+    names = obs.variable_names
+    runs = [
+        (r.method, "model", r.forecasts)
+        for r in (single_model_result(obs, panel, k, horizon, cfg.fallback_sigma) for k in range(1, K + 1))
+    ]
+    is_lead = horizon == min(cfg.horizons)
+    main = run_method(cfg.method, obs, panel, cfg, horizon, noise, bands=is_lead)
+    runs.append((cfg.method, "combiner", main.forecasts))
+    if baseline in panel.model_names:
+        base = panel.model_names.index(baseline)
+    elif baseline == cfg.method:
+        base = K
+    else:
+        base_fs = run_method(
+            baseline, obs, panel, cfg, horizon, noise, rng_role="baseline", bands=False
+        ).forecasts
+        runs.append((baseline, "combiner", base_fs))
+        base = K + 1
+
+    losses = [loss_series(fs, obs, window) for _, _, fs in runs]
+    base_name, base_losses = runs[base][0], losses[base]
+    scores = [
+        (name, kind, *row, base_name)
+        for (name, kind, _), run_losses in zip(runs, losses)
+        for row in _score_rows(name, horizon, run_losses, base_name, base_losses, obs)
+    ]
+
+    # Forecasts, predictive-draw quantiles and draws cover all targets;
+    # the evaluation window only restricts scoring.
+    fs = main.forecasts
+    targets = fs.targets.tolist()
+    q = np.percentile(fs.draws, [2.5, 50.0, 97.5], axis=1)  # (3, S, L)
+    tables = {"forecast.csv": [([targets, [horizon], names], fs.point, fs.log_pred_marginal, *q)]}
+    if cfg.emit_draws:
+        draw_ids = range(1, fs.draws.shape[1] + 1)
+        tables["draws.csv"] = [([targets, [horizon], names, draw_ids], fs.draws.transpose(0, 2, 1))]
+
+    # Cumulative log-score differences vs the baseline over the window.
+    main_l = losses[K]
+    targets_w = main_l["targets"].tolist()
+    diff_m = -(main_l["neg_log_pred"] - base_losses["neg_log_pred"])  # (S, L)
+    tables["cumls.csv"] = [([targets_w, [horizon], names], np.cumsum(diff_m, axis=0))]
+    if obs.n_vars > 1:
+        diff_j = -(main_l["neg_log_pred_joint"] - base_losses["neg_log_pred_joint"])
+        tables["cumls.csv"].append(([targets_w, [horizon], ["joint"]], np.cumsum(diff_j)))
+
+    if is_lead:
+        # Weight / coefficient trajectories; a combiner's weights are their own band.
+        times = range(1, obs.n_steps + 1)
+        if isinstance(main, FilterOutput):
+            bands = (main.weights_mean, main.weights_lo, main.weights_hi)
+            alphas = ([times, ("alpha0", "alpha1", "alpha2")], main.alpha_mean, main.alpha_lo, main.alpha_hi)
+            tables["alphas.csv"] = [alphas]
+        else:
+            bands = (main.weights,) * 3
+        tables["weights.csv"] = [([times, panel.model_names, names], *bands)]
+    return scores, tables
+
+
 def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel) -> dict:
     """Execute the configured experiment and write all output files after
-    the last horizon, so a run that fails writes none.
+    the last horizon, so a run that fails in a horizon writes none.
+
+    The horizons are split into one contiguous chunk per CPU (tune._cpus),
+    and never more chunks than horizons; the first chunk runs in this
+    process and every other one in a forked worker, at the same time
+    (tune._map_forked).  Every horizon draws from its own substreams, and
+    the results are joined in the configured horizon order, so the outputs
+    do not depend on the number of workers.  A horizon's exception is
+    raised here unchanged; the first horizon's in order wins.
 
     Returns the mapping of logical output names to written paths.
     """
@@ -184,87 +275,27 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
     baseline = cfg.baseline or panel.model_names[0]
     if baseline not in panel.model_names and baseline not in METHODS:
         raise ConfigError(f"baseline {baseline!r} is neither a panel model nor a method")
-    T, K = obs.n_steps, panel.n_models
-    windows = [_eval_window(cfg, horizon, T) for horizon in cfg.horizons]
+    windows = [_eval_window(cfg, horizon, obs.n_steps) for horizon in cfg.horizons]
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    names = obs.variable_names
+
+    def run_chunk(chunk: np.ndarray) -> list[tuple]:
+        return [_run_horizon(cfg, obs, panel, noise, baseline, cfg.horizons[i], windows[i]) for i in chunk]
+
+    chunks = np.array_split(np.arange(len(cfg.horizons)), min(tune._cpus(), len(cfg.horizons)))
     scores: list[tuple] = []
-    # long tables as write_long blocks, one or two per horizon
-    forecasts: list[tuple] = []
-    draws: list[tuple] = []
-    cumls: list[tuple] = []
-    lead: FilterOutput | CombinerResult | None = None
-    for horizon, window in zip(cfg.horizons, windows):
-        runs = [
-            (r.method, "model", r.forecasts)
-            for r in (single_model_result(obs, panel, k, horizon, cfg.fallback_sigma) for k in range(1, K + 1))
-        ]
-        # Only the smallest horizon's weight and coefficient bands are written.
-        is_lead = horizon == min(cfg.horizons)
-        main = run_method(cfg.method, obs, panel, cfg, horizon, noise, bands=is_lead)
-        if is_lead:
-            lead = main
-        runs.append((cfg.method, "combiner", main.forecasts))
-        if baseline in panel.model_names:
-            base = panel.model_names.index(baseline)
-        elif baseline == cfg.method:
-            base = K
-        else:
-            base_fs = run_method(
-                baseline, obs, panel, cfg, horizon, noise, rng_role="baseline", bands=False
-            ).forecasts
-            runs.append((baseline, "combiner", base_fs))
-            base = K + 1
+    tables: dict[str, list[tuple]] = {name: [] for name in TABLE_HEADERS}
+    for rows, blocks in tune._map_forked(run_chunk, chunks):
+        scores += rows
+        for name, table_blocks in blocks.items():
+            tables[name] += table_blocks
 
-        losses = [loss_series(fs, obs, window) for _, _, fs in runs]
-        base_name, base_losses = runs[base][0], losses[base]
-        for (name, kind, _), run_losses in zip(runs, losses):
-            for row in _score_rows(name, horizon, run_losses, base_name, base_losses, obs):
-                scores.append((name, kind, *row, base_name))
-
-        # Forecasts, predictive-draw quantiles and draws cover all targets;
-        # the evaluation window only restricts scoring.
-        fs = main.forecasts
-        targets = fs.targets.tolist()
-        q = np.percentile(fs.draws, [2.5, 50.0, 97.5], axis=1)  # (3, S, L)
-        forecasts.append(([targets, [horizon], names], fs.point, fs.log_pred_marginal, *q))
-        if cfg.emit_draws:
-            draw_ids = range(1, fs.draws.shape[1] + 1)
-            draws.append(([targets, [horizon], names, draw_ids], fs.draws.transpose(0, 2, 1)))
-
-        # Cumulative log-score differences vs the baseline over the window.
-        main_l = losses[K]
-        targets_w = main_l["targets"].tolist()
-        diff_m = -(main_l["neg_log_pred"] - base_losses["neg_log_pred"])  # (S, L)
-        cumls.append(([targets_w, [horizon], names], np.cumsum(diff_m, axis=0)))
-        if obs.n_vars > 1:
-            diff_j = -(main_l["neg_log_pred_joint"] - base_losses["neg_log_pred_joint"])
-            cumls.append(([targets_w, [horizon], ["joint"]], np.cumsum(diff_j)))
-
-    # Weight / coefficient trajectories from the smallest configured horizon;
-    # a combiner's weights are their own band.
-    times = range(1, T + 1)
-    if isinstance(lead, FilterOutput):
-        bands = (lead.weights_mean, lead.weights_lo, lead.weights_hi)
-    else:
-        bands = (lead.weights,) * 3
-    weights = ([times, panel.model_names, names], *bands)
-    tables = [
-        ("forecast.csv", [name for name, _ in FORECAST_COLUMNS], forecasts),
-        ("cumls.csv", ["target", "horizon", "variable", "cum_ls_diff"], cumls),
-        ("weights.csv", ["t", "model", "variable", "mean", "lo95", "hi95"], [weights]),
-    ]
-    if cfg.emit_draws:
-        tables.append(("draws.csv", [name for name, _ in DRAWS_COLUMNS], draws))
-    if isinstance(lead, FilterOutput):
-        alphas = ([times, ("alpha0", "alpha1", "alpha2")], lead.alpha_mean, lead.alpha_lo, lead.alpha_hi)
-        tables.append(("alphas.csv", ["t", "param", "mean", "lo95", "hi95"], [alphas]))
     paths = {"scores.csv": os.path.join(cfg.out_dir, "scores.csv")}
     write_table(paths["scores.csv"], ["method", "kind", *SCORE_HEADER, "baseline"], scores)
-    for name, header, blocks in tables:
-        paths[name] = os.path.join(cfg.out_dir, name)
-        write_long(paths[name], header, blocks)
+    for name, blocks in tables.items():
+        if blocks:
+            paths[name] = os.path.join(cfg.out_dir, name)
+            write_long(paths[name], TABLE_HEADERS[name], blocks)
     return paths
 
 

@@ -20,8 +20,10 @@ surface does not depend on the block size.
 Each stage's new points are split into one contiguous chunk per CPU the
 process may run on (see _cpus), and never more chunks than points.  The
 first chunk runs in this process and every other one in a forked child, at
-the same time; each chunk is cut into blocks as above.  For the same reason,
-the surface does not depend on the number of workers either.
+the same time (see _map_forked); each chunk is cut into blocks as above.
+For the same reason, the surface does not depend on the number of workers
+either.  The same two helpers spread `run`'s horizons (experiment) and the
+rows of a long table (dataio.write_long) over the CPUs.
 """
 
 from __future__ import annotations
@@ -70,6 +72,11 @@ BLOCK_ELEMENTS = 96_000
 # failing to allocate its lattice after the data is loaded.
 MAX_STAGE_POINTS = 10**6
 
+# The most particles one filter run may hold, far above any useful count: a
+# run or a search with more fails validation before any data is read, rather
+# than failing to allocate its particle cloud after the data is loaded.
+MAX_PARTICLES = 10**6
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -110,8 +117,8 @@ class GridSpec:
             _check_points(key, [_count(0.0, span, self.stage2_step) for span in spans])
         if self.eval_draws < 2:
             raise InputError("eval_draws must be >= 2 for a CRPS objective")
-        if self.grid_particles is not None and self.grid_particles < 1:
-            raise InputError("grid_particles must be >= 1")
+        if self.grid_particles is not None and not 1 <= self.grid_particles <= MAX_PARTICLES:
+            raise InputError(f"grid_particles must lie in 1..{MAX_PARTICLES:,}")
 
 
 def _count(lo: float, hi: float, step: float) -> float:
@@ -245,7 +252,9 @@ def make_crps_runner(
 
 
 def _cpus() -> int:
-    """The number of CPUs this process may run on: one grid worker each."""
+    """The number of CPUs this process may run on: one worker each.  Callers
+    look it up on this module at call time, so patching it here sets the
+    worker count of all of them."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -287,7 +296,7 @@ def _map_forked(fn, chunks: list) -> list:
             del children[pid]
             if status != 0:
                 code = os.waitstatus_to_exitcode(status)  # -N: killed by signal N
-                raise ChildProcessError(f"grid worker {pid} exited with code {code} without a result")
+                raise ChildProcessError(f"worker {pid} exited with code {code} without a result")
             result, exc = pickle.loads(payload)
             if exc is not None:
                 raise exc

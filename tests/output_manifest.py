@@ -12,8 +12,10 @@ files, printed the same stdout and exited with the same codes.  Stderr is not
 fingerprinted: numpy's warnings name source lines.
 
 --cpus N pins this script to the first N CPUs it may run on before any
-command starts, so every command inherits the pin: `gridsearch` runs one
-worker per allowed CPU, and its outputs must not depend on how many.
+command starts, so every command inherits the pin: `gridsearch` splits its
+lattice points, `run` its horizons, and `run` and `simulate` every table of
+at least 96,000 rows over one worker per allowed CPU, and the outputs must
+not depend on how many.
 
 Give a checkout's own src/ to fingerprint it, e.g. a `git clone` of the parent
 commit:  python tests/output_manifest.py /tmp/m_parent --src ../parent/src

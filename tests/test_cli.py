@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import divcast
-from divcast import tune
+from divcast import dataio, experiment, tune
 from divcast.cli import main
-from divcast.core import ObservationSeries, PredictorPanel
+from divcast.core import DegeneracyError, ObservationSeries, PredictorPanel
 from divcast.dataio import save_observations, save_panel
+from divcast.dgp import SimSpec, generate
 from divcast.filtering import ParticleFilter
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "pseudo_empirical")
@@ -52,6 +53,13 @@ class TestSimulate:
         out_dir = tmp_path / "sim"
         assert main(["simulate", "--design", "complete_ar", "--seed", "-1", "--out-dir", str(out_dir)]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_exit_2(self, tmp_path, capsys, sigma):
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--design", "complete_ar", "--sigma", sigma, "--out-dir", str(out_dir)]) == 2
+        assert "sigma must be finite and > 0" in capsys.readouterr().err
         assert not os.path.exists(out_dir)
 
     def test_simulate_then_run(self, tmp_path):
@@ -158,6 +166,8 @@ class TestRun:
             {"method": "dtvw", "extra": "[dtvw]\nfallback_sigma = nan\n", "commands": ("run",)},
             {"method": "dtvw", "extra": "eval_end = 0\n"},
             {"method": "dtvw", "extra": "eval_start = -5\n"},
+            {"method": "dtvw", "n_particles": 10**10},
+            {"method": "dtvw", "extra": f"[gridsearch]\ngrid_particles = {10**10}\n"},
         ],
         ids=[
             "unparsable_int", "one_pred_draw", "baseline_bma_roll_without_window",
@@ -167,7 +177,7 @@ class TestRun:
             "nan_stage2_bounds", "unindexable_stage1", "negative_x0_spread", "nan_x0_spread",
             "nan_alpha0", "huge_stage1", "huge_stage2", "repeated_horizon", "horizon_repeated_later",
             "negative_seed", "zero_window", "negative_fallback_sigma", "nan_fallback_sigma",
-            "zero_eval_end", "negative_eval_start",
+            "zero_eval_end", "negative_eval_start", "unallocatable_particles", "unallocatable_grid_particles",
         ],
     )
     def test_config_error_exit_2_before_loading(self, tmp_path, settings):
@@ -398,6 +408,104 @@ class TestGridWorkers:
         cfg, _ = write_degenerate_inputs(tmp_path, degenerate_problem)
         surface = str(tmp_path / "missing" / "dir" / "surface.csv")
         assert main(["gridsearch", "--config", cfg, "--surface", surface]) == 4
+
+
+RUN_TABLES = ("alphas.csv", "cumls.csv", "draws.csv", "forecast.csv", "scores.csv", "weights.csv")
+
+
+def three_horizon_inputs(tmp_path):
+    """Config keys of a simulated three-horizon panel run at horizons 2, 3
+    and 1: two workers take 2 + 1 horizons, and the smallest one is always
+    in a worker's chunk."""
+    obs, panel = generate(SimSpec(design="complete_ar", T=30, seed=3, n_pred_draws=4, horizons=3))
+    save_observations(obs, str(tmp_path / "obs.csv"))
+    save_panel(panel, str(tmp_path / "panel.csv"))
+    return {"observations": str(tmp_path / "obs.csv"), "panel": str(tmp_path / "panel.csv"), "horizons": "2,3,1"}
+
+
+def die_in_a_worker(fn):
+    """fn, but a forked child that calls it kills itself first."""
+    parent = os.getpid()
+
+    def wrapped(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+class TestRunWorkers:
+    """run splits its horizons, and the rows of a table of at least
+    dataio.SPLIT_ROWS rows, over one forked worker per CPU; tune._cpus sets
+    the count."""
+
+    @pytest.mark.parametrize("split_rows", [None, 1], ids=["tables_whole", "tables_split"])
+    @pytest.mark.parametrize("inputs", ["fixture", "three_horizons"])
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, forked, inputs, split_rows):
+        if split_rows is not None:
+            monkeypatch.setattr(dataio, "SPLIT_ROWS", split_rows)
+        data = {"horizons": "1,3"} if inputs == "fixture" else three_horizon_inputs(tmp_path)
+        n_horizons = len(data["horizons"].split(","))
+        outs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(tune, "_cpus", lambda: workers)
+            cfg, out_dir = write_config(
+                tmp_path, method="dtvw", out_dir=str(tmp_path / f"out{workers}"), extra="baseline = bma\n", **data
+            )
+            before = len(forked)
+            assert main(["run", "--config", cfg]) == 0
+            if split_rows is None:  # every table is below the threshold
+                assert len(forked) - before == min(workers, n_horizons) - 1
+            assert sorted(os.listdir(out_dir)) == list(RUN_TABLES)  # no temporary file left
+            outs.append({name: open(os.path.join(out_dir, name), "rb").read() for name in RUN_TABLES})
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    def test_degeneracy_in_a_worker_horizon_exit_3(self, tmp_path, monkeypatch, capsys, forked):
+        run_method = experiment.run_method
+
+        def degenerate_at_3(method, obs, panel, cfg, horizon, *args, **kwargs):
+            if horizon == 3:
+                raise DegeneracyError("every particle weight vanished at horizon 3")
+            return run_method(method, obs, panel, cfg, horizon, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_method", degenerate_at_3)
+        errors = []
+        for workers in (1, 2):  # at two, horizon 3 runs in the worker
+            monkeypatch.setattr(tune, "_cpus", lambda: workers)
+            cfg, out_dir = write_config(tmp_path, method="dtvw", horizons="1,3")
+            assert main(["run", "--config", cfg]) == 3
+            errors.append(capsys.readouterr().err)
+            assert os.listdir(out_dir) == []
+        assert len(forked) == 1
+        assert errors[1] == errors[0] == "numeric failure: every particle weight vanished at horizon 3\n"
+
+    def test_lost_horizon_worker_exit_4(self, tmp_path, monkeypatch, capsys, forked):
+        monkeypatch.setattr(experiment, "run_method", die_in_a_worker(experiment.run_method))
+        monkeypatch.setattr(tune, "_cpus", lambda: 2)
+        cfg, out_dir = write_config(tmp_path, method="dtvw", horizons="1,3")
+        assert main(["run", "--config", cfg]) == 4
+        assert "exited with code -9 without a result" in capsys.readouterr().err
+        assert len(forked) == 1
+        assert os.listdir(out_dir) == []
+
+    def test_lost_writer_worker_exit_4(self, tmp_path, monkeypatch, capsys, forked):
+        monkeypatch.setattr(dataio, "_write_heads", die_in_a_worker(dataio._write_heads))
+        monkeypatch.setattr(dataio, "SPLIT_ROWS", 1)
+        monkeypatch.setattr(tune, "_cpus", lambda: 2)
+        cfg, out_dir = write_config(tmp_path, method="dtvw", horizons="1")
+        assert main(["run", "--config", cfg]) == 4
+        assert "exited with code -9 without a result" in capsys.readouterr().err
+        assert len(forked) == 1  # forecast.csv, the first long table
+        # the tables written before it stay, the one being written holds the
+        # rows of this process's chunk, and no temporary file is left
+        assert sorted(os.listdir(out_dir)) == ["forecast.csv", "scores.csv"]
+        partial = open(os.path.join(out_dir, "forecast.csv"), "rb").read()
+        monkeypatch.setattr(tune, "_cpus", lambda: 1)
+        cfg, out_dir = write_config(tmp_path, method="dtvw", horizons="1", out_dir=str(tmp_path / "whole"))
+        assert main(["run", "--config", cfg]) == 0
+        whole = open(os.path.join(out_dir, "forecast.csv"), "rb").read()
+        assert partial.count(b"\n") > 1 and whole.startswith(partial) and len(whole) > len(partial)
 
 
 class TestScoreReport:

@@ -6,10 +6,10 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from divcast import dataio
+from divcast import dataio, tune
 from divcast.core import ConfigError, DataFormatError, ObservationSeries, PredictorPanel
 from divcast.dataio import (
     load_config,
@@ -274,6 +274,41 @@ class TestWriteLong:
             write_long(got, header, blocks)
             with open(expected, "rb") as fa, open(got, "rb") as fb:
                 assert fb.read() == fa.read()
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(blocks=long_blocks(), split_rows=st.integers(1, 30))
+    def test_bytes_do_not_depend_on_the_worker_count(self, monkeypatch, forked, blocks, split_rows):
+        # the lowered threshold splits most of these small tables, and keeps
+        # a table with fewer rows in one process
+        monkeypatch.setattr(dataio, "SPLIT_ROWS", split_rows)
+        header = [f"c{j}" for j in range(len(blocks[0]))]
+        outs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(tune, "_cpus", lambda: workers)
+                before = len(forked)
+                path = os.path.join(tmp, f"w{workers}.csv")
+                write_long(path, header, blocks)
+                assert len(forked) - before <= workers - 1
+                with open(path, "rb") as fh:
+                    outs.append(fh.read())
+            assert sorted(os.listdir(tmp)) == ["w1.csv", "w2.csv", "w3.csv"]  # no temporary file left
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    def test_heads_split_by_row_count(self, monkeypatch, forked, tmp_path):
+        # 4 heads of 3 rows, then 2 heads of 6: 24 rows, cut after 8 and 16
+        # rows at three workers, i.e. after heads 3 and 5
+        monkeypatch.setattr(dataio, "SPLIT_ROWS", 24)
+        monkeypatch.setattr(tune, "_cpus", lambda: 3)
+        chunks = dataio._split_heads(
+            [(list("abcd"), list("xyz"), [np.zeros((4, 3))]), (list("ef"), list("uvwxyz"), [np.ones((2, 6))])]
+        )
+        assert [[heads for heads, _, _ in chunk] for chunk in chunks] == [[list("abc")], [list("d"), list("e")], [list("f")]]
+        write_long(str(tmp_path / "t.csv"), ["a", "b", "c"], [([range(1, 5), range(1, 4)], np.zeros((4, 3)))])
+        assert len(forked) == 0  # 12 rows, below the threshold
+        monkeypatch.setattr(dataio, "SPLIT_ROWS", 12)
+        write_long(str(tmp_path / "t.csv"), ["a", "b", "c"], [([range(1, 5), range(1, 4)], np.zeros((4, 3)))])
+        assert len(forked) == 2
 
     @pytest.mark.parametrize("n_values", [2, 3, 6])
     def test_value_count_must_match_label_cells(self, tmp_path, n_values):

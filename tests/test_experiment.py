@@ -87,7 +87,10 @@ class TestRunExperiment:
 
     def test_bands_only_at_the_smallest_horizon(self, pseudo_data, tmp_path, monkeypatch):
         import divcast.experiment as experiment
+        from divcast import tune
 
+        # the recorder sees this process's calls only: run every horizon here
+        monkeypatch.setattr(tune, "_cpus", lambda: 1)
         asked = []
         run_method = experiment.run_method
 
