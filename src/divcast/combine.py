@@ -43,7 +43,7 @@ def _gaussian_fit(panel: PredictorPanel, fallback_sigma: float) -> tuple[np.ndar
     """
     if fallback_sigma <= 0:
         raise InputError("fallback_sigma must be positive")
-    mu = panel.draws.mean(axis=4)
+    mu = panel._means
     if panel.n_draws >= 2:
         var = panel.draws.var(axis=4, ddof=1)
         sd = np.where(var == 0.0, fallback_sigma, np.sqrt(np.maximum(var, VAR_FLOOR)))

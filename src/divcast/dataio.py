@@ -32,7 +32,7 @@ import numpy as np
 from . import tune
 from .core import ConfigError, DataFormatError, ObservationSeries, PredictorPanel
 from .latent import MODE_TAGS as FILTER_METHODS
-from .tune import MAX_PARTICLES, GridSpec
+from .tune import MAX_DRAWS, MAX_PARTICLES, GridSpec
 
 METHODS = ("equal", "bma", "bma_roll", *FILTER_METHODS)
 
@@ -347,6 +347,8 @@ class RunConfig:
         samplers = (*FILTER_METHODS, "bma", "bma_roll")
         if self.n_pred_draws < 2 and (self.method in samplers or self.baseline in samplers):
             raise ConfigError("n_pred_draws must be >= 2: CRPS needs at least two draws")
+        if self.n_pred_draws > MAX_DRAWS:
+            raise ConfigError(f"n_pred_draws must be at most {MAX_DRAWS:,}")
         if not 0 < self.kappa <= 1:
             raise ConfigError("ess_threshold must lie in (0, 1]")
         if not 1 <= self.n_particles <= MAX_PARTICLES:

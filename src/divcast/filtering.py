@@ -13,12 +13,12 @@ and every record entry carries the point axis.  A single run is the block
 with P = 1; the grid search advances many lattice points at once.
 
 Every step makes the same draws whatever the data: the coefficient noise
-(of alpha1, and of alpha2 under dtvw; alpha0 never moves), the latent
-noise, the predictive picks' offset, the panel-draw indices and the
-observation noise, then the resampling offset, which is drawn whether or
-not any point resamples.  So the points of a block share one Generator:
-each draw is made once, at one point's shape, and applies to every point,
-and each point gets exactly the numbers it would get in a run alone.
+(of alpha1, and of alpha2 under dtvw), the latent noise, the predictive
+picks' offset, the panel-draw indices and the observation noise, then the
+resampling offset, which is drawn whether or not any point resamples.  So
+the points of a block share one Generator: each draw is made once, at one
+point's shape, and applies to every point, and each point gets exactly the
+numbers it would get in a run alone.
 
 The panel is frozen, so each filter builds its diversity path, the vector
 for every step t, once, on its first step, and every block it runs reads
@@ -26,11 +26,13 @@ that path.
 
 A step advances the block's state in place.  The state carries one scratch
 array the size of the latent cloud x and one the size of the coefficient
-cloud alpha; the propagation's noise and terms, the softmax weights and the
-resampled particles are written into them, and resampling swaps them with
-the cloud's arrays.  So a step holds no temporary of the cloud's size, and
-larger blocks fit in the same memory.  The in-place operations keep the
-operand order of the allocating expressions, so every result keeps its bits.
+cloud alpha, (alpha1, alpha2): alpha0 drives no weight (see latent), and only
+run_block reads it.  The propagation's noise and terms, the softmax weights
+and the resampled particles are written into the scratch, and resampling
+swaps it with the cloud's arrays.  So a step holds no temporary of the
+cloud's size, and larger blocks fit in the same memory.  The in-place
+operations keep the operand order of the allocating expressions, so every
+result keeps its bits.
 """
 
 from __future__ import annotations
@@ -206,11 +208,11 @@ class FilterState:
 @dataclass
 class FilterOutput:
     """One point's run: posterior weight (T, K, L) and coefficient (T, 3)
-    trajectories with 95% bands (alpha0's stays at its initial value), the
-    ESS path and resample flags, the one-step log predictives (T,), and the
-    out-of-sample forecast block at the run's horizon.  A run without bands leaves the six band fields as
-    None, and one without summaries the forecasts' point and log
-    predictives; the draws are always there."""
+    trajectories with 95% bands (alpha0's are its initial value), the ESS
+    path and resample flags, the one-step log predictives (T,), and the
+    out-of-sample forecast block at the run's horizon.  A run without bands
+    leaves the six band fields as None, and one without summaries the
+    forecasts' point and log predictives; the draws are always there."""
 
     horizon: int
     weights_mean: np.ndarray | None
@@ -278,8 +280,8 @@ class ParticleFilter:
         x0_spread: float,
         rng: np.random.Generator,
     ) -> FilterState:
-        """Initial state of a block: point p starts from alpha0[p] (a (P, 3)
-        array), and every point draws from rng."""
+        """Initial state of a block: point p starts from alpha0[p] (a (P, 2)
+        array of (alpha1, alpha2)), and every point draws from rng."""
         cloud = init_particles(n_particles, self.panel.n_models, self.panel.n_vars, alpha0, x0_spread, rng)
         return FilterState(cloud=cloud, t=0, rng=rng)
 
@@ -407,8 +409,7 @@ class ParticleFilter:
         bands: bool = True,
     ) -> FilterOutput:
         """Filter one point: the block run with P = 1."""
-        alpha0 = np.asarray(alpha0, dtype=float)
-        return self.run_block(obs, n_particles, alpha0[None], rng, x0_spread, bands=bands)[0]
+        return self.run_block(obs, n_particles, np.asarray(alpha0, dtype=float)[None], rng, x0_spread, bands=bands)[0]
 
     def run_block(
         self,
@@ -421,10 +422,10 @@ class ParticleFilter:
         bands: bool = True,
     ) -> list[FilterOutput]:
         """Filter a block of P points at once, point p starting from
-        alpha0[p] (a (P, 3) array), every point drawing from rng; returns one
-        output per point, each equal to that point's run alone with a
+        alpha0[p] (a (P, 3) array), every point drawing from rng; returns
+        one output per point, each equal to that point's run alone with a
         Generator in rng's state.  Any point's failure raises for the whole
-        block.
+        block.  alpha0[p, 0] is point p's alpha0 mean and both band ends.
 
         Steps 1..S, S = T - h + 1, emit the forecasts of targets h..T.  Their
         joint and marginal log predictives are the prior-side particle
@@ -439,8 +440,11 @@ class ParticleFilter:
             raise InputError("panel does not cover the observation range")
         if T < h:
             raise InputError(f"horizon {h} leaves no forecast target among {T} observations")
+        alpha0 = np.asarray(alpha0, dtype=float)
+        if alpha0.ndim != 2 or alpha0.shape[-1] != 3:
+            raise InputError("alpha0 must be a (P, 3) array")
 
-        state = self.init_state(n_particles, alpha0, x0_spread, rng)
+        state = self.init_state(n_particles, alpha0[:, 1:], x0_spread, rng)
         records = []
         for y_t in obs.values:
             state, record = self.step(state, y_t, summaries, bands)
@@ -453,6 +457,10 @@ class ParticleFilter:
             key: np.stack([r.pop(key) for r in (records[:S] if key in _FORECAST_KEYS else records)], axis=1)
             for key in list(records[0])
         }
+        if bands:
+            const = np.broadcast_to(alpha0[:, None, :1], (len(alpha0), T, 1))
+            for key in ("alpha_mean", "alpha_lo", "alpha_hi"):
+                out[key] = np.concatenate([const, out[key]], axis=-1)
         targets = np.arange(h, T + 1)
         if summaries:
             marg = _gaussian_logpdf(obs.values[targets - 1][:, None], out.pop("pred_means"), self.cfg.sigma_obs)

@@ -11,9 +11,9 @@ Three schemes share one propagation kernel:
 * ``dtvw``         -- the full regression x' = th1*x + th2*div + noise with
                       both coefficients learned.
 
-Coefficients are kept in (-1, 1) by th_i = tanh(alpha_i / 2), where alpha
-follows a Gaussian random walk.  alpha0 stays put: the paper's intercept
-th0 shifts every entry of x alike, which the softmax over the models ignores.
+Coefficients are kept in (-1, 1) by th_i = tanh(alpha_i / 2), where alpha =
+(alpha1, alpha2) follows a Gaussian random walk.  No cloud carries alpha0:
+the paper's th0 shifts every entry of x alike, which the softmax ignores.
 
 Clouds are blocks: every array carries a leading axis of P points that
 share one Generator.  Each draw is made once at one point's shape and
@@ -70,15 +70,15 @@ DTVW = LatentMode("dtvw")
 
 class ParticleCloud:
     """Vectorized particle sets of a block of P points: latent weights x
-    (P, N, K*L), coefficient states alpha (P, N, 3) and importance weights
-    omega (P, N), one cloud per point."""
+    (P, N, K*L), coefficient states (alpha1, alpha2) as alpha (P, N, 2) and
+    importance weights omega (P, N), one cloud per point."""
 
     def __init__(self, x: np.ndarray, alpha: np.ndarray, omega: np.ndarray):
         self.x = np.asarray(x, dtype=float)
         self.alpha = np.asarray(alpha, dtype=float)
         self.omega = np.asarray(omega, dtype=float)
-        if self.x.ndim != 3 or self.alpha.shape != (*self.x.shape[:-1], 3):
-            raise InputError("cloud arrays must be (P, N, K*L) and (P, N, 3)")
+        if self.x.ndim != 3 or self.alpha.shape != (*self.x.shape[:-1], 2):
+            raise InputError("cloud arrays must be (P, N, K*L) and (P, N, 2)")
         if self.omega.shape != self.x.shape[:-1]:
             raise InputError("omega must be a (P, N) array")
 
@@ -95,20 +95,20 @@ def init_particles(
     x0_spread: float,
     rng: np.random.Generator,
 ) -> ParticleCloud:
-    """Draw the initial block cloud: point p starts from alpha0[p] (a (P, 3)
-    array), and every point from the same x ~ N(0, x0_spread^2 I) (zero
-    spread gives all-equal initial weights); alpha set to alpha0 exactly,
-    omega = 1/n."""
+    """Draw the initial block cloud: point p starts from alpha0[p], its
+    (alpha1, alpha2), and every point from the same x ~ N(0, x0_spread^2 I)
+    (zero spread gives all-equal initial weights); alpha set to alpha0
+    exactly, omega = 1/n."""
     if n < 1:
         raise InputError("need at least one particle")
     alpha0 = np.asarray(alpha0, dtype=float)
-    if alpha0.ndim != 2 or alpha0.shape[-1] != 3:
-        raise InputError("alpha0 must be a (P, 3) array")
+    if alpha0.ndim != 2 or alpha0.shape[-1] != 2:
+        raise InputError("alpha0 must be a (P, 2) array")
     P = len(alpha0)
     x = np.zeros((P, n, n_models * n_vars))
     if x0_spread > 0:
         x[:] = x0_spread * rng.standard_normal(x.shape[1:])
-    alpha = np.broadcast_to(alpha0[:, None, :], (P, n, 3)).copy()
+    alpha = np.broadcast_to(alpha0[:, None, :], (P, n, 2)).copy()
     omega = np.full((P, n), 1.0 / n)
     return ParticleCloud(x, alpha, omega)
 
@@ -139,16 +139,16 @@ def propagate_cloud(
     big, small = scratch or (np.empty(x.shape), np.empty(alpha.shape))
 
     if mode.tag != "tvw":
-        # alpha0 stays put, and so does adaptive_tvw's diversity coefficient.
+        # adaptive_tvw's diversity coefficient stays put.
         m = 2 if mode.uses_diversity else 1
-        pad = np.zeros((n, 3))  # one contiguous add: a strided one is slower
-        pad[:, 1 : m + 1] = rng.standard_normal((n, m))
+        pad = np.zeros((n, 2))  # one contiguous add: a strided one is slower
+        pad[:, :m] = rng.standard_normal((n, m))
         pad *= cfg.sigma_alpha
         alpha += pad
         theta = theta_from_alpha(alpha, out=small)
-        x *= theta[..., 1:2]
+        x *= theta[..., 0:1]
         if mode.uses_diversity:  # adaptive_tvw hard-excludes the diversity term
-            x += np.multiply(theta[..., 2:3], div, out=big)
+            x += np.multiply(theta[..., 1:2], div, out=big)
     z = rng.standard_normal(out=big[0])
     z *= cfg.sigma_x
     x += z

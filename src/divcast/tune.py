@@ -1,6 +1,6 @@
 """Grid search for the diversity-driven filter's coefficient initialization
-(alpha1_0, alpha2_0), with alpha0_0 pinned at zero: alpha0 drives no weight
-(see latent), so its value cannot change the objective.
+(alpha1_0, alpha2_0).  The runner gives the filter alpha0 = 0, which drives
+no weight (see latent), so its value cannot change the objective.
 
 Supports a one-stage fine grid and a two-stage coarse-then-fine strategy:
 stage two refines a rectangle of coarse cells around the stage-one incumbent.
@@ -48,7 +48,7 @@ Axis = tuple[float, float, float]  # (lo, hi, step)
 # run faster, as their points share more of the random draws and pay the
 # per-step overhead once, but hold more memory: a block's filter state and
 # its scratch hold two (points, particles, K*L) arrays and two (points,
-# particles, 3) arrays (see filtering).
+# particles, 2) arrays (see filtering).
 # On the nonlinear design (T = 100, 250 particles, K*L = 6, 193 points;
 # perfbench's grid_nonlinear, median of 10 alternating pairs against the
 # allocating step at 24,000 elements; 2-vCPU Xeon, numpy 2.4):
@@ -76,6 +76,10 @@ MAX_STAGE_POINTS = 10**6
 # run or a search with more fails validation before any data is read, rather
 # than failing to allocate its particle cloud after the data is loaded.
 MAX_PARTICLES = 10**6
+
+# The most predictive draws one forecast may take, for the same reason: a run
+# or a search asking for more fails validation before any data is read.
+MAX_DRAWS = 10**6
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,8 @@ class GridSpec:
             _check_points(key, [_count(0.0, span, self.stage2_step) for span in spans])
         if self.eval_draws < 2:
             raise InputError("eval_draws must be >= 2 for a CRPS objective")
+        if self.eval_draws > MAX_DRAWS:
+            raise InputError(f"eval_draws must be at most {MAX_DRAWS:,}")
         if self.grid_particles is not None and not 1 <= self.grid_particles <= MAX_PARTICLES:
             raise InputError(f"grid_particles must lie in 1..{MAX_PARTICLES:,}")
 

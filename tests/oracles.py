@@ -147,7 +147,7 @@ def long_tuple_rows(labels: list, *values) -> list[tuple]:
 @dataclass(frozen=True)
 class LatentParticle:
     """One particle: latent weights x (length K*L), coefficient state alpha
-    (length 3) and its importance weight omega."""
+    = (alpha1, alpha2) and its importance weight omega."""
 
     x: np.ndarray
     alpha: np.ndarray
@@ -156,8 +156,8 @@ class LatentParticle:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         alpha = np.asarray(self.alpha, dtype=float)
-        if alpha.shape != (3,):
-            raise InputError("alpha must have length 3")
+        if alpha.shape != (2,):
+            raise InputError("alpha must have length 2")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(alpha))):
             raise InputError("particle state must be finite")
         if self.omega < 0:
@@ -213,10 +213,33 @@ def systematic_indices(w: np.ndarray, offset: float, n: int) -> np.ndarray:
     return idx
 
 
-def propagate_cloud_allocating(cloud, div, mode, cfg, rng) -> ParticleCloud:
-    """One transition of a block of clouds into new arrays, each term its
-    own temporary: the expressions the in-place kernel reproduces.  Each
-    noise term is drawn at one point's shape and broadcast over the points."""
+@dataclass
+class AllocatingState:
+    """step_allocating's filter position.  Its block cloud keeps the
+    coefficient state as (alpha0, alpha1, alpha2), alpha (P, N, 3), beside
+    x (P, N, K*L) and omega (P, N): the allocating step's arithmetic runs on
+    the three columns, and the filter's state must match columns 1 and 2."""
+
+    x: np.ndarray
+    alpha: np.ndarray
+    omega: np.ndarray
+    t: int
+    rng: np.random.Generator
+
+
+def allocating_state(state: FilterState, alpha0: np.ndarray) -> AllocatingState:
+    """A copy of a filter state (sharing its Generator) with each point's
+    constant alpha0[p] put before its (alpha1, alpha2) columns."""
+    c = state.cloud
+    const = np.broadcast_to(np.asarray(alpha0, dtype=float)[:, None, None], (*c.alpha.shape[:2], 1))
+    return AllocatingState(c.x.copy(), np.concatenate([const, c.alpha], axis=-1), c.omega.copy(), state.t, state.rng)
+
+
+def propagate_cloud_allocating(cloud: AllocatingState, div, mode, cfg, rng) -> tuple:
+    """One transition of a block of three-column clouds into new arrays, each
+    term its own temporary: the expressions the in-place kernel reproduces.
+    Each noise term is drawn at one point's shape and broadcast over the
+    points.  Returns the new (x, alpha, omega)."""
     n, dim = cloud.x.shape[1:]
     if mode.tag == "tvw":
         alpha = cloud.alpha
@@ -231,13 +254,14 @@ def propagate_cloud_allocating(cloud, div, mode, cfg, rng) -> ParticleCloud:
         if mode.uses_diversity:
             x = x + theta[..., 2:3] * div
     x += cfg.sigma_x * rng.standard_normal((n, dim))
-    return ParticleCloud(x, alpha, cloud.omega.copy())
+    return x, alpha, cloud.omega.copy()
 
 
-def step_allocating(pf, state: FilterState, y_t: np.ndarray, summaries: bool = True, bands: bool = True):
+def step_allocating(pf, state: AllocatingState, y_t: np.ndarray, summaries: bool = True, bands: bool = True):
     """ParticleFilter.step written with a new array for every intermediate
-    and numpy's reductions; leaves state untouched (but for its Generator,
-    which it advances) and returns a new state and the record."""
+    and numpy's reductions, on a cloud that keeps alpha0's column; leaves
+    state untouched (but for its Generator, which it advances) and returns a
+    new state and the record, whose coefficient bands have three columns."""
     panel, cfg = pf.panel, pf.cfg
     K, L = panel.n_models, panel.n_vars
     t = state.t + 1
@@ -245,10 +269,10 @@ def step_allocating(pf, state: FilterState, y_t: np.ndarray, summaries: bool = T
     means_t = panel.mean_matrix(t, 1)
     rng = state.rng
     div = pf.diversity_path[t - 1] if pf.mode.uses_diversity else np.zeros(K * L)
-    cloud = propagate_cloud_allocating(state.cloud, div, pf.mode, cfg, rng)
-    P, n = cloud.omega.shape
-    weights = cloud_weight_tensor_numpy(cloud.x, K, L)
-    omega_prior = cloud.omega / cloud.omega.sum(axis=-1, keepdims=True)
+    x, alpha, omega = propagate_cloud_allocating(state, div, pf.mode, cfg, rng)
+    P, n = omega.shape
+    weights = cloud_weight_tensor_numpy(x, K, L)
+    omega_prior = omega / omega.sum(axis=-1, keepdims=True)
     with np.errstate(divide="ignore"):
         log_prior = np.where(omega_prior > 0, np.log(omega_prior), -np.inf)
 
@@ -284,7 +308,6 @@ def step_allocating(pf, state: FilterState, y_t: np.ndarray, summaries: bool = T
     record["ess"] = ess
     resampled = ess < pf.kappa
     record["resampled"] = resampled
-    x, alpha = cloud.x, cloud.alpha
     offset = rng.random()  # drawn on every step
     if resampled.any():
         which = np.flatnonzero(resampled)
@@ -298,4 +321,4 @@ def step_allocating(pf, state: FilterState, y_t: np.ndarray, summaries: bool = T
             record[f"weights_{stat}"] = band.reshape(P, L, K).transpose(0, 2, 1)
         for stat, band in zip(("mean", "lo", "hi"), _band_stats(alpha, omega)):
             record[f"alpha_{stat}"] = band
-    return FilterState(cloud=ParticleCloud(x, alpha, omega), t=t, rng=rng), record
+    return AllocatingState(x, alpha, omega, t, rng), record

@@ -168,6 +168,8 @@ class TestRun:
             {"method": "dtvw", "extra": "eval_start = -5\n"},
             {"method": "dtvw", "n_particles": 10**10},
             {"method": "dtvw", "extra": f"[gridsearch]\ngrid_particles = {10**10}\n"},
+            {"method": "dtvw", "n_pred_draws": 10**12, "commands": ("run",)},
+            {"method": "dtvw", "extra": f"[gridsearch]\neval_draws = {10**12}\n"},
         ],
         ids=[
             "unparsable_int", "one_pred_draw", "baseline_bma_roll_without_window",
@@ -178,6 +180,7 @@ class TestRun:
             "nan_alpha0", "huge_stage1", "huge_stage2", "repeated_horizon", "horizon_repeated_later",
             "negative_seed", "zero_window", "negative_fallback_sigma", "nan_fallback_sigma",
             "zero_eval_end", "negative_eval_start", "unallocatable_particles", "unallocatable_grid_particles",
+            "unallocatable_pred_draws", "unallocatable_eval_draws",
         ],
     )
     def test_config_error_exit_2_before_loading(self, tmp_path, settings):

@@ -25,7 +25,13 @@ from divcast.filtering import (
 )
 from divcast.latent import ADAPTIVE_TVW, DTVW, TVW
 from divcast.rng import substream
-from oracles import combine_cloud_numpy, gaussian_logpdf_diag, step_allocating, systematic_indices
+from oracles import (
+    allocating_state,
+    combine_cloud_numpy,
+    gaussian_logpdf_diag,
+    step_allocating,
+    systematic_indices,
+)
 
 
 class TestSystematicResample:
@@ -163,7 +169,7 @@ class TestStep:
         obs, panel = make_problem()
         cfg = NoiseConfig(np.array([0.1]))
         pf = ParticleFilter(panel, DTVW, cfg, n_pred_draws=8)
-        state = pf.init_state(64, np.array([0.0, 2.0, 1.0])[None], 0.0, substream(0, "filter"))
+        state = pf.init_state(64, np.array([2.0, 1.0])[None], 0.0, substream(0, "filter"))
         for t in range(1, 11):
             state, rec = pf.step(state, obs.values[t - 1])
             assert abs(state.cloud.omega.sum() - 1.0) < 1e-10
@@ -177,7 +183,7 @@ class TestStep:
         obs, panel = make_problem()
         cfg = NoiseConfig(np.array([0.1]))
         pf = ParticleFilter(panel, TVW, cfg, n_pred_draws=4)
-        state = pf.init_state(32, np.zeros(3)[None], 0.5, substream(1, "filter"))
+        state = pf.init_state(32, np.zeros(2)[None], 0.5, substream(1, "filter"))
         for t in range(1, 8):
             # step advances the state's arrays in place, so replay from copies
             cloud_before = ParticleCloud(state.cloud.x.copy(), state.cloud.alpha.copy(), state.cloud.omega.copy())
@@ -215,7 +221,7 @@ class TestStep:
         bad[2] = 1e200
         cfg = NoiseConfig(np.array([1e-3]))
         pf = ParticleFilter(panel, TVW, cfg, n_pred_draws=2)
-        state = pf.init_state(8, np.zeros(3)[None], 0.0, substream(0, "filter"))
+        state = pf.init_state(8, np.zeros(2)[None], 0.0, substream(0, "filter"))
         state, _ = pf.step(state, bad[0])
         state, _ = pf.step(state, bad[1])
         with pytest.raises(DegeneracyError, match="t=3"):
@@ -225,7 +231,7 @@ class TestStep:
     def test_step_past_the_panel_rejected(self):
         obs, panel = make_problem(T=5)
         pf = ParticleFilter(panel, DTVW, NoiseConfig(np.array([0.1])), n_pred_draws=2)
-        state = pf.init_state(4, np.zeros((1, 3)), 0.0, substream(0, "filter"))
+        state = pf.init_state(4, np.zeros((1, 2)), 0.0, substream(0, "filter"))
         for y in obs.values:
             state, _ = pf.step(state, y)
         with pytest.raises(InputError, match="time index 6 outside 1..5"):
@@ -241,17 +247,22 @@ class TestInPlaceStep:
         cfg = NoiseConfig(default_sigma_obs(obs, panel), sigma_x=0.3, sigma_alpha=0.2)
         pf = ParticleFilter(panel, mode, cfg, horizon=2, kappa=0.9, n_pred_draws=8)
         alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0], [0.5, 0.0, 0.0], [0.0, 8.0, 8.0]])
-        state = pf.init_state(40, alpha0, 0.5, substream(3, "filter"))
-        ref = pf.init_state(40, alpha0, 0.5, substream(3, "filter"))
+        # The state carries (alpha1, alpha2); the allocating reference keeps
+        # the alpha0 column, and the state and the records must match its
+        # columns 1 and 2.
+        state = pf.init_state(40, alpha0[:, 1:], 0.5, substream(3, "filter"))
+        ref = allocating_state(pf.init_state(40, alpha0[:, 1:], 0.5, substream(3, "filter")), alpha0[:, 0])
         some_resample = False
         for t, y in enumerate(obs.values, start=1):
             ref, expected = step_allocating(pf, ref, y, summaries, bands)
             state, got = pf.step(state, y, summaries, bands)
+            assert state.cloud.alpha.shape[-1] == 2
             assert got.keys() == expected.keys()
             for key, value in expected.items():
+                value = value[..., 1:] if key.startswith("alpha_") else value
                 assert got[key].shape == value.shape and got[key].tobytes() == value.tobytes(), (t, key)
-            for name in ("x", "alpha", "omega"):
-                assert getattr(state.cloud, name).tobytes() == getattr(ref.cloud, name).tobytes(), (t, name)
+            for name, value in (("x", ref.x), ("alpha", ref.alpha[..., 1:]), ("omega", ref.omega)):
+                assert getattr(state.cloud, name).tobytes() == value.tobytes(), (t, name)
             assert state.t == ref.t == t
             assert state.rng.bit_generator.state == ref.rng.bit_generator.state
             some_resample |= 0 < got["resampled"].sum() < len(alpha0)
@@ -261,8 +272,10 @@ class TestInPlaceStep:
 
     def test_run_block_working_set(self):
         # F is one (P, N, K*L) float array.  The state and its scratch hold
-        # 3 F; the records of 100 steps, 0.67 F of draws and their small
-        # entries, add about 1 F, and a step's temporaries stay below 1 F.
+        # 2.67 F: two such arrays and two (P, N, 2) coefficient arrays.  The
+        # records of 100 steps, 0.67 F of draws and their small entries, add
+        # about 1 F, and a step's temporaries stay below 1 F.  The traced
+        # peak is 4.35 F.
         obs, panel = gen_nonlinear_incomplete(SimSpec(design="nonlinear_incomplete", T=100, seed=1, n_pred_draws=10))
         assert panel.n_models * panel.n_vars == 6
         pf = ParticleFilter(panel, DTVW, NoiseConfig(default_sigma_obs(obs, panel)), n_pred_draws=10)
@@ -329,6 +342,17 @@ class TestRun:
             for name in ("alpha_mean", "alpha_lo", "alpha_hi"):
                 np.testing.assert_array_equal(getattr(out, name)[:, 1:], getattr(ref, name)[:, 1:], err_msg=name)
                 np.testing.assert_allclose(getattr(out, name)[:, 0], a0, rtol=1e-12, atol=0, err_msg=name)
+
+    @pytest.mark.parametrize("a0", [0.3, -5.0])
+    @pytest.mark.parametrize("mode", [TVW, ADAPTIVE_TVW, DTVW], ids=lambda m: m.tag)
+    def test_alpha0_row_is_the_configured_value(self, mode, a0):
+        # alpha0 is a constant of the run, not a weighted particle mean, so
+        # its mean and both band ends are the configured value, bit for bit
+        obs, panel = gen_nonlinear_incomplete(SimSpec(design="nonlinear_incomplete", T=100, seed=3))
+        out = run_filter(obs, panel, mode, n_particles=500, seed=5, alpha0=(a0, 5.0, 2.0), n_pred_draws=8)
+        for name in ("alpha_mean", "alpha_lo", "alpha_hi"):
+            column = getattr(out, name)[:, 0]
+            assert column.tobytes() == np.full(100, a0).tobytes(), (name, np.count_nonzero(column != a0))
 
     def test_output_invariants(self):
         obs, panel = make_problem(T=30, seed=4)

@@ -118,13 +118,13 @@ class TestCloudWeightTensor:
 class TestInitParticles:
     def test_zero_spread_equal_weights(self):
         rng = np.random.default_rng(0)
-        cloud = init_particles(8, 3, 1, np.zeros((1, 3)), 0.0, rng)
+        cloud = init_particles(8, 3, 1, np.zeros((1, 2)), 0.0, rng)
         for p in particles(cloud):
             np.testing.assert_allclose(cloud_weight_tensor(p.x, 3, 1)[0], [1 / 3, 1 / 3, 1 / 3])
 
     def test_alpha_exact_and_omega(self):
         rng = np.random.default_rng(0)
-        alpha0 = np.array([0.0, 9.0, 8.5])
+        alpha0 = np.array([9.0, 8.5])
         cloud = init_particles(16, 2, 2, alpha0[None], 0.5, rng)
         assert np.all(cloud.alpha[0] == alpha0)
         assert cloud.omega[0].sum() == pytest.approx(1.0)
@@ -132,37 +132,37 @@ class TestInitParticles:
 
     def test_zero_count_rejected(self):
         with pytest.raises(InputError):
-            init_particles(0, 2, 1, np.zeros((1, 3)), 0.0, np.random.default_rng(0))
+            init_particles(0, 2, 1, np.zeros((1, 2)), 0.0, np.random.default_rng(0))
 
 
 class TestPropagation:
     def test_tvw_zero_noise_identity(self):
         rng = np.random.default_rng(1)
-        p = LatentParticle(np.array([0.3, -0.7]), np.zeros(3), 1.0)
+        p = LatentParticle(np.array([0.3, -0.7]), np.zeros(2), 1.0)
         q = propagate_particle(p, np.array([0.9, 0.1]), TVW, ZERO_NOISE, rng)
         np.testing.assert_array_equal(q.x, p.x)
         np.testing.assert_array_equal(q.alpha, p.alpha)
         assert q.omega == p.omega
 
     def test_tvw_reduction_from_learned_modes(self):
-        # theta pinned to (0, ~1, 0): adaptive mode with a saturated alpha1
+        # theta pinned to (~1, 0): adaptive mode with a saturated alpha1
         # and zero noise must leave x exactly unchanged
         rng = np.random.default_rng(1)
-        p = LatentParticle(np.array([1.5, -2.5]), np.array([0.0, 60.0, 0.0]), 1.0)
+        p = LatentParticle(np.array([1.5, -2.5]), np.array([60.0, 0.0]), 1.0)
         q = propagate_particle(p, np.array([0.5, 0.5]), ADAPTIVE_TVW, ZERO_NOISE, rng)
         np.testing.assert_array_equal(q.x, p.x)
 
     def test_dtvw_zero_noise_diversity_step(self):
         rng = np.random.default_rng(1)
         alpha2 = 3.0
-        p = LatentParticle(np.zeros(2), np.array([0.0, 0.0, alpha2]), 1.0)
+        p = LatentParticle(np.zeros(2), np.array([0.0, alpha2]), 1.0)
         q = propagate_particle(p, np.array([0.5, 0.5]), DTVW, ZERO_NOISE, rng)
         expected = np.tanh(alpha2 / 2.0) * np.array([0.5, 0.5])
         np.testing.assert_allclose(q.x, expected, atol=1e-15)
 
     def test_hundred_step_identity(self):
         rng = np.random.default_rng(1)
-        cloud = init_particles(4, 3, 2, np.zeros((1, 3)), 1.0, rng)
+        cloud = init_particles(4, 3, 2, np.zeros((1, 2)), 1.0, rng)
         x0 = cloud.x[0].copy()
         for _ in range(100):
             cloud = propagate_cloud(cloud, np.zeros(6), TVW, ZERO_NOISE, rng)
@@ -172,25 +172,27 @@ class TestPropagation:
     def _moved_coefficients(mode):
         rng = np.random.default_rng(1)
         cfg = NoiseConfig(np.array([1.0]), sigma_x=0.1, sigma_alpha=0.3)
-        alpha0 = np.array([0.7, 1.0, 5.5])
+        alpha0 = np.array([1.0, 5.5])
         cloud = init_particles(64, 2, 1, alpha0[None], 0.0, rng)
         for _ in range(10):
             cloud = propagate_cloud(cloud, np.array([0.5, 0.5]), mode, cfg, rng)
-        # the indices of the coefficients that moved; alpha0 never does, as
-        # the softmax cannot see the intercept
-        return [j for j in range(3) if np.any(cloud.alpha[0, :, j] != alpha0[j])]
+        # the indices of the coefficients (alpha1, alpha2) that moved
+        return [j for j in range(2) if np.any(cloud.alpha[0, :, j] != alpha0[j])]
 
     def test_adaptive_freezes_alpha2(self):
-        assert self._moved_coefficients(ADAPTIVE_TVW) == [1]
+        assert self._moved_coefficients(ADAPTIVE_TVW) == [0]
 
-    def test_dtvw_freezes_alpha0(self):
-        assert self._moved_coefficients(DTVW) == [1, 2]
+    def test_dtvw_moves_both_coefficients(self):
+        # the cloud carries only (alpha1, alpha2): dtvw moves both columns,
+        # adaptive_tvw only alpha1's
+        assert self._moved_coefficients(DTVW) == [0, 1]
+        assert self._moved_coefficients(ADAPTIVE_TVW) == [0]
 
     def test_no_cross_particle_coupling(self):
         # with zero noise propagation is per-particle deterministic, so a
         # permutation of the cloud propagates to the permuted result
         rng = np.random.default_rng(1)
-        cloud = init_particles(10, 2, 1, np.array([[0.3, 0.6, -0.4]]), 1.0, rng)
+        cloud = init_particles(10, 2, 1, np.array([[0.6, -0.4]]), 1.0, rng)
         perm = np.random.default_rng(2).permutation(10)
         from divcast.latent import ParticleCloud
 
@@ -207,7 +209,7 @@ class TestPropagation:
         # exactly as that point's own cloud would, and uses the Generator as
         # that cloud's run does
         cfg = NoiseConfig(np.array([1.0]), sigma_x=0.2, sigma_alpha=0.1)
-        alpha0 = np.array([[0.0, 1.0, -2.0], [0.5, 3.0, 4.0], [0.0, -6.0, 0.0]])
+        alpha0 = np.array([[1.0, -2.0], [3.0, 4.0], [-6.0, 0.0]])
         div = np.array([0.1, 0.3, 0.6])
         rng = np.random.default_rng(9)
         block = init_particles(5, 3, 1, alpha0, 0.7, rng)
@@ -223,13 +225,13 @@ class TestPropagation:
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(1)
-        p = LatentParticle(np.zeros(4), np.zeros(3), 1.0)
+        p = LatentParticle(np.zeros(4), np.zeros(2), 1.0)
         with pytest.raises(InputError):
             propagate_particle(p, np.zeros(3), DTVW, ZERO_NOISE, rng)
 
     def test_omega_passes_through(self):
         rng = np.random.default_rng(1)
         cfg = NoiseConfig(np.array([1.0]), sigma_x=0.2, sigma_alpha=0.1)
-        p = LatentParticle(np.zeros(2), np.zeros(3), 0.125)
+        p = LatentParticle(np.zeros(2), np.zeros(2), 0.125)
         q = propagate_particle(p, np.array([0.5, 0.5]), DTVW, cfg, rng)
         assert q.omega == 0.125
