@@ -15,7 +15,7 @@ from .core import (
     PredictorPanel,
     default_sigma_obs,
 )
-from .dgp import SimSpec, gen_complete_ar, gen_nonlinear_incomplete, generate
+from .dgp import SimSpec, generate
 from .diversity import diversity_vector, scaled_diversity
 from .filtering import FilterOutput, FilterState, ParticleFilter, run_filter, systematic_resample
 from .latent import ADAPTIVE_TVW, DTVW, TVW, LatentMode
@@ -48,8 +48,6 @@ __all__ = [
     "default_sigma_obs",
     "diversity_vector",
     "dm_test",
-    "gen_complete_ar",
-    "gen_nonlinear_incomplete",
     "generate",
     "grid_search",
     "make_crps_runner",

@@ -21,7 +21,7 @@ import os
 import sys
 
 from .core import ConfigError, DegeneracyError, InputError
-from .dataio import load_config, load_observations, load_panel, save_observations, save_panel, write_table
+from .dataio import _parse_ints, load_config, load_observations, load_panel, save_observations, save_panel, write_table
 from .dgp import DESIGNS, SimSpec, generate
 from .experiment import build_report, run_experiment, run_grid_search, score_runs
 
@@ -87,7 +87,7 @@ def _overrides(args: argparse.Namespace, method: str | None) -> dict:
     }
     if args.horizons:
         try:
-            over["horizons"] = tuple(int(h) for h in str(args.horizons).replace(",", " ").split())
+            over["horizons"] = _parse_ints(args.horizons)
         except ValueError:
             raise ConfigError(f"--horizons expects comma-separated integers, got {args.horizons!r}") from None
     return over

@@ -2,7 +2,9 @@
 weighting, recursive Bayesian model averaging on cumulative log predictive
 likelihoods, and its rolling-window variant.  Individual panel models are
 exposed through the same interface (as degenerate one-hot combinations) so
-score tables can mix models and combiners.
+score tables can mix models and combiners.  Each of them only chooses its
+weight rows and its predictive draws; one assembly turns those into the
+result.
 """
 
 from __future__ import annotations
@@ -33,25 +35,6 @@ class CombinerResult:
     forecasts: ForecastSeries
 
 
-def _gaussian_fit(panel: PredictorPanel, fallback_sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Moment-fit a diagonal Gaussian to every panel cell.
-
-    Returns means and standard deviations of shape (T, K, L, H).  With a
-    single draw, or a degenerate draw spread, the configured fallback
-    bandwidth acts as the standard deviation; otherwise the sample variance
-    is floored at 1e-8.
-    """
-    if fallback_sigma <= 0:
-        raise InputError("fallback_sigma must be positive")
-    mu = panel._means
-    if panel.n_draws >= 2:
-        var = panel.draws.var(axis=4, ddof=1)
-        sd = np.where(var == 0.0, fallback_sigma, np.sqrt(np.maximum(var, VAR_FLOOR)))
-    else:
-        sd = np.full_like(mu, fallback_sigma)
-    return mu, sd
-
-
 def model_log_predictive_matrix(
     panel: PredictorPanel,
     obs: ObservationSeries,
@@ -59,11 +42,22 @@ def model_log_predictive_matrix(
     horizon: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-variable and joint log predictives of every model at every target
-    time: returns (T, K) joint and (T, K, L) marginal arrays."""
-    mu, sd = _gaussian_fit(panel, fallback_sigma)
+    time, from a diagonal Gaussian moment-fitted to each panel cell of the
+    horizon: returns (T, K) joint and (T, K, L) marginal arrays.
+
+    With a single draw, or a degenerate draw spread, the configured fallback
+    bandwidth acts as the standard deviation; otherwise the sample variance
+    is floored at 1e-8.
+    """
+    if fallback_sigma <= 0:
+        raise InputError("fallback_sigma must be positive")
     T = obs.n_steps
-    m = mu[:T, :, :, horizon - 1]
-    s = sd[:T, :, :, horizon - 1]
+    m = panel._means[:T, :, :, horizon - 1]
+    if panel.n_draws >= 2:
+        var = panel.draws[:T, :, :, horizon - 1].var(axis=-1, ddof=1)
+        s = np.where(var == 0.0, fallback_sigma, np.sqrt(np.maximum(var, VAR_FLOOR)))
+    else:
+        s = np.full_like(m, fallback_sigma)
     marginal = _gaussian_logpdf(obs.values[:, None, :], m, s)
     return marginal.sum(axis=2), marginal
 
@@ -93,41 +87,32 @@ def bma_weights(log_pred_per_model: np.ndarray, window: int | None = None) -> np
     return out
 
 
-def _combined_forecasts(
+def _combined_result(
+    method: str,
     panel: PredictorPanel,
     obs: ObservationSeries,
     weight_rows: np.ndarray,
     horizon: int,
-    mu: np.ndarray,
-    sd: np.ndarray,
+    fallback_sigma: float,
     draws_fn,
-) -> ForecastSeries:
-    """Assemble the forecast block for target times h..T: the forecast of
-    target s uses the weight row at s-h+1 (information through s-h)."""
+) -> CombinerResult:
+    """The result of a baseline whose (T, K) weight rows hold for every
+    variable.  Its forecast of target s, for s in h..T, mixes the
+    Gaussian-fitted panel cells with the weight row at s-h+1 (information
+    through s-h); its draws are draws_fn(targets, w), w the (S, K) rows used."""
     T, L = obs.n_steps, obs.n_vars
     targets = np.arange(horizon, T + 1)
-    rows = targets - horizon  # 0-based weight row index s-h+1 -> (s-h+1)-1
-    w = weight_rows[rows]  # (S, K)
-    m = mu[targets - 1, :, :, horizon - 1]  # (S, K, L)
-    s_ = sd[targets - 1, :, :, horizon - 1]
-    point = np.einsum("sk,skl->sl", w, m)
-    y = obs.values[targets - 1]
-    comp_marg = _gaussian_logpdf(y[:, None, :], m, s_)  # (S, K, L)
+    w = weight_rows[targets - horizon]  # (S, K): the 0-based row of s-h+1
+    point = np.einsum("sk,skl->sl", w, panel._means[targets - 1, :, :, horizon - 1])
+    joint, marginal = model_log_predictive_matrix(panel, obs, fallback_sigma, horizon)
     with np.errstate(divide="ignore"):
         logw = np.where(w > 0, np.log(w), -np.inf)
-    log_pred = _logsumexp(logw + comp_marg.sum(axis=2), axis=1)
+    log_pred = _logsumexp(logw + joint[targets - 1], axis=1)
     log_pred_marginal = np.stack(
-        [_logsumexp(logw + comp_marg[:, :, l], axis=1) for l in range(L)], axis=1
+        [_logsumexp(logw + marginal[targets - 1, :, l], axis=1) for l in range(L)], axis=1
     )
-    draws = draws_fn(targets, w)
-    return ForecastSeries(
-        horizon=horizon,
-        targets=targets,
-        point=point,
-        log_pred=log_pred,
-        log_pred_marginal=log_pred_marginal,
-        draws=draws,
-    )
+    forecasts = ForecastSeries(horizon, targets, point, log_pred, log_pred_marginal, draws_fn(targets, w))
+    return CombinerResult(method, np.repeat(weight_rows[:, :, None], L, axis=2), forecasts)
 
 
 def run_combiner(
@@ -146,7 +131,6 @@ def run_combiner(
         raise InputError("panel does not cover the observation range")
     if obs.n_vars != panel.n_vars:
         raise InputError("observation and panel variable counts differ")
-    mu, sd = _gaussian_fit(panel, fallback_sigma)
 
     if method == "equal":
         weight_rows = np.full((T, K), 1.0 / K)
@@ -174,13 +158,7 @@ def run_combiner(
     else:
         raise InputError(f"unknown combiner {method!r}")
 
-    forecasts = _combined_forecasts(panel, obs, weight_rows, horizon, mu, sd, draws_fn)
-    weights = np.repeat(weight_rows[:, :, None], L, axis=2)
-    return CombinerResult(
-        method=method,
-        weights=weights,
-        forecasts=forecasts,
-    )
+    return _combined_result(method, panel, obs, weight_rows, horizon, fallback_sigma, draws_fn)
 
 
 def single_model_result(
@@ -193,19 +171,11 @@ def single_model_result(
     """Expose panel model k (1-based) through the combiner interface."""
     if not 1 <= k <= panel.n_models:
         raise InputError(f"model index {k} outside 1..{panel.n_models}")
-    T, K, L = obs.n_steps, panel.n_models, panel.n_vars
-    mu, sd = _gaussian_fit(panel, fallback_sigma)
-    weight_rows = np.zeros((T, K))
+    weight_rows = np.zeros((obs.n_steps, panel.n_models))
     weight_rows[:, k - 1] = 1.0
 
     def draws_fn(targets, w):
         block = panel.draws[targets - 1, k - 1, :, horizon - 1, :]  # (S, L, D)
         return np.moveaxis(block, 2, 1)
 
-    forecasts = _combined_forecasts(panel, obs, weight_rows, horizon, mu, sd, draws_fn)
-    weights = np.repeat(weight_rows[:, :, None], L, axis=2)
-    return CombinerResult(
-        method=panel.model_names[k - 1],
-        weights=weights,
-        forecasts=forecasts,
-    )
+    return _combined_result(panel.model_names[k - 1], panel, obs, weight_rows, horizon, fallback_sigma, draws_fn)

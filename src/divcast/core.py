@@ -178,8 +178,10 @@ class ForecastSeries:
 
 
 def matrix_to_latent(m: np.ndarray) -> np.ndarray:
-    """Vectorize a (K, L) matrix column by column (variable-major)."""
-    return np.asarray(m, dtype=float).T.ravel()
+    """Vectorize a (K, L) matrix column by column (variable-major); a
+    (T, K, L) stack gives a (T, K*L) array, one row per matrix."""
+    m = np.asarray(m, dtype=float)
+    return m.swapaxes(-1, -2).reshape(*m.shape[:-2], -1)
 
 
 def default_sigma_obs(obs: ObservationSeries, panel: PredictorPanel) -> np.ndarray:

@@ -397,8 +397,9 @@ def load_config(path: str, overrides: dict | None = None, search: bool = False) 
 
     Only a grid search (``search``) reads ``[gridsearch]``: otherwise the
     section is neither read nor checked, and the GridSpec returned is None.
-    A grid search reads neither ``[run] n_pred_draws``, ``[run] baseline``
-    nor ``fallback_sigma``, so their defaults stand and none is checked.
+    A grid search reads neither ``[run] n_pred_draws``, ``[run] baseline``,
+    ``alpha0`` nor ``fallback_sigma``, so their defaults stand and none is
+    checked.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -446,12 +447,12 @@ def load_config(path: str, overrides: dict | None = None, search: bool = False) 
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     method = overrides.get("method") or values["method"]
     baseline = overrides.get("baseline") or values.get("baseline")
-    section_keys = [(method, "alpha0", _parse_floats), (method, "x0_spread", float)]
-    if not search:
-        section_keys.append((method, "fallback_sigma", float))
+    section_keys = [(method, "alpha0", _parse_floats), (method, "x0_spread", float), (method, "fallback_sigma", float)]
     if "bma_roll" in (method, baseline):
         section_keys.append(("bma_roll", "window", int))
     for section, key, cast in section_keys:
+        if search and key in ("alpha0", "fallback_sigma"):
+            continue
         if (value := get(section, key, cast)) is not None:
             values[key] = value
 

@@ -1,10 +1,12 @@
 """Synthetic data generators for the two Monte Carlo designs.
 
-``complete_ar`` draws the target path from the first of three stationary
-AR models with distinct unconditional means (the true process is in the
-candidate set).  ``nonlinear_incomplete`` uses a strongly nonlinear truth
-with a cosine forcing and six misspecified candidates (the truth is not in
-the set).
+``DESIGNS`` maps each design name to its truth step, its candidate models,
+its pre-sample value and its default innovation ``sigma``, and ``generate``
+reads that table.  ``complete_ar`` draws the target path from the first of
+three stationary AR models with distinct unconditional means (the true
+process is in the candidate set).  ``nonlinear_incomplete`` uses a strongly
+nonlinear truth with a cosine forcing and six misspecified candidates (the
+truth is not in the set).
 
 Every candidate's (t, h) panel cell is built by iterating that candidate h
 steps forward from the *realized* truth's lagged values with fresh
@@ -15,14 +17,13 @@ t-h.  Pre-sample lags are pinned at the initial value.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import InputError, ObservationSeries, PredictorPanel
 from .rng import substream
-
-DESIGNS = ("complete_ar", "nonlinear_incomplete")
 
 
 def _forcing(s: int) -> float:
@@ -48,6 +49,18 @@ NONLINEAR_MODELS = {
 }
 
 
+# Each design's truth step, candidate models, pre-sample value y0 and
+# default innovation sigma.
+Design = namedtuple("Design", "truth models y0 sigma")
+DESIGNS = {
+    "complete_ar": Design(COMPLETE_AR_MODELS["M1"], COMPLETE_AR_MODELS, y0=0.25, sigma=0.05),
+    "nonlinear_incomplete": Design(NONLINEAR_TRUTH, NONLINEAR_MODELS, y0=0.1, sigma=0.5),
+}
+
+# Largest T x K x H x D draw tensor simulate allocates: 0.8 GB of float64.
+MAX_PANEL_CELLS = 10**8
+
+
 @dataclass(frozen=True)
 class SimSpec:
     """One Monte Carlo configuration."""
@@ -61,18 +74,20 @@ class SimSpec:
 
     def __post_init__(self):
         if self.design not in DESIGNS:
-            raise InputError(f"unknown design {self.design!r}; expected one of {DESIGNS}")
+            raise InputError(f"unknown design {self.design!r}; expected one of {tuple(DESIGNS)}")
         if self.T < 2:
             raise InputError("T must be >= 2")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.sigma is None:
-            default = 0.05 if self.design == "complete_ar" else 0.5
-            object.__setattr__(self, "sigma", default)
+            object.__setattr__(self, "sigma", DESIGNS[self.design].sigma)
         if not 0 < self.sigma < np.inf:
             raise InputError("sigma must be finite and > 0")
         if self.n_pred_draws < 1 or self.horizons < 1:
             raise InputError("n_pred_draws and horizons must be >= 1")
+        cells = self.T * len(DESIGNS[self.design].models) * self.horizons * self.n_pred_draws
+        if cells > MAX_PANEL_CELLS:
+            raise InputError(f"the panel would hold {cells:,} draws (T x K x H x D), above {MAX_PANEL_CELLS:,}")
 
 
 def _simulate_truth(step, y0: float, T: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -116,31 +131,8 @@ def _simulate_panel(
 
 
 def generate(spec: SimSpec) -> tuple[ObservationSeries, PredictorPanel]:
-    """Generate (observations, panel) for the given design."""
-    if spec.design == "complete_ar":
-        return gen_complete_ar(spec)
-    return gen_nonlinear_incomplete(spec)
-
-
-def gen_complete_ar(spec: SimSpec) -> tuple[ObservationSeries, PredictorPanel]:
-    """Three-AR complete design: the first candidate is the true process."""
-    if spec.design != "complete_ar":
-        raise InputError("spec design must be complete_ar")
-    y0 = 0.25
-    truth = _simulate_truth(COMPLETE_AR_MODELS["M1"], y0, spec.T, spec.sigma, substream(spec.seed, "truth"))
-    draws = _simulate_panel(COMPLETE_AR_MODELS, truth, y0, spec, substream(spec.seed, "panel"))
-    obs = ObservationSeries(truth[:, None], ("y",))
-    panel = PredictorPanel(draws, tuple(COMPLETE_AR_MODELS))
-    return obs, panel
-
-
-def gen_nonlinear_incomplete(spec: SimSpec) -> tuple[ObservationSeries, PredictorPanel]:
-    """Nonlinear incomplete design: six candidates, none equal to the truth."""
-    if spec.design != "nonlinear_incomplete":
-        raise InputError("spec design must be nonlinear_incomplete")
-    y0 = 0.1
-    truth = _simulate_truth(NONLINEAR_TRUTH, y0, spec.T, spec.sigma, substream(spec.seed, "truth"))
-    draws = _simulate_panel(NONLINEAR_MODELS, truth, y0, spec, substream(spec.seed, "panel"))
-    obs = ObservationSeries(truth[:, None], ("y",))
-    panel = PredictorPanel(draws, tuple(NONLINEAR_MODELS))
-    return obs, panel
+    """Generate (observations, panel) for the spec's design."""
+    step, models, y0, _ = DESIGNS[spec.design]
+    truth = _simulate_truth(step, y0, spec.T, spec.sigma, substream(spec.seed, "truth"))
+    draws = _simulate_panel(models, truth, y0, spec, substream(spec.seed, "panel"))
+    return ObservationSeries(truth[:, None], ("y",)), PredictorPanel(draws, tuple(models))

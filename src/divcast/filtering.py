@@ -21,8 +21,8 @@ point's shape, and applies to every point, and each point gets exactly the
 numbers it would get in a run alone.
 
 The panel is frozen, so each filter builds its diversity path, the vector
-for every step t, once, on its first step, and every block it runs reads
-that path.
+for every step t, in one call on its first step, and every block it runs
+reads that path.
 
 A step advances the block's state in place.  The state carries one scratch
 array the size of the latent cloud x and one the size of the coefficient
@@ -80,6 +80,8 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator, n: int | 
         w = w[None]
     if w.ndim != 2:
         raise InputError("weights must be a vector or a (P, N) block")
+    if not np.all(np.isfinite(w)):
+        raise InputError("weights must be finite")
     if np.any(w < -1e-12):
         raise InputError("weights must be non-negative")
     sums = w.sum(axis=-1)
@@ -268,10 +270,10 @@ class ParticleFilter:
     @cached_property
     def diversity_path(self) -> np.ndarray:
         """(T, K*L): row t-1 is the diversity vector the step at t injects,
-        for every t of the panel.  The panel is frozen, so the path is built
-        on the first step that needs it and shared by every later block."""
-        h = self.horizon
-        return np.stack([diversity_vector(self.panel, t, h) for t in range(1, self.panel.n_steps + 1)])
+        for every t of the panel, from one diversity_vector call.  The panel
+        is frozen, so the path is built on the first step that needs it and
+        shared by every later block."""
+        return diversity_vector(self.panel, self.horizon)
 
     def init_state(
         self,

@@ -22,7 +22,7 @@ from scipy import stats
 
 from divcast.combine import bma_weights, single_model_result
 from divcast.core import NoiseConfig
-from divcast.dgp import SimSpec, gen_complete_ar, gen_nonlinear_incomplete
+from divcast.dgp import SimSpec, generate
 from divcast.filtering import run_filter, systematic_resample
 from divcast.latent import ADAPTIVE_TVW, DTVW, TVW
 from divcast.metrics import crps_series, dm_test
@@ -107,7 +107,7 @@ class TestA3DmBruteForce:
 
 class TestA4DeterministicLimit:
     def test_a4(self):
-        obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=200, seed=42, n_pred_draws=5))
+        obs, panel = generate(SimSpec(design="complete_ar", T=200, seed=42, n_pred_draws=5))
         cfg = NoiseConfig(np.array([0.2]), sigma_x=0.0, sigma_alpha=0.0)
         out = run_filter(obs, panel, TVW, cfg=cfg, n_particles=1, seed=0, n_pred_draws=2)
         K = panel.n_models
@@ -201,7 +201,7 @@ def complete_batch():
     t0 = time.time()
     batch = []
     for s in SEEDS:
-        obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=100, seed=s, n_pred_draws=10))
+        obs, panel = generate(SimSpec(design="complete_ar", T=100, seed=s, n_pred_draws=10))
         dtvw = run_filter(obs, panel, DTVW, n_particles=1000, seed=s, alpha0=(0.0, 10.0, 8.5))
         tvw = run_filter(obs, panel, TVW, n_particles=1000, seed=s)
         adaptive = run_filter(obs, panel, ADAPTIVE_TVW, n_particles=1000, seed=s, alpha0=(0.0, 9.0, 0.0))
@@ -223,7 +223,7 @@ def nonlinear_batch():
     spec = GridSpec(stage1=((-10.0, 10.0, 2.0), (-10.0, 10.0, 2.0)), stage2_step=0.5)
     batch = []
     for s in SEEDS:
-        obs, panel = gen_nonlinear_incomplete(
+        obs, panel = generate(
             SimSpec(design="nonlinear_incomplete", T=100, seed=s, n_pred_draws=10)
         )
         runner = make_crps_runner(obs, panel, n_particles=250, eval_draws=10)
@@ -334,7 +334,7 @@ class TestB12GridSearchSanity:
         hits = 0
         incumbents = []
         for s in SEEDS:
-            obs, panel = gen_complete_ar(
+            obs, panel = generate(
                 SimSpec(design="complete_ar", T=100, seed=s, n_pred_draws=10)
             )
             runner = make_crps_runner(obs, panel, n_particles=250, eval_draws=10)

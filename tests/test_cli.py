@@ -62,6 +62,14 @@ class TestSimulate:
         assert "sigma must be finite and > 0" in capsys.readouterr().err
         assert not os.path.exists(out_dir)
 
+    @pytest.mark.parametrize("flag", ["--draws", "--length"])
+    def test_unallocatable_panel_exit_2(self, tmp_path, capsys, flag):
+        out_dir = tmp_path / "sim"
+        argv = ["simulate", "--design", "complete_ar", flag, "1000000000000", "--out-dir", str(out_dir)]
+        assert main(argv) == 2
+        assert "above 100,000,000" in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
+
     def test_simulate_then_run(self, tmp_path):
         main([
             "simulate", "--design", "nonlinear_incomplete", "--length", "30",
@@ -155,7 +163,7 @@ class TestRun:
             {"method": "dtvw", "extra": "[gridsearch]\nstage1 = 0, 1e12, 1e-9\n"},
             {"method": "dtvw", "extra": "[dtvw]\nx0_spread = -1\n"},
             {"method": "dtvw", "extra": "[dtvw]\nx0_spread = nan\n"},
-            {"method": "dtvw", "extra": "[dtvw]\nalpha0 = 0, nan, 1\n"},
+            {"method": "dtvw", "extra": "[dtvw]\nalpha0 = 0, nan, 1\n", "commands": ("run",)},
             {"method": "dtvw", "extra": "[gridsearch]\nstage1 = 0, 1e9, 1e-9\n"},
             {"method": "dtvw", "extra": "[gridsearch]\nstage2_step = 1e-6\n"},
             {"method": "dtvw", "horizons": "1,1"},
@@ -313,13 +321,18 @@ class TestGridsearch:
             {"extra": "baseline = bma_roll\n"},
             {"extra": "baseline = nope\n"},
             {"extra": "[dtvw]\nfallback_sigma = -1\n"},
+            {"extra": "[dtvw]\nalpha0 = nan, 1, 2\n"},
         ],
-        ids=["one_pred_draw", "baseline_bma_roll_without_window", "unknown_baseline", "negative_fallback_sigma"],
+        ids=[
+            "one_pred_draw", "baseline_bma_roll_without_window", "unknown_baseline", "negative_fallback_sigma",
+            "non_finite_alpha0",
+        ],
     )
     def test_ignores_the_run_only_keys(self, tmp_path, settings):
-        # the search samples eval_draws and scores neither a baseline nor the
-        # single models, so a [run] n_pred_draws or baseline or a
-        # fallback_sigma that `run` would reject leaves it unchanged
+        # the search samples eval_draws, scores neither a baseline nor the
+        # single models, and starts every point from its own lattice
+        # coefficients, so a [run] n_pred_draws or baseline, a fallback_sigma
+        # or an alpha0 that `run` would reject leaves it unchanged
         grid = "[gridsearch]\nstage1 = -2, 2, 2\nstage2_step = none\neval_draws = 5\ngrid_particles = 40\n"
         surfaces = []
         for name, keyed in (("plain", {}), ("keyed", settings)):

@@ -88,6 +88,10 @@ class TestWeightsFromLatent:
         np.testing.assert_array_equal(m[:, 2], [5.0, 6.0])
         np.testing.assert_array_equal(matrix_to_latent(m), x)
 
+    def test_stack_vectorizes_each_matrix(self):
+        stack = np.arange(24.0).reshape(4, 2, 3)
+        np.testing.assert_array_equal(matrix_to_latent(stack), [matrix_to_latent(m) for m in stack])
+
 
 class TestCombinedPoint:
     def test_equal_weights_mean(self):

@@ -19,7 +19,7 @@ from divcast.dataio import (
     save_panel,
     write_long,
 )
-from divcast.dgp import SimSpec, gen_nonlinear_incomplete
+from divcast.dgp import SimSpec, generate
 from oracles import long_tuple_rows
 
 
@@ -193,7 +193,7 @@ class TestPanelIO:
 
     def test_round_trip_with_dgp(self, tmp_path):
         spec = SimSpec(design="nonlinear_incomplete", T=6, seed=3, n_pred_draws=3, horizons=2)
-        obs, panel = gen_nonlinear_incomplete(spec)
+        obs, panel = generate(spec)
         path = str(tmp_path / "panel.csv")
         save_panel(panel, path, obs.variable_names)
         back = load_panel(path)

@@ -4,11 +4,11 @@ import pytest
 from divcast.core import InputError
 from divcast.dgp import (
     COMPLETE_AR_MODELS,
+    DESIGNS,
+    MAX_PANEL_CELLS,
     NONLINEAR_MODELS,
     NONLINEAR_TRUTH,
     SimSpec,
-    gen_complete_ar,
-    gen_nonlinear_incomplete,
     generate,
 )
 
@@ -54,14 +54,31 @@ class TestSimSpec:
         with pytest.raises(InputError):
             SimSpec(design="complete_ar", sigma=0.0)
 
+    def test_unknown_design_message(self):
+        with pytest.raises(InputError) as exc:
+            SimSpec(design="unknown")
+        assert str(exc.value) == "unknown design 'unknown'; expected one of ('complete_ar', 'nonlinear_incomplete')"
+
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_panel_cells_bounded(self, design):
+        # T x K x H x D, with K the design's model count, may reach the bound
+        # but not pass it; nothing is simulated by the spec itself
+        K = len(DESIGNS[design].models)
+        T = MAX_PANEL_CELLS // (K * 10)
+        assert SimSpec(design=design, T=T, n_pred_draws=10).T == T
+        with pytest.raises(InputError, match="above 100,000,000"):
+            SimSpec(design=design, T=T + 1, n_pred_draws=10)
+        with pytest.raises(InputError, match="above 100,000,000"):
+            SimSpec(design=design, T=2, horizons=10**6, n_pred_draws=10**6)
+
 
 class TestGeneration:
     def test_shapes_and_names(self):
-        obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=20, seed=0, n_pred_draws=3))
+        obs, panel = generate(SimSpec(design="complete_ar", T=20, seed=0, n_pred_draws=3))
         assert obs.n_steps == 20 and obs.n_vars == 1
         assert panel.model_names == ("M1", "M2", "M3")
         assert panel.draws.shape == (20, 3, 1, 1, 3)
-        obs2, panel2 = gen_nonlinear_incomplete(
+        obs2, panel2 = generate(
             SimSpec(design="nonlinear_incomplete", T=15, seed=0, n_pred_draws=2, horizons=3)
         )
         assert panel2.model_names == ("M1", "M2", "M3", "M4", "M5", "M6")
@@ -74,15 +91,9 @@ class TestGeneration:
         np.testing.assert_array_equal(a_obs.values, b_obs.values)
         np.testing.assert_array_equal(a_panel.draws, b_panel.draws)
 
-    def test_design_mismatch(self):
-        with pytest.raises(InputError):
-            gen_complete_ar(SimSpec(design="nonlinear_incomplete"))
-        with pytest.raises(InputError):
-            gen_nonlinear_incomplete(SimSpec(design="complete_ar"))
-
     def test_tiny_sigma_collapses_to_truth_lags(self):
         spec = SimSpec(design="complete_ar", T=10, seed=1, sigma=1e-12, n_pred_draws=3)
-        obs, panel = gen_complete_ar(spec)
+        obs, panel = generate(spec)
         y = obs.values[:, 0]
         for t in range(2, 11):
             for k, f in enumerate(COMPLETE_AR_MODELS.values()):
@@ -94,13 +105,13 @@ class TestGeneration:
     def test_true_model_error_variance(self):
         # M1 is the truth: its one-step forecast error variance is ~ sigma^2
         spec = SimSpec(design="complete_ar", T=4000, seed=5, n_pred_draws=50)
-        obs, panel = gen_complete_ar(spec)
+        obs, panel = generate(spec)
         err = obs.values[:, 0] - panel.draws.mean(axis=4)[:, 0, 0, 0]
         assert err.var() == pytest.approx(spec.sigma**2 * (1 + 1 / 50), rel=0.1)
 
     def test_long_run_mean(self):
         spec = SimSpec(design="complete_ar", T=4000, seed=8, n_pred_draws=1)
-        obs, _ = gen_complete_ar(spec)
+        obs, _ = generate(spec)
         mean = obs.values[:, 0].mean()
         # AR(1) stationary mean 0.1/0.4 = 0.25; tolerance 3*sigma/sqrt(0.64*T)
         assert abs(mean - 0.25) < 3 * spec.sigma / np.sqrt(0.64 * spec.T)
@@ -109,7 +120,7 @@ class TestGeneration:
         # at horizon 2 the draw is a two-step iteration of the candidate from
         # the truth's lags; with tiny noise it must hit the deterministic value
         spec = SimSpec(design="complete_ar", T=8, seed=2, sigma=1e-12, n_pred_draws=2, horizons=2)
-        obs, panel = gen_complete_ar(spec)
+        obs, panel = generate(spec)
         y = obs.values[:, 0]
         t = 6
         f = COMPLETE_AR_MODELS["M3"]

@@ -41,6 +41,21 @@ class TestScaledDiversity:
         for c in (2.5, -3.0, 1e-3, 1e4):
             np.testing.assert_allclose(scaled_diversity(c * preds), scaled_diversity(preds), atol=1e-10)
 
+    @pytest.mark.parametrize("K", range(2, 14))
+    def test_stack_equals_each_block(self, K):
+        # past 8 models numpy sums the model axis pairwise; a stack must sum
+        # each block as it is summed alone, all-equal columns included
+        rng = np.random.default_rng(K)
+        for L in (1, 2, 3):
+            stack = rng.normal(scale=rng.choice([1.0, 1e3]), size=(9, K, L))
+            stack[2, :, 0] = 4.0
+            stack[5] = -1.5
+            got = scaled_diversity(stack)
+            assert got.shape == (9, K, L)
+            for t in range(9):
+                assert got[t].tobytes() == scaled_diversity(stack[t]).tobytes(), (K, L, t)
+            np.testing.assert_array_equal(got[5], 1 / K)
+
     def test_max_outlier_property(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
@@ -59,21 +74,21 @@ class TestDiversityVector:
         draws[0, 0, 0, 0] = [1.0, 1.0]
         draws[0, 1, 0, 0] = [3.0, 3.0]
         panel = PredictorPanel(draws, ("a", "b"))
-        np.testing.assert_allclose(diversity_vector(panel, 1, 1), [0.5, 0.5])
+        np.testing.assert_allclose(diversity_vector(panel, 1)[0], [0.5, 0.5])
 
     def test_identical_structure_per_variable(self):
         draws = np.zeros((1, 2, 2, 1, 1))
         draws[0, :, 0, 0, 0] = [1.0, 4.0]
         draws[0, :, 1, 0, 0] = [1.0, 4.0]
         panel = PredictorPanel(draws, ("a", "b"))
-        v = diversity_vector(panel, 1, 1)
+        v = diversity_vector(panel, 1)[0]
         np.testing.assert_allclose(v[:2], v[2:])
 
     def test_three_model_direct(self):
         draws = np.zeros((1, 3, 1, 1, 1))
         draws[0, :, 0, 0, 0] = [0.0, 1.0, 2.0]
         panel = PredictorPanel(draws, ("a", "b", "c"))
-        np.testing.assert_allclose(diversity_vector(panel, 1, 1), [5 / 12, 2 / 12, 5 / 12])
+        np.testing.assert_allclose(diversity_vector(panel, 1)[0], [5 / 12, 2 / 12, 5 / 12])
 
     def test_layout_aligns_with_latent_vector(self):
         # variable 1 means (0,1,2) -> (5/12, 2/12, 5/12); variable 2 means
@@ -83,7 +98,7 @@ class TestDiversityVector:
         draws[0, :, 0, 0, 0] = [0.0, 1.0, 2.0]
         draws[0, :, 1, 0, 0] = [0.0, 0.0, 10.0]
         panel = PredictorPanel(draws, ("a", "b", "c"))
-        v = diversity_vector(panel, 1, 1)
+        v = diversity_vector(panel, 1)[0]
         expected = matrix_to_latent(
             np.array([[5 / 12, 0.25], [2 / 12, 0.25], [5 / 12, 0.5]])
         )
@@ -91,9 +106,20 @@ class TestDiversityVector:
         assert v[1 * 3 + 2] == pytest.approx(0.5)
 
     def test_out_of_range(self):
-        draws = np.zeros((2, 2, 1, 1, 1))
+        # h = 0 would otherwise index the last horizon's means
+        draws = np.zeros((2, 2, 1, 3, 1))
         panel = PredictorPanel(draws, ("a", "b"))
-        with pytest.raises(InputError):
-            diversity_vector(panel, 3, 1)
-        with pytest.raises(InputError):
-            diversity_vector(panel, 1, 2)
+        for h in (0, 4):
+            with pytest.raises(InputError, match=f"horizon {h} outside 1..3"):
+                diversity_vector(panel, h)
+
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_path_rows_are_the_per_time_vectors(self, L):
+        rng = np.random.default_rng(L)
+        panel = PredictorPanel(rng.normal(size=(7, 4, L, 2, 3)), ("a", "b", "c", "d"))
+        for h in (1, 2):
+            path = diversity_vector(panel, h)
+            assert path.shape == (7, 4 * L)
+            for t in range(1, 8):
+                expected = matrix_to_latent(scaled_diversity(panel.mean_matrix(t, h)))
+                assert path[t - 1].tobytes() == expected.tobytes()

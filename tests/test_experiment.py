@@ -66,9 +66,9 @@ class TestRunExperiment:
         assert {r["variable"] for r in cumls} == {"infl", "growth", "joint"}
 
     def test_dtvw_emits_alphas_and_converges(self, tmp_path):
-        from divcast.dgp import SimSpec, gen_complete_ar
+        from divcast.dgp import SimSpec, generate
 
-        obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=60, seed=4, n_pred_draws=10))
+        obs, panel = generate(SimSpec(design="complete_ar", T=60, seed=4, n_pred_draws=10))
         cfg = RunConfig(
             method="dtvw",
             observations="-",

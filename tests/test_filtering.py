@@ -10,9 +10,10 @@ from divcast.core import (
     ObservationSeries,
     PredictorPanel,
     default_sigma_obs,
+    matrix_to_latent,
 )
-from divcast.dgp import SimSpec, gen_complete_ar, gen_nonlinear_incomplete
-from divcast.diversity import diversity_vector
+from divcast.dgp import SimSpec, generate
+from divcast.diversity import diversity_vector, scaled_diversity
 from divcast.filtering import (
     ParticleFilter,
     _combine_cloud,
@@ -86,6 +87,14 @@ class TestSystematicResample:
         for offset in (0.0, 0.5, np.nextafter(1.0, 0.0), *rng.random(5)):
             assert _resample_indices(w, offset, n).tobytes() == systematic_indices(w, offset, n).tobytes()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # nan slipped past the sum check (abs(nan - 1) > 1e-8 is False)
+        with pytest.raises(InputError, match="finite"):
+            systematic_resample(np.array([bad, 1.0]), np.random.default_rng(0))
+        with pytest.raises(InputError, match="finite"):
+            systematic_resample(np.array([[0.5, 0.5], [bad, 1.0]]), np.random.default_rng(0))
+
     def test_unnormalized_rejected(self):
         with pytest.raises(InputError):
             systematic_resample(np.array([0.5, 0.6]), np.random.default_rng(0))
@@ -117,27 +126,28 @@ class TestKernels:
 class TestDiversityPath:
     @pytest.mark.parametrize("horizon", [1, 2])
     def test_rows_are_the_diversity_vectors(self, horizon):
-        obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=15, seed=4, n_pred_draws=4, horizons=2))
+        obs, panel = generate(SimSpec(design="complete_ar", T=15, seed=4, n_pred_draws=4, horizons=2))
         pf = ParticleFilter(panel, DTVW, NoiseConfig(np.array([0.1])), horizon=horizon)
         assert pf.diversity_path.shape == (panel.n_steps, panel.n_models * panel.n_vars)
         for t in range(1, panel.n_steps + 1):
-            assert pf.diversity_path[t - 1].tobytes() == diversity_vector(panel, t, horizon).tobytes()
+            expected = matrix_to_latent(scaled_diversity(panel.mean_matrix(t, horizon)))
+            assert pf.diversity_path[t - 1].tobytes() == expected.tobytes()
 
     def test_built_once_per_filter(self, monkeypatch):
         import divcast.filtering as filtering
 
         calls = []
 
-        def counting(panel, t, h):
-            calls.append(t)
-            return diversity_vector(panel, t, h)
+        def counting(panel, h):
+            calls.append(h)
+            return diversity_vector(panel, h)
 
         monkeypatch.setattr(filtering, "diversity_vector", counting)
         obs, panel = make_problem(T=12, seed=1)
         pf = ParticleFilter(panel, DTVW, NoiseConfig(np.array([0.1])), n_pred_draws=4)
         for seed in range(3):
             pf.run_block(obs, 16, np.zeros((2, 3)), substream(seed, "filter"))
-        assert calls == list(range(1, panel.n_steps + 1))
+        assert calls == [1]
 
 
 class TestEss:
@@ -160,7 +170,7 @@ class TestEss:
 
 
 def make_problem(T=30, seed=0):
-    obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=T, seed=seed, n_pred_draws=5))
+    obs, panel = generate(SimSpec(design="complete_ar", T=T, seed=seed, n_pred_draws=5))
     return obs, panel
 
 
@@ -243,7 +253,7 @@ class TestInPlaceStep:
     @pytest.mark.parametrize("summaries,bands", [(True, True), (True, False), (False, True), (False, False)])
     @pytest.mark.parametrize("mode", [TVW, ADAPTIVE_TVW, DTVW], ids=lambda m: m.tag)
     def test_bitwise_equal_to_allocating_step(self, mode, summaries, bands, stream):
-        obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
+        obs, panel = generate(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
         cfg = NoiseConfig(default_sigma_obs(obs, panel), sigma_x=0.3, sigma_alpha=0.2)
         pf = ParticleFilter(panel, mode, cfg, horizon=2, kappa=0.9, n_pred_draws=8)
         alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0], [0.5, 0.0, 0.0], [0.0, 8.0, 8.0]])
@@ -276,7 +286,7 @@ class TestInPlaceStep:
         # records of 100 steps, 0.67 F of draws and their small entries, add
         # about 1 F, and a step's temporaries stay below 1 F.  The traced
         # peak is 4.35 F.
-        obs, panel = gen_nonlinear_incomplete(SimSpec(design="nonlinear_incomplete", T=100, seed=1, n_pred_draws=10))
+        obs, panel = generate(SimSpec(design="nonlinear_incomplete", T=100, seed=1, n_pred_draws=10))
         assert panel.n_models * panel.n_vars == 6
         pf = ParticleFilter(panel, DTVW, NoiseConfig(default_sigma_obs(obs, panel)), n_pred_draws=10)
         pf.diversity_path  # built once per filter, outside the traced run
@@ -329,7 +339,7 @@ class TestRun:
     def test_alpha0_changes_nothing_but_its_own_row(self, mode):
         # the softmax ignores a shift common to every model, so the intercept
         # is left out of the transition and alpha0 stays at its initial value
-        obs, panel = gen_nonlinear_incomplete(SimSpec(design="nonlinear_incomplete", T=40, seed=3))
+        obs, panel = generate(SimSpec(design="nonlinear_incomplete", T=40, seed=3))
         kw = dict(n_particles=120, seed=5, n_pred_draws=24)
         ref = run_filter(obs, panel, mode, alpha0=(0.0, 5.0, 2.0), **kw)
         assert ref.resampled.any()
@@ -348,7 +358,7 @@ class TestRun:
     def test_alpha0_row_is_the_configured_value(self, mode, a0):
         # alpha0 is a constant of the run, not a weighted particle mean, so
         # its mean and both band ends are the configured value, bit for bit
-        obs, panel = gen_nonlinear_incomplete(SimSpec(design="nonlinear_incomplete", T=100, seed=3))
+        obs, panel = generate(SimSpec(design="nonlinear_incomplete", T=100, seed=3))
         out = run_filter(obs, panel, mode, n_particles=500, seed=5, alpha0=(a0, 5.0, 2.0), n_pred_draws=8)
         for name in ("alpha_mean", "alpha_lo", "alpha_hi"):
             column = getattr(out, name)[:, 0]
@@ -366,7 +376,7 @@ class TestRun:
         assert out.forecasts.draws.shape == (30, 1000, 1)
 
     def test_multi_horizon_targets(self):
-        obs, panel = gen_complete_ar(
+        obs, panel = generate(
             SimSpec(design="complete_ar", T=20, seed=1, n_pred_draws=4, horizons=3)
         )
         out = run_filter(obs, panel, TVW, n_particles=30, seed=0, horizon=3, n_pred_draws=8)
@@ -411,7 +421,7 @@ class TestRun:
 
     @pytest.mark.parametrize("horizon", [1, 2])
     def test_block_summaries_match_each_point_alone(self, horizon):
-        obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
+        obs, panel = generate(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
         cfg = NoiseConfig(default_sigma_obs(obs, panel))
         pf = ParticleFilter(panel, DTVW, cfg, horizon=horizon, kappa=0.9, n_pred_draws=8)
         alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0]])
@@ -427,7 +437,7 @@ class TestRun:
     @pytest.mark.parametrize("horizon", [1, 2])
     @pytest.mark.parametrize("summaries,bands", [(True, True), (True, False), (False, True), (False, False)])
     def test_points_sharing_one_generator_match_each_point_alone(self, horizon, summaries, bands):
-        obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
+        obs, panel = generate(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
         cfg = NoiseConfig(default_sigma_obs(obs, panel))
         pf = ParticleFilter(panel, DTVW, cfg, horizon=horizon, kappa=0.9, n_pred_draws=8)
         alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0], [0.0, 0.0, 0.0], [0.0, 8.0, 8.0]])
@@ -445,7 +455,7 @@ class TestRun:
                     np.testing.assert_array_equal(getattr(got.forecasts, name), getattr(alone.forecasts, name))
 
     def test_bands_flag_drops_only_the_bands(self):
-        obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
+        obs, panel = generate(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
         pf = ParticleFilter(panel, DTVW, NoiseConfig(default_sigma_obs(obs, panel)), kappa=0.9, n_pred_draws=8)
         full = pf.run(obs, 40, np.array([0.0, 1.0, 0.5]), substream(3, "filter"), x0_spread=0.5)
         lean = pf.run(obs, 40, np.array([0.0, 1.0, 0.5]), substream(3, "filter"), x0_spread=0.5, bands=False)
@@ -457,7 +467,7 @@ class TestRun:
             np.testing.assert_array_equal(getattr(lean.forecasts, name), getattr(full.forecasts, name))
 
     def test_horizon_beyond_observations_rejected(self):
-        obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=20, seed=1, n_pred_draws=4, horizons=3))
+        obs, panel = generate(SimSpec(design="complete_ar", T=20, seed=1, n_pred_draws=4, horizons=3))
         short = ObservationSeries(obs.values[:2], obs.variable_names)
         with pytest.raises(InputError, match="no forecast target"):
             run_filter(short, panel, TVW, n_particles=10, horizon=3, n_pred_draws=4)

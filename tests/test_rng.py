@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 
 from divcast.core import NoiseConfig, ObservationSeries, default_sigma_obs
-from divcast.dgp import SimSpec, gen_complete_ar
+from divcast.dgp import SimSpec, generate
 from divcast.filtering import ParticleFilter
 from divcast.latent import DTVW
 from divcast.rng import substream
@@ -39,7 +39,7 @@ def test_uniform_offset_equals_random():
 
 
 def test_shared_stream_draws_once_without_resampling():
-    obs, panel = gen_complete_ar(SimSpec(design="complete_ar", T=15, seed=2, n_pred_draws=4))
+    obs, panel = generate(SimSpec(design="complete_ar", T=15, seed=2, n_pred_draws=4))
     cfg = NoiseConfig(default_sigma_obs(obs, panel))
     alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0], [0.0, 0.0, 0.0]])
     perturbed = ObservationSeries(1.5 * obs.values + 0.3, obs.variable_names)
