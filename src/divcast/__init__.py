@@ -16,8 +16,7 @@ from .core import (
     default_sigma_obs,
 )
 from .dgp import SimSpec, generate
-from .diversity import diversity_vector, scaled_diversity
-from .filtering import FilterOutput, FilterState, ParticleFilter, run_filter, systematic_resample
+from .filtering import FilterOutput, ParticleFilter, run_filter
 from .latent import ADAPTIVE_TVW, DTVW, TVW, LatentMode
 from .metrics import DMResult, dm_test
 from .tune import GridSpec, grid_search, make_crps_runner
@@ -34,7 +33,6 @@ __all__ = [
     "DataFormatError",
     "DegeneracyError",
     "FilterOutput",
-    "FilterState",
     "ForecastSeries",
     "GridSpec",
     "InputError",
@@ -46,7 +44,6 @@ __all__ = [
     "SimSpec",
     "bma_weights",
     "default_sigma_obs",
-    "diversity_vector",
     "dm_test",
     "generate",
     "grid_search",
@@ -54,5 +51,4 @@ __all__ = [
     "run_combiner",
     "run_filter",
     "single_model_result",
-    "systematic_resample",
 ]

@@ -1,10 +1,8 @@
 """Non-filter combination baselines under a common result shape: equal
 weighting, recursive Bayesian model averaging on cumulative log predictive
 likelihoods, and its rolling-window variant.  Individual panel models are
-exposed through the same interface (as degenerate one-hot combinations) so
-score tables can mix models and combiners.  Each of them only chooses its
-weight rows and its predictive draws; one assembly turns those into the
-result.
+exposed through the same result shape, as slices of the panel, so score
+tables can mix models and combiners.
 """
 
 from __future__ import annotations
@@ -77,42 +75,11 @@ def bma_weights(log_pred_per_model: np.ndarray, window: int | None = None) -> np
     if window is not None and window < 1:
         raise InputError("window must be >= 1")
     T, K = lp.shape
-    out = np.empty((T, K))
     cum = np.vstack([np.zeros(K), np.cumsum(lp, axis=0)])  # cum[t] = sum of rows < t
-    for t in range(T):
-        lo = 0 if window is None else max(0, t - window)
-        scores = cum[t] - cum[lo]
-        z = np.exp(scores - scores.max())
-        out[t] = z / z.sum()
-    return out
-
-
-def _combined_result(
-    method: str,
-    panel: PredictorPanel,
-    obs: ObservationSeries,
-    weight_rows: np.ndarray,
-    horizon: int,
-    fallback_sigma: float,
-    draws_fn,
-) -> CombinerResult:
-    """The result of a baseline whose (T, K) weight rows hold for every
-    variable.  Its forecast of target s, for s in h..T, mixes the
-    Gaussian-fitted panel cells with the weight row at s-h+1 (information
-    through s-h); its draws are draws_fn(targets, w), w the (S, K) rows used."""
-    T, L = obs.n_steps, obs.n_vars
-    targets = np.arange(horizon, T + 1)
-    w = weight_rows[targets - horizon]  # (S, K): the 0-based row of s-h+1
-    point = np.einsum("sk,skl->sl", w, panel._means[targets - 1, :, :, horizon - 1])
-    joint, marginal = model_log_predictive_matrix(panel, obs, fallback_sigma, horizon)
-    with np.errstate(divide="ignore"):
-        logw = np.where(w > 0, np.log(w), -np.inf)
-    log_pred = _logsumexp(logw + joint[targets - 1], axis=1)
-    log_pred_marginal = np.stack(
-        [_logsumexp(logw + marginal[targets - 1, :, l], axis=1) for l in range(L)], axis=1
-    )
-    forecasts = ForecastSeries(horizon, targets, point, log_pred, log_pred_marginal, draws_fn(targets, w))
-    return CombinerResult(method, np.repeat(weight_rows[:, :, None], L, axis=2), forecasts)
+    lo = 0 if window is None else np.maximum(0, np.arange(T) - window)
+    scores = cum[:T] - cum[lo]
+    z = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return z / z.sum(axis=1, keepdims=True)
 
 
 def run_combiner(
@@ -125,40 +92,51 @@ def run_combiner(
     n_pred_draws: int = 1000,
     seed: int = 0,
 ) -> CombinerResult:
-    """Run one of the baselines: 'equal', 'bma' or 'bma_roll'."""
+    """Run one of the baselines: 'equal', 'bma' or 'bma_roll'.
+
+    Their (T, K) weight rows hold for every variable.  The forecast of
+    target s, for s in h..T, mixes the Gaussian-fitted panel cells with the
+    weight row at s-h+1 (information through s-h).  Equal weighting pools
+    every model's draws; BMA resamples models by their weights."""
     T, K, L = obs.n_steps, panel.n_models, panel.n_vars
     if panel.n_steps < T:
         raise InputError("panel does not cover the observation range")
     if obs.n_vars != panel.n_vars:
         raise InputError("observation and panel variable counts differ")
+    if method not in ("equal", "bma", "bma_roll"):
+        raise InputError(f"unknown combiner {method!r}")
+    if method == "bma_roll" and window is None:
+        raise InputError("bma_roll requires a window")
 
+    joint, marginal = model_log_predictive_matrix(panel, obs, fallback_sigma, horizon)
     if method == "equal":
         weight_rows = np.full((T, K), 1.0 / K)
-
-        def draws_fn(targets, w):
-            # Pooled draws across models: the exact equal-weight mixture sample.
-            block = panel.draws[targets - 1, :, :, horizon - 1, :]  # (S, K, L, D)
-            return np.moveaxis(block, 3, 2).reshape(len(targets), K * panel.n_draws, L)
-
-    elif method in ("bma", "bma_roll"):
-        if method == "bma_roll" and window is None:
-            raise InputError("bma_roll requires a window")
-        joint_lp, _ = model_log_predictive_matrix(panel, obs, fallback_sigma)
-        weight_rows = bma_weights(joint_lp, window=window if method == "bma_roll" else None)
-        rng = substream(seed, "combine")
-
-        def draws_fn(targets, w):
-            out = np.empty((len(targets), n_pred_draws, L))
-            for i, s in enumerate(targets):
-                models = systematic_resample(w[i], rng, n=n_pred_draws)
-                d = rng.integers(0, panel.n_draws, size=n_pred_draws)
-                out[i] = panel.draws[s - 1, models, :, horizon - 1, d]
-            return out
-
     else:
-        raise InputError(f"unknown combiner {method!r}")
+        joint_1 = joint if horizon == 1 else model_log_predictive_matrix(panel, obs, fallback_sigma)[0]
+        weight_rows = bma_weights(joint_1, window=window if method == "bma_roll" else None)
 
-    return _combined_result(method, panel, obs, weight_rows, horizon, fallback_sigma, draws_fn)
+    targets = np.arange(horizon, T + 1)
+    w = weight_rows[targets - horizon]  # (S, K): the 0-based row of s-h+1
+    point = np.einsum("sk,skl->sl", w, panel._means[targets - 1, :, :, horizon - 1])
+    with np.errstate(divide="ignore"):
+        logw = np.where(w > 0, np.log(w), -np.inf)
+    log_pred = _logsumexp(logw + joint[targets - 1], axis=1)
+    log_pred_marginal = np.stack(
+        [_logsumexp(logw + marginal[targets - 1, :, l], axis=1) for l in range(L)], axis=1
+    )
+    if method == "equal":
+        # Pooled draws across models: the exact equal-weight mixture sample.
+        block = panel.draws[targets - 1, :, :, horizon - 1, :]  # (S, K, L, D)
+        draws = np.moveaxis(block, 3, 2).reshape(len(targets), K * panel.n_draws, L)
+    else:
+        rng = substream(seed, "combine")
+        draws = np.empty((len(targets), n_pred_draws, L))
+        for i, s in enumerate(targets):
+            models = systematic_resample(w[i], rng, n=n_pred_draws)
+            d = rng.integers(0, panel.n_draws, size=n_pred_draws)
+            draws[i] = panel.draws[s - 1, models, :, horizon - 1, d]
+    forecasts = ForecastSeries(horizon, targets, point, log_pred, log_pred_marginal, draws)
+    return CombinerResult(method, np.repeat(weight_rows[:, :, None], L, axis=2), forecasts)
 
 
 def single_model_result(
@@ -168,14 +146,17 @@ def single_model_result(
     horizon: int = 1,
     fallback_sigma: float = 0.1,
 ) -> CombinerResult:
-    """Expose panel model k (1-based) through the combiner interface."""
+    """Panel model k (1-based) through the combiner interface: weight one on
+    k, and the forecasts of its own cells of the panel at the horizon (the
+    Gaussian-fitted log predictives of model_log_predictive_matrix)."""
     if not 1 <= k <= panel.n_models:
         raise InputError(f"model index {k} outside 1..{panel.n_models}")
-    weight_rows = np.zeros((obs.n_steps, panel.n_models))
-    weight_rows[:, k - 1] = 1.0
-
-    def draws_fn(targets, w):
-        block = panel.draws[targets - 1, k - 1, :, horizon - 1, :]  # (S, L, D)
-        return np.moveaxis(block, 2, 1)
-
-    return _combined_result(panel.model_names[k - 1], panel, obs, weight_rows, horizon, fallback_sigma, draws_fn)
+    targets = np.arange(horizon, obs.n_steps + 1)
+    joint, marginal = model_log_predictive_matrix(panel, obs, fallback_sigma, horizon)
+    point = panel._means[targets - 1, k - 1, :, horizon - 1]
+    draws = np.moveaxis(panel.draws[targets - 1, k - 1, :, horizon - 1, :], 2, 1)  # (S, D, L)
+    log_pred, log_pred_marginal = joint[targets - 1, k - 1], marginal[targets - 1, k - 1]
+    forecasts = ForecastSeries(horizon, targets, point, log_pred, log_pred_marginal, draws)
+    weights = np.zeros((obs.n_steps, panel.n_models, obs.n_vars))
+    weights[:, k - 1] = 1.0
+    return CombinerResult(panel.model_names[k - 1], weights, forecasts)

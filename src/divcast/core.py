@@ -38,7 +38,8 @@ class DegeneracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class ObservationSeries:
-    """Observed target path: values has shape (T, L)."""
+    """Observed target path: values has shape (T, L).  No variable may be
+    named `average` or `joint`, the summary rows of the score tables."""
 
     values: np.ndarray
     variable_names: tuple[str, ...]
@@ -56,6 +57,9 @@ class ObservationSeries:
             )
         if not np.all(np.isfinite(values)):
             raise InputError("observations contain non-finite values")
+        for name in ("average", "joint"):
+            if name in self.variable_names:
+                raise InputError(f"variable name {name!r} is reserved for the score tables' summary rows")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "variable_names", tuple(self.variable_names))
 

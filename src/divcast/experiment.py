@@ -1,7 +1,9 @@
 """Experiment driver: runs one combination method on an observation/panel
 pair, scores it against the individual models and a named baseline, and
 emits the result files (scores, weight and coefficient trajectories,
-cumulative log-score differences, forecasts and predictive draws)."""
+cumulative log-score differences, forecasts and predictive draws).  One
+table, METRICS, names the scores: the columns and DM cells of every score
+row, and the metric rows of a report."""
 
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .core import (
 from .dataio import FILTER_METHODS, METHODS, RunConfig, read_table, write_long, write_table
 from .filtering import FilterOutput, ParticleFilter
 from .latent import LatentMode
-from .metrics import dm_test, loss_series, score_forecasts
+from .metrics import dm_test, loss_series
 from .rng import substream
 from .tune import GridSpec, grid_search, make_crps_runner
 
@@ -119,54 +121,48 @@ FORECAST_COLUMNS = (
     ("hi95", float),
 )
 DRAWS_COLUMNS = (("target", int), ("horizon", int), ("variable", str), ("draw", int), ("value", float))
+# Each score: its column, its loss_series key and the map from the mean
+# loss over the evaluated targets to the score.
+METRICS = (("rmsfe", "sq_err", np.sqrt), ("ls", "neg_log_pred", float), ("crps", "crps", float))
 SCORE_HEADER = [
-    "horizon", "variable", "rmsfe", "ls", "crps", "n_eval",
-    "dm_rmsfe_stat", "dm_rmsfe_p", "dm_ls_stat", "dm_ls_p", "dm_crps_stat", "dm_crps_p",
+    "horizon", "variable", *(name for name, _, _ in METRICS), "n_eval",
+    *(f"dm_{name}_{cell}" for name, _, _ in METRICS for cell in ("stat", "p")),
 ]
 
 
-def _score_rows(
-    name: str,
-    horizon: int,
-    losses: dict,
-    base_name: str,
-    base_losses: dict | None,
-    obs: ObservationSeries,
-) -> list[tuple]:
+def _score_rows(horizon: int, losses: dict, base_losses: dict | None, obs: ObservationSeries) -> list[tuple]:
     """Score rows of one forecast block from its loss_series, in
-    SCORE_HEADER's columns.
+    SCORE_HEADER's columns: one row per variable, then an unweighted
+    `average` row, then a `joint` row (log score only) when there is more
+    than one variable and the joint log predictives are finite.
 
     A per-variable row carries Diebold-Mariano statistics and p-values
-    against the baseline's losses for squared error, log score and CRPS when
-    the method is not the baseline, at least 10 targets are scored and both
-    score the same targets; other rows leave the six cells blank.
+    against base_losses for every metric when base_losses is given, at
+    least 10 targets are scored and both score the same targets; the
+    summary rows leave those cells blank.
     """
+    n_eval = len(losses["targets"])
+    per_var = [[float(fn(losses[key][:, l].mean())) for _, key, fn in METRICS] for l in range(obs.n_vars)]
+    compare = (
+        base_losses is not None
+        and n_eval >= 10
+        and np.array_equal(losses["targets"], base_losses["targets"])
+    )
+    no_dm = [""] * 2 * len(METRICS)
     rows = []
-    for row in score_forecasts(name, horizon, losses, obs.variable_names):
-        dm_cells: list = [""] * 6
-        if (
-            name != base_name
-            and base_losses is not None
-            and row.variable in obs.variable_names
-            and row.n_eval >= 10
-            and np.array_equal(losses["targets"], base_losses["targets"])
-        ):
-            l = obs.variable_names.index(row.variable)
+    for l, (variable, scores) in enumerate(zip(obs.variable_names, per_var)):
+        dm_cells = no_dm
+        if compare:
             dm_cells = []
-            for key in ("sq_err", "neg_log_pred", "crps"):
+            for _, key, _ in METRICS:
                 dm = dm_test(losses[key][:, l], base_losses[key][:, l], h=horizon)
                 dm_cells += [float(dm.statistic), float(dm.p_value)]
-        rows.append(
-            (
-                row.horizon,
-                row.variable,
-                _nan_blank(row.rmsfe),
-                _nan_blank(row.ls),
-                _nan_blank(row.crps),
-                row.n_eval,
-                *dm_cells,
-            )
-        )
+        rows.append((horizon, variable, *map(_nan_blank, scores), n_eval, *dm_cells))
+    average = [float(np.mean(column)) for column in zip(*per_var)]
+    rows.append((horizon, "average", *map(_nan_blank, average), n_eval, *no_dm))
+    if obs.n_vars > 1 and np.all(np.isfinite(losses["neg_log_pred_joint"])):
+        joint = [float(losses["neg_log_pred_joint"].mean()) if key == "neg_log_pred" else "" for _, key, _ in METRICS]
+        rows.append((horizon, "joint", *joint, n_eval, *no_dm))
     return rows
 
 
@@ -217,7 +213,7 @@ def _run_horizon(
     scores = [
         (name, kind, *row, base_name)
         for (name, kind, _), run_losses in zip(runs, losses)
-        for row in _score_rows(name, horizon, run_losses, base_name, base_losses, obs)
+        for row in _score_rows(horizon, run_losses, None if name == base_name else base_losses, obs)
     ]
 
     # Forecasts, predictive-draw quantiles and draws cover all targets;
@@ -384,12 +380,12 @@ def score_runs(obs: ObservationSeries, named_dirs: list[tuple[str, str]]) -> tup
     rows: list[tuple] = []
     for name, by_horizon in losses:
         for h, run_losses in sorted(by_horizon.items()):
-            for row in _score_rows(name, h, run_losses, base_name, base_losses.get(h), obs):
+            for row in _score_rows(h, run_losses, None if name == base_name else base_losses.get(h), obs):
                 rows.append((name, *row, base_name))
     return ["method", *SCORE_HEADER, "baseline"], rows
 
 
-REPORT_COLUMNS = ("method", "horizon", "variable", "rmsfe", "ls", "crps")
+REPORT_COLUMNS = ("method", "horizon", "variable", *(name for name, _, _ in METRICS))
 
 
 def build_report(score_files: list[str]) -> tuple[list[str], list[list]]:
@@ -419,7 +415,7 @@ def build_report(score_files: list[str]) -> tuple[list[str], list[list]]:
                     horizon = int(row["horizon"])
                 except (TypeError, ValueError):
                     raise DataFormatError(f"{path}:{reader.line_num}: non-integer horizon {row['horizon']!r}") from None
-                for metric in ("rmsfe", "ls", "crps"):
+                for metric in REPORT_COLUMNS[3:]:
                     cells = entries.setdefault((horizon, row["variable"], metric), {})
                     if row[metric] == "":
                         continue
@@ -434,7 +430,7 @@ def build_report(score_files: list[str]) -> tuple[list[str], list[list]]:
     methods = model_order + combiners
     header = ["horizon", "variable", "metric"] + methods
     rows = []
-    for key in sorted(entries, key=lambda k: (k[0], k[1], ("rmsfe", "ls", "crps").index(k[2]))):
+    for key in sorted(entries, key=lambda k: (k[0], k[1], REPORT_COLUMNS.index(k[2]))):
         horizon, variable, metric = key
         rows.append([horizon, variable, metric] + [entries[key].get(m, ("",))[0] for m in methods])
     return header, rows

@@ -1,5 +1,7 @@
-"""Forecast scoring (RMSFE, log score, CRPS) and the Diebold-Mariano test of
-equal predictive accuracy.
+"""Per-target forecast losses (squared error, negative log predictive,
+sample CRPS) and the Diebold-Mariano test of equal predictive accuracy.
+experiment.METRICS turns the loss paths into the RMSFE, log score and CRPS
+of a score row.
 
 The DM p-value comes from this module's own two-sided Student-t tail with
 T-1 degrees of freedom, written with ``math`` alone; it matches
@@ -10,7 +12,6 @@ over df 9..5000 and |stat| <= 40), so scoring needs numpy only.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,17 +126,6 @@ def dm_test(loss_a: np.ndarray, loss_b: np.ndarray, h: int = 1) -> DMResult:
     return DMResult(stat, _t_two_sided(stat, T - 1), degenerate=False)
 
 
-@dataclass(frozen=True)
-class ScoreRow:
-    method: str
-    horizon: int
-    variable: str
-    rmsfe: float
-    ls: float
-    crps: float
-    n_eval: int
-
-
 def _eval_mask(targets: np.ndarray, window: tuple[int, int] | None) -> np.ndarray:
     if window is None:
         return np.ones(len(targets), dtype=bool)
@@ -174,24 +164,3 @@ def loss_series(
         "neg_log_pred_joint": neg_lp_joint,
         "crps": crps,
     }
-
-
-def score_forecasts(method: str, horizon: int, losses: dict, variable_names: Sequence[str]) -> list[ScoreRow]:
-    """Score one forecast block from its loss_series: one row per variable,
-    an unweighted average row, and a joint row (log score only) when there
-    is more than one variable."""
-    n_eval = len(losses["targets"])
-    rows = []
-    per_var = []
-    for l, name in enumerate(variable_names):
-        r = float(np.sqrt(losses["sq_err"][:, l].mean()))
-        ls = float(losses["neg_log_pred"][:, l].mean())
-        c = float(losses["crps"][:, l].mean())
-        per_var.append((r, ls, c))
-        rows.append(ScoreRow(method, horizon, name, r, ls, c, n_eval))
-    avg = tuple(float(np.mean([v[i] for v in per_var])) for i in range(3))
-    rows.append(ScoreRow(method, horizon, "average", avg[0], avg[1], avg[2], n_eval))
-    if len(variable_names) > 1 and np.all(np.isfinite(losses["neg_log_pred_joint"])):
-        joint_ls = float(losses["neg_log_pred_joint"].mean())
-        rows.append(ScoreRow(method, horizon, "joint", np.nan, joint_ls, np.nan, n_eval))
-    return rows

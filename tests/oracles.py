@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from divcast.core import ConfigError, DegeneracyError, InputError, NoiseConfig
-from divcast.filtering import FilterState, _band_stats, effective_sample_size, run_filter
+from divcast.combine import model_log_predictive_matrix
+from divcast.core import ConfigError, DegeneracyError, ForecastSeries, InputError, NoiseConfig
+from divcast.filtering import FilterState, _band_stats, _logsumexp, effective_sample_size, run_filter
 from divcast.latent import DTVW, LatentMode, ParticleCloud, propagate_cloud, theta_from_alpha
 from divcast.metrics import crps_series
 
@@ -134,6 +135,41 @@ def crps_from_draws(draws: np.ndarray, y: float) -> float:
     coeff = 2.0 * np.arange(1, D + 1) - D - 1
     pairwise = 2.0 * np.dot(coeff, draws)
     return float(term1 - 0.5 * pairwise / (D * D))
+
+
+def bma_weights_loop(lp: np.ndarray, window: int | None = None) -> np.ndarray:
+    """Recursive model-averaging weights one row at a time: row t is the
+    softmax of the summed scores of rows max(0, t - window)..t-1 (all rows
+    before t when window is None)."""
+    T, K = lp.shape
+    out = np.empty((T, K))
+    cum = np.vstack([np.zeros(K), np.cumsum(lp, axis=0)])  # cum[t] = sum of rows < t
+    for t in range(T):
+        lo = 0 if window is None else max(0, t - window)
+        scores = cum[t] - cum[lo]
+        z = np.exp(scores - scores.max())
+        out[t] = z / z.sum()
+    return out
+
+
+def one_hot_mixture(obs, panel, k: int, horizon: int = 1, fallback_sigma: float = 0.1) -> ForecastSeries:
+    """Model k's forecasts as a mixture of all K Gaussian-fitted panel cells
+    with weight one on k and zero elsewhere: the weighted sum of the means,
+    the log-sum-exp of the weighted log predictives and model k's draws."""
+    T, K, L = obs.n_steps, panel.n_models, obs.n_vars
+    targets = np.arange(horizon, T + 1)
+    w = np.zeros((len(targets), K))
+    w[:, k - 1] = 1.0
+    point = np.einsum("sk,skl->sl", w, panel._means[targets - 1, :, :, horizon - 1])
+    joint, marginal = model_log_predictive_matrix(panel, obs, fallback_sigma, horizon)
+    with np.errstate(divide="ignore"):
+        logw = np.where(w > 0, np.log(w), -np.inf)
+    log_pred = _logsumexp(logw + joint[targets - 1], axis=1)
+    log_pred_marginal = np.stack(
+        [_logsumexp(logw + marginal[targets - 1, :, l], axis=1) for l in range(L)], axis=1
+    )
+    draws = np.moveaxis(panel.draws[targets - 1, k - 1, :, horizon - 1, :], 2, 1)
+    return ForecastSeries(horizon, targets, point, log_pred, log_pred_marginal, draws)
 
 
 def long_tuple_rows(labels: list, *values) -> list[tuple]:

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from divcast import tune
 from divcast.combine import bma_weights, single_model_result
 from divcast.core import NoiseConfig
 from divcast.dgp import SimSpec, generate
@@ -195,12 +196,26 @@ def _crps_of(fs, obs):
     return float(crps_series(fs.draws[:, :, 0], y[:, 0]).mean())
 
 
+def _over_seeds(fn):
+    """[fn(s) for s in SEEDS], with the seeds split into one contiguous chunk
+    per CPU and the chunks run at the same time by tune._map_forked.  Inside
+    a seed tune._cpus is pinned to 1, so a grid search does not fork again;
+    its surface does not depend on the worker count."""
+
+    def run_chunk(chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tune, "_cpus", lambda: 1)
+            return [fn(s) for s in chunk.tolist()]
+
+    return tune._map_forked(run_chunk, np.array_split(np.array(SEEDS), min(tune._cpus(), N_SEEDS)))
+
+
 @pytest.fixture(scope="module")
 def complete_batch():
     """Eq 4.1 design at desk scale: per-seed DTVW/TVW/adaptive runs."""
     t0 = time.time()
-    batch = []
-    for s in SEEDS:
+
+    def one_seed(s):
         obs, panel = generate(SimSpec(design="complete_ar", T=100, seed=s, n_pred_draws=10))
         dtvw = run_filter(obs, panel, DTVW, n_particles=1000, seed=s, alpha0=(0.0, 10.0, 8.5))
         tvw = run_filter(obs, panel, TVW, n_particles=1000, seed=s)
@@ -208,10 +223,12 @@ def complete_batch():
         model_rmsfe = [
             _rmsfe_of(single_model_result(obs, panel, k).forecasts, obs) for k in (1, 2, 3)
         ]
-        batch.append({
+        return {
             "obs": obs, "panel": panel, "dtvw": dtvw, "tvw": tvw, "adaptive": adaptive,
             "model_rmsfe": model_rmsfe,
-        })
+        }
+
+    batch = _over_seeds(one_seed)
     print(f"[B-setup] complete-design batch: {time.time() - t0:.1f}s for {N_SEEDS} seeds x 3 methods")
     return batch
 
@@ -221,8 +238,8 @@ def nonlinear_batch():
     """Eq 4.3 design: per-seed two-stage-tuned DTVW vs TVW plus model scores."""
     t0 = time.time()
     spec = GridSpec(stage1=((-10.0, 10.0, 2.0), (-10.0, 10.0, 2.0)), stage2_step=0.5)
-    batch = []
-    for s in SEEDS:
+
+    def one_seed(s):
         obs, panel = generate(
             SimSpec(design="nonlinear_incomplete", T=100, seed=s, n_pred_draws=10)
         )
@@ -239,10 +256,12 @@ def nonlinear_batch():
             _crps_of(single_model_result(obs, panel, k).forecasts, obs)
             for k in range(1, panel.n_models + 1)
         ]
-        batch.append({
+        return {
             "obs": obs, "best": best, "dtvw": dtvw, "dtvw_ref": dtvw_ref, "tvw": tvw,
             "model_crps": model_crps,
-        })
+        }
+
+    batch = _over_seeds(one_seed)
     print(f"[B-setup] nonlinear batch incl. per-seed two-stage tuning: {time.time() - t0:.1f}s")
     return batch
 

@@ -274,6 +274,23 @@ class TestRun:
             (m, v) for m in ('m,1', 'm"2') for v in names
         }
 
+    @pytest.mark.parametrize("reserved", ["average", "joint"])
+    def test_reserved_variable_name_exit_2(self, tmp_path, capsys, reserved):
+        # scores.csv would hold two rows named `reserved` per method, and
+        # `report` would reject run's own output
+        rng = np.random.default_rng(5)
+        names = (reserved, "y")
+        rows = "".join(f"{t},{v},{rng.normal()!r}\n" for t in range(1, 31) for v in names)
+        (tmp_path / "obs.csv").write_text("t,variable,value\n" + rows)
+        panel = PredictorPanel(rng.normal(size=(30, 2, 2, 1, 4)), ("m1", "m2"), names)
+        save_panel(panel, str(tmp_path / "panel.csv"))
+        cfg, out_dir = write_config(
+            tmp_path, observations=str(tmp_path / "obs.csv"), panel=str(tmp_path / "panel.csv")
+        )
+        assert main(["run", "--config", cfg]) == 2
+        assert f"variable name {reserved!r} is reserved" in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
+
 
 class TestGridsearch:
     def test_small_grid(self, tmp_path):

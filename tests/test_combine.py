@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from divcast import combine
 from divcast.combine import (
     bma_weights,
     model_log_predictive_matrix,
@@ -8,7 +11,7 @@ from divcast.combine import (
     single_model_result,
 )
 from divcast.core import InputError, ObservationSeries, PredictorPanel
-from oracles import rmsfe
+from oracles import bma_weights_loop, one_hot_mixture, rmsfe
 
 
 class TestBmaWeights:
@@ -63,6 +66,19 @@ class TestBmaWeights:
     def test_bad_window(self):
         with pytest.raises(InputError):
             bma_weights(np.zeros((3, 2)), window=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        T=st.integers(1, 299),
+        K=st.integers(1, 24),
+        scale=st.sampled_from([0.1, 1.0, 30.0]),
+        window=st.sampled_from([None, 1, 3, 24, 500]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_the_row_loop(self, T, K, scale, window, seed):
+        # K >= 8 reaches numpy's pairwise summation of each row
+        lp = scale * np.random.default_rng(seed).normal(size=(T, K))
+        np.testing.assert_array_equal(bma_weights(lp, window=window), bma_weights_loop(lp, window))
 
 
 def _panel_from_means(means, D=1, spread=None):
@@ -227,6 +243,51 @@ class TestSingleModel:
         obs = ObservationSeries(rng.normal(size=(3, 1)), ("y",))
         with pytest.raises(InputError):
             single_model_result(obs, panel, 3)
+
+    @pytest.mark.parametrize("horizon", [1, 3])
+    @pytest.mark.parametrize("D", [1, 2, 7])
+    def test_bitwise_equal_to_the_one_hot_mixture(self, D, horizon):
+        rng = np.random.default_rng(100 * D + horizon)
+        for _ in range(8):
+            T, K, L = int(rng.integers(4, 30)), int(rng.integers(2, 13)), int(rng.integers(1, 4))
+            draws = rng.normal(scale=rng.uniform(0.1, 5.0, size=(1, K, 1, 1, 1)), size=(T, K, L, 3, D))
+            panel = PredictorPanel(draws, tuple(f"m{k}" for k in range(1, K + 1)))
+            obs = ObservationSeries(rng.normal(size=(T, L)), tuple(f"y{l}" for l in range(L)))
+            sigma = float(rng.uniform(0.05, 2.0))
+            for k in range(1, K + 1):
+                res = single_model_result(obs, panel, k, horizon, sigma)
+                ref = one_hot_mixture(obs, panel, k, horizon, sigma)
+                for field in ("targets", "point", "log_pred", "log_pred_marginal", "draws"):
+                    got, want = getattr(res.forecasts, field), getattr(ref, field)
+                    assert got.shape == want.shape
+                    np.testing.assert_array_equal(got, want)
+                assert res.forecasts.horizon == horizon
+                one_hot = np.zeros((T, K, L))
+                one_hot[:, k - 1] = 1.0
+                np.testing.assert_array_equal(res.weights, one_hot)
+
+
+class TestFitsPerHorizon:
+    @pytest.mark.parametrize(
+        "method, horizon, fits",
+        [("bma", 1, [1]), ("bma", 3, [1, 3]), ("bma_roll", 1, [1]), ("bma_roll", 3, [1, 3]),
+         ("equal", 1, [1]), ("equal", 3, [3])],
+    )
+    def test_each_gaussian_fitted_once(self, monkeypatch, method, horizon, fits):
+        # the horizons of the model_log_predictive_matrix calls one run makes
+        rng = np.random.default_rng(14)
+        panel = PredictorPanel(rng.normal(size=(12, 3, 1, 3, 4)), ("a", "b", "c"))
+        obs = ObservationSeries(rng.normal(size=(12, 1)), ("y",))
+        calls = []
+        fit = combine.model_log_predictive_matrix
+
+        def counting(panel, obs, fallback_sigma=0.1, horizon=1):
+            calls.append(horizon)
+            return fit(panel, obs, fallback_sigma, horizon)
+
+        monkeypatch.setattr(combine, "model_log_predictive_matrix", counting)
+        run_combiner(method, obs, panel, horizon=horizon, window=4)
+        assert sorted(calls) == fits
 
 
 class TestMultiHorizon:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,14 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from divcast.core import InputError
-from divcast.metrics import _t_two_sided, crps_series, dm_test, score_forecasts
+from divcast.core import InputError, ObservationSeries
+from divcast.experiment import SCORE_HEADER, _score_rows
+from divcast.metrics import _t_two_sided, crps_series, dm_test
 from oracles import crps_from_draws, log_score, rmsfe
 
 
 def scored(errors, log_pred):
-    """score_forecasts' row for one variable, over a hand-built loss_series
-    dict of the given forecast errors and log predictives."""
+    """_score_rows' row for one variable, over a hand-built loss_series
+    dict of the given forecast errors and log predictives, with its cells
+    named by SCORE_HEADER."""
     errors, log_pred = np.asarray(errors, dtype=float), np.asarray(log_pred, dtype=float)
     losses = {
         "targets": np.arange(1, len(errors) + 1),
@@ -22,7 +25,8 @@ def scored(errors, log_pred):
         "neg_log_pred_joint": -log_pred,
         "crps": np.zeros((len(errors), 1)),
     }
-    return score_forecasts("m", 1, losses, ("y",))[0]
+    obs = ObservationSeries(np.zeros((len(errors), 1)), ("y",))
+    return SimpleNamespace(**dict(zip(SCORE_HEADER, _score_rows(1, losses, None, obs)[0])))
 
 
 class TestRmsfe:
