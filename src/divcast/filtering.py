@@ -8,17 +8,23 @@ threshold.  Forecasts emitted at step t target time t+h-1: they pair the
 prior-side particle weights (information through t-1) with the panel's
 horizon-h cell for that target, so every emitted forecast is out-of-sample.
 
-The filter advances a block of P points: every cloud array is (P, N, ...)
-and every record entry carries the point axis.  A single run is the block
-with P = 1; the grid search advances many lattice points at once.
+The filter advances a block of P points: every record entry carries the
+point axis first, and the cloud is stored entry-major (see latent), x
+(K*L, P, N) and alpha (2, P, N), so the propagation, the softmax, the
+combined forecasts and the resampling gather run elementwise over
+contiguous (P, N) slabs.  Only the band summaries, the forecast's point
+and the predictive draws read (P, N, ...) C-contiguous copies: they are
+small beside the cloud, and their reductions then keep their bits.  A
+single run is the block with P = 1; the grid search advances many lattice
+points at once.
 
 Every step makes the same draws whatever the data: the coefficient noise
 (of alpha1, and of alpha2 under dtvw), the latent noise, the predictive
 picks' offset, the panel-draw indices and the observation noise, then the
 resampling offset, which is drawn whether or not any point resamples.  So
 the points of a block share one Generator: each draw is made once, at one
-point's shape, and applies to every point, and each point gets exactly the
-numbers it would get in a run alone.
+point's shape and in one point's order, and applies to every point, and
+each point gets exactly the numbers it would get in a run alone.
 
 The panel is frozen, so each filter builds its diversity path, the vector
 for every step t, in one call on its first step, and every block it runs
@@ -27,12 +33,12 @@ reads that path.
 A step advances the block's state in place.  The state carries one scratch
 array the size of the latent cloud x and one the size of the coefficient
 cloud alpha, (alpha1, alpha2): alpha0 drives no weight (see latent), and only
-run_block reads it.  The propagation's noise and terms, the softmax weights
-and the resampled particles are written into the scratch, and resampling
-swaps it with the cloud's arrays.  So a step holds no temporary of the
-cloud's size, and larger blocks fit in the same memory.  The in-place
-operations keep the operand order of the allocating expressions, so every
-result keeps its bits.
+run_block reads it.  The propagation's coefficients and diversity term, the
+softmax weights and the resampled particles are written into the scratch,
+and resampling swaps it with the cloud's arrays.  So a step holds no
+temporary of the cloud's size, and larger blocks fit in the same memory.
+The in-place operations keep the operand order of the allocating
+expressions, so every result keeps its bits.
 """
 
 from __future__ import annotations
@@ -97,18 +103,17 @@ def _resample_indices(w: np.ndarray, offset: float, n: int) -> np.ndarray:
     nothing is checked.
 
     Choice j of a row counts its cumulative weights at or below the
-    position (j + offset) / n.  The positions are the same for every row,
-    so one search finds, for each cumulative weight, the first position it
-    does not exceed, and a per-row histogram of those finds every count."""
-    P, N = w.shape
+    position (j + offset) / n: one binary search of the row's cumulative
+    weights for all n positions, which every row shares."""
+    N = w.shape[-1]
     cum = np.cumsum(w, axis=-1)
     # Guard accumulated rounding: each row rises to exactly 1.
     np.minimum(cum, 1.0, out=cum)
     cum[:, -1] = 1.0
-    first = np.searchsorted((np.arange(n) + offset) / n, cum)
-    first += (n + 1) * np.arange(P)[:, None]
-    counts = np.bincount(first.ravel(), minlength=P * (n + 1)).reshape(P, n + 1)
-    idx = np.cumsum(counts[:, :n], axis=-1)
+    positions = (np.arange(n) + offset) / n
+    idx = np.empty((len(w), n), dtype=np.intp)
+    for row, out in zip(cum, idx):
+        out[:] = row.searchsorted(positions, side="right")
     return np.minimum(idx, N - 1, out=idx)
 
 
@@ -148,9 +153,9 @@ def _gaussian_logpdf(
     y: np.ndarray, mean: np.ndarray, sigma: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-variable Gaussian log densities of y around mean with scales
-    sigma (all broadcast over the last, variable axis), written into out
-    (which may be mean) when given; overflow of extreme residuals
-    legitimately maps to -inf."""
+    sigma (broadcast together, each variable's sigma against its own
+    entries), written into out (which may be mean) when given; overflow of
+    extreme residuals legitimately maps to -inf."""
     r = np.subtract(y, mean, out=out)
     r /= sigma
     with np.errstate(over="ignore"):
@@ -161,42 +166,50 @@ def _gaussian_logpdf(
 
 
 def _combine_cloud(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Per-particle combined forecasts: (P, N, L, K) weights against a
-    (K, L) mean matrix.  For a handful of models the products are
-    accumulated model by model, as reduce_models does: the bits of numpy's
-    sum over the model axis, in a fraction of its time."""
+    """Per-particle combined forecasts (L, P, N): (L, K, P, N) weights
+    against a (K, L) mean matrix, summed over the models as reduce_models
+    sums, so each has the bits of numpy's sum over a last axis of models."""
+    means = means[:, :, None, None]
     if len(means) >= PAIRWISE_FROM:
-        return reduce_models(np.add, weights * means.T)
-    out = weights[..., 0] * means[0] + 0.0  # numpy's sum starts from +0.0
+        return reduce_models(np.add, weights.swapaxes(0, 1) * means)
+    # Model by model, as reduce_models sums, with one product alive at a time.
+    out = weights[:, 0] * means[0] + 0.0  # numpy's sum starts from +0.0
     for k in range(1, len(means)):
-        out += weights[..., k] * means[k]
+        out += weights[:, k] * means[k]
     return out
 
 
+def _particle_major(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous (P, N, E) copy of an entry-major (..., P, N) block,
+    its leading axes flattened into E entries, for the summaries whose
+    numpy reductions keep their bits only on that layout."""
+    return np.moveaxis(a.reshape(-1, *a.shape[-2:]), 0, -1).copy()
+
+
 def _gather(a: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row idx[p, j] of point p's (N, ...) slab of a (P, N, ...) block, as a
-    (P, J, ...) array, through one flat index into the (P*N, ...) view;
-    written into out (C-contiguous, not overlapping a) when given."""
-    P, n = a.shape[:2]
-    inner = a.shape[2:]
+    """Particle idx[p, j] of point p, from every (P, N) slab of an
+    entry-major (..., P, N) block, as a (..., P, J) array, through one flat
+    index into each slab's (P*N,) view; written into out (C-contiguous, not
+    overlapping a) when given."""
+    *lead, P, n = a.shape
     flat = (idx + n * np.arange(P)[:, None]).ravel()
     if out is None:
-        out = np.empty((*idx.shape, *inner), dtype=a.dtype)
+        out = np.empty((*lead, *idx.shape), dtype=a.dtype)
     # mode="clip" writes straight into out; the default mode buffers it.
-    np.take(a.reshape(P * n, *inner), flat, axis=0, out=out.reshape(flat.size, *inner), mode="clip")
+    np.take(a.reshape(-1, P * n), flat, axis=1, out=out.reshape(-1, flat.size), mode="clip")
     return out
 
 
 @dataclass
 class FilterState:
-    """Mutable filter position of a block of P points: the cloud, whose
-    arrays are (P, N, ...), the time index of the last processed
-    observation, and the Generator the points share.
+    """Mutable filter position of a block of P points: the entry-major
+    cloud, x (K*L, P, N), alpha (2, P, N) and omega (P, N), the time index
+    of the last processed observation, and the Generator the points share.
 
-    step advances the state in place.  Its scratch, one array shaped like
-    the cloud's x and one like its alpha, made with the state, holds the
-    step's temporaries; a resampling step gathers the particles into it and
-    swaps it with the cloud's arrays."""
+    step advances the state in place.  Its scratch, one (K*L, P, N) array
+    and one (2, P, N) array, made with the state, holds the step's
+    temporaries; a resampling step gathers the particles into it and swaps
+    it with the cloud's arrays."""
 
     cloud: ParticleCloud
     t: int
@@ -317,7 +330,7 @@ class ParticleFilter:
         P, n = cloud.omega.shape
         # The bands read the weights after resampling, so only they keep a
         # buffer of their own; otherwise the weights die before resampling.
-        weights = cloud_weight_tensor(cloud.x, K, L, out=None if bands else state.scratch[0].reshape(P, n, L, K))
+        weights = cloud_weight_tensor(cloud.x, K, L, out=None if bands else state.scratch[0].reshape(L, K, P, n))
         omega_prior = cloud.omega  # renormalized in place; the update overwrites it
         omega_prior /= omega_prior.sum(axis=-1, keepdims=True)
         log_prior = np.full_like(omega_prior, -np.inf)
@@ -328,7 +341,7 @@ class ParticleFilter:
         target = t + self.horizon - 1
         if target <= panel.n_steps:
             if summaries:
-                pred_means = _combine_cloud(weights, panel.mean_matrix(target, self.horizon))
+                pred_means = _particle_major(_combine_cloud(weights, panel.mean_matrix(target, self.horizon)))
                 record["point"] = (omega_prior[:, None, :] @ pred_means)[:, 0]
                 record["pred_means"] = pred_means
                 record["log_prior"] = log_prior
@@ -337,7 +350,8 @@ class ParticleFilter:
         # One-step likelihood update (log-space, max-shifted), each array
         # rewritten in place.
         logw = _combine_cloud(weights, means_t)
-        logw = reduce_models(np.add, _gaussian_logpdf(y_t, logw, cfg.sigma_obs, out=logw))
+        logw = _gaussian_logpdf(y_t[:, None, None], logw, cfg.sigma_obs[:, None, None], out=logw)
+        logw = reduce_models(np.add, logw)
         logw += log_prior
         shift = logw.max(axis=-1, keepdims=True)
         if not np.all(np.isfinite(shift)):
@@ -375,9 +389,9 @@ class ParticleFilter:
             cloud.x, cloud.alpha = _gather(cloud.x, idx, out=big), _gather(cloud.alpha, idx, out=small)
 
         if bands:
-            for stat, band in zip(("mean", "lo", "hi"), _band_stats(weights.reshape(P, n, L * K), omega)):
+            for stat, band in zip(("mean", "lo", "hi"), _band_stats(_particle_major(weights), omega)):
                 record[f"weights_{stat}"] = band.reshape(P, L, K).transpose(0, 2, 1)
-            for stat, band in zip(("mean", "lo", "hi"), _band_stats(cloud.alpha, omega)):
+            for stat, band in zip(("mean", "lo", "hi"), _band_stats(_particle_major(cloud.alpha), omega)):
                 record[f"alpha_{stat}"] = band
         state.t = t
         return state, record
@@ -391,13 +405,14 @@ class ParticleFilter:
     ) -> np.ndarray:
         """Sample each point's combined predictive mixture: pick particles by
         their prior weights, one panel draw per pick, plus observation noise.
-        Returns (P, J, L); the picks' offset, the panel draws and the noise
-        are the same for every point."""
+        Takes the (L, K, P, N) weight tensor and returns (P, J, L); the picks'
+        offset, the panel draws and the noise are the same for every point."""
         J, L = self.n_pred_draws, self.panel.n_vars
         idx = _resample_indices(omega_prior, rng.random(), J)  # (P, J)
         d = rng.integers(0, self.panel.n_draws, size=J)
         ysel = self.panel.draw_block(target, self.horizon)[:, :, d].transpose(2, 0, 1)  # (J, K, L)
-        comb = np.einsum("pjlk,jkl->pjl", _gather(weights, idx), ysel)
+        picked = _particle_major(_gather(weights, idx)).reshape(len(idx), J, L, -1)  # (P, J, L, K)
+        comb = np.einsum("pjlk,jkl->pjl", picked, ysel)
         comb += self.cfg.sigma_obs * rng.standard_normal((J, L))
         return comb
 
@@ -467,7 +482,7 @@ class ParticleFilter:
         if summaries:
             marg = _gaussian_logpdf(obs.values[targets - 1][:, None], out.pop("pred_means"), self.cfg.sigma_obs)
             log_prior = out.pop("log_prior")  # (P, S, N), against marg (P, S, N, L)
-            out["log_pred"] = _logsumexp(log_prior + reduce_models(np.add, marg), axis=-1)
+            out["log_pred"] = _logsumexp(log_prior + reduce_models(np.add, np.moveaxis(marg, -1, 0)), axis=-1)
             out["log_pred_marginal"] = _logsumexp(log_prior[..., None] + marg, axis=2)
 
         def at(key, p):

@@ -15,17 +15,22 @@ Coefficients are kept in (-1, 1) by th_i = tanh(alpha_i / 2), where alpha =
 (alpha1, alpha2) follows a Gaussian random walk.  No cloud carries alpha0:
 the paper's th0 shifts every entry of x alike, which the softmax ignores.
 
-Clouds are blocks: every array carries a leading axis of P points that
-share one Generator.  Each draw is made once at one point's shape and
-broadcast over the points, so every point moves exactly as it would alone
-with that Generator.  One point's cloud is the block with P = 1.
+Clouds are blocks of P points that share one Generator, stored entry-major:
+x is (K*L, P, N) and alpha (2, P, N), so each latent entry x[e] and each
+coefficient alpha[j] is one contiguous (P, N) slab, and every per-entry
+operation is a long elementwise loop over a slab.  Each draw is made once at
+one point's (N, .) shape, in the order a run alone makes it, and its
+transpose is added to every point, so every point moves exactly as it would
+alone with that Generator.  One point's cloud is the block with P = 1.
 
 The kernels write into the buffers they are given: propagate_cloud advances
 a cloud's arrays in place, with its temporaries in a scratch pair, and
 cloud_weight_tensor writes its softmax into out.  Every in-place operation
 keeps the operand order of the expression it replaces (x *= th1; x += d
-gives the bits of th1*x + d), so the results are those of the allocating
-expressions.
+gives the bits of th1*x + d), and every reduction over the models gives the
+bits numpy's reduction over a last axis of models gives (see
+reduce_models), so the results are those of the allocating expressions on
+the (P, N, K*L) layout.
 """
 
 from __future__ import annotations
@@ -69,17 +74,18 @@ DTVW = LatentMode("dtvw")
 
 
 class ParticleCloud:
-    """Vectorized particle sets of a block of P points: latent weights x
-    (P, N, K*L), coefficient states (alpha1, alpha2) as alpha (P, N, 2) and
-    importance weights omega (P, N), one cloud per point."""
+    """Vectorized particle sets of a block of P points, entry-major: latent
+    weights x (K*L, P, N), coefficient states (alpha1, alpha2) as alpha
+    (2, P, N) and importance weights omega (P, N); x[e, p] is point p's
+    (N,) column of latent entry e."""
 
     def __init__(self, x: np.ndarray, alpha: np.ndarray, omega: np.ndarray):
         self.x = np.asarray(x, dtype=float)
         self.alpha = np.asarray(alpha, dtype=float)
         self.omega = np.asarray(omega, dtype=float)
-        if self.x.ndim != 3 or self.alpha.shape != (*self.x.shape[:-1], 2):
-            raise InputError("cloud arrays must be (P, N, K*L) and (P, N, 2)")
-        if self.omega.shape != self.x.shape[:-1]:
+        if self.x.ndim != 3 or self.alpha.shape != (2, *self.x.shape[1:]):
+            raise InputError("cloud arrays must be (K*L, P, N) and (2, P, N)")
+        if self.omega.shape != self.x.shape[1:]:
             raise InputError("omega must be a (P, N) array")
 
     def __len__(self) -> int:
@@ -96,19 +102,19 @@ def init_particles(
     rng: np.random.Generator,
 ) -> ParticleCloud:
     """Draw the initial block cloud: point p starts from alpha0[p], its
-    (alpha1, alpha2), and every point from the same x ~ N(0, x0_spread^2 I)
-    (zero spread gives all-equal initial weights); alpha set to alpha0
-    exactly, omega = 1/n."""
+    (alpha1, alpha2), and every point from the same x ~ N(0, x0_spread^2 I),
+    drawn as one (n, K*L) array (zero spread gives all-equal initial
+    weights); alpha set to alpha0 exactly, omega = 1/n."""
     if n < 1:
         raise InputError("need at least one particle")
     alpha0 = np.asarray(alpha0, dtype=float)
     if alpha0.ndim != 2 or alpha0.shape[-1] != 2:
         raise InputError("alpha0 must be a (P, 2) array")
     P = len(alpha0)
-    x = np.zeros((P, n, n_models * n_vars))
+    x = np.zeros((n_models * n_vars, P, n))
     if x0_spread > 0:
-        x[:] = x0_spread * rng.standard_normal(x.shape[1:])
-    alpha = np.broadcast_to(alpha0[:, None, :], (P, n, 2)).copy()
+        x[:] = (x0_spread * rng.standard_normal((n, n_models * n_vars))).T[:, None]
+    alpha = np.broadcast_to(alpha0.T[:, :, None], (2, P, n)).copy()
     omega = np.full((P, n), 1.0 / n)
     return ParticleCloud(x, alpha, omega)
 
@@ -122,16 +128,16 @@ def propagate_cloud(
     scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ParticleCloud:
     """One transition of a block of clouds, in place; returns the cloud.
-    Each noise term is drawn once at one point's (N, .) shape and added to
-    every point.
+    Each noise term is drawn once at one point's (N, .) shape and its
+    transpose added to every point.
 
-    The latent noise, the coefficients and the diversity term are written
-    into scratch, a pair of C-contiguous float arrays shaped like cloud.x and
-    cloud.alpha (allocated when not given), whose contents are then
-    undefined.  Importance weights pass through.  A transition that raises
-    leaves the cloud undefined.
+    The coefficients and the diversity term are written into scratch, a
+    pair of C-contiguous float arrays shaped like cloud.x and cloud.alpha
+    (allocated when not given), whose contents are then undefined.
+    Importance weights pass through.  A transition that raises leaves the
+    cloud undefined.
     """
-    n, dim = cloud.x.shape[1:]
+    dim, _, n = cloud.x.shape
     div = np.asarray(div, dtype=float)
     if mode.uses_diversity and div.shape != (dim,):
         raise InputError(f"diversity vector must have length {dim}")
@@ -141,17 +147,17 @@ def propagate_cloud(
     if mode.tag != "tvw":
         # adaptive_tvw's diversity coefficient stays put.
         m = 2 if mode.uses_diversity else 1
-        pad = np.zeros((n, 2))  # one contiguous add: a strided one is slower
-        pad[:, :m] = rng.standard_normal((n, m))
+        pad = np.zeros((2, n))
+        pad[:m] = rng.standard_normal((n, m)).T
         pad *= cfg.sigma_alpha
-        alpha += pad
+        alpha += pad[:, None]
         theta = theta_from_alpha(alpha, out=small)
-        x *= theta[..., 0:1]
+        x *= theta[0]
         if mode.uses_diversity:  # adaptive_tvw hard-excludes the diversity term
-            x += np.multiply(theta[..., 1:2], div, out=big)
-    z = rng.standard_normal(out=big[0])
+            x += np.multiply(theta[1], div[:, None, None], out=big)
+    z = np.ascontiguousarray(rng.standard_normal((n, dim)).T)
     z *= cfg.sigma_x
-    x += z
+    x += z[:, None]
     return cloud
 
 
@@ -160,37 +166,39 @@ PAIRWISE_FROM = 8
 
 
 def reduce_models(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
-    """ufunc.reduce(a, axis=-1) for np.add or np.maximum, bit for bit.
+    """ufunc.reduce over the first axis of a, for np.add or np.maximum, with
+    the bits numpy's reduction gives over the last axis of a C-contiguous
+    array of the same entries, ufunc.reduce(np.moveaxis(a, 0, -1).copy(),
+    axis=-1), whatever a's layout.
 
-    numpy reduces slowly over a short last axis, so below eight entries the
-    columns are accumulated one by one into the first; numpy's own reduction
-    runs in the same left-to-right order there, starting a sum from its
-    identity (0.0 + -0.0 is +0.0).  From eight entries on, numpy sums
-    pairwise, so longer axes keep its reduction.  Only a NaN input may come
-    out with another sign or payload.
+    Below eight entries the slabs a[1], a[2], ... are accumulated one by
+    one into a copy of a[0]: long elementwise loops, in the left-to-right
+    order numpy's last-axis reduction runs there, starting a sum from its
+    identity (0.0 + -0.0 is +0.0).  From eight entries on, numpy sums a
+    last axis pairwise, so a last-axis copy of a is reduced.  Only a NaN
+    input may come out with another sign or payload.
     """
-    K = a.shape[-1]
+    K = len(a)
     if K >= PAIRWISE_FROM:
-        return ufunc.reduce(a, axis=-1)
-    out = a[..., 0] + 0.0 if ufunc is np.add else a[..., 0].copy()
+        return ufunc.reduce(np.moveaxis(a, 0, -1).copy(), axis=-1)
+    out = a[0] + 0.0 if ufunc is np.add else a[0].copy()
     for k in range(1, K):
-        ufunc(out, a[..., k], out=out)
+        ufunc(out, a[k], out=out)
     return out
 
 
 def cloud_weight_tensor(
     cloud_x: np.ndarray, n_models: int, n_vars: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Per-particle weight matrices from latent states.
+    """Per-particle weight matrices from entry-major latent states.
 
-    Input ([P,] N, K*L), output ([P,] N, L, K): softmax over the model axis
-    for each particle and variable, written into out when given.  The max
-    and the sum over the models go through reduce_models: the same bits as
-    a numpy reduction over the last axis, in a fraction of its time for a
-    handful of models.
+    Input (K*L, ...), output (L, K, ...): softmax over the model axis for
+    each particle and variable, written into out when given.  The max and
+    the sum over the models go through reduce_models, so each weight has
+    the bits of the softmax numpy computes over a last axis of models.
     """
-    xm = cloud_x.reshape(*cloud_x.shape[:-1], n_vars, n_models)
-    z = np.subtract(xm, reduce_models(np.maximum, xm)[..., None], out=out)
+    xm = cloud_x.reshape(n_vars, n_models, *cloud_x.shape[1:])
+    z = np.subtract(xm, reduce_models(np.maximum, xm.swapaxes(0, 1))[:, None], out=out)
     np.exp(z, out=z)
-    z /= reduce_models(np.add, z)[..., None]
+    z /= reduce_models(np.add, z.swapaxes(0, 1))[:, None]
     return z

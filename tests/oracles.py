@@ -204,8 +204,8 @@ class LatentParticle:
 
 
 def particles(cloud: ParticleCloud) -> list[LatentParticle]:
-    """The particles of a one-point (1, N, ...) cloud, one by one."""
-    return [LatentParticle(x, a, float(o)) for x, a, o in zip(cloud.x[0], cloud.alpha[0], cloud.omega[0])]
+    """The particles of a one-point (., 1, N) cloud, one by one."""
+    return [LatentParticle(x, a, float(o)) for x, a, o in zip(cloud.x[:, 0].T, cloud.alpha[:, 0].T, cloud.omega[0])]
 
 
 def propagate_particle(
@@ -217,7 +217,7 @@ def propagate_particle(
 ) -> LatentParticle:
     """Propagate a single particle (the cloud kernel with P = N = 1); p
     itself is left as it was."""
-    cloud = ParticleCloud(p.x[None, None].copy(), p.alpha[None, None].copy(), np.array([[p.omega]]))
+    cloud = ParticleCloud(p.x[:, None, None].copy(), p.alpha[:, None, None].copy(), np.array([[p.omega]]))
     return particles(propagate_cloud(cloud, div, mode, cfg, rng))[0]
 
 
@@ -264,11 +264,13 @@ class AllocatingState:
 
 
 def allocating_state(state: FilterState, alpha0: np.ndarray) -> AllocatingState:
-    """A copy of a filter state (sharing its Generator) with each point's
-    constant alpha0[p] put before its (alpha1, alpha2) columns."""
+    """A (P, N, .) copy of an entry-major filter state (sharing its
+    Generator) with each point's constant alpha0[p] put before its
+    (alpha1, alpha2) columns."""
     c = state.cloud
-    const = np.broadcast_to(np.asarray(alpha0, dtype=float)[:, None, None], (*c.alpha.shape[:2], 1))
-    return AllocatingState(c.x.copy(), np.concatenate([const, c.alpha], axis=-1), c.omega.copy(), state.t, state.rng)
+    const = np.broadcast_to(np.asarray(alpha0, dtype=float)[:, None, None], (*c.omega.shape, 1))
+    x, alpha = np.moveaxis(c.x, 0, -1).copy(), np.moveaxis(c.alpha, 0, -1)
+    return AllocatingState(x, np.concatenate([const, alpha], axis=-1), c.omega.copy(), state.t, state.rng)
 
 
 def propagate_cloud_allocating(cloud: AllocatingState, div, mode, cfg, rng) -> tuple:

@@ -38,8 +38,8 @@ class TestSoftmaxLink:
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(10_000, 5), scale=3.0)
-        c = rng.normal(size=(10_000, 1), scale=50.0)
+        x = rng.normal(size=(5, 10_000), scale=3.0)
+        c = rng.normal(size=(1, 10_000), scale=50.0)
         np.testing.assert_allclose(cloud_weight_tensor(x + c, 5, 1), cloud_weight_tensor(x, 5, 1), atol=1e-12)
 
     def test_rejects_non_finite(self):
@@ -72,11 +72,11 @@ class TestWeightsFromLatent:
         rng = np.random.default_rng(11)
         K, L = 4, 3
         xs = rng.normal(scale=20.0, size=(10_000, K * L))
-        w = cloud_weight_tensor(xs, K, L)
+        w = cloud_weight_tensor(xs.T, K, L)  # (L, K, 10_000)
         assert np.all(w >= 0) and np.all(w <= 1)
-        np.testing.assert_allclose(w.sum(axis=2), 1.0, atol=1e-10)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-10)
         # spot-check against the scalar oracle
-        for x, wx in zip(xs[:50], w[:50]):
+        for x, wx in zip(xs[:50], np.moveaxis(w, -1, 0)[:50]):
             validate_weight_matrix(weights_from_latent(x, K, L))
             np.testing.assert_allclose(wx.T, weights_from_latent(x, K, L), atol=1e-15)
 

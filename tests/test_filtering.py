@@ -111,16 +111,19 @@ class TestKernels:
                 means = rng.normal(scale=rng.choice([1.0, 1e3]), size=(K, L))
                 if L > 1:  # products all -0.0: numpy's sum starts from +0.0
                     means[:, -1] = -0.0
-                got = _combine_cloud(weights, means)
+                # the kernel takes (L, K, P, N) weights and returns (L, P, N)
+                got = _combine_cloud(np.ascontiguousarray(weights.transpose(2, 3, 0, 1)), means)
+                assert got.shape == (L, 3, 40)
+                got = np.moveaxis(got, 0, -1)
                 expected = combine_cloud_numpy(weights, means)
                 assert got.shape == expected.shape == (3, 40, L)
                 assert got.tobytes() == expected.tobytes(), (K, L)
 
     def test_gather_equals_fancy_indexing(self):
         rng = np.random.default_rng(2)
-        a = rng.normal(size=(3, 10, 2, 4))
+        a = rng.normal(size=(2, 4, 3, 10))
         idx = rng.integers(0, 10, size=(3, 7))
-        np.testing.assert_array_equal(_gather(a, idx), a[np.arange(3)[:, None], idx])
+        np.testing.assert_array_equal(_gather(a, idx), a[:, :, np.arange(3)[:, None], idx])
 
 
 class TestDiversityPath:
@@ -204,8 +207,8 @@ class TestStep:
             replay_rng.bit_generator.state = rng_state
             cloud = propagate_cloud(cloud_before, np.zeros(3), TVW, cfg, replay_rng)
             w_prior = cloud.omega[0] / cloud.omega[0].sum()
-            weights = cloud_weight_tensor(cloud.x[0], panel.n_models, panel.n_vars)
-            c = np.einsum("nlk,kl->nl", weights, panel.mean_matrix(t, 1))
+            weights = cloud_weight_tensor(cloud.x[:, 0], panel.n_models, panel.n_vars)
+            c = np.einsum("lkn,kl->nl", weights, panel.mean_matrix(t, 1))
             r = (obs.values[t - 1][None, :] - c) / cfg.sigma_obs[None, :]
             loglik = (-0.5 * (np.log(2 * np.pi * cfg.sigma_obs**2)[None, :] + r**2)).sum(axis=1)
             logv = np.log(w_prior) + loglik
@@ -248,12 +251,25 @@ class TestStep:
             pf.step(state, obs.values[0])
 
 
+def random_problem(K, L, T, seed, horizons=2, n_draws=4):
+    """A random walk of L variables and a panel of K models around it, each
+    with its own bias and spread."""
+    rng = np.random.default_rng(seed)
+    truth = 0.3 * rng.normal(size=(T, L)).cumsum(axis=0)
+    bias = rng.normal(scale=0.5, size=(1, K, L, 1, 1))
+    spread = rng.uniform(0.1, 2.0, size=(1, K, 1, 1, 1))
+    draws = truth[:, None, :, None, None] + bias + spread * rng.normal(size=(T, K, L, horizons, n_draws))
+    names = tuple(f"y{l}" for l in range(L))
+    panel = PredictorPanel(draws, tuple(f"M{k}" for k in range(K)), names)
+    return ObservationSeries(truth + 0.2 * rng.normal(size=(T, L)), names), panel
+
+
 class TestInPlaceStep:
-    @pytest.mark.parametrize("stream", ["shared"])  # the block's points share one Generator
-    @pytest.mark.parametrize("summaries,bands", [(True, True), (True, False), (False, True), (False, False)])
-    @pytest.mark.parametrize("mode", [TVW, ADAPTIVE_TVW, DTVW], ids=lambda m: m.tag)
-    def test_bitwise_equal_to_allocating_step(self, mode, summaries, bands, stream):
-        obs, panel = generate(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
+    @staticmethod
+    def _assert_steps_match(obs, panel, mode, summaries, bands):
+        """Step a block of five points in place and by the allocating oracle
+        through every observation: the records, the state in its (P, N, .)
+        view and the Generator must match bit for bit."""
         cfg = NoiseConfig(default_sigma_obs(obs, panel), sigma_x=0.3, sigma_alpha=0.2)
         pf = ParticleFilter(panel, mode, cfg, horizon=2, kappa=0.9, n_pred_draws=8)
         alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0], [0.5, 0.0, 0.0], [0.0, 8.0, 8.0]])
@@ -266,19 +282,38 @@ class TestInPlaceStep:
         for t, y in enumerate(obs.values, start=1):
             ref, expected = step_allocating(pf, ref, y, summaries, bands)
             state, got = pf.step(state, y, summaries, bands)
-            assert state.cloud.alpha.shape[-1] == 2
+            assert state.cloud.x.shape == (panel.n_models * panel.n_vars, 5, 40)
+            assert state.cloud.alpha.shape == (2, 5, 40)
             assert got.keys() == expected.keys()
             for key, value in expected.items():
                 value = value[..., 1:] if key.startswith("alpha_") else value
                 assert got[key].shape == value.shape and got[key].tobytes() == value.tobytes(), (t, key)
-            for name, value in (("x", ref.x), ("alpha", ref.alpha[..., 1:]), ("omega", ref.omega)):
-                assert getattr(state.cloud, name).tobytes() == value.tobytes(), (t, name)
+            view = {"x": np.moveaxis(state.cloud.x, 0, -1), "alpha": np.moveaxis(state.cloud.alpha, 0, -1)}
+            for name, value in (("x", ref.x), ("alpha", ref.alpha[..., 1:])):
+                assert view[name].tobytes() == value.tobytes(), (t, name)
+            assert state.cloud.omega.tobytes() == ref.omega.tobytes(), t
             assert state.t == ref.t == t
             assert state.rng.bit_generator.state == ref.rng.bit_generator.state
             some_resample |= 0 < got["resampled"].sum() < len(alpha0)
         # Some steps resample some points and not others; tvw ignores alpha0,
         # so its points move as one.
         assert some_resample != (mode == TVW)
+
+    @pytest.mark.parametrize("stream", ["shared"])  # the block's points share one Generator
+    @pytest.mark.parametrize("summaries,bands", [(True, True), (True, False), (False, True), (False, False)])
+    @pytest.mark.parametrize("mode", [TVW, ADAPTIVE_TVW, DTVW], ids=lambda m: m.tag)
+    def test_bitwise_equal_to_allocating_step(self, mode, summaries, bands, stream):
+        obs, panel = generate(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
+        self._assert_steps_match(obs, panel, mode, summaries, bands)
+
+    @pytest.mark.parametrize("summaries,bands", [(True, True), (True, False), (False, True), (False, False)])
+    @pytest.mark.parametrize("mode", [TVW, ADAPTIVE_TVW, DTVW], ids=lambda m: m.tag)
+    @pytest.mark.parametrize("n_models", [8, 9])
+    def test_bitwise_equal_at_many_models(self, n_models, mode, summaries, bands):
+        # From eight models on, numpy sums the model axis pairwise; two
+        # variables give each particle two softmaxes.
+        obs, panel = random_problem(n_models, 2, 20, seed=n_models)
+        self._assert_steps_match(obs, panel, mode, summaries, bands)
 
     def test_run_block_working_set(self):
         # F is one (P, N, K*L) float array.  The state and its scratch hold

@@ -91,15 +91,20 @@ class TestReduceModels:
         else:
             a = data.draw(model_arrays(n_models))
         with np.errstate(all="ignore"):
-            for ufunc, expected in ((np.maximum, a.max(axis=-1)), (np.add, a.sum(axis=-1))):
-                got = reduce_models(ufunc, a)
+            # reduce_models takes the models first: a strided view of a
+            # contiguous a, or a contiguous array when a's last axis is
+            # strided.  Its bits are those of numpy's reduction over the last
+            # axis of a C-contiguous array, whatever its input's layout.
+            c = np.ascontiguousarray(a)
+            for ufunc, expected in ((np.maximum, c.max(axis=-1)), (np.add, c.sum(axis=-1))):
+                got = reduce_models(ufunc, np.moveaxis(a, -1, 0))
                 assert got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
 
     def test_nan_stays_nan(self):
         a = np.array([[1.0, np.nan, 2.0], [np.nan, -np.nan, 0.0], [0.0, 1.0, 2.0]])
         for ufunc, expected in ((np.maximum, a.max(axis=-1)), (np.add, a.sum(axis=-1))):
-            np.testing.assert_array_equal(np.isnan(reduce_models(ufunc, a)), np.isnan(expected))
+            np.testing.assert_array_equal(np.isnan(reduce_models(ufunc, a.T)), np.isnan(expected))
 
 
 class TestCloudWeightTensor:
@@ -109,8 +114,11 @@ class TestCloudWeightTensor:
         for K in range(2, 13):
             for L in range(1, 4):
                 x = rng.normal(scale=rng.choice([1.0, 30.0, 400.0]), size=(*lead, K * L))
-                got = cloud_weight_tensor(x, K, L)
+                # the kernel takes the entries first and returns (L, K, *lead)
+                got = cloud_weight_tensor(np.ascontiguousarray(np.moveaxis(x, -1, 0)), K, L)
                 expected = cloud_weight_tensor_numpy(x, K, L)
+                assert got.shape == (L, K, *lead)
+                got = np.moveaxis(got, (0, 1), (-2, -1))
                 assert got.shape == expected.shape == (*lead, L, K)
                 assert got.tobytes() == expected.tobytes(), (K, L)
 
@@ -126,9 +134,9 @@ class TestInitParticles:
         rng = np.random.default_rng(0)
         alpha0 = np.array([9.0, 8.5])
         cloud = init_particles(16, 2, 2, alpha0[None], 0.5, rng)
-        assert np.all(cloud.alpha[0] == alpha0)
+        assert np.all(cloud.alpha[:, 0].T == alpha0)
         assert cloud.omega[0].sum() == pytest.approx(1.0)
-        assert len(cloud) == 16 and cloud.x[0].shape == (16, 4)
+        assert len(cloud) == 16 and cloud.x.shape == (4, 1, 16) and cloud.alpha.shape == (2, 1, 16)
 
     def test_zero_count_rejected(self):
         with pytest.raises(InputError):
@@ -163,10 +171,10 @@ class TestPropagation:
     def test_hundred_step_identity(self):
         rng = np.random.default_rng(1)
         cloud = init_particles(4, 3, 2, np.zeros((1, 2)), 1.0, rng)
-        x0 = cloud.x[0].copy()
+        x0 = cloud.x.copy()
         for _ in range(100):
             cloud = propagate_cloud(cloud, np.zeros(6), TVW, ZERO_NOISE, rng)
-        np.testing.assert_array_equal(cloud.x[0], x0)
+        np.testing.assert_array_equal(cloud.x, x0)
 
     @staticmethod
     def _moved_coefficients(mode):
@@ -177,7 +185,7 @@ class TestPropagation:
         for _ in range(10):
             cloud = propagate_cloud(cloud, np.array([0.5, 0.5]), mode, cfg, rng)
         # the indices of the coefficients (alpha1, alpha2) that moved
-        return [j for j in range(2) if np.any(cloud.alpha[0, :, j] != alpha0[j])]
+        return [j for j in range(2) if np.any(cloud.alpha[j] != alpha0[j])]
 
     def test_adaptive_freezes_alpha2(self):
         assert self._moved_coefficients(ADAPTIVE_TVW) == [0]
@@ -196,16 +204,16 @@ class TestPropagation:
         perm = np.random.default_rng(2).permutation(10)
         from divcast.latent import ParticleCloud
 
-        shuffled = ParticleCloud(cloud.x[:, perm], cloud.alpha[:, perm], cloud.omega[:, perm])
+        shuffled = ParticleCloud(cloud.x[..., perm], cloud.alpha[..., perm], cloud.omega[:, perm])
         div = np.array([0.7, 0.3])
         out = propagate_cloud(cloud, div, DTVW, ZERO_NOISE, rng)
         out_shuffled = propagate_cloud(shuffled, div, DTVW, ZERO_NOISE, rng)
-        np.testing.assert_array_equal(out.x[0, perm], out_shuffled.x[0])
-        np.testing.assert_array_equal(out.alpha[0, perm], out_shuffled.alpha[0])
+        np.testing.assert_array_equal(out.x[..., perm], out_shuffled.x)
+        np.testing.assert_array_equal(out.alpha[..., perm], out_shuffled.alpha)
 
     @pytest.mark.parametrize("mode", [TVW, ADAPTIVE_TVW, DTVW], ids=lambda m: m.tag)
     def test_block_matches_each_point_alone(self, mode):
-        # a (P, N, .) block drawing from one Generator moves every point
+        # a (., P, N) block drawing from one Generator moves every point
         # exactly as that point's own cloud would, and uses the Generator as
         # that cloud's run does
         cfg = NoiseConfig(np.array([1.0]), sigma_x=0.2, sigma_alpha=0.1)
@@ -218,8 +226,8 @@ class TestPropagation:
             alone_rng = np.random.default_rng(9)
             alone = init_particles(5, 3, 1, a0[None], 0.7, alone_rng)
             alone = propagate_cloud(alone, div, mode, cfg, alone_rng)
-            np.testing.assert_array_equal(block.x[p], alone.x[0])
-            np.testing.assert_array_equal(block.alpha[p], alone.alpha[0])
+            np.testing.assert_array_equal(block.x[:, p], alone.x[:, 0])
+            np.testing.assert_array_equal(block.alpha[:, p], alone.alpha[:, 0])
             np.testing.assert_array_equal(block.omega[p], alone.omega[0])
             assert alone_rng.bit_generator.state == rng.bit_generator.state
 
