@@ -9,8 +9,8 @@ the surface is comparable across points; the reported optimum is the global
 minimum over all evaluated points with deterministic tie-breaking (smaller
 L1 norm first, then lexicographic).
 
-The CRPS objective advances the lattice points in blocks, one particle
-cloud per point stacked along a leading axis, so the per-step interpreter
+The CRPS objective advances the lattice points in blocks, the particle
+clouds of the points stacked along a point axis, so the per-step interpreter
 overhead is paid once per block rather than once per point.  Every block
 draws from its own substream(seed, "filter"), the stream a run of one point
 alone draws from, and the filter's draws do not depend on the data (see
@@ -47,8 +47,9 @@ Axis = tuple[float, float, float]  # (lo, hi, step)
 # its own chunk of a stage's points into blocks of this size.  Bigger blocks
 # run faster, as their points share more of the random draws and pay the
 # per-step overhead once, but hold more memory: a block's filter state and
-# its scratch hold two (points, particles, K*L) arrays and two (points,
-# particles, 2) arrays (see filtering).
+# its scratch hold two (K*L, points, particles) arrays and two (2, points,
+# particles) arrays, stored entry-major (see latent), so each step's
+# elementwise loops run over whole (points, particles) slabs.
 # On the nonlinear design (T = 100, 250 particles, K*L = 6, 193 points;
 # perfbench's grid_nonlinear, median of 10 alternating pairs against the
 # allocating step at 24,000 elements; 2-vCPU Xeon, numpy 2.4):
@@ -65,6 +66,8 @@ Axis = tuple[float, float, float]  # (lo, hi, step)
 # scoring every point.  Two workers split the 121 and 72 new points of the
 # two stages into chunks of 61 + 60 and 36 + 36 points, so every chunk now
 # fits in one block, and each process holds at most one block's state.
+# The sizes were measured while the cloud was stored (points, particles, K*L);
+# storing it entry-major kept a block's memory and cut its time.
 BLOCK_ELEMENTS = 96_000
 
 # The most lattice points one stage may hold, far above any useful grid: a

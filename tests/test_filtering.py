@@ -316,11 +316,13 @@ class TestInPlaceStep:
         self._assert_steps_match(obs, panel, mode, summaries, bands)
 
     def test_run_block_working_set(self):
-        # F is one (P, N, K*L) float array.  The state and its scratch hold
-        # 2.67 F: two such arrays and two (P, N, 2) coefficient arrays.  The
-        # records of 100 steps, 0.67 F of draws and their small entries, add
-        # about 1 F, and a step's temporaries stay below 1 F.  The traced
-        # peak is 4.35 F.
+        # F is one (K*L, P, N) float array, the entry-major latent cloud.  The
+        # state and its scratch hold 2.67 F: two such arrays and two (2, P, N)
+        # coefficient arrays.  The records of 100 steps, 0.67 F of draws and
+        # their small entries, add about 1 F, and a step's temporaries stay
+        # below 1 F: the latent noise is one (N, K*L) draw and its transpose,
+        # and the models are summed one (P, N) slab at a time.  The traced
+        # peak is 4.28 F (4.34 F on the (P, N, K*L) layout).
         obs, panel = generate(SimSpec(design="nonlinear_incomplete", T=100, seed=1, n_pred_draws=10))
         assert panel.n_models * panel.n_vars == 6
         pf = ParticleFilter(panel, DTVW, NoiseConfig(default_sigma_obs(obs, panel)), n_pred_draws=10)
