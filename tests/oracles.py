@@ -254,7 +254,8 @@ class AllocatingState:
     """step_allocating's filter position.  Its block cloud keeps the
     coefficient state as (alpha0, alpha1, alpha2), alpha (P, N, 3), beside
     x (P, N, K*L) and omega (P, N): the allocating step's arithmetic runs on
-    the three columns, and the filter's state must match columns 1 and 2."""
+    the three columns, and the entry-major filter state, viewed (P, N, .),
+    must match columns 1 and 2."""
 
     x: np.ndarray
     alpha: np.ndarray

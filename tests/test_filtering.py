@@ -322,7 +322,7 @@ class TestInPlaceStep:
         # their small entries, add about 1 F, and a step's temporaries stay
         # below 1 F: the latent noise is one (N, K*L) draw and its transpose,
         # and the models are summed one (P, N) slab at a time.  The traced
-        # peak is 4.28 F (4.34 F on the (P, N, K*L) layout).
+        # peak is 4.28 F.
         obs, panel = generate(SimSpec(design="nonlinear_incomplete", T=100, seed=1, n_pred_draws=10))
         assert panel.n_models * panel.n_vars == 6
         pf = ParticleFilter(panel, DTVW, NoiseConfig(default_sigma_obs(obs, panel)), n_pred_draws=10)
