@@ -30,13 +30,22 @@ The panel is frozen, so each filter builds its diversity path, the vector
 for every step t, in one call on its first step, and every block it runs
 reads that path.
 
+run_block scores each forecast as soon as its step is filtered: the joint
+and marginal log predictives of the step's particle mixture at the realized
+target come from the step's (P, N, L) particle means and (P, N) log prior
+weights, which then die.  Each step's draws are written into one
+(P, S, J, L) array made before the first step.  So a run holds the cloud,
+its scratch, the draws and a few small arrays per step, and nothing of the
+size steps x particles.
+
 A step advances the block's state in place.  The state carries one scratch
 array the size of the latent cloud x and one the size of the coefficient
 cloud alpha, (alpha1, alpha2): alpha0 drives no weight (see latent), and only
-run_block reads it.  The propagation's coefficients and diversity term, the
-softmax weights and the resampled particles are written into the scratch,
-and resampling swaps it with the cloud's arrays.  So a step holds no
-temporary of the cloud's size, and larger blocks fit in the same memory.
+run_block reads it.  The propagation's coefficients and diversity term and the
+softmax weights are written into the scratch, and resampling gathers the
+rows of the points that resample into it and copies them back.  So a step
+holds no temporary of the cloud's size, and larger blocks fit in the same
+memory.
 The in-place operations keep the operand order of the allocating
 expressions, so every result keeps its bits.
 """
@@ -149,6 +158,26 @@ def _logsumexp(logv: np.ndarray, axis: int = 0) -> np.ndarray:
         return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(logv - m), axis=axis))
 
 
+def _log_predictives(
+    y: np.ndarray, pred_means: np.ndarray, log_prior: np.ndarray, sigma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joint (P,) and marginal (P, L) log predictives at the realized target
+    y (L,) of the prior-side particle mixtures of one step: per-particle
+    combined forecasts pred_means (P, N, L), which are overwritten, under
+    the log prior weights log_prior (P, N)."""
+    marg = _gaussian_logpdf(y, pred_means, sigma, out=pred_means)
+    joint = _logsumexp(log_prior + reduce_models(np.add, np.moveaxis(marg, -1, 0)), axis=-1)
+    marg += log_prior[..., None]
+    # _logsumexp over the particles, in place.  Its max, exact in any order,
+    # is taken over an (L, N)-contiguous copy: numpy's strided max over N
+    # took 5x as long.
+    m = np.moveaxis(marg, 1, -1).copy().max(axis=-1)[:, None]
+    m[~np.isfinite(m)] = 0.0
+    marg -= m
+    with np.errstate(divide="ignore"):
+        return joint, m[:, 0] + np.log(np.exp(marg, out=marg).sum(axis=1))
+
+
 def _gaussian_logpdf(
     y: np.ndarray, mean: np.ndarray, sigma: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -186,13 +215,15 @@ def _particle_major(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(a.reshape(-1, *a.shape[-2:]), 0, -1).copy()
 
 
-def _gather(a: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Particle idx[p, j] of point p, from every (P, N) slab of an
-    entry-major (..., P, N) block, as a (..., P, J) array, through one flat
-    index into each slab's (P*N,) view; written into out (C-contiguous, not
-    overlapping a) when given."""
+def _gather(
+    a: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """Particle idx[i, j] of point rows[i] (default: of point i), from every
+    (P, N) slab of an entry-major (..., P, N) block, as a (..., len(idx), J)
+    array, through one flat index into each slab's (P*N,) view; written into
+    out (C-contiguous, not overlapping a) when given."""
     *lead, P, n = a.shape
-    flat = (idx + n * np.arange(P)[:, None]).ravel()
+    flat = (idx + n * (np.arange(P) if rows is None else rows)[:, None]).ravel()
     if out is None:
         out = np.empty((*lead, *idx.shape), dtype=a.dtype)
     # mode="clip" writes straight into out; the default mode buffers it.
@@ -208,8 +239,8 @@ class FilterState:
 
     step advances the state in place.  Its scratch, one (K*L, P, N) array
     and one (2, P, N) array, made with the state, holds the step's
-    temporaries; a resampling step gathers the particles into it and swaps
-    it with the cloud's arrays."""
+    temporaries; a resampling step gathers the rows of the points that
+    resample into it and copies them back into the cloud."""
 
     cloud: ParticleCloud
     t: int
@@ -242,13 +273,13 @@ class FilterOutput:
     forecasts: ForecastSeries
 
 
-# FilterOutput fields taken from one record entry per step, and the record
-# entries of the forecast emitted at a step.
+# FilterOutput fields taken from one record entry per step, and the
+# forecast's summaries that run_block keeps per step for steps 1..S.
 _STEP_FIELDS = (
     "weights_mean", "weights_lo", "weights_hi", "alpha_mean", "alpha_lo", "alpha_hi",
     "ess", "resampled", "one_step_log_pred",
 )
-_FORECAST_KEYS = ("point", "pred_means", "log_prior", "draws")
+_FORECAST_KEYS = ("point", "log_pred", "log_pred_marginal")
 
 
 class ParticleFilter:
@@ -379,14 +410,14 @@ class ParticleFilter:
         offset = rng.random()
         if resampled.any():
             which = np.flatnonzero(resampled)
-            idx = np.tile(np.arange(n), (P, 1))
-            idx[which] = _resample_indices(omega[which], offset, n)
+            idx = _resample_indices(omega[which], offset, n)
             omega[which] = 1.0 / n
-            if bands:
-                weights = _gather(weights, idx)
-            big, small = state.scratch
-            state.scratch = cloud.x, cloud.alpha
-            cloud.x, cloud.alpha = _gather(cloud.x, idx, out=big), _gather(cloud.alpha, idx, out=small)
+            # Only the resampled points' rows are gathered, each array's into
+            # the head of a scratch buffer, and written back.
+            arrays = (cloud.x, cloud.alpha, weights) if bands else (cloud.x, cloud.alpha)
+            for a, buf in zip(arrays, (*state.scratch, state.scratch[0])):
+                rows = buf.reshape(-1)[: a.size // P * len(which)].reshape(*a.shape[:-2], *idx.shape)
+                a[..., which, :] = _gather(a, idx, out=rows, rows=which)
 
         if bands:
             for stat, band in zip(("mean", "lo", "hi"), _band_stats(_particle_major(weights), omega)):
@@ -446,8 +477,12 @@ class ParticleFilter:
 
         Steps 1..S, S = T - h + 1, emit the forecasts of targets h..T.  Their
         joint and marginal log predictives are the prior-side particle
-        mixtures evaluated at the realized targets, for every horizon at
-        once; at horizon one they equal the update's one-step predictives.
+        mixtures evaluated at the realized targets, each right after its
+        step, which drops the step's particle means and log prior weights;
+        at horizon one they equal the update's one-step predictives.  The
+        draws go into one (P, S, J, L) array made before the first step.
+        A panel longer than the observations also emits forecasts after
+        step S; their targets are not observed, and they are dropped.
         """
         panel, h = self.panel, self.horizon
         T = obs.n_steps
@@ -462,14 +497,23 @@ class ParticleFilter:
             raise InputError("alpha0 must be a (P, 3) array")
 
         state = self.init_state(n_particles, alpha0[:, 1:], x0_spread, rng)
+        S = T - h + 1
+        draws = np.empty((len(alpha0), S, self.n_pred_draws, panel.n_vars))
         records = []
-        for y_t in obs.values:
+        for t, y_t in enumerate(obs.values, start=1):
             state, record = self.step(state, y_t, summaries, bands)
+            if t <= S:
+                draws[:, t - 1] = record.pop("draws")
+                if summaries:
+                    record["log_pred"], record["log_pred_marginal"] = _log_predictives(
+                        obs.values[t + h - 2], record.pop("pred_means"), record.pop("log_prior"), self.cfg.sigma_obs
+                    )
+            else:  # its target lies past the observations: keep the step's own fields
+                record = {key: record[key] for key in _STEP_FIELDS if key in record}
             records.append(record)
         del state  # the cloud and its scratch, freed before the records are stacked
 
         # Each key's per-step arrays are popped, so they are freed once stacked.
-        S = T - h + 1
         out = {
             key: np.stack([r.pop(key) for r in (records[:S] if key in _FORECAST_KEYS else records)], axis=1)
             for key in list(records[0])
@@ -479,11 +523,6 @@ class ParticleFilter:
             for key in ("alpha_mean", "alpha_lo", "alpha_hi"):
                 out[key] = np.concatenate([const, out[key]], axis=-1)
         targets = np.arange(h, T + 1)
-        if summaries:
-            marg = _gaussian_logpdf(obs.values[targets - 1][:, None], out.pop("pred_means"), self.cfg.sigma_obs)
-            log_prior = out.pop("log_prior")  # (P, S, N), against marg (P, S, N, L)
-            out["log_pred"] = _logsumexp(log_prior + reduce_models(np.add, np.moveaxis(marg, -1, 0)), axis=-1)
-            out["log_pred_marginal"] = _logsumexp(log_prior[..., None] + marg, axis=2)
 
         def at(key, p):
             return out[key][p] if key in out else None
@@ -493,7 +532,7 @@ class ParticleFilter:
                 h,
                 *(at(key, p) for key in _STEP_FIELDS),
                 forecasts=ForecastSeries(
-                    h, targets, at("point", p), at("log_pred", p), at("log_pred_marginal", p), out["draws"][p]
+                    h, targets, at("point", p), at("log_pred", p), at("log_pred_marginal", p), draws[p]
                 ),
             )
             for p in range(len(alpha0))

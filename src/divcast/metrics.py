@@ -153,10 +153,8 @@ def loss_series(
     sq_err = (y - point) ** 2
     neg_lp_marginal = -fs.log_pred_marginal[mask]
     neg_lp_joint = -fs.log_pred[mask]
-    L = obs.n_vars
-    crps = np.column_stack(
-        [crps_series(fs.draws[mask][:, :, l], y[:, l]) for l in range(L)]
-    )
+    draws = fs.draws if mask.all() else fs.draws[mask]  # indexed once, and copied only when cut
+    crps = np.column_stack([crps_series(draws[:, :, l], y[:, l]) for l in range(obs.n_vars)])
     return {
         "targets": targets,
         "sq_err": sq_err,

@@ -10,8 +10,17 @@ import numpy as np
 
 from divcast.combine import model_log_predictive_matrix
 from divcast.core import ConfigError, DegeneracyError, ForecastSeries, InputError, NoiseConfig
-from divcast.filtering import FilterState, _band_stats, _logsumexp, effective_sample_size, run_filter
-from divcast.latent import DTVW, LatentMode, ParticleCloud, propagate_cloud, theta_from_alpha
+from divcast.filtering import (
+    FilterOutput,
+    FilterState,
+    _STEP_FIELDS,
+    _band_stats,
+    _gaussian_logpdf,
+    _logsumexp,
+    effective_sample_size,
+    run_filter,
+)
+from divcast.latent import DTVW, LatentMode, ParticleCloud, propagate_cloud, reduce_models, theta_from_alpha
 from divcast.metrics import crps_series
 
 
@@ -361,3 +370,45 @@ def step_allocating(pf, state: AllocatingState, y_t: np.ndarray, summaries: bool
         for stat, band in zip(("mean", "lo", "hi"), _band_stats(alpha, omega)):
             record[f"alpha_{stat}"] = band
     return AllocatingState(x, alpha, omega, t, rng), record
+
+
+def run_block_stacked(pf, obs, n_particles, alpha0, rng, x0_spread=0.0, summaries=True, bands=True) -> list:
+    """ParticleFilter.run_block scoring its forecasts after the last step:
+    every step's records are kept, stacked by key, and the log predictives
+    are evaluated on the stacked (P, S, N, L) particle means and (P, S, N)
+    log prior weights.  Steps past S = T - h + 1 are dropped from the
+    forecast keys."""
+    T, h = obs.n_steps, pf.horizon
+    alpha0 = np.asarray(alpha0, dtype=float)
+    state = pf.init_state(n_particles, alpha0[:, 1:], x0_spread, rng)
+    records = [pf.step(state, y_t, summaries, bands)[1] for y_t in obs.values]
+    S = T - h + 1
+    forecast_keys = ("point", "pred_means", "log_prior", "draws")
+    out = {
+        key: np.stack([r[key] for r in (records[:S] if key in forecast_keys else records)], axis=1)
+        for key in records[0]
+    }
+    if bands:
+        const = np.broadcast_to(alpha0[:, None, :1], (len(alpha0), T, 1))
+        for key in ("alpha_mean", "alpha_lo", "alpha_hi"):
+            out[key] = np.concatenate([const, out[key]], axis=-1)
+    targets = np.arange(h, T + 1)
+    if summaries:
+        marg = _gaussian_logpdf(obs.values[targets - 1][:, None], out.pop("pred_means"), pf.cfg.sigma_obs)
+        log_prior = out.pop("log_prior")  # (P, S, N), against marg (P, S, N, L)
+        out["log_pred"] = _logsumexp(log_prior + reduce_models(np.add, np.moveaxis(marg, -1, 0)), axis=-1)
+        out["log_pred_marginal"] = _logsumexp(log_prior[..., None] + marg, axis=2)
+
+    def at(key, p):
+        return out[key][p] if key in out else None
+
+    return [
+        FilterOutput(
+            h,
+            *(at(key, p) for key in _STEP_FIELDS),
+            forecasts=ForecastSeries(
+                h, targets, at("point", p), at("log_pred", p), at("log_pred_marginal", p), out["draws"][p]
+            ),
+        )
+        for p in range(len(alpha0))
+    ]

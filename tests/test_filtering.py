@@ -30,6 +30,7 @@ from oracles import (
     allocating_state,
     combine_cloud_numpy,
     gaussian_logpdf_diag,
+    run_block_stacked,
     step_allocating,
     systematic_indices,
 )
@@ -318,11 +319,11 @@ class TestInPlaceStep:
     def test_run_block_working_set(self):
         # F is one (K*L, P, N) float array, the entry-major latent cloud.  The
         # state and its scratch hold 2.67 F: two such arrays and two (2, P, N)
-        # coefficient arrays.  The records of 100 steps, 0.67 F of draws and
-        # their small entries, add about 1 F, and a step's temporaries stay
-        # below 1 F: the latent noise is one (N, K*L) draw and its transpose,
-        # and the models are summed one (P, N) slab at a time.  The traced
-        # peak is 4.28 F.
+        # coefficient arrays.  The (P, S, J, L) draws, 0.67 F allocated before
+        # the first step, and the small entries of 100 records add about 1 F,
+        # and a step's temporaries stay below 1 F: the latent noise is one
+        # (N, K*L) draw and its transpose, and the models are summed one
+        # (P, N) slab at a time.  The traced peak is 4.27 F.
         obs, panel = generate(SimSpec(design="nonlinear_incomplete", T=100, seed=1, n_pred_draws=10))
         assert panel.n_models * panel.n_vars == 6
         pf = ParticleFilter(panel, DTVW, NoiseConfig(default_sigma_obs(obs, panel)), n_pred_draws=10)
@@ -339,6 +340,76 @@ class TestInPlaceStep:
         finally:
             tracemalloc.stop()
         assert peak < 5 * F, f"run_block peaked {peak / F:.2f} F above its start"
+
+    def test_run_block_working_set_with_summaries(self):
+        # Each step's forecast is scored as soon as the step is filtered, so
+        # its (P, N, L) particle means and (P, N) log prior weights die with
+        # it.  F is the (K*L, P, N) cloud of one point.  The state holds
+        # 2.67 F, a step's temporaries about 2.7 F (at P = 1 the latent
+        # noise's (N, K*L) draw and its transpose are 1 F each), and the
+        # small entries of 120 records about 2 F: the traced peak is 7.4 F.
+        # Kept to the last step, the means and weights alone would be 60 F.
+        obs, panel = random_problem(3, 2, 120, seed=1)
+        pf = ParticleFilter(panel, DTVW, NoiseConfig(default_sigma_obs(obs, panel)), n_pred_draws=10)
+        pf.diversity_path  # built once per filter, outside the traced run
+        N = 2000
+        F = N * 6 * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            (out,) = pf.run_block(obs, N, np.zeros((1, 3)), substream(0, "filter"), bands=False)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (out.ess, out.resampled, out.one_step_log_pred, *vars(out.forecasts).values())
+                   if isinstance(a, np.ndarray))
+        assert out.forecasts.log_pred is not None
+        assert peak < 10 * F + kept, f"run_block peaked {peak / F:.2f} F above its start, {kept / F:.2f} F kept"
+
+
+class TestScoredPerStep:
+    """run_block scores each forecast right after its step; the log
+    predictives and draws must equal, bit for bit, those of the stacked tail
+    that evaluates every step's particle mixture after the last step."""
+
+    @staticmethod
+    def _assert_equals_stacked_tail(obs, panel, horizon, n_points, bands):
+        cfg = NoiseConfig(default_sigma_obs(obs, panel), sigma_x=0.3, sigma_alpha=0.2)
+        pf = ParticleFilter(panel, DTVW, cfg, horizon=horizon, kappa=0.9, n_pred_draws=12)
+        alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0], [0.0, 8.0, 8.0]])[:n_points]
+        kw = dict(x0_spread=0.5, bands=bands)
+        got = pf.run_block(obs, 60, alpha0, substream(3, "filter"), **kw)
+        expected = run_block_stacked(pf, obs, 60, alpha0, substream(3, "filter"), **kw)
+        assert len(got) == len(expected) == n_points
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g.forecasts.targets, np.arange(horizon, obs.n_steps + 1))
+            for name in ("targets", "point", "log_pred", "log_pred_marginal", "draws"):
+                a, b = getattr(g.forecasts, name), getattr(e.forecasts, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            for name in ("weights_mean", "alpha_mean", "ess", "resampled", "one_step_log_pred"):
+                a, b = getattr(g, name), getattr(e, name)
+                assert (a is None) == (b is None) == (name.endswith("_mean") and not bands), name
+                assert a is None or a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("bands", [True, False], ids=["bands", "no_bands"])
+    @pytest.mark.parametrize("n_points", [1, 4])
+    @pytest.mark.parametrize("horizon", [1, 3])
+    @pytest.mark.parametrize("n_models,n_vars", [(2, 3), (5, 1), (8, 2), (12, 3)])
+    def test_equals_the_stacked_tail(self, n_models, n_vars, horizon, n_points, bands):
+        # From eight models on, the joint log predictive sums the variables
+        # of a pairwise-summed combination; three variables give the marginal
+        # a strided reduction over the particles.
+        obs, panel = random_problem(n_models, n_vars, 24, seed=10 * n_models + n_vars, horizons=3)
+        self._assert_equals_stacked_tail(obs, panel, horizon, n_points, bands)
+
+    @pytest.mark.parametrize("n_points", [1, 4])
+    def test_panel_longer_than_the_observations(self, n_points):
+        # The steps after S = T - h + 1 emit forecasts of targets past the
+        # observations; they are dropped, not scored.
+        obs, panel = random_problem(4, 2, 24, seed=7, horizons=3)
+        short = ObservationSeries(obs.values[:18], obs.variable_names)
+        assert panel.n_steps > short.n_steps
+        self._assert_equals_stacked_tail(short, panel, 3, n_points, bands=True)
 
 
 class TestDeterministicLimit:
