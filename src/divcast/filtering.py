@@ -41,13 +41,12 @@ size steps x particles.
 A step advances the block's state in place.  The state carries one scratch
 array the size of the latent cloud x and one the size of the coefficient
 cloud alpha, (alpha1, alpha2): alpha0 drives no weight (see latent), and only
-run_block reads it.  The propagation's coefficients and diversity term and the
-softmax weights are written into the scratch, and resampling gathers the
-rows of the points that resample into it and copies them back.  So a step
-holds no temporary of the cloud's size, and larger blocks fit in the same
-memory.
-The in-place operations keep the operand order of the allocating
-expressions, so every result keeps its bits.
+run_block reads it.  The propagation's coefficients and diversity term and
+the softmax weights are written into the scratch, and resampling gathers
+the rows of the points that resample into it and copies them back.  So a
+step holds no temporary of the cloud's size, and larger blocks fit in the
+same memory.  The in-place operations keep the operand order of the
+allocating expressions, so every result keeps its bits.
 """
 
 from __future__ import annotations

@@ -396,9 +396,9 @@ class TestScoredPerStep:
     @pytest.mark.parametrize("horizon", [1, 3])
     @pytest.mark.parametrize("n_models,n_vars", [(2, 3), (5, 1), (8, 2), (12, 3)])
     def test_equals_the_stacked_tail(self, n_models, n_vars, horizon, n_points, bands):
-        # From eight models on, the joint log predictive sums the variables
-        # of a pairwise-summed combination; three variables give the marginal
-        # a strided reduction over the particles.
+        # The (K, L) pairs cover both ways each sum runs: numpy sums eight or
+        # more models pairwise, and the marginal's particles pairwise for one
+        # variable but in sequence, as a strided reduction, for several.
         obs, panel = random_problem(n_models, n_vars, 24, seed=10 * n_models + n_vars, horizons=3)
         self._assert_equals_stacked_tail(obs, panel, horizon, n_points, bands)
 
