@@ -47,17 +47,24 @@ def model_log_predictive_matrix(
     bandwidth acts as the standard deviation; otherwise the sample variance
     is floored at 1e-8.
     """
+    cells = (slice(obs.n_steps), slice(None), slice(None), horizon - 1)
+    marginal = _fit_cells(panel.draws[cells], panel._means[cells], obs.values[:, None, :], fallback_sigma)
+    return marginal.sum(axis=2), marginal
+
+
+def _fit_cells(draws: np.ndarray, means: np.ndarray, y: np.ndarray, fallback_sigma: float) -> np.ndarray:
+    """Per-variable log predictives at y of the diagonal Gaussians fitted to
+    panel cells, draws (..., L, D) with their means (..., L), as
+    model_log_predictive_matrix describes.  Each cell's fit reads only its
+    own draws, so a subset of the cells has the bits of the whole."""
     if fallback_sigma <= 0:
         raise InputError("fallback_sigma must be positive")
-    T = obs.n_steps
-    m = panel._means[:T, :, :, horizon - 1]
-    if panel.n_draws >= 2:
-        var = panel.draws[:T, :, :, horizon - 1].var(axis=-1, ddof=1)
+    if draws.shape[-1] >= 2:
+        var = draws.var(axis=-1, ddof=1)
         s = np.where(var == 0.0, fallback_sigma, np.sqrt(np.maximum(var, VAR_FLOOR)))
     else:
-        s = np.full_like(m, fallback_sigma)
-    marginal = _gaussian_logpdf(obs.values[:, None, :], m, s)
-    return marginal.sum(axis=2), marginal
+        s = np.full_like(means, fallback_sigma)
+    return _gaussian_logpdf(y, means, s)
 
 
 def bma_weights(log_pred_per_model: np.ndarray, window: int | None = None) -> np.ndarray:
@@ -148,15 +155,15 @@ def single_model_result(
 ) -> CombinerResult:
     """Panel model k (1-based) through the combiner interface: weight one on
     k, and the forecasts of its own cells of the panel at the horizon (the
-    Gaussian-fitted log predictives of model_log_predictive_matrix)."""
+    Gaussian-fitted log predictives of model_log_predictive_matrix, fitted
+    to model k's cells only)."""
     if not 1 <= k <= panel.n_models:
         raise InputError(f"model index {k} outside 1..{panel.n_models}")
     targets = np.arange(horizon, obs.n_steps + 1)
-    joint, marginal = model_log_predictive_matrix(panel, obs, fallback_sigma, horizon)
-    point = panel._means[targets - 1, k - 1, :, horizon - 1]
-    draws = np.moveaxis(panel.draws[targets - 1, k - 1, :, horizon - 1, :], 2, 1)  # (S, D, L)
-    log_pred, log_pred_marginal = joint[targets - 1, k - 1], marginal[targets - 1, k - 1]
-    forecasts = ForecastSeries(horizon, targets, point, log_pred, log_pred_marginal, draws)
+    cells = (targets - 1, k - 1, slice(None), horizon - 1)
+    point, draws = panel._means[cells], panel.draws[cells]  # (S, L) and (S, L, D)
+    marginal = _fit_cells(draws, point, obs.values[targets - 1], fallback_sigma)
+    forecasts = ForecastSeries(horizon, targets, point, marginal.sum(axis=1), marginal, np.moveaxis(draws, 2, 1))
     weights = np.zeros((obs.n_steps, panel.n_models, obs.n_vars))
     weights[:, k - 1] = 1.0
     return CombinerResult(panel.model_names[k - 1], weights, forecasts)

@@ -54,7 +54,8 @@ def run_method(
     bands: bool = True,
 ) -> FilterOutput | CombinerResult:
     """Run one combination method at one horizon: a filter run for the
-    filter methods, with weight and coefficient bands only if asked, a
+    filter methods, whose steps score their own forecasts, with the weight
+    and coefficient bands read from each step's state only if asked; a
     combiner result for the others."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
@@ -267,6 +268,8 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
         raise ConfigError(
             f"configured horizon {max(cfg.horizons)} exceeds panel horizons {panel.n_horizons}"
         )
+    if panel.n_draws < 2:
+        raise InputError("the panel holds a single draw per cell; scoring each model's CRPS needs at least two")
     noise = _noise_config(cfg, obs, panel)
     baseline = cfg.baseline or panel.model_names[0]
     if baseline not in panel.model_names and baseline not in METHODS:

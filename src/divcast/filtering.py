@@ -1,8 +1,8 @@
 """Sequential Monte Carlo loop for the time-varying combination weights.
 
-Each step propagates the particle cloud through the latent dynamics, updates
-the importance weights with the one-step Gaussian combination likelihood,
-records the prior-side (pre-update) predictive quantities, and resamples
+Each step propagates the particle cloud through the latent dynamics, scores
+and samples the prior-side (pre-update) predictive, updates the importance
+weights with the one-step Gaussian combination likelihood, and resamples
 systematically when the normalized effective sample size drops below the
 threshold.  Forecasts emitted at step t target time t+h-1: they pair the
 prior-side particle weights (information through t-1) with the panel's
@@ -30,23 +30,23 @@ The panel is frozen, so each filter builds its diversity path, the vector
 for every step t, in one call on its first step, and every block it runs
 reads that path.
 
-run_block scores each forecast as soon as its step is filtered: the joint
-and marginal log predictives of the step's particle mixture at the realized
-target come from the step's (P, N, L) particle means and (P, N) log prior
-weights, which then die.  Each step's draws are written into one
-(P, S, J, L) array made before the first step.  So a run holds the cloud,
-its scratch, the draws and a few small arrays per step, and nothing of the
-size steps x particles.
+A step given its forecast's realized target scores its own particle
+mixture: the joint and marginal log predictives come from the step's
+(P, N, L) particle means and (P, N) log prior weights, which die inside the
+step.  run_block writes every step's entries into outputs made before the
+first step, so a run holds the cloud, its scratch and the outputs, and
+nothing of the size steps x particles.
 
 A step advances the block's state in place.  The state carries one scratch
 array the size of the latent cloud x and one the size of the coefficient
 cloud alpha, (alpha1, alpha2): alpha0 drives no weight (see latent), and only
 run_block reads it.  The propagation's coefficients and diversity term and
 the softmax weights are written into the scratch, and resampling gathers
-the rows of the points that resample into it and copies them back.  So a
-step holds no temporary of the cloud's size, and larger blocks fit in the
-same memory.  The in-place operations keep the operand order of the
-allocating expressions, so every result keeps its bits.
+the rows of x and alpha of the points that resample into it and copies them
+back; the posterior bands, read from the state after the step, recompute
+the softmax into it.  So a step holds no temporary of the cloud's size, and
+larger blocks fit in the same memory.  The in-place operations keep the
+operand order of the allocating expressions, so every result keeps its bits.
 """
 
 from __future__ import annotations
@@ -238,8 +238,9 @@ class FilterState:
 
     step advances the state in place.  Its scratch, one (K*L, P, N) array
     and one (2, P, N) array, made with the state, holds the step's
-    temporaries; a resampling step gathers the rows of the points that
-    resample into it and copies them back into the cloud."""
+    temporaries, the weight tensor among them, and the weights the bands
+    recompute; a resampling step gathers the rows of x and alpha of the
+    points that resample into it and copies them back into the cloud."""
 
     cloud: ParticleCloud
     t: int
@@ -256,8 +257,8 @@ class FilterOutput:
     trajectories with 95% bands (alpha0's are its initial value), the ESS
     path and resample flags, the one-step log predictives (T,), and the
     out-of-sample forecast block at the run's horizon.  A run without bands
-    leaves the six band fields as None, and one without summaries the
-    forecasts' point and log predictives; the draws are always there."""
+    leaves the six band fields as None, and one whose steps score nothing
+    the forecasts' point and log predictives; the draws are always there."""
 
     horizon: int
     weights_mean: np.ndarray | None
@@ -272,13 +273,11 @@ class FilterOutput:
     forecasts: ForecastSeries
 
 
-# FilterOutput fields taken from one record entry per step, and the
-# forecast's summaries that run_block keeps per step for steps 1..S.
+# FilterOutput fields written at every step, in FilterOutput's order.
 _STEP_FIELDS = (
     "weights_mean", "weights_lo", "weights_hi", "alpha_mean", "alpha_lo", "alpha_hi",
     "ess", "resampled", "one_step_log_pred",
 )
-_FORECAST_KEYS = ("point", "log_pred", "log_pred_marginal")
 
 
 class ParticleFilter:
@@ -331,18 +330,18 @@ class ParticleFilter:
         return FilterState(cloud=cloud, t=0, rng=rng)
 
     def step(
-        self, state: FilterState, y_t: np.ndarray, summaries: bool = True, bands: bool = True
+        self, state: FilterState, y_t: np.ndarray, y_target: np.ndarray | None = None
     ) -> tuple[FilterState, dict]:
         """Advance every point of the block by one observation, in place;
         returns the state and a record of everything emitted at this step,
         each entry with the point axis first.  A step that raises leaves the
         state undefined.
 
-        The propagation's temporaries and, unless bands are kept, the
-        weight tensor live in the state's scratch, so a step allocates
-        nothing of the cloud's size.  summaries=False skips the forecast's
-        point, particle means and log prior weights; bands=False skips the
-        weight and coefficient bands.  Neither changes the draws.
+        The record holds the one-step log predictives, the ESS, the resample
+        flags and, while target t+h-1 lies in the panel, the forecast's
+        draws.  Given the target's realized value y_target (L,), the step
+        also scores its particle mixture before the update: the forecast's
+        point and joint and marginal log predictives.  The target changes no draw.
         """
         panel, cfg = self.panel, self.cfg
         K, L = panel.n_models, panel.n_vars
@@ -358,9 +357,7 @@ class ParticleFilter:
         div = self.diversity_path[t - 1] if self.mode.uses_diversity else np.zeros(K * L)
         propagate_cloud(cloud, div, self.mode, cfg, rng, state.scratch)
         P, n = cloud.omega.shape
-        # The bands read the weights after resampling, so only they keep a
-        # buffer of their own; otherwise the weights die before resampling.
-        weights = cloud_weight_tensor(cloud.x, K, L, out=None if bands else state.scratch[0].reshape(L, K, P, n))
+        weights = cloud_weight_tensor(cloud.x, K, L, out=state.scratch[0].reshape(L, K, P, n))
         omega_prior = cloud.omega  # renormalized in place; the update overwrites it
         omega_prior /= omega_prior.sum(axis=-1, keepdims=True)
         log_prior = np.full_like(omega_prior, -np.inf)
@@ -370,11 +367,13 @@ class ParticleFilter:
         record: dict = {}
         target = t + self.horizon - 1
         if target <= panel.n_steps:
-            if summaries:
+            if y_target is not None:
                 pred_means = _particle_major(_combine_cloud(weights, panel.mean_matrix(target, self.horizon)))
                 record["point"] = (omega_prior[:, None, :] @ pred_means)[:, 0]
-                record["pred_means"] = pred_means
-                record["log_prior"] = log_prior
+                record["log_pred"], record["log_pred_marginal"] = _log_predictives(
+                    y_target, pred_means, log_prior, cfg.sigma_obs
+                )
+                del pred_means
             record["draws"] = self._predictive_draws(weights, omega_prior, target, rng)
 
         # One-step likelihood update (log-space, max-shifted), each array
@@ -398,7 +397,7 @@ class ParticleFilter:
             )
         omega = np.divide(logw, total, out=cloud.omega)
         record["one_step_log_pred"] = (shift + np.log(total))[:, 0]
-        del logw, log_prior  # free them before resampling (the record may keep log_prior)
+        del logw, log_prior  # free them before resampling
 
         # Resample the points whose ESS fell below the threshold.  The offset
         # is drawn whether or not any point resamples.
@@ -413,18 +412,26 @@ class ParticleFilter:
             omega[which] = 1.0 / n
             # Only the resampled points' rows are gathered, each array's into
             # the head of a scratch buffer, and written back.
-            arrays = (cloud.x, cloud.alpha, weights) if bands else (cloud.x, cloud.alpha)
-            for a, buf in zip(arrays, (*state.scratch, state.scratch[0])):
+            for a, buf in zip((cloud.x, cloud.alpha), state.scratch):
                 rows = buf.reshape(-1)[: a.size // P * len(which)].reshape(*a.shape[:-2], *idx.shape)
                 a[..., which, :] = _gather(a, idx, out=rows, rows=which)
-
-        if bands:
-            for stat, band in zip(("mean", "lo", "hi"), _band_stats(_particle_major(weights), omega)):
-                record[f"weights_{stat}"] = band.reshape(P, L, K).transpose(0, 2, 1)
-            for stat, band in zip(("mean", "lo", "hi"), _band_stats(_particle_major(cloud.alpha), omega)):
-                record[f"alpha_{stat}"] = band
         state.t = t
         return state, record
+
+    def _bands(self, state: FilterState) -> dict:
+        """Posterior means and 95% bands of the weights, (P, K, L), and of
+        (alpha1, alpha2), (P, 2), after a step.  The softmax is recomputed
+        into the scratch: a particle's weights depend only on its own latent
+        column, so they keep the bits of the tensor the step resampled."""
+        K, L = self.panel.n_models, self.panel.n_vars
+        cloud = state.cloud
+        weights = cloud_weight_tensor(cloud.x, K, L, out=state.scratch[0].reshape(L, K, *cloud.omega.shape))
+        bands = {}
+        for stat, band in zip(("mean", "lo", "hi"), _band_stats(_particle_major(weights), cloud.omega)):
+            bands[f"weights_{stat}"] = band.reshape(-1, L, K).transpose(0, 2, 1)
+        for stat, band in zip(("mean", "lo", "hi"), _band_stats(_particle_major(cloud.alpha), cloud.omega)):
+            bands[f"alpha_{stat}"] = band
+        return bands
 
     def _predictive_draws(
         self,
@@ -474,14 +481,13 @@ class ParticleFilter:
         Generator in rng's state.  Any point's failure raises for the whole
         block.  alpha0[p, 0] is point p's alpha0 mean and both band ends.
 
-        Steps 1..S, S = T - h + 1, emit the forecasts of targets h..T.  Their
-        joint and marginal log predictives are the prior-side particle
-        mixtures evaluated at the realized targets, each right after its
-        step, which drops the step's particle means and log prior weights;
-        at horizon one they equal the update's one-step predictives.  The
-        draws go into one (P, S, J, L) array made before the first step.
-        A panel longer than the observations also emits forecasts after
-        step S; their targets are not observed, and they are dropped.
+        Steps 1..S, S = T - h + 1, emit the forecasts of targets h..T; with
+        summaries each step scores its own (at horizon one, its log
+        predictive is the update's one-step predictive), and with bands the
+        posterior bands are read from each step's state.  Every entry is
+        written into outputs made before the first step.  A panel longer
+        than the observations also emits forecasts after step S; their
+        targets are not observed, and they are dropped.
         """
         panel, h = self.panel, self.horizon
         T = obs.n_steps
@@ -496,31 +502,25 @@ class ParticleFilter:
             raise InputError("alpha0 must be a (P, 3) array")
 
         state = self.init_state(n_particles, alpha0[:, 1:], x0_spread, rng)
-        S = T - h + 1
-        draws = np.empty((len(alpha0), S, self.n_pred_draws, panel.n_vars))
-        records = []
+        P, S, K, L = len(alpha0), T - h + 1, panel.n_models, panel.n_vars
+        shapes = {"ess": (T,), "resampled": (T,), "one_step_log_pred": (T,), "draws": (S, self.n_pred_draws, L)}
+        if summaries:
+            shapes |= {"point": (S, L), "log_pred": (S,), "log_pred_marginal": (S, L)}
+        for stat in ("mean", "lo", "hi") if bands else ():
+            shapes |= {f"weights_{stat}": (T, K, L), f"alpha_{stat}": (T, 3)}
+        out = {key: np.empty((P, *shape), dtype=bool if key == "resampled" else float) for key, shape in shapes.items()}
+        # Where each step writes: alpha0's band column is its configured value.
+        dest = dict(out)
+        for key in ("alpha_mean", "alpha_lo", "alpha_hi") if bands else ():
+            out[key][..., 0] = alpha0[:, :1]
+            dest[key] = out[key][..., 1:]
         for t, y_t in enumerate(obs.values, start=1):
-            state, record = self.step(state, y_t, summaries, bands)
-            if t <= S:
-                draws[:, t - 1] = record.pop("draws")
-                if summaries:
-                    record["log_pred"], record["log_pred_marginal"] = _log_predictives(
-                        obs.values[t + h - 2], record.pop("pred_means"), record.pop("log_prior"), self.cfg.sigma_obs
-                    )
-            else:  # its target lies past the observations: keep the step's own fields
-                record = {key: record[key] for key in _STEP_FIELDS if key in record}
-            records.append(record)
-        del state  # the cloud and its scratch, freed before the records are stacked
-
-        # Each key's per-step arrays are popped, so they are freed once stacked.
-        out = {
-            key: np.stack([r.pop(key) for r in (records[:S] if key in _FORECAST_KEYS else records)], axis=1)
-            for key in list(records[0])
-        }
-        if bands:
-            const = np.broadcast_to(alpha0[:, None, :1], (len(alpha0), T, 1))
-            for key in ("alpha_mean", "alpha_lo", "alpha_hi"):
-                out[key] = np.concatenate([const, out[key]], axis=-1)
+            state, record = self.step(state, y_t, obs.values[t + h - 2] if summaries and t <= S else None)
+            if bands:
+                record |= self._bands(state)
+            for key, value in record.items():
+                if t <= S or key != "draws":
+                    dest[key][:, t - 1] = value
         targets = np.arange(h, T + 1)
 
         def at(key, p):
@@ -531,10 +531,10 @@ class ParticleFilter:
                 h,
                 *(at(key, p) for key in _STEP_FIELDS),
                 forecasts=ForecastSeries(
-                    h, targets, at("point", p), at("log_pred", p), at("log_pred_marginal", p), draws[p]
+                    h, targets, at("point", p), at("log_pred", p), at("log_pred_marginal", p), out["draws"][p]
                 ),
             )
-            for p in range(len(alpha0))
+            for p in range(P)
         ]
 
 

@@ -305,11 +305,15 @@ def propagate_cloud_allocating(cloud: AllocatingState, div, mode, cfg, rng) -> t
     return x, alpha, cloud.omega.copy()
 
 
-def step_allocating(pf, state: AllocatingState, y_t: np.ndarray, summaries: bool = True, bands: bool = True):
-    """ParticleFilter.step written with a new array for every intermediate
-    and numpy's reductions, on a cloud that keeps alpha0's column; leaves
-    state untouched (but for its Generator, which it advances) and returns a
-    new state and the record, whose coefficient bands have three columns."""
+def step_allocating(pf, state: AllocatingState, y_t: np.ndarray, y_target: np.ndarray | None = None):
+    """ParticleFilter.step followed by its posterior bands, written with a
+    new array for every intermediate and numpy's reductions, on a cloud that
+    keeps alpha0's column; leaves state untouched (but for its Generator,
+    which it advances) and returns a new state and the record.  Given
+    y_target, the record holds the forecast's point and, unscored, its
+    particle mixture: the particle means and log prior weights
+    (mixture_log_predictives scores them).  The bands come from the
+    resampled weight tensor; the coefficient bands have three columns."""
     panel, cfg = pf.panel, pf.cfg
     K, L = panel.n_models, panel.n_vars
     t = state.t + 1
@@ -332,7 +336,7 @@ def step_allocating(pf, state: AllocatingState, y_t: np.ndarray, summaries: bool
     record: dict = {}
     target = t + pf.horizon - 1
     if target <= panel.n_steps:
-        if summaries:
+        if y_target is not None:
             pred_means = combine_cloud_numpy(weights, panel.mean_matrix(target, pf.horizon))
             record["point"] = (omega_prior[:, None, :] @ pred_means)[:, 0]
             record["pred_means"] = pred_means
@@ -364,40 +368,50 @@ def step_allocating(pf, state: AllocatingState, y_t: np.ndarray, summaries: bool
         omega[which] = 1.0 / n
         rows = np.arange(P)[:, None]
         x, alpha, weights = x[rows, idx], alpha[rows, idx], weights[rows, idx]
-    if bands:
-        for stat, band in zip(("mean", "lo", "hi"), _band_stats(weights.reshape(P, n, L * K), omega)):
-            record[f"weights_{stat}"] = band.reshape(P, L, K).transpose(0, 2, 1)
-        for stat, band in zip(("mean", "lo", "hi"), _band_stats(alpha, omega)):
-            record[f"alpha_{stat}"] = band
+    for stat, band in zip(("mean", "lo", "hi"), _band_stats(weights.reshape(P, n, L * K), omega)):
+        record[f"weights_{stat}"] = band.reshape(P, L, K).transpose(0, 2, 1)
+    for stat, band in zip(("mean", "lo", "hi"), _band_stats(alpha, omega)):
+        record[f"alpha_{stat}"] = band
     return AllocatingState(x, alpha, omega, t, rng), record
 
 
-def run_block_stacked(pf, obs, n_particles, alpha0, rng, x0_spread=0.0, summaries=True, bands=True) -> list:
-    """ParticleFilter.run_block scoring its forecasts after the last step:
-    every step's records are kept, stacked by key, and the log predictives
-    are evaluated on the stacked (P, S, N, L) particle means and (P, S, N)
-    log prior weights.  Steps past S = T - h + 1 are dropped from the
-    forecast keys."""
+def mixture_log_predictives(y: np.ndarray, pred_means: np.ndarray, log_prior: np.ndarray, sigma: np.ndarray):
+    """Joint (...,) and marginal (..., L) log predictives at y (..., L) of
+    particle mixtures with (..., N, L) particle means under (..., N) log
+    prior weights, each term a new array."""
+    marg = _gaussian_logpdf(y[..., None, :], pred_means, sigma)
+    joint = _logsumexp(log_prior + reduce_models(np.add, np.moveaxis(marg, -1, 0)), axis=-1)
+    return joint, _logsumexp(log_prior[..., None] + marg, axis=-2)
+
+
+def run_block_stacked(pf, obs, n_particles, alpha0, rng, x0_spread=0.0, bands=True) -> list:
+    """ParticleFilter.run_block through step_allocating, scoring its
+    forecasts after the last step: every step's records are kept, stacked
+    by key, and the log predictives are evaluated on the stacked
+    (P, S, N, L) particle means and (P, S, N) log prior weights.  Steps past
+    S = T - h + 1 are dropped from the forecast keys."""
     T, h = obs.n_steps, pf.horizon
-    alpha0 = np.asarray(alpha0, dtype=float)
-    state = pf.init_state(n_particles, alpha0[:, 1:], x0_spread, rng)
-    records = [pf.step(state, y_t, summaries, bands)[1] for y_t in obs.values]
     S = T - h + 1
+    alpha0 = np.asarray(alpha0, dtype=float)
+    state = allocating_state(pf.init_state(n_particles, alpha0[:, 1:], x0_spread, rng), alpha0[:, 0])
+    records = []
+    for t, y_t in enumerate(obs.values, start=1):
+        state, record = step_allocating(pf, state, y_t, obs.values[t + h - 2] if t <= S else None)
+        records.append(record)
     forecast_keys = ("point", "pred_means", "log_prior", "draws")
     out = {
         key: np.stack([r[key] for r in (records[:S] if key in forecast_keys else records)], axis=1)
         for key in records[0]
     }
-    if bands:
-        const = np.broadcast_to(alpha0[:, None, :1], (len(alpha0), T, 1))
-        for key in ("alpha_mean", "alpha_lo", "alpha_hi"):
-            out[key] = np.concatenate([const, out[key]], axis=-1)
+    for key in ("alpha_mean", "alpha_lo", "alpha_hi"):
+        if bands:
+            out[key][..., 0] = alpha0[:, None, 0]  # a constant of the run, not a weighted mean
+        else:
+            del out[key], out[key.replace("alpha", "weights")]
     targets = np.arange(h, T + 1)
-    if summaries:
-        marg = _gaussian_logpdf(obs.values[targets - 1][:, None], out.pop("pred_means"), pf.cfg.sigma_obs)
-        log_prior = out.pop("log_prior")  # (P, S, N), against marg (P, S, N, L)
-        out["log_pred"] = _logsumexp(log_prior + reduce_models(np.add, np.moveaxis(marg, -1, 0)), axis=-1)
-        out["log_pred_marginal"] = _logsumexp(log_prior[..., None] + marg, axis=2)
+    out["log_pred"], out["log_pred_marginal"] = mixture_log_predictives(
+        obs.values[targets - 1], out.pop("pred_means"), out.pop("log_prior"), pf.cfg.sigma_obs
+    )
 
     def at(key, p):
         return out[key][p] if key in out else None

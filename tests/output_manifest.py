@@ -175,7 +175,9 @@ def write_inputs(out: str) -> None:
     shutil.copytree(FIXTURE, os.path.join(out, "fixture"))
     os.makedirs(os.path.join(out, "degenerate"))
     obs = ["t,variable,value"] + [f"{t},y,{'1e200' if t == 5 else '0.1'}" for t in range(1, 15)]
-    panel = ["t,model,variable,horizon,draw,value"] + [f"{t},{m},y,1,1,0.1" for t in range(1, 15) for m in "ab"]
+    panel = ["t,model,variable,horizon,draw,value"] + [
+        f"{t},{m},y,1,{d},0.1" for t in range(1, 15) for m in "ab" for d in (1, 2)  # run needs two draws per cell
+    ]
     for name, rows in (("observations.csv", obs), ("panel.csv", panel)):
         with open(os.path.join(out, "degenerate", name), "w") as fh:
             fh.write("\n".join(rows) + "\n")

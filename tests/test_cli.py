@@ -70,6 +70,25 @@ class TestSimulate:
         assert "above 100,000,000" in capsys.readouterr().err
         assert not os.path.exists(out_dir)
 
+    def test_one_draw_panel_run_exit_2_before_any_method(self, tmp_path, monkeypatch, capsys):
+        # CRPS needs two draws of each model; gridsearch scores the filter's
+        # draws instead, so only run rejects such a panel
+        argv = ["simulate", "--design", "complete_ar", "--length", "20", "--draws", "1", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        monkeypatch.setattr(experiment, "run_method", lambda *a, **k: pytest.fail("a method ran"))
+        grid = "[gridsearch]\nstage1 = -2, 2, 2\nstage2_step = none\neval_draws = 5\ngrid_particles = 40\n"
+        cfg, out_dir = write_config(
+            tmp_path, observations=str(tmp_path / "observations.csv"), panel=str(tmp_path / "panel.csv"),
+            method="dtvw", extra=grid,
+        )
+        capsys.readouterr()
+        assert main(["run", "--config", cfg]) == 2
+        assert "single draw per cell" in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
+        assert main(["gridsearch", "--config", cfg]) == 0
+        surface = list(csv.DictReader(open(os.path.join(out_dir, "surface.csv"))))
+        assert len(surface) == 9 and all(np.isfinite(float(row["crps"])) for row in surface)
+
     def test_simulate_then_run(self, tmp_path):
         main([
             "simulate", "--design", "nonlinear_incomplete", "--length", "30",
@@ -132,7 +151,7 @@ class TestRun:
         prows = ["t,model,variable,horizon,draw,value"]
         for t in range(1, 15):
             for m in ("a", "b"):
-                prows.append(f"{t},{m},y,1,1,0.1")
+                prows += [f"{t},{m},y,1,1,0.1", f"{t},{m},y,1,2,0.1"]  # run needs two draws per cell
         panel.write_text("\n".join(prows) + "\n")
         cfg, out_dir = write_config(
             tmp_path, observations=str(obs), panel=str(panel), method="tvw",

@@ -290,6 +290,26 @@ class TestFitsPerHorizon:
         assert sorted(calls) == fits
 
 
+    @pytest.mark.parametrize("horizon", [1, 3])
+    def test_single_models_fit_each_cell_once(self, monkeypatch, horizon):
+        # the K single models of a horizon evaluate, between them, one
+        # Gaussian per cell of the horizon's targets: one fit, not K
+        rng = np.random.default_rng(14)
+        panel = PredictorPanel(rng.normal(size=(12, 3, 2, 3, 4)), ("a", "b", "c"))
+        obs = ObservationSeries(rng.normal(size=(12, 2)), ("y", "z"))
+        cells = []
+        logpdf = combine._gaussian_logpdf
+
+        def counting(y, mean, sigma, out=None):
+            cells.append(np.size(mean))
+            return logpdf(y, mean, sigma, out)
+
+        monkeypatch.setattr(combine, "_gaussian_logpdf", counting)
+        for k in (1, 2, 3):
+            single_model_result(obs, panel, k, horizon)
+        assert sum(cells) == (12 - horizon + 1) * 3 * 2
+
+
 class TestMultiHorizon:
     def test_targets_and_weight_rows(self):
         # at horizon 2 the forecast of target s must use the weight row s-1

@@ -30,6 +30,7 @@ from oracles import (
     allocating_state,
     combine_cloud_numpy,
     gaussian_logpdf_diag,
+    mixture_log_predictives,
     run_block_stacked,
     step_allocating,
     systematic_indices,
@@ -269,8 +270,10 @@ class TestInPlaceStep:
     @staticmethod
     def _assert_steps_match(obs, panel, mode, summaries, bands):
         """Step a block of five points in place and by the allocating oracle
-        through every observation: the records, the state in its (P, N, .)
-        view and the Generator must match bit for bit."""
+        through every observation, given the forecast's realized target when
+        scoring summaries, and read the bands from the state when asked: the
+        records, the state in its (P, N, .) view and the Generator must
+        match bit for bit."""
         cfg = NoiseConfig(default_sigma_obs(obs, panel), sigma_x=0.3, sigma_alpha=0.2)
         pf = ParticleFilter(panel, mode, cfg, horizon=2, kappa=0.9, n_pred_draws=8)
         alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0], [0.5, 0.0, 0.0], [0.0, 8.0, 8.0]])
@@ -281,8 +284,17 @@ class TestInPlaceStep:
         ref = allocating_state(pf.init_state(40, alpha0[:, 1:], 0.5, substream(3, "filter")), alpha0[:, 0])
         some_resample = False
         for t, y in enumerate(obs.values, start=1):
-            ref, expected = step_allocating(pf, ref, y, summaries, bands)
-            state, got = pf.step(state, y, summaries, bands)
+            y_target = obs.values[t] if summaries and t < obs.n_steps else None  # target t + 1
+            ref, expected = step_allocating(pf, ref, y, y_target)
+            state, got = pf.step(state, y, y_target)
+            if y_target is not None:
+                expected["log_pred"], expected["log_pred_marginal"] = mixture_log_predictives(
+                    y_target, expected.pop("pred_means"), expected.pop("log_prior"), cfg.sigma_obs
+                )
+            if bands:
+                got |= pf._bands(state)
+            else:
+                expected = {key: value for key, value in expected.items() if not key.startswith(("weights_", "alpha_"))}
             assert state.cloud.x.shape == (panel.n_models * panel.n_vars, 5, 40)
             assert state.cloud.alpha.shape == (2, 5, 40)
             assert got.keys() == expected.keys()
@@ -316,14 +328,42 @@ class TestInPlaceStep:
         obs, panel = random_problem(n_models, 2, 20, seed=n_models)
         self._assert_steps_match(obs, panel, mode, summaries, bands)
 
+    @pytest.mark.parametrize("mode", [TVW, ADAPTIVE_TVW, DTVW], ids=lambda m: m.tag)
+    def test_the_target_changes_no_draw(self, mode):
+        # A step scores its forecast only when given the realized target;
+        # the grid's steps are given none, and its blocks share one
+        # Generator, so both kinds of step must make the same draws and
+        # leave the same cloud.
+        obs, panel = generate(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
+        cfg = NoiseConfig(default_sigma_obs(obs, panel))
+        pf = ParticleFilter(panel, mode, cfg, horizon=2, kappa=0.9, n_pred_draws=8)
+        alpha0 = np.array([[1.0, 0.5], [-2.0, 3.0], [4.0, -1.0], [0.0, 0.0], [8.0, 8.0]])
+        scored, plain = (pf.init_state(40, alpha0, 0.5, substream(3, "filter")) for _ in range(2))
+        for state in (scored, plain):  # spread the points apart: tvw ignores alpha0
+            state.cloud.x *= np.arange(1.0, 6.0)[:, None]
+        some_resample = False
+        for t, y in enumerate(obs.values, start=1):
+            y_target = obs.values[t] if t < obs.n_steps else None
+            scored, with_target = pf.step(scored, y, y_target)
+            plain, without = pf.step(plain, y)
+            assert ("log_pred" in with_target) == (y_target is not None) and "log_pred" not in without
+            assert without.keys() == with_target.keys() - {"point", "log_pred", "log_pred_marginal"}
+            for key, value in without.items():
+                assert value.tobytes() == with_target[key].tobytes(), (t, key)
+            for name in ("x", "alpha", "omega"):
+                assert getattr(plain.cloud, name).tobytes() == getattr(scored.cloud, name).tobytes(), (t, name)
+            assert plain.rng.bit_generator.state == scored.rng.bit_generator.state
+            some_resample |= 0 < without["resampled"].sum() < len(alpha0)
+        assert some_resample
+
     def test_run_block_working_set(self):
         # F is one (K*L, P, N) float array, the entry-major latent cloud.  The
         # state and its scratch hold 2.67 F: two such arrays and two (2, P, N)
-        # coefficient arrays.  The (P, S, J, L) draws, 0.67 F allocated before
-        # the first step, and the small entries of 100 records add about 1 F,
-        # and a step's temporaries stay below 1 F: the latent noise is one
-        # (N, K*L) draw and its transpose, and the models are summed one
-        # (P, N) slab at a time.  The traced peak is 4.27 F.
+        # coefficient arrays.  The (P, S, J, L) draws, 0.67 F, and the (P, T)
+        # ESS, flags and one-step predictives, 0.14 F, are allocated before
+        # the first step, and a step's temporaries stay below 1 F: the latent
+        # noise is one (N, K*L) draw and its transpose, and the models are
+        # summed one (P, N) slab at a time.  The traced peak is 4.19 F.
         obs, panel = generate(SimSpec(design="nonlinear_incomplete", T=100, seed=1, n_pred_draws=10))
         assert panel.n_models * panel.n_vars == 6
         pf = ParticleFilter(panel, DTVW, NoiseConfig(default_sigma_obs(obs, panel)), n_pred_draws=10)
@@ -342,12 +382,12 @@ class TestInPlaceStep:
         assert peak < 5 * F, f"run_block peaked {peak / F:.2f} F above its start"
 
     def test_run_block_working_set_with_summaries(self):
-        # Each step's forecast is scored as soon as the step is filtered, so
-        # its (P, N, L) particle means and (P, N) log prior weights die with
-        # it.  F is the (K*L, P, N) cloud of one point.  The state holds
-        # 2.67 F, a step's temporaries about 2.7 F (at P = 1 the latent
-        # noise's (N, K*L) draw and its transpose are 1 F each), and the
-        # small entries of 120 records about 2 F: the traced peak is 7.4 F.
+        # Each step scores its own forecast, so its (P, N, L) particle means
+        # and (P, N) log prior weights die inside the step.  F is the
+        # (K*L, P, N) cloud of one point.  The state holds 2.67 F, a step's
+        # temporaries about 2.7 F (at P = 1 the latent noise's (N, K*L) draw
+        # and its transpose are 1 F each), and the outputs, allocated before
+        # the first step, 0.3 F: the traced peak is 6.0 F.
         # Kept to the last step, the means and weights alone would be 60 F.
         obs, panel = random_problem(3, 2, 120, seed=1)
         pf = ParticleFilter(panel, DTVW, NoiseConfig(default_sigma_obs(obs, panel)), n_pred_draws=10)
@@ -368,9 +408,10 @@ class TestInPlaceStep:
 
 
 class TestScoredPerStep:
-    """run_block scores each forecast right after its step; the log
-    predictives and draws must equal, bit for bit, those of the stacked tail
-    that evaluates every step's particle mixture after the last step."""
+    """Each step of run_block scores its own forecast; the log predictives
+    and draws must equal, bit for bit, those of the stacked tail, which runs
+    the allocating step and evaluates every step's particle mixture after
+    the last step."""
 
     @staticmethod
     def _assert_equals_stacked_tail(obs, panel, horizon, n_points, bands):
