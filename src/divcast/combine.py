@@ -16,8 +16,9 @@ from .core import (
     InputError,
     ObservationSeries,
     PredictorPanel,
+    _check_alignment,
 )
-from .filtering import _gaussian_logpdf, _logsumexp, systematic_resample
+from .filtering import _gaussian_logpdf, _mixture_log_predictives, systematic_resample
 from .rng import substream
 
 VAR_FLOOR = 1e-8
@@ -103,13 +104,11 @@ def run_combiner(
 
     Their (T, K) weight rows hold for every variable.  The forecast of
     target s, for s in h..T, mixes the Gaussian-fitted panel cells with the
-    weight row at s-h+1 (information through s-h).  Equal weighting pools
-    every model's draws; BMA resamples models by their weights."""
+    weight row at s-h+1 (information through s-h), scored as a mixture of the
+    models laid out contiguously (_mixture_log_predictives).  Equal weighting
+    pools every model's draws; BMA resamples models by their weights."""
     T, K, L = obs.n_steps, panel.n_models, panel.n_vars
-    if panel.n_steps < T:
-        raise InputError("panel does not cover the observation range")
-    if obs.n_vars != panel.n_vars:
-        raise InputError("observation and panel variable counts differ")
+    _check_alignment(obs, panel)
     if method not in ("equal", "bma", "bma_roll"):
         raise InputError(f"unknown combiner {method!r}")
     if method == "bma_roll" and window is None:
@@ -127,10 +126,9 @@ def run_combiner(
     point = np.einsum("sk,skl->sl", w, panel._means[targets - 1, :, :, horizon - 1])
     with np.errstate(divide="ignore"):
         logw = np.where(w > 0, np.log(w), -np.inf)
-    log_pred = _logsumexp(logw + joint[targets - 1], axis=1)
-    log_pred_marginal = np.stack(
-        [_logsumexp(logw + marginal[targets - 1, :, l], axis=1) for l in range(L)], axis=1
-    )
+    # The (S, K, L) model log densities, laid out with the models contiguous.
+    comp = marginal[targets - 1].swapaxes(1, 2).copy().swapaxes(1, 2)
+    log_pred, log_pred_marginal = _mixture_log_predictives(logw, comp)
     if method == "equal":
         # Pooled draws across models: the exact equal-weight mixture sample.
         block = panel.draws[targets - 1, :, :, horizon - 1, :]  # (S, K, L, D)
@@ -157,6 +155,7 @@ def single_model_result(
     k, and the forecasts of its own cells of the panel at the horizon (the
     Gaussian-fitted log predictives of model_log_predictive_matrix, fitted
     to model k's cells only)."""
+    _check_alignment(obs, panel)
     if not 1 <= k <= panel.n_models:
         raise InputError(f"model index {k} outside 1..{panel.n_models}")
     targets = np.arange(horizon, obs.n_steps + 1)

@@ -181,6 +181,16 @@ class ForecastSeries:
     draws: np.ndarray
 
 
+def _check_alignment(obs: ObservationSeries, panel: PredictorPanel) -> None:
+    """Reject a panel of other variables than obs, or of fewer steps."""
+    if panel.n_vars != obs.n_vars:
+        raise InputError(f"panel has {panel.n_vars} variables, observations have {obs.n_vars}")
+    if panel.variable_names is not None and panel.variable_names != obs.variable_names:
+        raise InputError(f"panel variables {panel.variable_names} do not match observations {obs.variable_names}")
+    if panel.n_steps < obs.n_steps:
+        raise InputError("panel does not cover the observation range")
+
+
 def matrix_to_latent(m: np.ndarray) -> np.ndarray:
     """Vectorize a (K, L) matrix column by column (variable-major); a
     (T, K, L) stack gives a (T, K*L) array, one row per matrix."""

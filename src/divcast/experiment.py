@@ -21,6 +21,7 @@ from .core import (
     NoiseConfig,
     ObservationSeries,
     PredictorPanel,
+    _check_alignment,
     default_sigma_obs,
 )
 from .dataio import FILTER_METHODS, METHODS, RunConfig, read_table, write_long, write_table
@@ -95,20 +96,6 @@ def _eval_window(cfg: RunConfig, horizon: int, T: int) -> tuple[int, int]:
     if lo > hi:
         raise ConfigError(f"empty evaluation window for horizon {horizon}")
     return lo, hi
-
-
-def _check_alignment(obs: ObservationSeries, panel: PredictorPanel) -> None:
-    if panel.n_vars != obs.n_vars:
-        raise InputError(
-            f"panel has {panel.n_vars} variables, observations have {obs.n_vars}"
-        )
-    if panel.variable_names is not None and panel.variable_names != obs.variable_names:
-        raise InputError(
-            f"panel variables {panel.variable_names} do not match "
-            f"observations {obs.variable_names}"
-        )
-    if panel.n_steps < obs.n_steps:
-        raise InputError("panel does not cover the observation range")
 
 
 FORECAST_COLUMNS = (
@@ -349,6 +336,8 @@ def _load_forecast_dir(directory: str, obs: ObservationSeries) -> dict[int, Fore
     d_values, d_seen = d_values[:, :, d_cols], d_seen[:, :, d_cols]
     if d_seen.shape[:2] != f_seen.shape[:2]:
         raise DataFormatError(f"{draws_path}: targets or horizons differ from {forecast_path}")
+    if len(f_seen) > obs.n_steps:
+        raise DataFormatError(f"{forecast_path}: target {len(f_seen)} lies past the last observation, {obs.n_steps}")
     out: dict[int, ForecastSeries] = {}
     for h in (np.flatnonzero(f_seen.any(axis=(0, 2))) + 1).tolist():
         rows = np.flatnonzero(f_seen[:, h - 1].any(axis=1))

@@ -31,11 +31,11 @@ for every step t, in one call on its first step, and every block it runs
 reads that path.
 
 A step given its forecast's realized target scores its own particle
-mixture: the joint and marginal log predictives come from the step's
-(P, N, L) particle means and (P, N) log prior weights, which die inside the
-step.  run_block writes every step's entries into outputs made before the
-first step, so a run holds the cloud, its scratch and the outputs, and
-nothing of the size steps x particles.
+mixture with _mixture_log_predictives, run_combiner's kernel too, from the
+log densities of its (P, N, L) particle means and its (P, N) log prior
+weights, which die inside the step.  run_block writes every step's entries
+into outputs made before the first step, so a run holds the cloud, its
+scratch and the outputs, and nothing of the size steps x particles.
 
 A step advances the block's state in place.  The state carries one scratch
 array the size of the latent cloud x and one the size of the coefficient
@@ -63,6 +63,7 @@ from .core import (
     NoiseConfig,
     ObservationSeries,
     PredictorPanel,
+    _check_alignment,
     default_sigma_obs,
 )
 from .diversity import diversity_vector
@@ -151,30 +152,23 @@ def _band_stats(values: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _logsumexp(logv: np.ndarray, axis: int = 0) -> np.ndarray:
-    m = np.max(logv, axis=axis, keepdims=True)
+    """log(sum(exp(logv))) over an axis, in logv, which it overwrites; the
+    exact max is taken over an axis-last copy, as a strided max took 5x as long."""
+    m = np.ascontiguousarray(np.moveaxis(logv, axis, -1)).max(axis=-1)
     m = np.where(np.isfinite(m), m, 0.0)
+    logv -= np.expand_dims(m, axis)
     with np.errstate(divide="ignore"):
-        return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(logv - m), axis=axis))
+        return m + np.log(np.exp(logv, out=logv).sum(axis=axis))
 
 
-def _log_predictives(
-    y: np.ndarray, pred_means: np.ndarray, log_prior: np.ndarray, sigma: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Joint (P,) and marginal (P, L) log predictives at the realized target
-    y (L,) of the prior-side particle mixtures of one step: per-particle
-    combined forecasts pred_means (P, N, L), which are overwritten, under
-    the log prior weights log_prior (P, N)."""
-    marg = _gaussian_logpdf(y, pred_means, sigma, out=pred_means)
-    joint = _logsumexp(log_prior + reduce_models(np.add, np.moveaxis(marg, -1, 0)), axis=-1)
-    marg += log_prior[..., None]
-    # _logsumexp over the particles, in place.  Its max, exact in any order,
-    # is taken over an (L, N)-contiguous copy: numpy's strided max over N
-    # took 5x as long.
-    m = np.moveaxis(marg, 1, -1).copy().max(axis=-1)[:, None]
-    m[~np.isfinite(m)] = 0.0
-    marg -= m
-    with np.errstate(divide="ignore"):
-        return joint, m[:, 0] + np.log(np.exp(marg, out=marg).sum(axis=1))
+def _mixture_log_predictives(log_w: np.ndarray, comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint (...) and marginal (..., L) log predictives of mixtures under log
+    weights log_w (..., M), from their M components' per-variable log densities
+    comp (..., M, L), which it overwrites.  Each sum over the components runs
+    in comp's memory order, so each caller keeps the bits of its own layout."""
+    joint = _logsumexp(log_w + reduce_models(np.add, np.moveaxis(comp, -1, 0)), axis=-1)
+    comp += log_w[..., None]
+    return joint, _logsumexp(comp, axis=-2)
 
 
 def _gaussian_logpdf(
@@ -370,8 +364,8 @@ class ParticleFilter:
             if y_target is not None:
                 pred_means = _particle_major(_combine_cloud(weights, panel.mean_matrix(target, self.horizon)))
                 record["point"] = (omega_prior[:, None, :] @ pred_means)[:, 0]
-                record["log_pred"], record["log_pred_marginal"] = _log_predictives(
-                    y_target, pred_means, log_prior, cfg.sigma_obs
+                record["log_pred"], record["log_pred_marginal"] = _mixture_log_predictives(
+                    log_prior, _gaussian_logpdf(y_target, pred_means, cfg.sigma_obs, out=pred_means)
                 )
                 del pred_means
             record["draws"] = self._predictive_draws(weights, omega_prior, target, rng)
@@ -491,10 +485,7 @@ class ParticleFilter:
         """
         panel, h = self.panel, self.horizon
         T = obs.n_steps
-        if obs.n_vars != panel.n_vars:
-            raise InputError("observation and panel variable counts differ")
-        if panel.n_steps < T:
-            raise InputError("panel does not cover the observation range")
+        _check_alignment(obs, panel)
         if T < h:
             raise InputError(f"horizon {h} leaves no forecast target among {T} observations")
         alpha0 = np.asarray(alpha0, dtype=float)

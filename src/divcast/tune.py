@@ -3,11 +3,12 @@
 no weight (see latent), so its value cannot change the objective.
 
 Supports a one-stage fine grid and a two-stage coarse-then-fine strategy:
-stage two refines a rectangle of coarse cells around the stage-one incumbent.
-Every grid point is evaluated with the same seed (common random numbers) so
-the surface is comparable across points; the reported optimum is the global
-minimum over all evaluated points with deterministic tie-breaking (smaller
-L1 norm first, then lexicographic).
+stage two refines a rectangle (_stage2_axes: stage2_bounds, or coarse cells
+around the stage-one incumbent).  Every grid point is evaluated with the same
+seed (common random numbers) so the surface is comparable across points; one
+dict of the evaluated points, in evaluation order, is the cache, the returned
+surface and the source of the optimum: the global minimum with deterministic
+tie-breaking (smaller L1 norm first, then lexicographic).
 
 The CRPS objective advances the lattice points in blocks, the particle
 clouds of the points stacked along a point axis, so the per-step interpreter
@@ -28,6 +29,7 @@ rows of a long table (dataio.write_long) over the CPUs.
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import signal
@@ -88,9 +90,11 @@ MAX_DRAWS = 10**6
 @dataclass(frozen=True)
 class GridSpec:
     """Search lattice: stage1 bounds/step per axis, optional refinement step,
-    refinement margin in coarse cells, and the objective's draw budget,
-    particle count (None: a quarter of the run's) and scored variable (None:
-    the average over all)."""
+    refinement margin in coarse cells or bounds (lo <= hi), and the objective's
+    draw budget, particle count (None: a quarter of the run's) and scored
+    variable (None: the average over all).  No stage may hold more than
+    MAX_STAGE_POINTS points; stage two's are counted at a mid-axis incumbent,
+    whose rectangle is the largest."""
 
     stage1: tuple[Axis, Axis] = ((-10.0, 10.0, 2.0), (-10.0, 10.0, 2.0))
     stage2_step: float | None = 0.5
@@ -107,21 +111,19 @@ class GridSpec:
                 raise InputError(f"{key} must be finite")
         if self.stage2_margin < 0:
             raise InputError("stage2_margin must be >= 0")
+        if self.stage2_bounds is not None and any(lo > hi for lo, hi in self.stage2_bounds):
+            raise InputError("stage2_bounds must give lo <= hi on each axis")
         for lo, hi, step in self.stage1:
             if step <= 0:
                 raise InputError("grid step must be > 0")
             if lo >= hi:
                 raise InputError("grid lower bound must be below upper bound")
-        _check_points("stage1", [_count(*axis) for axis in self.stage1])
+        _check_points("stage1", self.stage1)
         if self.stage2_step is not None:
             if self.stage2_step <= 0:
                 raise InputError("stage2_step must be > 0")
-            if self.stage2_bounds is not None:
-                key, spans = "stage2_bounds", [hi - lo for lo, hi in self.stage2_bounds]
-            else:  # at most stage2_margin coarse cells on each side of the incumbent
-                key = "stage2_step"
-                spans = [min(hi - lo, 2 * self.stage2_margin * step) for lo, hi, step in self.stage1]
-            _check_points(key, [_count(0.0, span, self.stage2_step) for span in spans])
+            mid = [(lo + hi) / 2 for lo, hi, _ in self.stage1]
+            _check_points("stage2_step" if self.stage2_bounds is None else "stage2_bounds", _stage2_axes(self, mid))
         if self.eval_draws < 2:
             raise InputError("eval_draws must be >= 2 for a CRPS objective")
         if self.eval_draws > MAX_DRAWS:
@@ -134,10 +136,21 @@ def _count(lo: float, hi: float, step: float) -> float:
     return np.floor((hi - lo) / step + 1e-9) + 1
 
 
-def _check_points(key: str, counts: list[float]) -> None:
-    counts = np.maximum(counts, 0.0)  # a reversed axis holds no points
-    if counts.max() > MAX_STAGE_POINTS or counts.prod() > MAX_STAGE_POINTS:
+def _check_points(key: str, axes: tuple[Axis, Axis]) -> None:
+    counts = [_count(*axis) for axis in axes]
+    if max(counts) > MAX_STAGE_POINTS or np.prod(counts) > MAX_STAGE_POINTS:
         raise InputError(f"{key} gives more than {MAX_STAGE_POINTS:,} grid points in one stage")
+
+
+def _stage2_axes(spec: GridSpec, incumbent: tuple[float, float]) -> tuple[Axis, Axis]:
+    """Stage two's lattice axes: stage2_bounds when set, otherwise
+    stage2_margin coarse cells on each side of the stage-one incumbent,
+    clipped to stage one."""
+    bounds = spec.stage2_bounds if spec.stage2_bounds is not None else [
+        (max(lo, a - spec.stage2_margin * step), min(hi, a + spec.stage2_margin * step))
+        for a, (lo, hi, step) in zip(incumbent, spec.stage1)
+    ]
+    return tuple((lo, hi, spec.stage2_step) for lo, hi in bounds)
 
 
 def _lattice(lo: float, hi: float, step: float) -> list[float]:
@@ -162,50 +175,24 @@ def grid_search(
     point exactly once.  A failed point is the runner's to report (the CRPS
     runner scores it +inf); any exception the runner raises propagates.
     """
-    cache: dict[tuple[float, float], float] = {}
-    surface: list[tuple[float, float, float]] = []
+    surface: dict[tuple[float, float], tuple[float, float, float]] = {}
 
-    def evaluate_batch(points: list[tuple[float, float]]) -> None:
-        new = list({_point_key(*p): p for p in points if _point_key(*p) not in cache}.values())
-        if not new:
-            return
-        values = np.asarray(runner(np.asarray(new), seed), dtype=float)
-        if values.shape != (len(new),):
-            raise ValueError(f"runner returned {values.shape} values for {len(new)} points")
-        for p, v in zip(new, values.tolist()):
-            cache[_point_key(*p)] = v
-            surface.append((p[0], p[1], v))
+    def evaluate(axes: tuple[Axis, Axis]) -> tuple[float, float]:
+        """Evaluate the lattice's new points; returns the best point so far."""
+        points = itertools.product(*(_lattice(*axis) for axis in axes))
+        new = list({_point_key(*p): p for p in points if _point_key(*p) not in surface}.values())
+        if new:
+            values = np.asarray(runner(np.asarray(new), seed), dtype=float)
+            if values.shape != (len(new),):
+                raise ValueError(f"runner returned {values.shape} values for {len(new)} points")
+            for p, v in zip(new, values.tolist()):
+                surface[_point_key(*p)] = (p[0], p[1], v)
+        return min((v, abs(a1) + abs(a2), (a1, a2)) for a1, a2, v in surface.values())[2]
 
-    (lo1, hi1, st1), (lo2, hi2, st2) = spec.stage1
-    stage1_points = [(a1, a2) for a1 in _lattice(lo1, hi1, st1) for a2 in _lattice(lo2, hi2, st2)]
-    evaluate_batch(stage1_points)
-
-    def best_of(points):
-        keyed = [
-            (cache[_point_key(*p)], abs(p[0]) + abs(p[1]), (p[0], p[1])) for p in points
-        ]
-        return min(keyed)[2]
-
-    incumbent = best_of(stage1_points)
-
+    best = evaluate(spec.stage1)
     if spec.stage2_step is not None:
-        if spec.stage2_bounds is not None:
-            (b1lo, b1hi), (b2lo, b2hi) = spec.stage2_bounds
-        else:
-            b1lo = max(lo1, incumbent[0] - spec.stage2_margin * st1)
-            b1hi = min(hi1, incumbent[0] + spec.stage2_margin * st1)
-            b2lo = max(lo2, incumbent[1] - spec.stage2_margin * st2)
-            b2hi = min(hi2, incumbent[1] + spec.stage2_margin * st2)
-        stage2_points = [
-            (a1, a2)
-            for a1 in _lattice(b1lo, b1hi, spec.stage2_step)
-            for a2 in _lattice(b2lo, b2hi, spec.stage2_step)
-        ]
-        evaluate_batch(stage2_points)
-
-    all_points = [(a1, a2) for a1, a2, _ in surface]
-    best = best_of(all_points)
-    return np.asarray(best), surface
+        best = evaluate(_stage2_axes(spec, best))
+    return np.asarray(best), list(surface.values())
 
 
 def make_crps_runner(

@@ -16,7 +16,6 @@ from divcast.filtering import (
     _STEP_FIELDS,
     _band_stats,
     _gaussian_logpdf,
-    _logsumexp,
     effective_sample_size,
     run_filter,
 )
@@ -25,6 +24,15 @@ from divcast.metrics import crps_series
 
 
 SIMPLEX_TOL = 1e-10
+
+
+def logsumexp(logv: np.ndarray, axis: int = 0) -> np.ndarray:
+    """log(sum(exp(logv))) over an axis, max-shifted, each term a new
+    array: numpy's own reductions, apart from the package's kernel."""
+    m = np.max(logv, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(logv - m), axis=axis))
 
 
 def validate_weight_matrix(w: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
@@ -170,15 +178,25 @@ def one_hot_mixture(obs, panel, k: int, horizon: int = 1, fallback_sigma: float 
     w = np.zeros((len(targets), K))
     w[:, k - 1] = 1.0
     point = np.einsum("sk,skl->sl", w, panel._means[targets - 1, :, :, horizon - 1])
+    log_pred, log_pred_marginal = weighted_log_predictives(obs, panel, w, horizon, fallback_sigma)
+    draws = np.moveaxis(panel.draws[targets - 1, k - 1, :, horizon - 1, :], 2, 1)
+    return ForecastSeries(horizon, targets, point, log_pred, log_pred_marginal, draws)
+
+
+def weighted_log_predictives(obs, panel, w: np.ndarray, horizon: int = 1, fallback_sigma: float = 0.1):
+    """Joint (S,) and marginal (S, L) log predictives of the mixtures of the
+    Gaussian-fitted panel cells of targets horizon..T under the (S, K)
+    weight rows w: each a log-sum-exp over the models of a contiguous
+    (S, K) array, one variable at a time."""
+    targets = np.arange(horizon, obs.n_steps + 1)
     joint, marginal = model_log_predictive_matrix(panel, obs, fallback_sigma, horizon)
     with np.errstate(divide="ignore"):
         logw = np.where(w > 0, np.log(w), -np.inf)
-    log_pred = _logsumexp(logw + joint[targets - 1], axis=1)
+    log_pred = logsumexp(logw + joint[targets - 1], axis=1)
     log_pred_marginal = np.stack(
-        [_logsumexp(logw + marginal[targets - 1, :, l], axis=1) for l in range(L)], axis=1
+        [logsumexp(logw + marginal[targets - 1, :, l], axis=1) for l in range(obs.n_vars)], axis=1
     )
-    draws = np.moveaxis(panel.draws[targets - 1, k - 1, :, horizon - 1, :], 2, 1)
-    return ForecastSeries(horizon, targets, point, log_pred, log_pred_marginal, draws)
+    return log_pred, log_pred_marginal
 
 
 def long_tuple_rows(labels: list, *values) -> list[tuple]:
@@ -380,8 +398,8 @@ def mixture_log_predictives(y: np.ndarray, pred_means: np.ndarray, log_prior: np
     particle mixtures with (..., N, L) particle means under (..., N) log
     prior weights, each term a new array."""
     marg = _gaussian_logpdf(y[..., None, :], pred_means, sigma)
-    joint = _logsumexp(log_prior + reduce_models(np.add, np.moveaxis(marg, -1, 0)), axis=-1)
-    return joint, _logsumexp(log_prior[..., None] + marg, axis=-2)
+    joint = logsumexp(log_prior + reduce_models(np.add, np.moveaxis(marg, -1, 0)), axis=-1)
+    return joint, logsumexp(log_prior[..., None] + marg, axis=-2)
 
 
 def run_block_stacked(pf, obs, n_particles, alpha0, rng, x0_spread=0.0, bands=True) -> list:

@@ -197,6 +197,7 @@ class TestRun:
             {"method": "dtvw", "extra": f"[gridsearch]\ngrid_particles = {10**10}\n"},
             {"method": "dtvw", "n_pred_draws": 10**12, "commands": ("run",)},
             {"method": "dtvw", "extra": f"[gridsearch]\neval_draws = {10**12}\n"},
+            {"method": "dtvw", "extra": "[gridsearch]\nstage2_bounds = 1, -1, -1, 1\n"},
         ],
         ids=[
             "unparsable_int", "one_pred_draw", "baseline_bma_roll_without_window",
@@ -207,7 +208,7 @@ class TestRun:
             "nan_alpha0", "huge_stage1", "huge_stage2", "repeated_horizon", "horizon_repeated_later",
             "negative_seed", "zero_window", "negative_fallback_sigma", "nan_fallback_sigma",
             "zero_eval_end", "negative_eval_start", "unallocatable_particles", "unallocatable_grid_particles",
-            "unallocatable_pred_draws", "unallocatable_eval_draws",
+            "unallocatable_pred_draws", "unallocatable_eval_draws", "reversed_stage2_bounds",
         ],
     )
     def test_config_error_exit_2_before_loading(self, tmp_path, settings):
@@ -624,6 +625,19 @@ class TestScoreReport:
         assert main(["report", str(scores), "--out", str(tmp_path / "report.csv")]) == 2
         assert message in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "report.csv")
+
+    def test_target_past_the_observations_exit_2(self, tmp_path, capsys):
+        # the fixture run forecasts targets 1..120; the observations end at 100
+        cfg, out_dir = write_config(tmp_path)
+        assert main(["run", "--config", cfg]) == 0
+        lines = open(os.path.join(FIXTURE, "observations.csv")).read().splitlines()
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(line for line in lines if line[0] == "t" or int(line.split(",")[0]) <= 100) + "\n")
+        scored = tmp_path / "scored.csv"
+        assert main(["score", "--observations", str(short), "--run", f"equal={out_dir}", "--out", str(scored)]) == 2
+        err = capsys.readouterr().err
+        assert "forecast.csv: target 120 lies past the last observation, 100" in err
+        assert not scored.exists()
 
     def test_bad_run_spec_exit_2(self, tmp_path):
         rc = main([

@@ -11,7 +11,7 @@ from divcast.combine import (
     single_model_result,
 )
 from divcast.core import InputError, ObservationSeries, PredictorPanel
-from oracles import bma_weights_loop, one_hot_mixture, rmsfe
+from oracles import bma_weights_loop, one_hot_mixture, rmsfe, weighted_log_predictives
 
 
 class TestBmaWeights:
@@ -265,6 +265,33 @@ class TestSingleModel:
                 one_hot = np.zeros((T, K, L))
                 one_hot[:, k - 1] = 1.0
                 np.testing.assert_array_equal(res.weights, one_hot)
+
+
+class TestMixtureKernel:
+    @pytest.mark.parametrize("method", ["equal", "bma", "bma_roll"])
+    def test_log_scores_bitwise_equal_to_the_per_variable_form(self, method):
+        # the models, laid out contiguously, are summed pairwise from K = 8
+        # on, as numpy sums each variable's contiguous (S, K) array
+        rng = np.random.default_rng({"equal": 1, "bma": 2, "bma_roll": 3}[method])
+        wide = 0
+        for _ in range(60):
+            K, L, H, D = (int(rng.integers(lo, hi + 1)) for lo, hi in ((1, 20), (1, 3), (1, 3), (2, 8)))
+            T, h = int(rng.integers(5, 30)), int(rng.integers(1, H + 1))
+            draws = rng.normal(scale=rng.uniform(0.1, 5.0, size=(1, K, 1, 1, 1)), size=(T, K, L, H, D))
+            if rng.random() < 0.3:  # a constant cell takes the fallback bandwidth
+                draws[rng.integers(T), rng.integers(K)] = 1.5
+            panel = PredictorPanel(draws, tuple(f"m{k}" for k in range(1, K + 1)))
+            obs = ObservationSeries(rng.normal(size=(T, L)), tuple(f"y{l}" for l in range(L)))
+            sigma = float(rng.uniform(0.05, 2.0))
+            res = run_combiner(method, obs, panel, horizon=h, window=3, fallback_sigma=sigma)
+            w = res.weights[res.forecasts.targets - h, :, 0]
+            for got, want in zip(
+                (res.forecasts.log_pred, res.forecasts.log_pred_marginal),
+                weighted_log_predictives(obs, panel, w, h, sigma),
+            ):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            wide += K >= 8 and L >= 2
+        assert wide >= 10
 
 
 class TestFitsPerHorizon:

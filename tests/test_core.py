@@ -10,7 +10,9 @@ from divcast.core import (
     default_sigma_obs,
     matrix_to_latent,
 )
-from divcast.latent import cloud_weight_tensor
+from divcast.combine import run_combiner, single_model_result
+from divcast.filtering import run_filter
+from divcast.latent import TVW, cloud_weight_tensor
 from oracles import (
     combined_point,
     latent_to_matrix,
@@ -206,3 +208,34 @@ class TestSigmaCalibration:
         n_cal = max(10, T // 10)
         resid = obs.values[:n_cal, 0] - draws.mean(axis=4)[:n_cal, :, 0, 0].mean(axis=1)
         np.testing.assert_allclose(default_sigma_obs(obs, panel)[0], resid.std(ddof=1))
+
+
+def _misaligned(T=30, panel_steps=30, obs_names=("infl", "growth")):
+    """A (T, 3, 2) panel of variables (growth, infl) and observations of
+    the given variables."""
+    rng = np.random.default_rng(21)
+    panel = PredictorPanel(rng.normal(size=(panel_steps, 3, 2, 1, 4)), ("a", "b", "c"), ("growth", "infl"))
+    return ObservationSeries(rng.normal(size=(T, len(obs_names))), obs_names), panel
+
+
+CALLERS = {
+    "run_filter": lambda obs, panel: run_filter(obs, panel, TVW, n_particles=20, n_pred_draws=5),
+    "run_combiner": lambda obs, panel: run_combiner("equal", obs, panel),
+    "single_model_result": lambda obs, panel: single_model_result(obs, panel, 1),
+}
+
+
+class TestAlignment:
+    # every entry point that pairs a panel with observations checks them
+    @pytest.mark.parametrize("caller", list(CALLERS))
+    def test_swapped_variable_names_rejected(self, caller):
+        with pytest.raises(InputError, match="do not match"):
+            CALLERS[caller](*_misaligned())
+
+    def test_single_model_on_a_shorter_panel_rejected(self):
+        with pytest.raises(InputError, match="does not cover"):
+            single_model_result(*_misaligned(panel_steps=20, obs_names=("growth", "infl")), 1)
+
+    def test_single_model_on_fewer_variables_rejected(self):
+        with pytest.raises(InputError, match="panel has 2 variables, observations have 1"):
+            single_model_result(*_misaligned(obs_names=("growth",)), 1)

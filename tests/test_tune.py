@@ -1,7 +1,10 @@
+import itertools
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divcast import tune
 from divcast.core import DegeneracyError, InputError
@@ -141,6 +144,9 @@ class TestGridSearch:
             GridSpec(stage1=((1, 0, 1.0), (0, 1, 1.0)))
         with pytest.raises(InputError):
             GridSpec(eval_draws=1)
+        for reversed_pair in (((1.0, -1.0), (-1.0, 1.0)), ((-1.0, 1.0), (1.0, 0.5))):
+            with pytest.raises(InputError, match="stage2_bounds must give lo <= hi"):
+                GridSpec(stage2_bounds=reversed_pair)
 
     def test_stage_point_limit(self):
         # 1,000 x 1,000 points is the most a stage may hold
@@ -154,6 +160,37 @@ class TestGridSearch:
             GridSpec(stage1=((-100, 100, 2.0),) * 2, stage2_step=0.005, stage2_margin=2)
         with pytest.raises(InputError, match="stage2_bounds gives more than"):
             GridSpec(stage2_step=0.001, stage2_bounds=((0.0, 1.0), (0.0, 1.0)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        axes=st.lists(
+            st.tuples(st.floats(-50, 50), st.floats(0.01, 100), st.floats(0.5, 12)), min_size=2, max_size=2
+        ),
+        refine=st.floats(0.3, 40),
+        margin=st.integers(0, 4),
+    )
+    def test_stage2_limit_counts_the_largest_rectangle(self, axes, refine, margin):
+        # every incumbent on the stage-one lattice gives a stage-two lattice
+        # no larger than the rectangle GridSpec counts against the limit
+        stage1 = tuple((lo, lo + span, span / cells) for lo, span, cells in axes)
+        counted = {}
+        check = tune._check_points
+
+        def recording(key, axes):
+            counted[key] = np.prod([len(tune._lattice(*axis)) for axis in axes])
+            check(key, axes)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tune, "_check_points", recording)
+            spec = GridSpec(stage1=stage1, stage2_step=max(step for _, _, step in stage1) / refine, stage2_margin=margin)
+        for incumbent in itertools.product(*(tune._lattice(*axis) for axis in stage1)):
+            size = np.prod([len(tune._lattice(*axis)) for axis in tune._stage2_axes(spec, incumbent)])
+            assert size <= counted["stage2_step"]
+
+    def test_equal_stage2_bounds_refine_one_line(self):
+        spec = GridSpec(stage1=((-4, 4, 2.0), (-4, 4, 2.0)), stage2_step=1.0, stage2_bounds=((3.0, 3.0), (-1.0, 1.0)))
+        _, surface = grid_search(spec, quadratic, seed=0)
+        assert [(a1, a2) for a1, a2, _ in surface[25:]] == [(3.0, -1.0), (3.0, 0.0), (3.0, 1.0)]
 
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "pseudo_empirical")
