@@ -85,11 +85,13 @@ def _overrides(args: argparse.Namespace, method: str | None) -> dict:
         "panel": args.panel,
         "out_dir": args.out_dir,
     }
-    if args.horizons:
+    if args.horizons is not None:
         try:
             over["horizons"] = _parse_ints(args.horizons)
         except ValueError:
-            raise ConfigError(f"--horizons expects comma-separated integers, got {args.horizons!r}") from None
+            over["horizons"] = ()
+        if not over["horizons"]:
+            raise ConfigError(f"--horizons expects comma-separated integers, got {args.horizons!r}")
     return over
 
 
@@ -131,6 +133,8 @@ def _cmd_gridsearch(args) -> int:
     surface_dir = os.path.dirname(surface_path) or "."
     if not os.path.isdir(surface_dir):
         raise FileNotFoundError(errno.ENOENT, "no directory for the surface file", surface_dir)
+    if os.path.isdir(surface_path):
+        raise IsADirectoryError(errno.EISDIR, "the surface file names a directory", surface_path)
     obs = load_observations(cfg.observations)
     panel = load_panel(cfg.panel)
     best, surface = run_grid_search(cfg, grid, obs, panel)

@@ -8,12 +8,12 @@ Two long-format inputs drive every run:
   models, variables, horizons 1..H and draws 1..D for every t.
 
 Every long-format table, these two and the run outputs alike, is parsed by
-``read_table`` and written by ``write_long``: label columns first, in C order
-over a dense array, then the value columns.  Floats are written with
-Python's shortest round-trip representation, so a load/emit cycle
-reproduces values bit-exactly.  A table of at least SPLIT_ROWS rows is
-formatted by one forked worker per CPU (see ``write_long``), with the same
-bytes.
+``read_table`` and has its rows written by ``_write_rows``: label columns
+first, in C order over a dense array, then the value columns.  Floats are
+written with Python's shortest round-trip representation, so a load/emit
+cycle reproduces values bit-exactly.  ``write_long`` writes a whole table in
+one process; `run`'s horizon workers write their rows into files of their
+own, which `run` joins (see experiment.run_experiment).
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ import io
 import itertools
 import operator
 import os
-import tempfile
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import tune
 from .core import ConfigError, DataFormatError, ObservationSeries, PredictorPanel
 from .latent import MODE_TAGS as FILTER_METHODS
 from .tune import MAX_DRAWS, MAX_PARTICLES, GridSpec
@@ -53,24 +51,6 @@ PANEL_COLUMNS = (
 # 2.4, three runs each) took 1.36-1.53 s at a peak RSS of 99-100 MB with
 # 65,536-row chunks, and 0.92-1.06 s at 80 MB with 1,024-row chunks.
 _CHUNK_ROWS = 1 << 10
-
-# Rows from which a long table is split over the CPUs.  A worker pays a fork,
-# its copy-on-write faults and a temporary file, so a small table is faster
-# in one process.  Writing draws-like tables (2 variables x 1,000 draws per
-# target; 2-vCPU Xeon, Python 3.11, numpy 2.4, medians of 11 runs, CPU time
-# including the worker's):
-#
-#     rows    one process       two processes
-#   64,000    0.103 s wall      0.113 s wall, +13% CPU
-#   96,000    0.153 s wall      0.126 s wall,  +7% CPU
-#  128,000    0.194 s wall      0.119 s wall,  +5% CPU
-#  476,000    0.737 s wall      0.396 s wall
-#
-# Splits start at the smallest size measured that gained wall time.  On the
-# bundled fixture only the `run` draws.csv (476,000 rows) is split, and the
-# inputs `simulate` writes for the benchmark (6,100 rows) are not.
-SPLIT_ROWS = 96_000
-
 
 def read_table(
     path: str, columns: tuple, cell: str = "entry", finite: bool = True
@@ -222,21 +202,21 @@ def save_panel(panel: PredictorPanel, path: str, variable_names: tuple[str, ...]
 
 
 def write_long(path: str, header: list[str], blocks: list[tuple]) -> None:
-    """Write a long-format table.  Each block ``(labels, *values)`` gives one
-    row per cell of its label axes in C order: the labels, then one entry
-    from each value array.  The text equals ``csv`` ``writerows`` over those
-    rows, but each label is quoted once per block, each value is written as
-    its repr, and the rows go out one prefix of all but the last label (one
-    "head") at a time.
+    """Write a long-format table in one process: the header, then the rows
+    of blocks (see _write_rows)."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        _write_rows(fh, blocks)
 
-    A table of at least SPLIT_ROWS rows has its heads split into one
-    contiguous chunk of about equal rows per CPU (tune._cpus), and never
-    more chunks than heads.  This process writes the first chunk into the
-    file while a forked worker (tune._map_forked) writes each other one into
-    an anonymous temporary file in the file's directory; the chunks are then
-    appended in order, so the bytes do not depend on the number of workers.
-    A lost worker raises ChildProcessError and leaves the file holding the
-    header and the first chunk only.
+
+def _write_rows(fh, blocks: list[tuple]) -> None:
+    """Write the rows of long-format blocks into a text file and flush it.
+    Each block ``(labels, *values)`` gives one row per cell of its label
+    axes in C order: the labels, then one entry from each value array.  The
+    text equals ``csv`` ``writerows`` over those rows, but each label is
+    quoted once per block, each value is written as its repr, and the rows
+    go out one prefix of all but the last label (one "head") at a time.
+    Every block is checked before any row is written.
     """
     parts = []  # (heads, last label's cells, one (heads, cells) array per value column)
     for labels, *values in blocks:
@@ -246,53 +226,12 @@ def write_long(path: str, header: list[str], blocks: list[tuple]) -> None:
         if any(len(col) != len(heads) for col in cols):
             raise ValueError(f"values give {[len(c) for c in cols]} heads of rows, labels give {len(heads)}")
         parts.append((heads, inner, cols))
-    chunks = _split_heads(parts)
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        spills = [tempfile.TemporaryFile("w", newline="", dir=os.path.dirname(path) or ".") for _ in chunks[1:]]
-        try:
-            tune._map_forked(_write_heads, list(zip([fh, *spills], chunks)))
-            for spill in spills:
-                sent, size = 0, os.fstat(spill.fileno()).st_size
-                while sent < size:
-                    sent += os.sendfile(fh.fileno(), spill.fileno(), sent, size - sent)
-        finally:
-            for spill in spills:
-                spill.close()
-
-
-def _split_heads(parts: list[tuple]) -> list[list[tuple]]:
-    """The heads of parts as contiguous chunks, each a list of
-    (heads, inner, cols) slices: one chunk per CPU with about equal rows
-    when the table holds at least SPLIT_ROWS rows, otherwise one."""
-    ends = np.cumsum([len(inner) for heads, inner, _ in parts for _ in heads])
-    total = ends[-1] if len(ends) else 0
-    n = min(tune._cpus(), len(ends)) if total >= SPLIT_ROWS else 1
-    # a chunk ends after the head whose rows reach its share of the total
-    cut_after = np.searchsorted(ends, total * np.arange(1, n) / n) + 1
-    cuts = [0, *sorted(set(cut_after.tolist()) - {len(ends)}), len(ends)]
-    chunks = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        chunk, start = [], 0
-        for heads, inner, cols in parts:
-            a, b = max(lo - start, 0), min(hi - start, len(heads))
-            if a < b:
-                chunk.append((heads[a:b], inner, [col[a:b] for col in cols]))
-            start += len(heads)
-        chunks.append(chunk)
-    return chunks
-
-
-def _write_heads(job: tuple) -> list:
-    """Write one chunk of heads' rows into a text file and flush it."""
-    fh, chunk = job
-    for heads, inner, cols in chunk:
+    for heads, inner, cols in parts:
         for head, *rows in zip(heads, *cols):
             cells = map(",".join, zip(*(map(repr, row.tolist()) for row in rows)))
             # joining on the line break plus the head puts the head before every row
             fh.write(head + ("\r\n" + head).join(map(operator.add, inner, cells)) + "\r\n")
     fh.flush()
-    return []
 
 
 def _label_cell(label) -> str:

@@ -7,7 +7,11 @@ row, and the metric rows of a report."""
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import functools
 import os
+import tempfile
 
 import numpy as np
 
@@ -24,7 +28,7 @@ from .core import (
     _check_alignment,
     default_sigma_obs,
 )
-from .dataio import FILTER_METHODS, METHODS, RunConfig, read_table, write_long, write_table
+from .dataio import FILTER_METHODS, METHODS, RunConfig, _write_rows, read_table, write_table
 from .filtering import FilterOutput, ParticleFilter
 from .latent import LatentMode
 from .metrics import dm_test, loss_series
@@ -171,11 +175,13 @@ def _run_horizon(
     baseline: str,
     horizon: int,
     window: tuple[int, int],
-) -> tuple[list[tuple], dict[str, list[tuple]]]:
-    """Everything one horizon contributes to the outputs: its score rows and
-    its write_long blocks by table name.  Only the smallest configured
-    horizon runs its filter with bands and gives the weight and coefficient
-    tables their one block each."""
+    files: dict,
+) -> tuple[list[tuple], list[str]]:
+    """Everything one horizon contributes to the outputs.  It writes its
+    rows of each long table into that table's file in ``files`` and returns
+    its score rows and the names of the tables it wrote.  Only the smallest
+    configured horizon runs its filter with bands and writes rows of the
+    weight and coefficient tables."""
     K = panel.n_models
     names = obs.variable_names
     runs = [
@@ -233,7 +239,9 @@ def _run_horizon(
         else:
             bands = (main.weights,) * 3
         tables["weights.csv"] = [([times, panel.model_names, names], *bands)]
-    return scores, tables
+    for name, blocks in tables.items():
+        _write_rows(files[name], blocks)
+    return scores, list(tables)
 
 
 def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel) -> dict:
@@ -243,10 +251,13 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
     The horizons are split into one contiguous chunk per CPU (tune._cpus),
     and never more chunks than horizons; the first chunk runs in this
     process and every other one in a forked worker, at the same time
-    (tune._map_forked).  Every horizon draws from its own substreams, and
-    the results are joined in the configured horizon order, so the outputs
-    do not depend on the number of workers.  A horizon's exception is
-    raised here unchanged; the first horizon's in order wins.
+    (tune._map_forked).  Each chunk writes its rows of every long table into
+    an anonymous temporary file of its own in out_dir, opened here before
+    the chunks start; a chunk returns only its score rows and the names of
+    the tables it wrote.  Every horizon draws from its own substreams, and
+    each table is its header followed by the chunks' files in order, so the
+    outputs do not depend on the number of workers.  A horizon's exception
+    is raised here unchanged; the first horizon's in order wins.
 
     Returns the mapping of logical output names to written paths.
     """
@@ -264,25 +275,35 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
     windows = [_eval_window(cfg, horizon, obs.n_steps) for horizon in cfg.horizons]
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-
-    def run_chunk(chunk: np.ndarray) -> list[tuple]:
-        return [_run_horizon(cfg, obs, panel, noise, baseline, cfg.horizons[i], windows[i]) for i in chunk]
-
     chunks = np.array_split(np.arange(len(cfg.horizons)), min(tune._cpus(), len(cfg.horizons)))
-    scores: list[tuple] = []
-    tables: dict[str, list[tuple]] = {name: [] for name in TABLE_HEADERS}
-    for rows, blocks in tune._map_forked(run_chunk, chunks):
-        scores += rows
-        for name, table_blocks in blocks.items():
-            tables[name] += table_blocks
+    with contextlib.ExitStack() as stack:  # closes every chunk's files
+        temporary = functools.partial(tempfile.TemporaryFile, "w", newline="", dir=cfg.out_dir)
+        files = [{name: stack.enter_context(temporary()) for name in TABLE_HEADERS} for _ in chunks]
 
-    paths = {"scores.csv": os.path.join(cfg.out_dir, "scores.csv")}
-    write_table(paths["scores.csv"], ["method", "kind", *SCORE_HEADER, "baseline"], scores)
-    for name, blocks in tables.items():
-        if blocks:
+        def run_chunk(job: tuple) -> list[tuple]:
+            chunk, out = job
+            return [_run_horizon(cfg, obs, panel, noise, baseline, cfg.horizons[i], windows[i], out) for i in chunk]
+
+        scores: list[tuple] = []
+        written: set[str] = set()
+        for rows, names in tune._map_forked(run_chunk, list(zip(chunks, files))):
+            scores += rows
+            written.update(names)
+
+        paths = {"scores.csv": os.path.join(cfg.out_dir, "scores.csv")}
+        write_table(paths["scores.csv"], ["method", "kind", *SCORE_HEADER, "baseline"], scores)
+        for name, header in TABLE_HEADERS.items():
+            if name not in written:
+                continue
             paths[name] = os.path.join(cfg.out_dir, name)
-            write_long(paths[name], TABLE_HEADERS[name], blocks)
-    return paths
+            with open(paths[name], "w", newline="") as fh:
+                csv.writer(fh).writerow(header)
+                fh.flush()
+                for part in (out[name] for out in files):
+                    sent, size = 0, os.fstat(part.fileno()).st_size
+                    while sent < size:
+                        sent += os.sendfile(fh.fileno(), part.fileno(), sent, size - sent)
+        return paths
 
 
 def _nan_blank(x: float):
@@ -386,14 +407,12 @@ def build_report(score_files: list[str]) -> tuple[list[str], list[list]]:
     on the left and combiners on the right.  A method's cell may repeat
     across rows and files, as every run repeats the model rows, but a
     repeat that differs raises DataFormatError naming both files."""
-    import csv as _csv
-
     entries: dict[tuple, dict] = {}
     model_order: list[str] = []
     combiner_order: list[str] = []
     for path in score_files:
         with open(path, newline="") as fh:
-            reader = _csv.DictReader(fh)
+            reader = csv.DictReader(fh)
             missing = [c for c in REPORT_COLUMNS if c not in (reader.fieldnames or [])]
             if missing:
                 raise DataFormatError(f"{path}: score header lacks {','.join(missing)}")

@@ -23,8 +23,8 @@ process may run on (see _cpus), and never more chunks than points.  The
 first chunk runs in this process and every other one in a forked child, at
 the same time (see _map_forked); each chunk is cut into blocks as above.
 For the same reason, the surface does not depend on the number of workers
-either.  The same two helpers spread `run`'s horizons (experiment) and the
-rows of a long table (dataio.write_long) over the CPUs.
+either.  The same two helpers spread `run`'s horizons over the CPUs
+(experiment.run_experiment).
 """
 
 from __future__ import annotations
@@ -113,6 +113,8 @@ class GridSpec:
             raise InputError("stage2_margin must be >= 0")
         if self.stage2_bounds is not None and any(lo > hi for lo, hi in self.stage2_bounds):
             raise InputError("stage2_bounds must give lo <= hi on each axis")
+        if self.stage2_bounds is not None and self.stage2_step is None:
+            raise InputError("stage2_bounds needs a stage2_step; with stage2_step = none there is no stage two")
         for lo, hi, step in self.stage1:
             if step <= 0:
                 raise InputError("grid step must be > 0")

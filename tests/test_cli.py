@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import divcast
-from divcast import dataio, experiment, tune
+from divcast import experiment, tune
 from divcast.cli import main
 from divcast.core import DegeneracyError, ObservationSeries, PredictorPanel
 from divcast.dataio import save_observations, save_panel
@@ -198,6 +198,10 @@ class TestRun:
             {"method": "dtvw", "n_pred_draws": 10**12, "commands": ("run",)},
             {"method": "dtvw", "extra": f"[gridsearch]\neval_draws = {10**12}\n"},
             {"method": "dtvw", "extra": "[gridsearch]\nstage2_bounds = 1, -1, -1, 1\n"},
+            {
+                "method": "dtvw",
+                "extra": "[gridsearch]\nstage1 = -2, 2, 2\nstage2_step = none\nstage2_bounds = -1, 1, -1, 1\n",
+            },
         ],
         ids=[
             "unparsable_int", "one_pred_draw", "baseline_bma_roll_without_window",
@@ -209,6 +213,7 @@ class TestRun:
             "negative_seed", "zero_window", "negative_fallback_sigma", "nan_fallback_sigma",
             "zero_eval_end", "negative_eval_start", "unallocatable_particles", "unallocatable_grid_particles",
             "unallocatable_pred_draws", "unallocatable_eval_draws", "reversed_stage2_bounds",
+            "stage2_bounds_without_step",
         ],
     )
     def test_config_error_exit_2_before_loading(self, tmp_path, settings):
@@ -234,8 +239,13 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "flags, message",
-        [(["--seed", "-1"], "seed must be >= 0"), (["--horizons", "x"], "--horizons"), (["--horizons", "1,2.5"], "--horizons")],
-        ids=["negative_seed", "unparsable_horizon", "fractional_horizon"],
+        [
+            (["--seed", "-1"], "seed must be >= 0"),
+            (["--horizons", "x"], "--horizons"),
+            (["--horizons", "1,2.5"], "--horizons"),
+            (["--horizons", ""], "--horizons"),
+        ],
+        ids=["negative_seed", "unparsable_horizon", "fractional_horizon", "empty_horizons"],
     )
     def test_flag_error_exit_2_before_loading(self, tmp_path, capsys, flags, message):
         cfg, out_dir = write_config(
@@ -461,6 +471,8 @@ class TestGridWorkers:
         cfg, _ = write_degenerate_inputs(tmp_path, degenerate_problem)
         surface = str(tmp_path / "missing" / "dir" / "surface.csv")
         assert main(["gridsearch", "--config", cfg, "--surface", surface]) == 4
+        os.mkdir(tmp_path / "adir")
+        assert main(["gridsearch", "--config", cfg, "--surface", str(tmp_path / "adir")]) == 4
 
 
 RUN_TABLES = ("alphas.csv", "cumls.csv", "draws.csv", "forecast.csv", "scores.csv", "weights.csv")
@@ -489,15 +501,13 @@ def die_in_a_worker(fn):
 
 
 class TestRunWorkers:
-    """run splits its horizons, and the rows of a table of at least
-    dataio.SPLIT_ROWS rows, over one forked worker per CPU; tune._cpus sets
-    the count."""
+    """run splits its horizons over one forked worker per CPU, and each
+    worker writes its own rows of every table; tune._cpus sets the count."""
 
-    @pytest.mark.parametrize("split_rows", [None, 1], ids=["tables_whole", "tables_split"])
-    @pytest.mark.parametrize("inputs", ["fixture", "three_horizons"])
-    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, forked, inputs, split_rows):
-        if split_rows is not None:
-            monkeypatch.setattr(dataio, "SPLIT_ROWS", split_rows)
+    @pytest.mark.parametrize(
+        "inputs", ["fixture", "three_horizons"], ids=["fixture-tables_whole", "three_horizons-tables_whole"]
+    )
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, forked, inputs):
         data = {"horizons": "1,3"} if inputs == "fixture" else three_horizon_inputs(tmp_path)
         n_horizons = len(data["horizons"].split(","))
         outs = []
@@ -508,11 +518,21 @@ class TestRunWorkers:
             )
             before = len(forked)
             assert main(["run", "--config", cfg]) == 0
-            if split_rows is None:  # every table is below the threshold
-                assert len(forked) - before == min(workers, n_horizons) - 1
+            assert len(forked) - before == min(workers, n_horizons) - 1
             assert sorted(os.listdir(out_dir)) == list(RUN_TABLES)  # no temporary file left
             outs.append({name: open(os.path.join(out_dir, name), "rb").read() for name in RUN_TABLES})
         assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    def test_large_table_forks_no_writer(self, tmp_path, monkeypatch, forked):
+        # 238 targets over the two horizons x 2 variables x 210 draws: a
+        # draws.csv of 99,960 rows, joined from the horizon workers' files
+        monkeypatch.setattr(tune, "_cpus", lambda: 2)
+        cfg, out_dir = write_config(tmp_path, method="dtvw", horizons="1,3", n_pred_draws=210)
+        assert main(["run", "--config", cfg]) == 0
+        assert len(forked) == 1
+        assert sorted(os.listdir(out_dir)) == list(RUN_TABLES)
+        with open(os.path.join(out_dir, "draws.csv"), "rb") as fh:
+            assert sum(1 for _ in fh) == 1 + 99_960
 
     def test_degeneracy_in_a_worker_horizon_exit_3(self, tmp_path, monkeypatch, capsys, forked):
         run_method = experiment.run_method
@@ -542,23 +562,21 @@ class TestRunWorkers:
         assert len(forked) == 1
         assert os.listdir(out_dir) == []
 
-    def test_lost_writer_worker_exit_4(self, tmp_path, monkeypatch, capsys, forked):
-        monkeypatch.setattr(dataio, "_write_heads", die_in_a_worker(dataio._write_heads))
-        monkeypatch.setattr(dataio, "SPLIT_ROWS", 1)
+    def test_failed_row_write_in_a_worker_exit_4(self, tmp_path, monkeypatch, capsys, forked):
+        parent, write_rows = os.getpid(), experiment._write_rows
+
+        def fail_in_child(fh, blocks):
+            if os.getpid() != parent:
+                raise OSError(28, "No space left on device")
+            write_rows(fh, blocks)
+
+        monkeypatch.setattr(experiment, "_write_rows", fail_in_child)
         monkeypatch.setattr(tune, "_cpus", lambda: 2)
-        cfg, out_dir = write_config(tmp_path, method="dtvw", horizons="1")
+        cfg, out_dir = write_config(tmp_path, method="dtvw", horizons="1,3")
         assert main(["run", "--config", cfg]) == 4
-        assert "exited with code -9 without a result" in capsys.readouterr().err
-        assert len(forked) == 1  # forecast.csv, the first long table
-        # the tables written before it stay, the one being written holds the
-        # rows of this process's chunk, and no temporary file is left
-        assert sorted(os.listdir(out_dir)) == ["forecast.csv", "scores.csv"]
-        partial = open(os.path.join(out_dir, "forecast.csv"), "rb").read()
-        monkeypatch.setattr(tune, "_cpus", lambda: 1)
-        cfg, out_dir = write_config(tmp_path, method="dtvw", horizons="1", out_dir=str(tmp_path / "whole"))
-        assert main(["run", "--config", cfg]) == 0
-        whole = open(os.path.join(out_dir, "forecast.csv"), "rb").read()
-        assert partial.count(b"\n") > 1 and whole.startswith(partial) and len(whole) > len(partial)
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(forked) == 1
+        assert os.listdir(out_dir) == []  # no table and no temporary file
 
 
 class TestScoreReport:
