@@ -13,8 +13,8 @@ fingerprinted: numpy's warnings name source lines.
 
 --cpus N pins this script to the first N CPUs it may run on before any
 command starts, so every command inherits the pin: `gridsearch` splits its
-lattice points, `run` its horizons, and `run` and `simulate` every table of
-at least 96,000 rows over one worker per allowed CPU, and the outputs must
+lattice points and `run` its horizons over one worker per allowed CPU (a
+`run` worker also writes its horizons' table rows), and the outputs must
 not depend on how many.
 
 Give a checkout's own src/ to fingerprint it, e.g. a `git clone` of the parent

@@ -520,7 +520,7 @@ class TestRunWorkers:
             assert main(["run", "--config", cfg]) == 0
             assert len(forked) - before == min(workers, n_horizons) - 1
             assert sorted(os.listdir(out_dir)) == list(RUN_TABLES)  # no temporary file left
-            outs.append({name: open(os.path.join(out_dir, name), "rb").read() for name in RUN_TABLES})
+            outs.append({name: (tmp_path / f"out{workers}" / name).read_bytes() for name in RUN_TABLES})
         assert outs[1] == outs[0] and outs[2] == outs[0]
 
     def test_large_table_forks_no_writer(self, tmp_path, monkeypatch, forked):
