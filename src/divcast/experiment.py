@@ -11,6 +11,7 @@ import contextlib
 import csv
 import functools
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -277,7 +278,7 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
     os.makedirs(cfg.out_dir, exist_ok=True)
     chunks = np.array_split(np.arange(len(cfg.horizons)), min(tune._cpus(), len(cfg.horizons)))
     with contextlib.ExitStack() as stack:  # closes every chunk's files
-        temporary = functools.partial(tempfile.TemporaryFile, "w", newline="", dir=cfg.out_dir)
+        temporary = functools.partial(tempfile.TemporaryFile, "w+", newline="", dir=cfg.out_dir)
         files = [{name: stack.enter_context(temporary()) for name in TABLE_HEADERS} for _ in chunks]
 
         def run_chunk(job: tuple) -> list[tuple]:
@@ -300,9 +301,8 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
                 csv.writer(fh).writerow(header)
                 fh.flush()
                 for part in (out[name] for out in files):
-                    sent, size = 0, os.fstat(part.fileno()).st_size
-                    while sent < size:
-                        sent += os.sendfile(fh.fileno(), part.fileno(), sent, size - sent)
+                    part.seek(0)
+                    shutil.copyfileobj(part.buffer, fh.buffer)
         return paths
 
 

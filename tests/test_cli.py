@@ -505,10 +505,17 @@ class TestRunWorkers:
     worker writes its own rows of every table; tune._cpus sets the count."""
 
     @pytest.mark.parametrize(
-        "inputs", ["fixture", "three_horizons"], ids=["fixture-tables_whole", "three_horizons-tables_whole"]
+        "inputs",
+        ["fixture", "three_horizons", "large_draws"],
+        ids=["fixture-tables_whole", "three_horizons-tables_whole", "fixture-large_draws"],
     )
     def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, forked, inputs):
-        data = {"horizons": "1,3"} if inputs == "fixture" else three_horizon_inputs(tmp_path)
+        # large_draws: 238 targets over the two horizons x 2 variables x 210
+        # draws, a draws.csv of 99,960 rows joined from the workers' files
+        data = {
+            "fixture": {"horizons": "1,3"},
+            "large_draws": {"horizons": "1,3", "n_pred_draws": 210},
+        }.get(inputs) or three_horizon_inputs(tmp_path)
         n_horizons = len(data["horizons"].split(","))
         outs = []
         for workers in (1, 2, 3):
@@ -522,17 +529,8 @@ class TestRunWorkers:
             assert sorted(os.listdir(out_dir)) == list(RUN_TABLES)  # no temporary file left
             outs.append({name: (tmp_path / f"out{workers}" / name).read_bytes() for name in RUN_TABLES})
         assert outs[1] == outs[0] and outs[2] == outs[0]
-
-    def test_large_table_forks_no_writer(self, tmp_path, monkeypatch, forked):
-        # 238 targets over the two horizons x 2 variables x 210 draws: a
-        # draws.csv of 99,960 rows, joined from the horizon workers' files
-        monkeypatch.setattr(tune, "_cpus", lambda: 2)
-        cfg, out_dir = write_config(tmp_path, method="dtvw", horizons="1,3", n_pred_draws=210)
-        assert main(["run", "--config", cfg]) == 0
-        assert len(forked) == 1
-        assert sorted(os.listdir(out_dir)) == list(RUN_TABLES)
-        with open(os.path.join(out_dir, "draws.csv"), "rb") as fh:
-            assert sum(1 for _ in fh) == 1 + 99_960
+        if inputs == "large_draws":
+            assert outs[0]["draws.csv"].count(b"\n") == 1 + 99_960
 
     def test_degeneracy_in_a_worker_horizon_exit_3(self, tmp_path, monkeypatch, capsys, forked):
         run_method = experiment.run_method
