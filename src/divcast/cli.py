@@ -125,6 +125,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gridsearch(args) -> int:
+    if args.surface == "":
+        raise ConfigError("--surface expects a file path, got ''")
     # The search always tunes dtvw, so the [dtvw] section applies.
     cfg, grid = load_config(args.config, _overrides(args, "dtvw"), search=True)
     # An unwritable output fails before the search, not after it.

@@ -216,19 +216,20 @@ def _write_rows(fh, blocks: list[tuple]) -> None:
     text equals ``csv`` ``writerows`` over those rows, but each label is
     quoted once per block, each value is written as its repr, and the rows
     go out one prefix of all but the last label (one "head") at a time.
-    Every block is checked before any row is written.
+    Every block is checked before any row is written.  Each value array is
+    viewed in the labels' shape and each head's row read from it, so a
+    strided block (the transposed draws) is never copied whole.
     """
-    parts = []  # (heads, last label's cells, one (heads, cells) array per value column)
+    parts = []  # (heads, their indices, last label's cells, one label-shaped array per value column)
     for labels, *values in blocks:
         *outer, inner = [list(map(_label_cell, axis)) for axis in labels]
         heads = list(map("".join, itertools.product(*outer)))
-        cols = [np.reshape(v, (-1, len(inner))) for v in values]
-        if any(len(col) != len(heads) for col in cols):
-            raise ValueError(f"values give {[len(c) for c in cols]} heads of rows, labels give {len(heads)}")
-        parts.append((heads, inner, cols))
-    for heads, inner, cols in parts:
-        for head, *rows in zip(heads, *cols):
-            cells = map(",".join, zip(*(map(repr, row.tolist()) for row in rows)))
+        shape = [len(axis) for axis in labels]
+        # np.reshape raises ValueError when a value's size is not the labels'
+        parts.append((heads, np.ndindex(*shape[:-1]), inner, [np.reshape(v, shape) for v in values]))
+    for heads, indices, inner, cols in parts:
+        for head, index in zip(heads, indices):
+            cells = map(",".join, zip(*(map(repr, col[index].tolist()) for col in cols)))
             # joining on the line break plus the head puts the head before every row
             fh.write(head + ("\r\n" + head).join(map(operator.add, inner, cells)) + "\r\n")
     fh.flush()

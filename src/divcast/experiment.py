@@ -182,47 +182,54 @@ def _run_horizon(
     rows of each long table into that table's file in ``files`` and returns
     its score rows and the names of the tables it wrote.  Only the smallest
     configured horizon runs its filter with bands and writes rows of the
-    weight and coefficient tables."""
+    weight and coefficient tables.
+
+    Each forecast block is scored as soon as it is made, and only its
+    loss_series is kept.  A baseline method runs, is scored and is dropped
+    before the main method runs, so the horizon never holds two methods'
+    predictive draws at once; every method draws from its own substream,
+    so the order changes no output.  The models' panel forecasts are scored
+    after the methods have run."""
     K = panel.n_models
     names = obs.variable_names
-    runs = [
-        (r.method, "model", r.forecasts)
-        for r in (single_model_result(obs, panel, k, horizon, cfg.fallback_sigma) for k in range(1, K + 1))
-    ]
-    is_lead = horizon == min(cfg.horizons)
-    main = run_method(cfg.method, obs, panel, cfg, horizon, noise, bands=is_lead)
-    runs.append((cfg.method, "combiner", main.forecasts))
+    base_runs = []
     if baseline in panel.model_names:
         base = panel.model_names.index(baseline)
     elif baseline == cfg.method:
         base = K
     else:
-        base_fs = run_method(
-            baseline, obs, panel, cfg, horizon, noise, rng_role="baseline", bands=False
-        ).forecasts
-        runs.append((baseline, "combiner", base_fs))
+        base_fs = run_method(baseline, obs, panel, cfg, horizon, noise, rng_role="baseline", bands=False).forecasts
+        base_runs.append((baseline, "combiner", loss_series(base_fs, obs, window)))
+        del base_fs  # its draws go before the main method's are made
         base = K + 1
+    is_lead = horizon == min(cfg.horizons)
+    main = run_method(cfg.method, obs, panel, cfg, horizon, noise, bands=is_lead)
+    runs = [
+        (r.method, "model", loss_series(r.forecasts, obs, window))
+        for r in (single_model_result(obs, panel, k, horizon, cfg.fallback_sigma) for k in range(1, K + 1))
+    ]
+    runs += [(cfg.method, "combiner", loss_series(main.forecasts, obs, window)), *base_runs]
 
-    losses = [loss_series(fs, obs, window) for _, _, fs in runs]
-    base_name, base_losses = runs[base][0], losses[base]
+    base_name, _, base_losses = runs[base]
     scores = [
         (name, kind, *row, base_name)
-        for (name, kind, _), run_losses in zip(runs, losses)
+        for name, kind, run_losses in runs
         for row in _score_rows(horizon, run_losses, None if name == base_name else base_losses, obs)
     ]
 
     # Forecasts, predictive-draw quantiles and draws cover all targets;
-    # the evaluation window only restricts scoring.
+    # the evaluation window only restricts scoring.  The quantiles are
+    # taken one variable at a time, so the draws block is not copied whole.
     fs = main.forecasts
     targets = fs.targets.tolist()
-    q = np.percentile(fs.draws, [2.5, 50.0, 97.5], axis=1)  # (3, S, L)
+    q = np.stack([np.percentile(fs.draws[:, :, l], [2.5, 50.0, 97.5], axis=1) for l in range(obs.n_vars)], axis=-1)
     tables = {"forecast.csv": [([targets, [horizon], names], fs.point, fs.log_pred_marginal, *q)]}
     if cfg.emit_draws:
         draw_ids = range(1, fs.draws.shape[1] + 1)
         tables["draws.csv"] = [([targets, [horizon], names, draw_ids], fs.draws.transpose(0, 2, 1))]
 
     # Cumulative log-score differences vs the baseline over the window.
-    main_l = losses[K]
+    main_l = runs[K][2]
     targets_w = main_l["targets"].tolist()
     diff_m = -(main_l["neg_log_pred"] - base_losses["neg_log_pred"])  # (S, L)
     tables["cumls.csv"] = [([targets_w, [horizon], names], np.cumsum(diff_m, axis=0))]

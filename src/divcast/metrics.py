@@ -24,6 +24,8 @@ def crps_series(draws: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
     Uses the sorted-form identity for the pairwise term, which equals the
     kernel form mean|X - y| - 0.5 mean|X - X'| exactly, in O(D log D).
+    The sorted copy is the only (S, D) temporary: the pairwise term is
+    taken from it first, and |X - y| is then written into it.
     """
     draws = np.asarray(draws, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -31,9 +33,9 @@ def crps_series(draws: np.ndarray, ys: np.ndarray) -> np.ndarray:
     D = srt.shape[1]
     if D < 2:
         raise InputError("CRPS needs at least two draws")
-    term1 = np.mean(np.abs(srt - ys[:, None]), axis=1)
     coeff = 2.0 * np.arange(1, D + 1) - D - 1
     pairwise = 2.0 * (srt @ coeff)  # sum_{i,j} |x_i - x_j| for sorted x, i 1-based
+    term1 = np.mean(np.abs(np.subtract(srt, ys[:, None], out=srt), out=srt), axis=1)
     return term1 - 0.5 * pairwise / (D * D)
 
 

@@ -154,6 +154,18 @@ def crps_from_draws(draws: np.ndarray, y: float) -> float:
     return float(term1 - 0.5 * pairwise / (D * D))
 
 
+def crps_series_allocating(draws: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """crps_series' expression with a new array for every step, including
+    |X - y| before the pairwise term: the bits the kernel, which reuses its
+    sorted copy, must reproduce."""
+    srt = np.sort(np.asarray(draws, dtype=float), axis=1)
+    D = srt.shape[1]
+    term1 = np.mean(np.abs(srt - np.asarray(ys, dtype=float)[:, None]), axis=1)
+    coeff = 2.0 * np.arange(1, D + 1) - D - 1
+    pairwise = 2.0 * (srt @ coeff)
+    return term1 - 0.5 * pairwise / (D * D)
+
+
 def bma_weights_loop(lp: np.ndarray, window: int | None = None) -> np.ndarray:
     """Recursive model-averaging weights one row at a time: row t is the
     softmax of the summed scores of rows max(0, t - window)..t-1 (all rows

@@ -238,21 +238,22 @@ class TestRun:
             assert os.path.exists(os.path.join(out_dir, "scores.csv"))
 
     @pytest.mark.parametrize(
-        "flags, message",
+        "flags, message, commands",
         [
-            (["--seed", "-1"], "seed must be >= 0"),
-            (["--horizons", "x"], "--horizons"),
-            (["--horizons", "1,2.5"], "--horizons"),
-            (["--horizons", ""], "--horizons"),
+            (["--seed", "-1"], "seed must be >= 0", ("run", "gridsearch")),
+            (["--horizons", "x"], "--horizons", ("run", "gridsearch")),
+            (["--horizons", "1,2.5"], "--horizons", ("run", "gridsearch")),
+            (["--horizons", ""], "--horizons", ("run", "gridsearch")),
+            (["--surface", ""], "--surface", ("gridsearch",)),
         ],
-        ids=["negative_seed", "unparsable_horizon", "fractional_horizon", "empty_horizons"],
+        ids=["negative_seed", "unparsable_horizon", "fractional_horizon", "empty_horizons", "empty_surface"],
     )
-    def test_flag_error_exit_2_before_loading(self, tmp_path, capsys, flags, message):
+    def test_flag_error_exit_2_before_loading(self, tmp_path, capsys, flags, message, commands):
         cfg, out_dir = write_config(
             tmp_path, method="dtvw",
             observations=str(tmp_path / "absent_obs.csv"), panel=str(tmp_path / "absent_panel.csv"),
         )
-        for command in ("run", "gridsearch"):
+        for command in commands:
             assert main([command, "--config", cfg, *flags]) == 2
             assert message in capsys.readouterr().err
         assert not os.path.exists(out_dir)

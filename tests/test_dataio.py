@@ -221,7 +221,9 @@ VALUES = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 
 @st.composite
 def long_blocks(draw):
     """One to three blocks over the same number (1..5) of label axes, each
-    axis an index range or a tuple of names, with one to three value arrays."""
+    axis an index range or a tuple of names, with one to three value arrays,
+    each either C-ordered in the labels' shape or, as the draws block is, a
+    transposed view without the unit axes."""
     n_axes = draw(st.integers(1, 5))
     n_values = draw(st.integers(1, 3))
     blocks = []
@@ -235,7 +237,13 @@ def long_blocks(draw):
                 labels.append(tuple(draw(st.lists(NAMES, min_size=size, max_size=size))))
         shape = tuple(len(axis) for axis in labels)
         n = int(np.prod(shape))
-        values = [np.array(draw(st.lists(VALUES, min_size=n, max_size=n))).reshape(shape) for _ in range(n_values)]
+        values = []
+        for _ in range(n_values):
+            flat = np.array(draw(st.lists(VALUES, min_size=n, max_size=n)))
+            if draw(st.booleans()):
+                values.append(flat.reshape(shape))
+            else:
+                values.append(flat.reshape([size for size in reversed(shape) if size > 1]).T)
         blocks.append((labels, *values))
     return blocks
 
@@ -260,6 +268,12 @@ class TestWriteLong:
                 np.array([np.nan, -np.inf]).reshape(1, 1, 1, 1, 2),
                 np.zeros((1, 1, 1, 1, 2)),
             ),
+        ],
+    )
+    @example(
+        blocks=[
+            # (S, J, L) draws as written: (S, L, J) transposed, labels (S, 1, L, J)
+            ([range(1, 3), (3,), ("x", "y"), range(1, 4)], np.arange(12.0).reshape(2, 3, 2).transpose(0, 2, 1)),
         ],
     )
     def test_matches_csv_writerows(self, blocks):

@@ -111,6 +111,39 @@ class TestRunExperiment:
         ]
         assert len(read_csv(paths["alphas.csv"])) == 3 * obs.n_steps
 
+    @pytest.mark.parametrize("n_pred_draws, emit_draws", [(5000, False), (1000, True)])
+    def test_a_horizon_holds_one_draws_block_and_one_working_copy(
+        self, pseudo_data, tmp_path, monkeypatch, n_pred_draws, emit_draws
+    ):
+        # The baseline's draws are dropped before the main method's are made,
+        # and scoring, quantiles and the draws.csv rows copy one variable's
+        # (S, J) slice at most: the traced peak stays under two (S, J, L)
+        # blocks, where holding both methods' blocks at once reached 3.5.
+        import tracemalloc
+
+        from divcast import tune
+
+        monkeypatch.setattr(tune, "_cpus", lambda: 1)  # trace every horizon in this process
+        obs, panel = pseudo_data
+
+        def run(draws, out):
+            cfg = RunConfig(
+                method="dtvw", observations="-", panel="-", alpha0=(0.0, 10.0, 8.5), n_particles=50,
+                n_pred_draws=draws, baseline="bma", emit_draws=emit_draws, out_dir=str(tmp_path / out),
+            )
+            run_experiment(cfg, obs, panel)
+
+        run(20, "warm")  # lazy imports are not a draws block
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run(n_pred_draws, "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = obs.n_steps * n_pred_draws * obs.n_vars * 8
+        assert peak - start < 2 * block
+
     def test_equal_on_two_model_panel_constant_half(self, tmp_path):
         rng = np.random.default_rng(0)
         draws = rng.normal(size=(12, 2, 1, 1, 4))

@@ -10,7 +10,7 @@ from scipy import stats
 from divcast.core import InputError, ObservationSeries
 from divcast.experiment import SCORE_HEADER, _score_rows
 from divcast.metrics import _t_two_sided, crps_series, dm_test
-from oracles import crps_from_draws, log_score, rmsfe
+from oracles import crps_from_draws, crps_series_allocating, log_score, rmsfe
 
 
 def scored(errors, log_pred):
@@ -110,6 +110,24 @@ class TestCrps:
         out = crps_series(draws, ys)
         for i in range(7):
             assert out[i] == pytest.approx(crps_from_draws(draws[i], ys[i]), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        S=st.integers(1, 50), D=st.integers(2, 60), L=st.integers(2, 3),
+        decimals=st.sampled_from([0, 1, 3, None]), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(S=3, D=4, L=2, decimals=0, seed=0)
+    def test_bitwise_equal_to_the_allocating_form(self, S, D, L, decimals, seed):
+        # one variable's strided slice of an (S, D, L) draws block, as
+        # loss_series passes it; rounding to few decimals makes ties
+        rng = np.random.default_rng(seed)
+        draws = rng.normal(scale=3.0, size=(S, D, L))
+        ys = rng.normal(scale=3.0, size=S)
+        if decimals is not None:
+            draws, ys = np.round(draws, decimals), np.round(ys, decimals)
+        for l in range(L):
+            got = crps_series(draws[:, :, l], ys)
+            assert got.tobytes() == crps_series_allocating(draws[:, :, l], ys).tobytes()
 
     def test_single_draw_rejected(self):
         with pytest.raises(InputError):
