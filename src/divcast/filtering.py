@@ -68,13 +68,11 @@ from .core import (
 )
 from .diversity import diversity_vector
 from .latent import (
-    PAIRWISE_FROM,
     LatentMode,
     ParticleCloud,
     cloud_weight_tensor,
     init_particles,
     propagate_cloud,
-    reduce_models,
 )
 from .rng import substream
 
@@ -166,7 +164,7 @@ def _mixture_log_predictives(log_w: np.ndarray, comp: np.ndarray) -> tuple[np.nd
     weights log_w (..., M), from their M components' per-variable log densities
     comp (..., M, L), which it overwrites.  Each sum over the components runs
     in comp's memory order, so each caller keeps the bits of its own layout."""
-    joint = _logsumexp(log_w + reduce_models(np.add, np.moveaxis(comp, -1, 0)), axis=-1)
+    joint = _logsumexp(log_w + comp.sum(axis=-1), axis=-1)
     comp += log_w[..., None]
     return joint, _logsumexp(comp, axis=-2)
 
@@ -189,13 +187,10 @@ def _gaussian_logpdf(
 
 def _combine_cloud(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
     """Per-particle combined forecasts (L, P, N): (L, K, P, N) weights
-    against a (K, L) mean matrix, summed over the models as reduce_models
-    sums, so each has the bits of numpy's sum over a last axis of models."""
+    against a (K, L) mean matrix, summed model by model, with one product
+    alive at a time."""
     means = means[:, :, None, None]
-    if len(means) >= PAIRWISE_FROM:
-        return reduce_models(np.add, weights.swapaxes(0, 1) * means)
-    # Model by model, as reduce_models sums, with one product alive at a time.
-    out = weights[:, 0] * means[0] + 0.0  # numpy's sum starts from +0.0
+    out = weights[:, 0] * means[0] + 0.0  # a sum starts from +0.0
     for k in range(1, len(means)):
         out += weights[:, k] * means[k]
     return out
@@ -374,7 +369,7 @@ class ParticleFilter:
         # rewritten in place.
         logw = _combine_cloud(weights, means_t)
         logw = _gaussian_logpdf(y_t[:, None, None], logw, cfg.sigma_obs[:, None, None], out=logw)
-        logw = reduce_models(np.add, logw)
+        logw = logw.sum(axis=0)
         logw += log_prior
         shift = logw.max(axis=-1, keepdims=True)
         if not np.all(np.isfinite(shift)):

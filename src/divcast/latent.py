@@ -27,10 +27,9 @@ The kernels write into the buffers they are given: propagate_cloud advances
 a cloud's arrays in place, with its temporaries in a scratch pair, and
 cloud_weight_tensor writes its softmax into out.  Every in-place operation
 keeps the operand order of the expression it replaces (x *= th1; x += d
-gives the bits of th1*x + d), and every reduction over the models gives the
-bits numpy's reduction over a last axis of models gives (see
-reduce_models), so the results are those of the allocating expressions on
-the (P, N, K*L) layout.
+gives the bits of th1*x + d).  The softmax's max and sum run over the model
+axis of the (L, K, P, N) view, so each is an elementwise loop over (P, N)
+slabs, in model order.
 """
 
 from __future__ import annotations
@@ -161,44 +160,16 @@ def propagate_cloud(
     return cloud
 
 
-# numpy sums a reduction axis of this many entries or more pairwise.
-PAIRWISE_FROM = 8
-
-
-def reduce_models(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
-    """ufunc.reduce over the first axis of a, for np.add or np.maximum, with
-    the bits numpy's reduction gives over the last axis of a C-contiguous
-    array of the same entries, ufunc.reduce(np.moveaxis(a, 0, -1).copy(),
-    axis=-1), whatever a's layout.
-
-    Below eight entries the slabs a[1], a[2], ... are accumulated one by
-    one into a copy of a[0]: long elementwise loops, in the left-to-right
-    order numpy's last-axis reduction runs there, starting a sum from its
-    identity (0.0 + -0.0 is +0.0).  From eight entries on, numpy sums a
-    last axis pairwise, so a last-axis copy of a is reduced.  Only a NaN
-    input may come out with another sign or payload.
-    """
-    K = len(a)
-    if K >= PAIRWISE_FROM:
-        return ufunc.reduce(np.moveaxis(a, 0, -1).copy(), axis=-1)
-    out = a[0] + 0.0 if ufunc is np.add else a[0].copy()
-    for k in range(1, K):
-        ufunc(out, a[k], out=out)
-    return out
-
-
 def cloud_weight_tensor(
     cloud_x: np.ndarray, n_models: int, n_vars: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-particle weight matrices from entry-major latent states.
 
     Input (K*L, ...), output (L, K, ...): softmax over the model axis for
-    each particle and variable, written into out when given.  The max and
-    the sum over the models go through reduce_models, so each weight has
-    the bits of the softmax numpy computes over a last axis of models.
+    each particle and variable, written into out when given.
     """
     xm = cloud_x.reshape(n_vars, n_models, *cloud_x.shape[1:])
-    z = np.subtract(xm, reduce_models(np.maximum, xm.swapaxes(0, 1))[:, None], out=out)
+    z = np.subtract(xm, xm.max(axis=1, keepdims=True), out=out)
     np.exp(z, out=z)
-    z /= reduce_models(np.add, z.swapaxes(0, 1))[:, None]
+    z /= z.sum(axis=1, keepdims=True)
     return z

@@ -13,13 +13,14 @@ from divcast.core import ConfigError, DegeneracyError, ForecastSeries, InputErro
 from divcast.filtering import (
     FilterOutput,
     FilterState,
+    BAND_HI,
+    BAND_LO,
     _STEP_FIELDS,
-    _band_stats,
     _gaussian_logpdf,
     effective_sample_size,
     run_filter,
 )
-from divcast.latent import DTVW, LatentMode, ParticleCloud, propagate_cloud, reduce_models, theta_from_alpha
+from divcast.latent import DTVW, LatentMode, ParticleCloud, propagate_cloud, theta_from_alpha
 from divcast.metrics import crps_series
 
 
@@ -73,6 +74,22 @@ def combine_cloud_numpy(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
     """Combined forecasts of (P, N, L, K) weights against a (K, L) mean
     matrix, summed by numpy over the model axis."""
     return (weights * means.T).sum(axis=-1)
+
+
+def band_stats(values: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted mean and 95% band of particle-major statistics (P, N, M)
+    under the weights omega (P, N), three (P, M) arrays, each band widened
+    to contain the mean: the particle axis reduced as a middle axis."""
+    mean = (omega[:, None, :] @ values)[:, 0]
+    order = np.argsort(values, axis=1)
+    sorted_vals = np.take_along_axis(values, order, axis=1)
+    cum = np.cumsum(np.take_along_axis(omega[:, :, None], order, axis=1), axis=1)
+    cum /= cum[:, -1:]
+    lo, hi = (
+        np.take_along_axis(sorted_vals, (cum >= q).argmax(axis=1)[:, None], axis=1)[:, 0]
+        for q in (BAND_LO, BAND_HI)
+    )
+    return mean, np.minimum(lo, mean), np.maximum(hi, mean)
 
 
 def latent_to_matrix(x: np.ndarray, n_models: int, n_vars: int) -> np.ndarray:
@@ -398,9 +415,9 @@ def step_allocating(pf, state: AllocatingState, y_t: np.ndarray, y_target: np.nd
         omega[which] = 1.0 / n
         rows = np.arange(P)[:, None]
         x, alpha, weights = x[rows, idx], alpha[rows, idx], weights[rows, idx]
-    for stat, band in zip(("mean", "lo", "hi"), _band_stats(weights.reshape(P, n, L * K), omega)):
+    for stat, band in zip(("mean", "lo", "hi"), band_stats(weights.reshape(P, n, L * K), omega)):
         record[f"weights_{stat}"] = band.reshape(P, L, K).transpose(0, 2, 1)
-    for stat, band in zip(("mean", "lo", "hi"), _band_stats(alpha, omega)):
+    for stat, band in zip(("mean", "lo", "hi"), band_stats(alpha, omega)):
         record[f"alpha_{stat}"] = band
     return AllocatingState(x, alpha, omega, t, rng), record
 
@@ -410,7 +427,7 @@ def mixture_log_predictives(y: np.ndarray, pred_means: np.ndarray, log_prior: np
     particle mixtures with (..., N, L) particle means under (..., N) log
     prior weights, each term a new array."""
     marg = _gaussian_logpdf(y[..., None, :], pred_means, sigma)
-    joint = logsumexp(log_prior + reduce_models(np.add, np.moveaxis(marg, -1, 0)), axis=-1)
+    joint = logsumexp(log_prior + marg.sum(axis=-1), axis=-1)
     return joint, logsumexp(log_prior[..., None] + marg, axis=-2)
 
 
