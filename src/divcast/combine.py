@@ -105,8 +105,8 @@ def run_combiner(
     Their (T, K) weight rows hold for every variable.  The forecast of
     target s, for s in h..T, mixes the Gaussian-fitted panel cells with the
     weight row at s-h+1 (information through s-h), scored as a mixture of the
-    models laid out contiguously (_mixture_log_predictives).  Equal weighting
-    pools every model's draws; BMA resamples models by their weights."""
+    models (_mixture_log_predictives).  Equal weighting pools every model's
+    draws; BMA resamples models by their weights."""
     T, K, L = obs.n_steps, panel.n_models, panel.n_vars
     _check_alignment(obs, panel)
     if method not in ("equal", "bma", "bma_roll"):
@@ -126,9 +126,7 @@ def run_combiner(
     point = np.einsum("sk,skl->sl", w, panel._means[targets - 1, :, :, horizon - 1])
     with np.errstate(divide="ignore"):
         logw = np.where(w > 0, np.log(w), -np.inf)
-    # The (S, K, L) model log densities, laid out with the models contiguous.
-    comp = marginal[targets - 1].swapaxes(1, 2).copy().swapaxes(1, 2)
-    log_pred, log_pred_marginal = _mixture_log_predictives(logw, comp)
+    log_pred, log_pred_marginal = _mixture_log_predictives(logw, marginal[targets - 1])
     if method == "equal":
         # Pooled draws across models: the exact equal-weight mixture sample.
         block = panel.draws[targets - 1, :, :, horizon - 1, :]  # (S, K, L, D)

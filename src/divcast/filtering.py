@@ -12,11 +12,11 @@ The filter advances a block of P points: every record entry carries the
 point axis first, and the cloud is stored entry-major (see latent), x
 (K*L, P, N) and alpha (2, P, N), so the propagation, the softmax, the
 combined forecasts and the resampling gather run elementwise over
-contiguous (P, N) slabs.  Only the band summaries, the forecast's point
-and the predictive draws read (P, N, ...) C-contiguous copies: they are
-small beside the cloud, and their reductions then keep their bits.  A
-single run is the block with P = 1; the grid search advances many lattice
-points at once.
+contiguous (P, N) slabs.  Every reduction runs on that layout: the sums over
+the models and the variables are loops over slabs, and the weighted means,
+the bands and the mixtures' log-sum-exps reduce along the last, particle
+axis.  A single run is the block with P = 1; the grid search advances many
+lattice points at once.
 
 Every step makes the same draws whatever the data: the coefficient noise
 (of alpha1, and of alpha2 under dtvw), the latent noise, the predictive
@@ -32,7 +32,7 @@ reads that path.
 
 A step given its forecast's realized target scores its own particle
 mixture with _mixture_log_predictives, run_combiner's kernel too, from the
-log densities of its (P, N, L) particle means and its (P, N) log prior
+log densities of its (L, P, N) particle means and its (P, N) log prior
 weights, which die inside the step.  run_block writes every step's entries
 into outputs made before the first step, so a run holds the cloud, its
 scratch and the outputs, and nothing of the size steps x particles.
@@ -46,7 +46,9 @@ the rows of x and alpha of the points that resample into it and copies them
 back; the posterior bands, read from the state after the step, recompute
 the softmax into it.  So a step holds no temporary of the cloud's size, and
 larger blocks fit in the same memory.  The in-place operations keep the
-operand order of the allocating expressions, so every result keeps its bits.
+operand order of the allocating expressions; the reductions' order is the
+layout's own, so a result may differ from an allocating expression on
+another layout in its last bits.
 """
 
 from __future__ import annotations
@@ -132,27 +134,27 @@ def effective_sample_size(omega: np.ndarray) -> float | np.ndarray:
 
 
 def _band_stats(values: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted mean and 95% band of per-particle statistics (P, N, M) under
-    the weights omega (P, N): three (P, M) arrays.
+    """Weighted mean and 95% band of entry-major per-particle statistics
+    (M, P, N) under the weights omega (P, N), reduced along the particle
+    axis: three (M, P) arrays.
 
     Bands are widened to contain the mean in degenerate heavy-tail cases.
     """
-    mean = (omega[:, None, :] @ values)[:, 0]
-    order = np.argsort(values, axis=1)
-    sorted_vals = np.take_along_axis(values, order, axis=1)
-    cum = np.cumsum(np.take_along_axis(omega[:, :, None], order, axis=1), axis=1)
-    cum /= cum[:, -1:]
+    mean = (values[..., None, :] @ omega[..., None])[..., 0, 0]
+    order = np.argsort(values, axis=-1)
+    sorted_vals = np.take_along_axis(values, order, axis=-1)
+    cum = np.cumsum(np.take_along_axis(omega[None], order, axis=-1), axis=-1)
+    cum /= cum[..., -1:]
     lo, hi = (
-        np.take_along_axis(sorted_vals, (cum >= q).argmax(axis=1)[:, None], axis=1)[:, 0]
+        np.take_along_axis(sorted_vals, (cum >= q).argmax(axis=-1)[..., None], axis=-1)[..., 0]
         for q in (BAND_LO, BAND_HI)
     )
     return mean, np.minimum(lo, mean), np.maximum(hi, mean)
 
 
 def _logsumexp(logv: np.ndarray, axis: int = 0) -> np.ndarray:
-    """log(sum(exp(logv))) over an axis, in logv, which it overwrites; the
-    exact max is taken over an axis-last copy, as a strided max took 5x as long."""
-    m = np.ascontiguousarray(np.moveaxis(logv, axis, -1)).max(axis=-1)
+    """log(sum(exp(logv))) over an axis, in logv, which it overwrites."""
+    m = logv.max(axis=axis)
     m = np.where(np.isfinite(m), m, 0.0)
     logv -= np.expand_dims(m, axis)
     with np.errstate(divide="ignore"):
@@ -162,8 +164,8 @@ def _logsumexp(logv: np.ndarray, axis: int = 0) -> np.ndarray:
 def _mixture_log_predictives(log_w: np.ndarray, comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Joint (...) and marginal (..., L) log predictives of mixtures under log
     weights log_w (..., M), from their M components' per-variable log densities
-    comp (..., M, L), which it overwrites.  Each sum over the components runs
-    in comp's memory order, so each caller keeps the bits of its own layout."""
+    comp (..., M, L), which it overwrites; comp may be a view of any layout,
+    such as the step's entry-major (L, P, N) array with its first axis moved last."""
     joint = _logsumexp(log_w + comp.sum(axis=-1), axis=-1)
     comp += log_w[..., None]
     return joint, _logsumexp(comp, axis=-2)
@@ -194,13 +196,6 @@ def _combine_cloud(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
     for k in range(1, len(means)):
         out += weights[:, k] * means[k]
     return out
-
-
-def _particle_major(a: np.ndarray) -> np.ndarray:
-    """A C-contiguous (P, N, E) copy of an entry-major (..., P, N) block,
-    its leading axes flattened into E entries, for the summaries whose
-    numpy reductions keep their bits only on that layout."""
-    return np.moveaxis(a.reshape(-1, *a.shape[-2:]), 0, -1).copy()
 
 
 def _gather(
@@ -344,6 +339,7 @@ class ParticleFilter:
         means_t = panel.mean_matrix(t, 1)  # rejects a t past the panel's end
         rng, cloud = state.rng, state.cloud
         div = self.diversity_path[t - 1] if self.mode.uses_diversity else np.zeros(K * L)
+        sigma = cfg.sigma_obs[:, None, None]
         propagate_cloud(cloud, div, self.mode, cfg, rng, state.scratch)
         P, n = cloud.omega.shape
         weights = cloud_weight_tensor(cloud.x, K, L, out=state.scratch[0].reshape(L, K, P, n))
@@ -357,18 +353,19 @@ class ParticleFilter:
         target = t + self.horizon - 1
         if target <= panel.n_steps:
             if y_target is not None:
-                pred_means = _particle_major(_combine_cloud(weights, panel.mean_matrix(target, self.horizon)))
-                record["point"] = (omega_prior[:, None, :] @ pred_means)[:, 0]
+                pred_means = _combine_cloud(weights, panel.mean_matrix(target, self.horizon))  # (L, P, N)
+                record["point"] = (pred_means[..., None, :] @ omega_prior[..., None])[..., 0, 0].T
+                comp = _gaussian_logpdf(y_target[:, None, None], pred_means, sigma, out=pred_means)
                 record["log_pred"], record["log_pred_marginal"] = _mixture_log_predictives(
-                    log_prior, _gaussian_logpdf(y_target, pred_means, cfg.sigma_obs, out=pred_means)
+                    log_prior, np.moveaxis(comp, 0, -1)
                 )
-                del pred_means
+                del pred_means, comp
             record["draws"] = self._predictive_draws(weights, omega_prior, target, rng)
 
         # One-step likelihood update (log-space, max-shifted), each array
         # rewritten in place.
         logw = _combine_cloud(weights, means_t)
-        logw = _gaussian_logpdf(y_t[:, None, None], logw, cfg.sigma_obs[:, None, None], out=logw)
+        logw = _gaussian_logpdf(y_t[:, None, None], logw, sigma, out=logw)
         logw = logw.sum(axis=0)
         logw += log_prior
         shift = logw.max(axis=-1, keepdims=True)
@@ -414,12 +411,13 @@ class ParticleFilter:
         column, so they keep the bits of the tensor the step resampled."""
         K, L = self.panel.n_models, self.panel.n_vars
         cloud = state.cloud
-        weights = cloud_weight_tensor(cloud.x, K, L, out=state.scratch[0].reshape(L, K, *cloud.omega.shape))
+        P, n = cloud.omega.shape
+        weights = cloud_weight_tensor(cloud.x, K, L, out=state.scratch[0].reshape(L, K, P, n))
         bands = {}
-        for stat, band in zip(("mean", "lo", "hi"), _band_stats(_particle_major(weights), cloud.omega)):
-            bands[f"weights_{stat}"] = band.reshape(-1, L, K).transpose(0, 2, 1)
-        for stat, band in zip(("mean", "lo", "hi"), _band_stats(_particle_major(cloud.alpha), cloud.omega)):
-            bands[f"alpha_{stat}"] = band
+        for stat, band in zip(("mean", "lo", "hi"), _band_stats(weights.reshape(L * K, P, n), cloud.omega)):
+            bands[f"weights_{stat}"] = band.reshape(L, K, P).T
+        for stat, band in zip(("mean", "lo", "hi"), _band_stats(cloud.alpha, cloud.omega)):
+            bands[f"alpha_{stat}"] = band.T
         return bands
 
     def _predictive_draws(
@@ -436,9 +434,8 @@ class ParticleFilter:
         J, L = self.n_pred_draws, self.panel.n_vars
         idx = _resample_indices(omega_prior, rng.random(), J)  # (P, J)
         d = rng.integers(0, self.panel.n_draws, size=J)
-        ysel = self.panel.draw_block(target, self.horizon)[:, :, d].transpose(2, 0, 1)  # (J, K, L)
-        picked = _particle_major(_gather(weights, idx)).reshape(len(idx), J, L, -1)  # (P, J, L, K)
-        comb = np.einsum("pjlk,jkl->pjl", picked, ysel)
+        ysel = self.panel.draw_block(target, self.horizon)[:, :, d]  # (K, L, J)
+        comb = np.einsum("lkpj,klj->pjl", _gather(weights, idx), ysel)
         comb += self.cfg.sigma_obs * rng.standard_normal((J, L))
         return comb
 

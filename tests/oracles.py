@@ -63,8 +63,8 @@ def softmax_link(x_col: np.ndarray) -> np.ndarray:
 
 def cloud_weight_tensor_numpy(cloud_x: np.ndarray, n_models: int, n_vars: int) -> np.ndarray:
     """Softmax over the model axis of ([P,] N, K*L) latent states, reduced by
-    numpy over the last axis: the expression the column-wise kernel must
-    reproduce bit for bit."""
+    numpy over the last axis: the expression the entry-major kernel matches,
+    bit for bit below eight models and to round-off from eight on."""
     xm = cloud_x.reshape(*cloud_x.shape[:-1], n_vars, n_models)
     z = np.exp(xm - xm.max(axis=-1, keepdims=True))
     return z / z.sum(axis=-1, keepdims=True)
@@ -425,7 +425,8 @@ def step_allocating(pf, state: AllocatingState, y_t: np.ndarray, y_target: np.nd
 def mixture_log_predictives(y: np.ndarray, pred_means: np.ndarray, log_prior: np.ndarray, sigma: np.ndarray):
     """Joint (...,) and marginal (..., L) log predictives at y (..., L) of
     particle mixtures with (..., N, L) particle means under (..., N) log
-    prior weights, each term a new array."""
+    prior weights, each term a new array; the joint sums the variables along
+    the last axis."""
     marg = _gaussian_logpdf(y[..., None, :], pred_means, sigma)
     joint = logsumexp(log_prior + marg.sum(axis=-1), axis=-1)
     return joint, logsumexp(log_prior[..., None] + marg, axis=-2)

@@ -25,7 +25,10 @@ runs' outputs are apart when the digests differ.  After the manifest it
 prints one line for every CSV file both directories hold: the largest
 |a - b| / max(1, |b|) over the cells both parse as numbers (a from OUT_DIR,
 b from OTHER_DIR), the count of other cells that differ, and the two row
-counts when they differ.  A file only one directory holds is named too.
+counts when they differ.  A file only one directory holds is named too.  A
+last line sums them up: the largest max_rel over every file, the total
+text_diffs, and the counts of files with unequal row counts or held by one
+directory only, when there are any.
 """
 
 from __future__ import annotations
@@ -203,8 +206,10 @@ def _as_float(cell: str) -> float | None:
         return None
 
 
-def compare_csv(path: str, other: str) -> str:
-    """One line on how far the CSV at path is from the one at other."""
+def compare_csv(path: str, other: str) -> tuple[float, int, int, int]:
+    """How far the CSV at path is from the one at other: the largest relative
+    difference of its numeric cells, the count of other cells that differ,
+    and the two row counts."""
     rows, other_rows = _cells(path), _cells(other)
     worst, text_diffs = 0.0, 0
     for row, other_row in zip(rows, other_rows):
@@ -218,14 +223,12 @@ def compare_csv(path: str, other: str) -> str:
             else:
                 rel = abs(x - y) / max(1.0, abs(y))
                 worst = max(worst, math.inf if math.isnan(rel) else rel)
-    line = f"max_rel {worst:.3g}  text_diffs {text_diffs}"
-    if len(rows) != len(other_rows):
-        line += f"  rows {len(rows)} vs {len(other_rows)}"
-    return line
+    return worst, text_diffs, len(rows), len(other_rows)
 
 
 def compare_dirs(out: str, other: str) -> list[str]:
-    """The --compare lines: one per CSV file of out or other, by relative path."""
+    """The --compare lines: one per CSV file of out or other, by relative
+    path, and the summary line."""
     def csvs(top):
         return {
             os.path.relpath(os.path.join(root, f), top)
@@ -236,14 +239,26 @@ def compare_dirs(out: str, other: str) -> list[str]:
 
     mine, theirs = csvs(out), csvs(other)
     lines = []
+    worst, text_diffs, row_diffs = 0.0, 0, 0
     for rel in sorted(mine | theirs):
         if rel not in theirs:
             lines.append(f"compare {rel}  only in {out}")
         elif rel not in mine:
             lines.append(f"compare {rel}  only in {other}")
         else:
-            lines.append(f"compare {rel}  {compare_csv(os.path.join(out, rel), os.path.join(other, rel))}")
-    return lines
+            rel_max, diffs, n, n_other = compare_csv(os.path.join(out, rel), os.path.join(other, rel))
+            line = f"compare {rel}  max_rel {rel_max:.3g}  text_diffs {diffs}"
+            if n != n_other:
+                line += f"  rows {n} vs {n_other}"
+                row_diffs += 1
+            lines.append(line)
+            worst, text_diffs = max(worst, rel_max), text_diffs + diffs
+    summary = f"compare all  max_rel {worst:.3g}  text_diffs {text_diffs}"
+    if row_diffs:
+        summary += f"  files_with_other_row_counts {row_diffs}"
+    if mine ^ theirs:
+        summary += f"  files_in_one_dir_only {len(mine ^ theirs)}"
+    return lines + [summary]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -47,6 +47,13 @@ from oracles import (
 # time, and the allocating oracles over a last axis of models, which numpy
 # sums pairwise from eight entries on: there the two agree within TOL.
 TOL = 1e-12
+# The step's weighted means over the particles and the draws' sums over the
+# models run on the entry-major layout and the oracles' on a particle-major
+# one, so these record entries agree within TOL at any model count.  A band
+# end is the mean where the band is widened to contain it.
+ROUND_OFF = {"point", "log_pred", "log_pred_marginal", "draws"} | {
+    f"{name}_{stat}" for name in ("weights", "alpha") for stat in ("mean", "lo", "hi")
+}
 
 
 def assert_matches(got, want, exact, what, scale=1.0):
@@ -170,9 +177,9 @@ class TestKernels:
         omega[:, rng.random(N) < 0.2] = 0.0  # particles of no weight
         omega[:, 0] += omega.sum(axis=-1) == 0
         omega /= omega.sum(axis=-1, keepdims=True)
-        got = _band_stats(np.ascontiguousarray(particle_major).reshape(P, N, L * K), omega)
+        got = _band_stats(weights.reshape(L * K, P, N), omega)  # (L*K, P) each
         for name, g, e in zip(("mean", "lo", "hi"), got, band_stats(particle_major.reshape(P, N, L * K), omega)):
-            assert_matches(g, e, False, name)
+            assert_matches(g.T, e, False, name)
 
         y, sigma = rng.normal(size=(P, L)), rng.uniform(0.1, 2.0, size=L)
         with np.errstate(divide="ignore"):
@@ -335,7 +342,8 @@ class TestInPlaceStep:
         through every observation, given the forecast's realized target when
         scoring summaries, and read the bands from the state when asked: the
         records, the state in its (P, N, .) view and the Generator must
-        match, bit for bit when exact and within TOL otherwise."""
+        match, bit for bit when exact (but for the ROUND_OFF entries) and
+        within TOL otherwise."""
         cfg = NoiseConfig(default_sigma_obs(obs, panel), sigma_x=0.3, sigma_alpha=0.2)
         pf = ParticleFilter(panel, mode, cfg, horizon=2, kappa=0.9, n_pred_draws=8)
         alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0], [0.5, 0.0, 0.0], [0.0, 8.0, 8.0]])
@@ -362,7 +370,7 @@ class TestInPlaceStep:
             assert got.keys() == expected.keys()
             for key, value in expected.items():
                 value = value[..., 1:] if key.startswith("alpha_") else value
-                assert_matches(got[key], value, exact, (t, key))
+                assert_matches(got[key], value, exact and key not in ROUND_OFF, (t, key))
             view = {"x": np.moveaxis(state.cloud.x, 0, -1), "alpha": np.moveaxis(state.cloud.alpha, 0, -1)}
             for name, value in (("x", ref.x), ("alpha", ref.alpha[..., 1:])):
                 assert_matches(view[name], value, exact, (t, name))
@@ -474,8 +482,8 @@ class TestScoredPerStep:
     """Each step of run_block scores its own forecast; the log predictives
     and draws must equal those of the stacked tail, which runs
     the allocating step and evaluates every step's particle mixture after
-    the last step; below eight models bit for bit, and from eight on within
-    TOL."""
+    the last step; below eight models bit for bit (but for the ROUND_OFF
+    entries), and from eight on within TOL."""
 
     @staticmethod
     def _assert_equals_stacked_tail(obs, panel, horizon, n_points, bands):
@@ -490,12 +498,13 @@ class TestScoredPerStep:
         for g, e in zip(got, expected):
             np.testing.assert_array_equal(g.forecasts.targets, np.arange(horizon, obs.n_steps + 1))
             for name in ("targets", "point", "log_pred", "log_pred_marginal", "draws"):
-                assert_matches(getattr(g.forecasts, name), getattr(e.forecasts, name), exact, name)
+                a, b = getattr(g.forecasts, name), getattr(e.forecasts, name)
+                assert_matches(a, b, exact and name not in ROUND_OFF, name)
             for name in ("weights_mean", "alpha_mean", "ess", "resampled", "one_step_log_pred"):
                 a, b = getattr(g, name), getattr(e, name)
                 assert (a is None) == (b is None) == (name.endswith("_mean") and not bands), name
                 if a is not None:
-                    assert_matches(a, b, exact, name)
+                    assert_matches(a, b, exact and name not in ROUND_OFF, name)
 
     @pytest.mark.parametrize("bands", [True, False], ids=["bands", "no_bands"])
     @pytest.mark.parametrize("n_points", [1, 4])
