@@ -128,11 +128,13 @@ def dm_test(loss_a: np.ndarray, loss_b: np.ndarray, h: int = 1) -> DMResult:
     return DMResult(stat, _t_two_sided(stat, T - 1), degenerate=False)
 
 
-def _eval_mask(targets: np.ndarray, window: tuple[int, int] | None) -> np.ndarray:
+def _eval_slice(targets: np.ndarray, window: tuple[int, int] | None) -> slice:
+    """The rows of ascending targets that lie in the window lo..hi (every row
+    when window is None), as a slice, so indexing by it copies nothing."""
     if window is None:
-        return np.ones(len(targets), dtype=bool)
+        return slice(None)
     lo, hi = window
-    return (targets >= lo) & (targets <= hi)
+    return slice(int(np.searchsorted(targets, lo, side="left")), int(np.searchsorted(targets, hi, side="right")))
 
 
 def loss_series(
@@ -146,17 +148,15 @@ def loss_series(
     and CRPS values, plus the joint negative log predictive, restricted to
     the evaluation window.
     """
-    mask = _eval_mask(fs.targets, window)
-    if not np.any(mask):
+    rows = _eval_slice(fs.targets, window)
+    targets = fs.targets[rows]
+    if not len(targets):
         raise InputError("evaluation window contains no forecast targets")
-    targets = fs.targets[mask]
     y = obs.values[targets - 1]  # (S, L)
-    point = fs.point[mask]
-    sq_err = (y - point) ** 2
-    neg_lp_marginal = -fs.log_pred_marginal[mask]
-    neg_lp_joint = -fs.log_pred[mask]
-    draws = fs.draws if mask.all() else fs.draws[mask]  # indexed once, and copied only when cut
-    crps = np.column_stack([crps_series(draws[:, :, l], y[:, l]) for l in range(obs.n_vars)])
+    sq_err = (y - fs.point[rows]) ** 2
+    neg_lp_marginal = -fs.log_pred_marginal[rows]
+    neg_lp_joint = -fs.log_pred[rows]
+    crps = np.column_stack([crps_series(fs.draws[rows, :, l], y[:, l]) for l in range(obs.n_vars)])
     return {
         "targets": targets,
         "sq_err": sq_err,

@@ -40,7 +40,7 @@ import numpy as np
 from .core import InputError, NoiseConfig, ObservationSeries, PredictorPanel, default_sigma_obs
 from .filtering import ParticleFilter
 from .latent import DTVW
-from .metrics import _eval_mask, crps_series
+from .metrics import _eval_slice, crps_series
 from .rng import substream
 
 Axis = tuple[float, float, float]  # (lo, hi, step)
@@ -220,9 +220,9 @@ def make_crps_runner(
     cols = range(obs.n_vars) if variable is None else [variable]
 
     def score(fs) -> float:
-        mask = _eval_mask(fs.targets, eval_window)
-        y = obs.values[fs.targets[mask] - 1]
-        per_var = [crps_series(fs.draws[mask][:, :, l], y[:, l]).mean() for l in cols]
+        rows = _eval_slice(fs.targets, eval_window)
+        y = obs.values[fs.targets[rows] - 1]
+        per_var = [crps_series(fs.draws[rows, :, l], y[:, l]).mean() for l in cols]
         return float(np.mean(per_var))
 
     def run_points(points: np.ndarray, seed: int) -> list[float]:

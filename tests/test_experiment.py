@@ -111,14 +111,20 @@ class TestRunExperiment:
         ]
         assert len(read_csv(paths["alphas.csv"])) == 3 * obs.n_steps
 
-    @pytest.mark.parametrize("n_pred_draws, emit_draws", [(5000, False), (1000, True)])
+    @pytest.mark.parametrize(
+        "n_pred_draws, emit_draws, eval_start",
+        [(5000, False, None), (1000, True, None), (5000, False, 2)],
+        ids=["5000-False", "1000-True", "5000-False-eval_start2"],
+    )
     def test_a_horizon_holds_one_draws_block_and_one_working_copy(
-        self, pseudo_data, tmp_path, monkeypatch, n_pred_draws, emit_draws
+        self, pseudo_data, tmp_path, monkeypatch, n_pred_draws, emit_draws, eval_start
     ):
         # The baseline's draws are dropped before the main method's are made,
         # and scoring, quantiles and the draws.csv rows copy one variable's
         # (S, J) slice at most: the traced peak stays under two (S, J, L)
         # blocks, where holding both methods' blocks at once reached 3.5.
+        # An evaluation window that cuts targets is a slice of the block:
+        # copying the kept rows reached 2.5 blocks.
         import tracemalloc
 
         from divcast import tune
@@ -129,7 +135,8 @@ class TestRunExperiment:
         def run(draws, out):
             cfg = RunConfig(
                 method="dtvw", observations="-", panel="-", alpha0=(0.0, 10.0, 8.5), n_particles=50,
-                n_pred_draws=draws, baseline="bma", emit_draws=emit_draws, out_dir=str(tmp_path / out),
+                n_pred_draws=draws, baseline="bma", emit_draws=emit_draws, eval_start=eval_start,
+                out_dir=str(tmp_path / out),
             )
             run_experiment(cfg, obs, panel)
 
