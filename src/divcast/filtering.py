@@ -139,8 +139,12 @@ def _band_stats(values: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.n
     axis: three (M, P) arrays.
 
     Bands are widened to contain the mean in degenerate heavy-tail cases.
+    The mean, like the forecast's point, is an einsum and not a BLAS @:
+    OpenBLAS spreads a large product over threads, which doubled a large
+    run's CPU time without shortening it and made its bits depend on the
+    thread count.
     """
-    mean = (values[..., None, :] @ omega[..., None])[..., 0, 0]
+    mean = np.einsum("mpn,pn->mp", values, omega)
     order = np.argsort(values, axis=-1)
     sorted_vals = np.take_along_axis(values, order, axis=-1)
     cum = np.cumsum(np.take_along_axis(omega[None], order, axis=-1), axis=-1)
@@ -354,7 +358,7 @@ class ParticleFilter:
         if target <= panel.n_steps:
             if y_target is not None:
                 pred_means = _combine_cloud(weights, panel.mean_matrix(target, self.horizon))  # (L, P, N)
-                record["point"] = (pred_means[..., None, :] @ omega_prior[..., None])[..., 0, 0].T
+                record["point"] = np.einsum("lpn,pn->pl", pred_means, omega_prior)
                 comp = _gaussian_logpdf(y_target[:, None, None], pred_means, sigma, out=pred_means)
                 record["log_pred"], record["log_pred_marginal"] = _mixture_log_predictives(
                     log_prior, np.moveaxis(comp, 0, -1)
