@@ -167,10 +167,10 @@ class NoiseConfig:
 class ForecastSeries:
     """Out-of-sample forecasts of one method at one horizon.
 
-    targets are ascending 1-based target-time indices; point is (S, L); draws is
-    (S, J, L) equally weighted predictive samples; log_pred is the joint
-    log predictive density at the realized outcome, log_pred_marginal the
-    per-variable marginals.
+    targets are ascending 1-based target-time indices; point is (S, L);
+    draws is (S, J, L) equally weighted predictive samples; log_pred is the
+    joint log predictive density at the realized outcome, log_pred_marginal
+    the per-variable marginals.
     """
 
     horizon: int
