@@ -123,8 +123,8 @@ class TestRunExperiment:
         # and scoring, quantiles and the draws.csv rows copy one variable's
         # (S, J) slice at most: the traced peak stays under two (S, J, L)
         # blocks, where holding both methods' blocks at once reached 3.5.
-        # An evaluation window that cuts targets is a slice of the block:
-        # copying the kept rows reached 2.5 blocks.
+        # An evaluation window that cuts targets indexes the block by a
+        # slice, which copies nothing; copying the kept rows reached 2.5.
         import tracemalloc
 
         from divcast import tune
