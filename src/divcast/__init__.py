@@ -3,6 +3,14 @@ filtering, including a diversity-driven latent process, classical baselines
 (equal weighting, recursive and rolling BMA), proper-score evaluation, and
 synthetic benchmark generators."""
 
+import os
+
+# divcast runs one compute process per CPU (tune._map_forked), so a BLAS
+# thread pool beside them only spins.  OpenBLAS sizes its pool when numpy
+# first loads it, so this comes before the first import of numpy; a caller's
+# own setting is kept, and forked workers inherit it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .combine import CombinerResult, bma_weights, run_combiner, single_model_result
 from .core import (
     ConfigError,
