@@ -7,7 +7,9 @@ score files into one comparison table).
 
 A single INI-style config file is the canonical input for ``run`` and
 ``gridsearch``; command-line flags override its values.  No environment
-variable is read, and every command is deterministic for a given seed.
+variable of divcast's own is read; importing the package sets
+OPENBLAS_NUM_THREADS=1 when the caller has not set it.  Every command is
+deterministic for a given seed.
 
 Exit codes: 0 success, 2 validation/configuration error, 3 numeric failure
 (filter degeneracy), 4 I/O error.

@@ -17,6 +17,11 @@ lattice points and `run` its horizons over one worker per allowed CPU (a
 `run` worker also writes its horizons' table rows), and the outputs must
 not depend on how many.
 
+Every command runs in this script's own environment, PYTHONPATH aside, so
+`OPENBLAS_NUM_THREADS=2 python tests/output_manifest.py OUT_DIR` runs every
+process with two BLAS threads, where divcast otherwise sets one; the outputs
+must not depend on that either.
+
 Give a checkout's own src/ to fingerprint it, e.g. a `git clone` of the parent
 commit:  python tests/output_manifest.py /tmp/m_parent --src ../parent/src
 

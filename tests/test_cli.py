@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -700,10 +701,17 @@ class TestConsoleEntryPoint:
         assert os.path.exists(tmp_path / "panel.csv")
 
 
+def child_env(**overrides):
+    """This process's environment for a fresh divcast process, without
+    OPENBLAS_NUM_THREADS, which importing divcast here has already set."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    return env | {"PYTHONPATH": os.path.dirname(os.path.dirname(divcast.__file__))} | overrides
+
+
 class TestStartup:
-    def test_scipy_imported_only_by_the_dm_test(self, tmp_path):
-        # scipy.special is most of the start-up time of a command that never
-        # scores forecasts
+    def test_import_simulate_and_gridsearch_load_no_scipy(self, tmp_path):
+        # scipy would be most of the start-up time of a command; none of
+        # these three needs it
         cfg, _ = write_config(
             tmp_path,
             observations="observations.csv",
@@ -725,6 +733,42 @@ class TestStartup:
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(divcast.__file__)))
         result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs /proc/self/status and two CPUs: OpenBLAS starts no thread pool on one",
+    )
+    def test_one_thread_after_a_fresh_import(self):
+        # divcast runs one process per CPU, so importing it must start no
+        # BLAS thread pool beside the main thread
+        code = 'import divcast.cli; print(next(l for l in open("/proc/self/status") if l.startswith("Threads:")))'
+        result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["Threads:", "1"]
+
+    def test_a_callers_blas_thread_count_is_kept(self):
+        code = 'import os, divcast.cli; print(os.environ["OPENBLAS_NUM_THREADS"])'
+        env = child_env(OPENBLAS_NUM_THREADS="2")
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "2"
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # crps_series' (targets, draws) @ (draws,) product is about 120 x 200
+        # here, above the 9,216 entries from which OpenBLAS splits it over
+        # threads
+        outputs = {}
+        for threads in ("2", None):
+            run_dir = tmp_path / f"threads_{threads}"
+            run_dir.mkdir()
+            cfg, out_dir = write_config(run_dir, method="dtvw", horizons="1,3", n_particles=200, n_pred_draws=200)
+            env = child_env(**({"OPENBLAS_NUM_THREADS": threads} if threads else {}))
+            argv = [sys.executable, "-m", "divcast.cli", "run", "--config", cfg]
+            result = subprocess.run(argv, env=env, capture_output=True)
+            assert result.returncode == 0, result.stderr
+            outputs[threads] = {name: (Path(out_dir) / name).read_bytes() for name in sorted(os.listdir(out_dir))}
+        assert "scores.csv" in outputs[None]
+        assert outputs["2"] == outputs[None]
 
     def test_no_command_needs_scipy(self, tmp_path):
         # with scipy unimportable, run (DM against a bma baseline over the

@@ -268,14 +268,15 @@ class TestSingleModel:
 
 
 class TestMixtureKernel:
-    @pytest.mark.parametrize("method", ["equal", "bma", "bma_roll"])
-    def test_log_scores_bitwise_equal_to_the_per_variable_form(self, method):
-        # Below eight models the kernel sums the (S, K, L) log densities over
-        # the models in the order numpy sums each variable's contiguous
-        # (S, K) array; from eight on numpy sums that array pairwise, and the
-        # two agree within 1e-12.
+    @staticmethod
+    def _assert_log_scores_match(method, wide):
+        """The kernel's log scores against the per-variable form on 60 random
+        problems, checked on those of eight or more models when wide and on
+        the others when not; returns how many checked problems have eight or
+        more models and two or more variables.  Every problem draws its
+        input, so each sees the same input whichever are checked."""
         rng = np.random.default_rng({"equal": 1, "bma": 2, "bma_roll": 3}[method])
-        wide = 0
+        wide_count = 0
         for _ in range(60):
             K, L, H, D = (int(rng.integers(lo, hi + 1)) for lo, hi in ((1, 20), (1, 3), (1, 3), (2, 8)))
             T, h = int(rng.integers(5, 30)), int(rng.integers(1, H + 1))
@@ -285,6 +286,8 @@ class TestMixtureKernel:
             panel = PredictorPanel(draws, tuple(f"m{k}" for k in range(1, K + 1)))
             obs = ObservationSeries(rng.normal(size=(T, L)), tuple(f"y{l}" for l in range(L)))
             sigma = float(rng.uniform(0.05, 2.0))
+            if (K >= 8) != wide:
+                continue
             res = run_combiner(method, obs, panel, horizon=h, window=3, fallback_sigma=sigma)
             w = res.weights[res.forecasts.targets - h, :, 0]
             for got, want in zip(
@@ -296,8 +299,21 @@ class TestMixtureKernel:
                     assert got.tobytes() == want.tobytes()
                 else:
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-            wide += K >= 8 and L >= 2
-        assert wide >= 10
+            wide_count += K >= 8 and L >= 2
+        return wide_count
+
+    @pytest.mark.parametrize("method", ["equal", "bma", "bma_roll"])
+    def test_log_scores_bitwise_equal_to_the_per_variable_form(self, method):
+        # Below eight models the kernel sums the (S, K, L) log densities over
+        # the models in the order numpy sums each variable's contiguous
+        # (S, K) array.
+        self._assert_log_scores_match(method, wide=False)
+
+    @pytest.mark.parametrize("method", ["equal", "bma", "bma_roll"])
+    def test_log_scores_match_the_per_variable_form_from_eight_models(self, method):
+        # From eight models on numpy sums each variable's (S, K) array
+        # pairwise, and the two agree within 1e-12.
+        assert self._assert_log_scores_match(method, wide=True) >= 10
 
 
 class TestFitsPerHorizon:

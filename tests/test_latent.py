@@ -59,16 +59,17 @@ class TestLatentMode:
 
 
 class TestCloudWeightTensor:
-    @pytest.mark.parametrize("lead", [(), (40,), (3, 40)])
-    def test_bitwise_equal_to_numpy_softmax(self, lead):
-        # The kernel reduces over the model axis as a loop over slabs, and
-        # numpy over a last axis of models the same way below eight models;
-        # from eight on numpy sums that axis pairwise, so the two agree to
-        # round-off only.
+    @staticmethod
+    def _assert_matches_numpy_softmax(lead, models):
+        """The kernel against numpy's softmax for K = 2..12 models and
+        L = 1..3 variables, checked for K in models; every K draws its input,
+        so each K sees the same input whichever models are checked."""
         rng = np.random.default_rng(8)
         for K in range(2, 13):
             for L in range(1, 4):
                 x = rng.normal(scale=rng.choice([1.0, 30.0, 400.0]), size=(*lead, K * L))
+                if K not in models:
+                    continue
                 # the kernel takes the entries first and returns (L, K, *lead)
                 got = cloud_weight_tensor(np.ascontiguousarray(np.moveaxis(x, -1, 0)), K, L)
                 expected = cloud_weight_tensor_numpy(x, K, L)
@@ -79,6 +80,18 @@ class TestCloudWeightTensor:
                     assert got.tobytes() == expected.tobytes(), (K, L)
                 else:
                     np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15, err_msg=f"{(K, L)}")
+
+    @pytest.mark.parametrize("lead", [(), (40,), (3, 40)])
+    def test_bitwise_equal_to_numpy_softmax(self, lead):
+        # The kernel reduces over the model axis as a loop over slabs, and
+        # numpy over a last axis of models the same way below eight models.
+        self._assert_matches_numpy_softmax(lead, range(2, 8))
+
+    @pytest.mark.parametrize("lead", [(), (40,), (3, 40)])
+    def test_matches_numpy_softmax_from_eight_models(self, lead):
+        # From eight models on numpy sums the last axis pairwise, so the two
+        # agree to round-off only.
+        self._assert_matches_numpy_softmax(lead, range(8, 13))
 
 
 class TestInitParticles:
