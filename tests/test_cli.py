@@ -730,8 +730,7 @@ class TestStartup:
             assert main(["gridsearch", "--config", {cfg!r}]) == 0
             assert "scipy" not in sys.modules, "gridsearch"
         """)
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(divcast.__file__)))
-        result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+        result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=child_env(), capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
     @pytest.mark.skipif(
@@ -787,8 +786,7 @@ class TestStartup:
             assert main(["score", "--observations", {observations!r}, *args]) == 0, "score"
             assert main(["report", "scored.csv", "--out", "report.csv"]) == 0, "report"
         """)
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(divcast.__file__)))
-        result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+        result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=child_env(), capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         for path, method in ((os.path.join(out_equal, "scores.csv"), "equal"), (tmp_path / "scored.csv", "bma")):
             rows = [r for r in csv.DictReader(open(path)) if r["method"] == method and r["variable"] in ("infl", "growth")]
