@@ -8,7 +8,10 @@ score files into one comparison table).
 A single INI-style config file is the canonical input for ``run`` and
 ``gridsearch``; command-line flags override its values.  No environment
 variable of divcast's own is read; importing the package sets
-OPENBLAS_NUM_THREADS=1 when the caller has not set it.  Every command is
+OPENBLAS_NUM_THREADS=1 when the caller has not set it.  ``main`` keeps
+OpenSSL out of its process and its forked workers: numpy.random would load
+OpenSSL's libcrypto for hmac, which divcast never uses.  A library ``import
+divcast`` leaves the host's hashlib as it is.  Every command is
 deterministic for a given seed.
 
 Exit codes: 0 success, 2 validation/configuration error, 3 numeric failure
@@ -182,6 +185,15 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.  The process is the
+    command's own, so no OpenSSL is loaded in it unless it already was."""
+    # numpy.random imports secrets, whose hmac and hashlib load OpenSSL's
+    # libcrypto through _hashlib: about 3.4 MB of a command's peak memory.
+    # numpy needs secrets only to seed a SeedSequence made without entropy,
+    # and every stream here comes from rng.substream.  Without _hashlib,
+    # hashlib and hmac use CPython's built-in digests, which give the same
+    # digests.  An entry already in sys.modules, a loaded _hashlib, is kept.
+    sys.modules.setdefault("_hashlib", None)
     args = _build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)

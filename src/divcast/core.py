@@ -143,7 +143,8 @@ class NoiseConfig:
     covariance; sigma_x and sigma_alpha drive the latent random walks.
 
     Zero sigma_x / sigma_alpha are permitted (deterministic-limit mode);
-    sigma_obs must be strictly positive.
+    sigma_obs must be strictly positive, with a square (the observation
+    variance) above 0 and finite.
     """
 
     sigma_obs: np.ndarray
@@ -154,8 +155,10 @@ class NoiseConfig:
         sigma_obs = np.atleast_1d(np.asarray(self.sigma_obs, dtype=float))
         if sigma_obs.ndim != 1:
             raise ConfigError("sigma_obs must be a vector")
-        if not np.all(np.isfinite(sigma_obs) & (sigma_obs > 0)):
-            raise ConfigError("sigma_obs must be finite and > 0")
+        with np.errstate(over="ignore"):
+            square = sigma_obs * sigma_obs
+        if not np.all((sigma_obs > 0) & (square > 0) & np.isfinite(square)):
+            raise ConfigError("sigma_obs must be > 0, and its square above 0 and finite")
         if not (0 <= self.sigma_x < np.inf and 0 <= self.sigma_alpha < np.inf):
             raise ConfigError("sigma_x and sigma_alpha must be finite and >= 0")
         object.__setattr__(self, "sigma_obs", sigma_obs)

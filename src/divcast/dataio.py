@@ -19,11 +19,11 @@ own, which `run` joins (see experiment.run_experiment).
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import io
 import itertools
 import operator
-import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -76,7 +76,7 @@ def read_table(
     codes: list[dict] = [{} for _ in names]
     parts: list[list[np.ndarray]] = [[] for _ in names]
     n = 0
-    with open(path, newline="") as fh:
+    with _decoding(path, DataFormatError), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != names:
@@ -129,6 +129,15 @@ def read_table(
     return levels, values.reshape(*shape, -1), present.reshape(shape)
 
 
+@contextlib.contextmanager
+def _decoding(path: str, error: type):
+    """Raise ``error`` naming ``path`` for a byte of it that is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text, byte {exc.object[exc.start]:#04x} does not decode") from None
+
+
 def _parse_column(col: tuple, kind, path: str, start: int, name: str, finite: bool) -> np.ndarray:
     """One block of a numeric column as an int or float array."""
     try:
@@ -151,7 +160,7 @@ def _parse_column(col: tuple, kind, path: str, start: int, name: str, finite: bo
 
 def _line_of(path: str, record: int) -> int:
     """File line of the 0-based data record (blank lines are not records)."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
         lines = (reader.line_num for row in reader if row)
@@ -204,7 +213,7 @@ def save_panel(panel: PredictorPanel, path: str, variable_names: tuple[str, ...]
 def write_long(path: str, header: list[str], blocks: list[tuple]) -> None:
     """Write a long-format table in one process: the header, then the rows
     of blocks (see _write_rows)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         _write_rows(fh, blocks)
 
@@ -248,7 +257,7 @@ def write_table(path: str, header: list[str], rows: list[tuple]) -> None:
     of ``score`` and ``report``.  A Python float is written as its repr, the
     shortest round-trip text, so rows must hold Python floats
     (ndarray.tolist() gives them), not numpy scalars."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -303,8 +312,8 @@ class RunConfig:
             raise ConfigError("alpha0 must be finite")
         if not 0 <= self.x0_spread < np.inf:
             raise ConfigError("x0_spread must be finite and >= 0")
-        if self.sigma_obs is not None and not all(0 < s < np.inf for s in self.sigma_obs):
-            raise ConfigError("sigma_obs must be finite and > 0")
+        if self.sigma_obs is not None and not all(s > 0 and 0 < s * s < np.inf for s in self.sigma_obs):
+            raise ConfigError("sigma_obs must be > 0, and its square above 0 and finite")
         if not (0 <= self.sigma_x < np.inf and 0 <= self.sigma_alpha < np.inf):
             raise ConfigError("sigma_x and sigma_alpha must be finite and >= 0")
         if self.seed < 0:
@@ -341,13 +350,13 @@ def load_config(path: str, overrides: dict | None = None, search: bool = False) 
     ``alpha0`` nor ``fallback_sigma``, so their defaults stand and none is
     checked.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    # ConfigParser.read would skip a file that cannot be opened, a directory say
+    with _decoding(path, ConfigError), open(path, encoding="utf-8") as fh:
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
     def get(section, key, cast=str):
         """section.key converted by cast, or None when absent or blank."""

@@ -21,6 +21,7 @@ from .combine import CombinerResult, run_combiner, single_model_result
 from .core import (
     ConfigError,
     DataFormatError,
+    DegeneracyError,
     ForecastSeries,
     InputError,
     NoiseConfig,
@@ -29,7 +30,7 @@ from .core import (
     _check_alignment,
     default_sigma_obs,
 )
-from .dataio import FILTER_METHODS, METHODS, RunConfig, _write_rows, read_table, write_table
+from .dataio import FILTER_METHODS, METHODS, RunConfig, _decoding, _write_rows, read_table, write_table
 from .filtering import FilterOutput, ParticleFilter
 from .latent import LatentMode
 from .metrics import dm_test, loss_series
@@ -285,7 +286,7 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
     os.makedirs(cfg.out_dir, exist_ok=True)
     chunks = np.array_split(np.arange(len(cfg.horizons)), min(tune._cpus(), len(cfg.horizons)))
     with contextlib.ExitStack() as stack:  # closes every chunk's files
-        temporary = functools.partial(tempfile.TemporaryFile, "w+", newline="", dir=cfg.out_dir)
+        temporary = functools.partial(tempfile.TemporaryFile, "w+", newline="", encoding="utf-8", dir=cfg.out_dir)
         files = [{name: stack.enter_context(temporary()) for name in TABLE_HEADERS} for _ in chunks]
 
         def run_chunk(job: tuple) -> list[tuple]:
@@ -304,7 +305,7 @@ def run_experiment(cfg: RunConfig, obs: ObservationSeries, panel: PredictorPanel
             if name not in written:
                 continue
             paths[name] = os.path.join(cfg.out_dir, name)
-            with open(paths[name], "w", newline="") as fh:
+            with open(paths[name], "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerow(header)
                 fh.flush()
                 for part in (out[name] for out in files):
@@ -323,7 +324,9 @@ def run_grid_search(
     obs: ObservationSeries,
     panel: PredictorPanel,
 ) -> tuple[np.ndarray, list]:
-    """Two-stage (or one-stage) initialization search minimizing CRPS."""
+    """Two-stage (or one-stage) initialization search minimizing CRPS.  A
+    search in which every point failed (scored inf) has no best point and
+    raises DegeneracyError."""
     _check_alignment(obs, panel)
     noise = _noise_config(cfg, obs, panel)
     horizon = min(cfg.horizons)
@@ -345,7 +348,10 @@ def run_grid_search(
         eval_window=window,
         variable=variable,
     )
-    return grid_search(grid, runner, seed=cfg.seed)
+    best, surface = grid_search(grid, runner, seed=cfg.seed)
+    if all(v == np.inf for _, _, v in surface):
+        raise DegeneracyError(f"all {len(surface)} grid points failed, so the search has no best point")
+    return best, surface
 
 
 def _load_forecast_dir(directory: str, obs: ObservationSeries) -> dict[int, ForecastSeries]:
@@ -418,7 +424,7 @@ def build_report(score_files: list[str]) -> tuple[list[str], list[list]]:
     model_order: list[str] = []
     combiner_order: list[str] = []
     for path in score_files:
-        with open(path, newline="") as fh:
+        with _decoding(path, DataFormatError), open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             missing = [c for c in REPORT_COLUMNS if c not in (reader.fieldnames or [])]
             if missing:
