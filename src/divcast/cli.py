@@ -185,14 +185,14 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command and return its exit code.  The process is the
-    command's own, so no OpenSSL is loaded in it unless it already was."""
-    # numpy.random imports secrets, whose hmac and hashlib load OpenSSL's
+    """Run one command and return its exit code.  main owns its process, so
+    it keeps OpenSSL out of it; a library import of divcast does not."""
+    # numpy.random imports secrets, whose hmac and hashlib map OpenSSL's
     # libcrypto through _hashlib: about 3.4 MB of a command's peak memory.
-    # numpy needs secrets only to seed a SeedSequence made without entropy,
-    # and every stream here comes from rng.substream.  Without _hashlib,
-    # hashlib and hmac use CPython's built-in digests, which give the same
-    # digests.  An entry already in sys.modules, a loaded _hashlib, is kept.
+    # numpy uses secrets only to seed a SeedSequence made without entropy,
+    # which divcast never makes (every stream comes from rng.substream).
+    # Without _hashlib both use CPython's built-in digests; setdefault keeps
+    # a _hashlib the process has already loaded.
     sys.modules.setdefault("_hashlib", None)
     args = _build_parser().parse_args(argv)
     try:

@@ -127,6 +127,29 @@ class TestRun:
         cfg, _ = write_config(tmp_path, observations=str(tmp_path / "absent.csv"))
         assert main(["run", "--config", cfg]) == 4
 
+    def test_config_directory_exit_4(self, tmp_path, capsys):
+        # ConfigParser.read skips a file it cannot open, and the run then
+        # stopped on the missing [data] section instead
+        for command in ("run", "gridsearch"):
+            assert main([command, "--config", str(tmp_path)]) == 4
+            assert "Is a directory" in capsys.readouterr().err
+
+    def test_undecodable_config_exit_2(self, tmp_path, capsys):
+        cfg, out_dir = write_config(tmp_path, method="dtvw\xff")
+        Path(cfg).write_bytes(Path(cfg).read_text().encode("latin-1"))
+        for command in ("run", "gridsearch"):
+            assert main([command, "--config", cfg]) == 2
+            assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
+
+    def test_undecodable_observations_exit_2(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_bytes(b"t,variable,value\n1,infl,0.1\n1,gr\xffowth,0.2\n")
+        cfg, out_dir = write_config(tmp_path, observations=str(obs))
+        assert main(["run", "--config", cfg]) == 2
+        assert f"{obs}: not UTF-8 text" in capsys.readouterr().err
+        assert not os.path.exists(out_dir)
+
     def test_malformed_data_exit_2(self, tmp_path):
         obs = tmp_path / "obs.csv"
         obs.write_text("t,variable,value\n1,y,0.1\n1,y,0.2\n")
@@ -173,6 +196,8 @@ class TestRun:
             {"method": "dtvw", "extra": "[gridsearch]\nstage2_step = -1\n"},
             {"method": "dtvw", "extra": "[noise]\nsigma_obs = -1\n"},
             {"method": "dtvw", "extra": "[noise]\nsigma_obs = 0\n"},
+            {"method": "dtvw", "extra": "[noise]\nsigma_obs = 1e200\n"},
+            {"method": "dtvw", "extra": "[noise]\nsigma_obs = 1, 1e-200\n"},
             {"method": "dtvw", "extra": "[noise]\nsigma_x = -1\n"},
             {"method": "dtvw", "extra": "[noise]\nsigma_alpha = nan\n"},
             {"method": "dtvw", "extra": "[gridsearch]\nstage1 = 0, inf, 1\n"},
@@ -207,7 +232,8 @@ class TestRun:
         ids=[
             "unparsable_int", "one_pred_draw", "baseline_bma_roll_without_window",
             "negative_grid_particles", "one_eval_draw", "negative_stage2_step",
-            "negative_sigma_obs", "zero_sigma_obs", "negative_sigma_x", "nan_sigma_alpha",
+            "negative_sigma_obs", "zero_sigma_obs", "overflowing_sigma_obs_square",
+            "underflowing_sigma_obs_square", "negative_sigma_x", "nan_sigma_alpha",
             "infinite_stage1", "nan_stage1", "nan_stage2_step", "infinite_stage2_step",
             "nan_stage2_bounds", "unindexable_stage1", "negative_x0_spread", "nan_x0_spread",
             "nan_alpha0", "huge_stage1", "huge_stage2", "repeated_horizon", "horizon_repeated_later",
@@ -408,9 +434,10 @@ class TestGridsearch:
         assert not os.path.exists(os.path.join(out_dir, "surface.csv"))
 
 
-def write_degenerate_inputs(tmp_path, problem):
-    """The degenerate_problem fixture as files, and a two-stage search config:
-    alpha1 <= 0 fails at every lattice point, alpha1 = 4 at none."""
+def write_degenerate_inputs(tmp_path, problem, grid="stage1 = -4, 4, 4\nstage2_step = 1\n"):
+    """The degenerate_problem fixture as files, and a search config, by
+    default of two stages: alpha1 <= 0 fails at every lattice point,
+    alpha1 = 4 at none."""
     obs, panel, _ = problem
     save_observations(obs, str(tmp_path / "obs.csv"))
     save_panel(panel, str(tmp_path / "panel.csv"))
@@ -422,7 +449,7 @@ def write_degenerate_inputs(tmp_path, problem):
         n_particles=256,
         extra=(
             "[noise]\nsigma_obs = 1e-154\n\n[dtvw]\nx0_spread = 5\n\n"
-            "[gridsearch]\nstage1 = -4, 4, 4\nstage2_step = 1\neval_draws = 5\n"
+            f"[gridsearch]\n{grid}eval_draws = 5\n"
         ),
     )
 
@@ -448,6 +475,16 @@ class TestGridWorkers:
         assert [r[2] == "inf" for r in rows[:9]] == [True] * 6 + [False] * 3
         assert len(rows) == 9 + 21
         assert surfaces[1] == surfaces[0] and surfaces[2] == surfaces[0]
+
+    def test_every_point_failed_exit_3(self, tmp_path, capsys, degenerate_problem):
+        # alpha1 in {-4, 0}: no point has a CRPS, so there is no best point
+        grid = "stage1 = -4, 0, 4\nstage2_step = none\n"
+        cfg, out_dir = write_degenerate_inputs(tmp_path, degenerate_problem, grid)
+        assert main(["gridsearch", "--config", cfg]) == 3
+        out, err = capsys.readouterr()
+        assert "best" not in out
+        assert "all 4 grid points failed" in err
+        assert not os.path.exists(os.path.join(out_dir, "surface.csv"))
 
     def test_lost_worker_exit_4(self, tmp_path, monkeypatch, capsys, forked, degenerate_problem):
         parent, run_block = os.getpid(), ParticleFilter.run_block
@@ -644,6 +681,13 @@ class TestScoreReport:
         assert message in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "report.csv")
 
+    def test_undecodable_score_file_exit_2(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(b"method,kind,horizon,variable,rmsfe,ls,crps\nM\xff1,model,1,y,1.0,-1.0,0.5\n")
+        assert main(["report", str(scores), "--out", str(tmp_path / "report.csv")]) == 2
+        assert f"{scores}: not UTF-8 text" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "report.csv")
+
     def test_target_past_the_observations_exit_2(self, tmp_path, capsys):
         # the fixture run forecasts targets 1..120; the observations end at 100
         cfg, out_dir = write_config(tmp_path)
@@ -768,6 +812,56 @@ class TestStartup:
             outputs[threads] = {name: (Path(out_dir) / name).read_bytes() for name in sorted(os.listdir(out_dir))}
         assert "scores.csv" in outputs[None]
         assert outputs["2"] == outputs[None]
+
+    def test_commands_load_no_openssl(self, tmp_path):
+        # numpy.random's secrets, hmac and hashlib would load OpenSSL's
+        # libcrypto (3.4 MB resident) through _hashlib; main blocks it, and
+        # hashlib falls back to CPython's built-in digests without a word
+        cfg, out_dir = write_config(
+            tmp_path,
+            observations="observations.csv",
+            panel="panel.csv",
+            method="dtvw",
+            n_particles=20,
+            n_pred_draws=20,
+            extra="[gridsearch]\nstage1 = -2, 2, 2\nstage2_step = none\neval_draws = 2\n",
+        )
+        code = textwrap.dedent(f"""
+            import sys
+            from divcast import tune
+            from divcast.cli import main
+            tune._cpus = lambda: 2
+            commands = [
+                ["simulate", "--design", "complete_ar", "--length", "15", "--draws", "2", "--out-dir", "."],
+                ["gridsearch", "--config", {cfg!r}],
+                ["run", "--config", {cfg!r}],
+                ["score", "--observations", "observations.csv", "--run", "dtvw={out_dir}", "--out", "scored.csv"],
+                ["report", "scored.csv", "--out", "report.csv"],
+            ]
+            for argv in commands:
+                assert main(argv) == 0, argv[0]
+                assert sys.modules.get("_hashlib") is None, argv[0]
+        """)
+        result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert (tmp_path / "report.csv").exists()
+
+    def test_a_library_import_keeps_openssl(self):
+        # only main owns its process; a host program that imports divcast
+        # keeps OpenSSL-only functions such as hashlib.scrypt
+        pytest.importorskip("_hashlib")
+        code = textwrap.dedent("""
+            import sys, types
+            import divcast.cli
+            from divcast.rng import substream
+            substream(1, "filter").normal()
+            import hashlib
+            assert isinstance(sys.modules["_hashlib"], types.ModuleType)
+            assert hasattr(hashlib, "scrypt")
+        """)
+        result = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     def test_no_command_needs_scipy(self, tmp_path):
         # with scipy unimportable, run (DM against a bma baseline over the

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,16 @@ class TestDomainTypes:
                 NoiseConfig(np.array([1.0]), sigma_alpha=bad)
         cfg = NoiseConfig([1.0, 2.0])
         assert cfg.sigma_obs.shape == (2,)
+
+    def test_noise_config_needs_a_finite_nonzero_variance(self):
+        # the likelihood divides by sigma_obs squared; 1e-154's square is a
+        # subnormal 1e-308, still above 0
+        for bad in (1e200, 1e-200, -1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError):
+                    NoiseConfig([1.0, bad])
+        assert NoiseConfig([1e-154]).sigma_obs[0] == 1e-154
 
 
 class TestSigmaCalibration:
