@@ -7,6 +7,7 @@ tables can mix models and combiners.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .core import (
     _check_alignment,
 )
 from .filtering import _gaussian_logpdf, _mixture_log_predictives, systematic_resample
+from .metrics import crps_series
 from .rng import substream
 
 VAR_FLOOR = 1e-8
@@ -99,6 +101,7 @@ def run_combiner(
     fallback_sigma: float = 0.1,
     n_pred_draws: int = 1000,
     seed: int = 0,
+    on_draws: Callable[[int, np.ndarray], None] | None = None,
 ) -> CombinerResult:
     """Run one of the baselines: 'equal', 'bma' or 'bma_roll'.
 
@@ -106,7 +109,9 @@ def run_combiner(
     target s, for s in h..T, mixes the Gaussian-fitted panel cells with the
     weight row at s-h+1 (information through s-h), scored as a mixture of the
     models (_mixture_log_predictives).  Equal weighting pools every model's
-    draws; BMA resamples models by their weights."""
+    draws; BMA resamples models by their weights.  Each target's (J, L)
+    draws are scored (CRPS) as they are made, passed to on_draws(s, draws)
+    when it is given, in target order, and dropped."""
     T, K, L = obs.n_steps, panel.n_models, panel.n_vars
     _check_alignment(obs, panel)
     if method not in ("equal", "bma", "bma_roll"):
@@ -127,18 +132,20 @@ def run_combiner(
     with np.errstate(divide="ignore"):
         logw = np.where(w > 0, np.log(w), -np.inf)
     log_pred, log_pred_marginal = _mixture_log_predictives(logw, marginal[targets - 1])
-    if method == "equal":
-        # Pooled draws across models: the exact equal-weight mixture sample.
-        block = panel.draws[targets - 1, :, :, horizon - 1, :]  # (S, K, L, D)
-        draws = np.moveaxis(block, 3, 2).reshape(len(targets), K * panel.n_draws, L)
-    else:
-        rng = substream(seed, "combine")
-        draws = np.empty((len(targets), n_pred_draws, L))
-        for i, s in enumerate(targets):
+    rng = None if method == "equal" else substream(seed, "combine")
+    crps = np.empty((len(targets), L))
+    for i, s in enumerate(targets.tolist()):
+        if method == "equal":
+            # Pooled draws across models: the exact equal-weight mixture sample.
+            draws = np.moveaxis(panel.draws[s - 1, :, :, horizon - 1], 2, 1).reshape(K * panel.n_draws, L)
+        else:
             models = systematic_resample(w[i], rng, n=n_pred_draws)
             d = rng.integers(0, panel.n_draws, size=n_pred_draws)
-            draws[i] = panel.draws[s - 1, models, :, horizon - 1, d]
-    forecasts = ForecastSeries(horizon, targets, point, log_pred, log_pred_marginal, draws)
+            draws = panel.draws[s - 1, models, :, horizon - 1, d]  # (J, L)
+        crps[i] = crps_series(draws.T, obs.values[s - 1])
+        if on_draws is not None:
+            on_draws(s, draws)
+    forecasts = ForecastSeries(horizon, targets, point, log_pred, log_pred_marginal, crps)
     return CombinerResult(method, np.repeat(weight_rows[:, :, None], L, axis=2), forecasts)
 
 
@@ -152,15 +159,18 @@ def single_model_result(
     """Panel model k (1-based) through the combiner interface: weight one on
     k, and the forecasts of its own cells of the panel at the horizon (the
     Gaussian-fitted log predictives of model_log_predictive_matrix, fitted
-    to model k's cells only)."""
+    to model k's cells only, and the CRPS of its cells' draws, NaN for a
+    panel of one draw per cell)."""
     _check_alignment(obs, panel)
     if not 1 <= k <= panel.n_models:
         raise InputError(f"model index {k} outside 1..{panel.n_models}")
     targets = np.arange(horizon, obs.n_steps + 1)
     cells = (targets - 1, k - 1, slice(None), horizon - 1)
     point, draws = panel._means[cells], panel.draws[cells]  # (S, L) and (S, L, D)
-    marginal = _fit_cells(draws, point, obs.values[targets - 1], fallback_sigma)
-    forecasts = ForecastSeries(horizon, targets, point, marginal.sum(axis=1), marginal, np.moveaxis(draws, 2, 1))
+    y = obs.values[targets - 1]
+    marginal = _fit_cells(draws, point, y, fallback_sigma)
+    crps = crps_series(draws, y) if panel.n_draws >= 2 else np.full_like(point, np.nan)
+    forecasts = ForecastSeries(horizon, targets, point, marginal.sum(axis=1), marginal, crps)
     weights = np.zeros((obs.n_steps, panel.n_models, obs.n_vars))
     weights[:, k - 1] = 1.0
     return CombinerResult(panel.model_names[k - 1], weights, forecasts)

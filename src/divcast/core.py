@@ -171,9 +171,12 @@ class ForecastSeries:
     """Out-of-sample forecasts of one method at one horizon.
 
     targets are ascending 1-based target-time indices; point is (S, L);
-    draws is (S, J, L) equally weighted predictive samples; log_pred is the
-    joint log predictive density at the realized outcome, log_pred_marginal
-    the per-variable marginals.
+    log_pred is the joint log predictive density at the realized outcome,
+    log_pred_marginal the per-variable marginals, and crps (S, L) the
+    sample CRPS of each target's equally weighted predictive draws at the
+    realized outcome.  The draws are scored where they are made and not
+    kept; a caller that wants them passes the maker a per-target function
+    (ParticleFilter.run_block, run_combiner).
     """
 
     horizon: int
@@ -181,7 +184,7 @@ class ForecastSeries:
     point: np.ndarray
     log_pred: np.ndarray
     log_pred_marginal: np.ndarray
-    draws: np.ndarray
+    crps: np.ndarray
 
 
 def _check_alignment(obs: ObservationSeries, panel: PredictorPanel) -> None:

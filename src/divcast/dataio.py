@@ -76,7 +76,7 @@ def read_table(
     codes: list[dict] = [{} for _ in names]
     parts: list[list[np.ndarray]] = [[] for _ in names]
     n = 0
-    with _decoding(path, DataFormatError), open(path, newline="", encoding="utf-8") as fh:
+    with _decoding(path, DataFormatError), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != names:
@@ -160,7 +160,7 @@ def _parse_column(col: tuple, kind, path: str, start: int, name: str, finite: bo
 
 def _line_of(path: str, record: int) -> int:
     """File line of the 0-based data record (blank lines are not records)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         lines = (reader.line_num for row in reader if row)
@@ -229,19 +229,41 @@ def _write_rows(fh, blocks: list[tuple]) -> None:
     viewed in the labels' shape and each head's row read from it, so a
     strided block (the transposed draws) is never copied whole.
     """
-    parts = []  # (heads, their indices, last label's cells, one label-shaped array per value column)
-    for labels, *values in blocks:
-        *outer, inner = [list(map(_label_cell, axis)) for axis in labels]
-        heads = list(map("".join, itertools.product(*outer)))
-        shape = [len(axis) for axis in labels]
-        # np.reshape raises ValueError when a value's size is not the labels'
-        parts.append((heads, np.ndindex(*shape[:-1]), inner, [np.reshape(v, shape) for v in values]))
-    for heads, indices, inner, cols in parts:
-        for head, index in zip(heads, indices):
-            cells = map(",".join, zip(*(map(repr, col[index].tolist()) for col in cols)))
-            # joining on the line break plus the head puts the head before every row
-            fh.write(head + ("\r\n" + head).join(map(operator.add, inner, cells)) + "\r\n")
+    parts = [_block([list(map(_label_cell, axis)) for axis in labels], values) for labels, *values in blocks]
+    for part in parts:
+        _write_block(fh, *part)
     fh.flush()
+
+
+def _block_writer(fh, labels: list):
+    """write(first, *values) writes the rows of the block
+    ``([[first], *labels], *values)`` as _write_rows does, without a flush.
+    The cells of ``labels`` are quoted once, for every block written, so a
+    run writes one target's draws at a time and quotes the draw indices
+    once per horizon."""
+    cells = [list(map(_label_cell, axis)) for axis in labels]
+
+    def write(first, *values) -> None:
+        _write_block(fh, *_block([[_label_cell(first)], *cells], values))
+
+    return write
+
+
+def _block(cells: list[list[str]], values) -> tuple:
+    """A block's heads, their indices, the last label's cells, and one
+    label-shaped view of each value array, from the label axes' cells."""
+    *outer, inner = cells
+    shape = [len(axis) for axis in cells]
+    heads = list(map("".join, itertools.product(*outer)))
+    # np.reshape raises ValueError when a value's size is not the labels'
+    return heads, np.ndindex(*shape[:-1]), inner, [np.reshape(v, shape) for v in values]
+
+
+def _write_block(fh, heads, indices, inner, cols) -> None:
+    for head, index in zip(heads, indices):
+        cells = map(",".join, zip(*(map(repr, col[index].tolist()) for col in cols)))
+        # joining on the line break plus the head puts the head before every row
+        fh.write(head + ("\r\n" + head).join(map(operator.add, inner, cells)) + "\r\n")
 
 
 def _label_cell(label) -> str:
@@ -352,7 +374,7 @@ def load_config(path: str, overrides: dict | None = None, search: bool = False) 
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     # ConfigParser.read would skip a file that cannot be opened, a directory say
-    with _decoding(path, ConfigError), open(path, encoding="utf-8") as fh:
+    with _decoding(path, ConfigError), open(path, encoding="utf-8-sig") as fh:
         try:
             parser.read_file(fh)
         except configparser.Error as exc:

@@ -13,6 +13,7 @@ import functools
 import os
 import shutil
 import tempfile
+from collections.abc import Callable
 
 import numpy as np
 
@@ -30,10 +31,10 @@ from .core import (
     _check_alignment,
     default_sigma_obs,
 )
-from .dataio import FILTER_METHODS, METHODS, RunConfig, _decoding, _write_rows, read_table, write_table
+from .dataio import FILTER_METHODS, METHODS, RunConfig, _block_writer, _decoding, _write_rows, read_table, write_table
 from .filtering import FilterOutput, ParticleFilter
 from .latent import LatentMode
-from .metrics import dm_test, loss_series
+from .metrics import crps_series, dm_test, loss_series, percentiles
 from .rng import substream
 from .tune import GridSpec, grid_search, make_crps_runner
 
@@ -59,11 +60,13 @@ def run_method(
     noise: NoiseConfig,
     rng_role: str = "filter",
     bands: bool = True,
+    on_draws: Callable[[int, np.ndarray], None] | None = None,
 ) -> FilterOutput | CombinerResult:
     """Run one combination method at one horizon: a filter run for the
     filter methods, whose steps score their own forecasts, with the weight
     and coefficient bands read from each step's state only if asked; a
-    combiner result for the others."""
+    combiner result for the others.  Either passes each target's (J, L)
+    predictive draws to on_draws(target, draws) when it is given."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
     if method in FILTER_METHODS:
@@ -83,6 +86,7 @@ def run_method(
             rng,
             x0_spread=cfg.x0_spread,
             bands=bands,
+            on_draws=on_draws,
         )
     return run_combiner(
         method,
@@ -93,6 +97,7 @@ def run_method(
         fallback_sigma=cfg.fallback_sigma,
         n_pred_draws=cfg.n_pred_draws,
         seed=cfg.seed,
+        on_draws=on_draws,
     )
 
 
@@ -115,6 +120,8 @@ FORECAST_COLUMNS = (
     ("hi95", float),
 )
 DRAWS_COLUMNS = (("target", int), ("horizon", int), ("variable", str), ("draw", int), ("value", float))
+# forecast.csv's lo95, median and hi95: percentiles of each target's draws.
+QUANTILES = (2.5, 50.0, 97.5)
 # Each score: its column, its loss_series key and the map from the mean
 # loss over the evaluated targets to the score.
 METRICS = (("rmsfe", "sq_err", np.sqrt), ("ls", "neg_log_pred", float), ("crps", "crps", float))
@@ -185,12 +192,14 @@ def _run_horizon(
     configured horizon runs its filter with bands and writes rows of the
     weight and coefficient tables.
 
-    Each forecast block is scored as soon as it is made, and only its
-    loss_series is kept.  A baseline method runs, is scored and is dropped
-    before the main method runs, so the horizon never holds two methods'
-    predictive draws at once; every method draws from its own substream,
-    so the order changes no output.  The models' panel forecasts are scored
-    after the methods have run."""
+    Every method scores each target's predictive draws as they are made,
+    and each forecast block is scored (loss_series) as soon as it is made;
+    only the losses are kept.  The main method's draws go, one target at a
+    time, to a function that takes their quantiles and writes their
+    draws.csv rows, so the horizon holds one target's draws at a time.  A
+    baseline method runs and is scored before the main method runs; every
+    method draws from its own substream, so the order changes no output.
+    The models' panel forecasts are scored after the methods have run."""
     K = panel.n_models
     names = obs.variable_names
     base_runs = []
@@ -201,10 +210,21 @@ def _run_horizon(
     else:
         base_fs = run_method(baseline, obs, panel, cfg, horizon, noise, rng_role="baseline", bands=False).forecasts
         base_runs.append((baseline, "combiner", loss_series(base_fs, obs, window)))
-        del base_fs  # its draws go before the main method's are made
         base = K + 1
+
+    # Forecasts, predictive-draw quantiles and draws cover all targets;
+    # the evaluation window only restricts scoring.
+    quantiles = np.empty((len(QUANTILES), obs.n_steps - horizon + 1, obs.n_vars))
+    # One writer per draw count, which quotes the draw indices once.
+    draws_writer = functools.cache(lambda J: _block_writer(files["draws.csv"], [[horizon], names, range(1, J + 1)]))
+
+    def take(target: int, draws: np.ndarray) -> None:
+        quantiles[:, target - horizon] = percentiles(draws, QUANTILES)
+        if cfg.emit_draws:
+            draws_writer(len(draws))(target, draws.T)
+
     is_lead = horizon == min(cfg.horizons)
-    main = run_method(cfg.method, obs, panel, cfg, horizon, noise, bands=is_lead)
+    main = run_method(cfg.method, obs, panel, cfg, horizon, noise, bands=is_lead, on_draws=take)
     runs = [
         (r.method, "model", loss_series(r.forecasts, obs, window))
         for r in (single_model_result(obs, panel, k, horizon, cfg.fallback_sigma) for k in range(1, K + 1))
@@ -218,16 +238,11 @@ def _run_horizon(
         for row in _score_rows(horizon, run_losses, None if name == base_name else base_losses, obs)
     ]
 
-    # Forecasts, predictive-draw quantiles and draws cover all targets;
-    # the evaluation window only restricts scoring.  The quantiles are
-    # taken one variable at a time, so the draws block is not copied whole.
     fs = main.forecasts
     targets = fs.targets.tolist()
-    q = np.stack([np.percentile(fs.draws[:, :, l], [2.5, 50.0, 97.5], axis=1) for l in range(obs.n_vars)], axis=-1)
-    tables = {"forecast.csv": [([targets, [horizon], names], fs.point, fs.log_pred_marginal, *q)]}
+    tables = {"forecast.csv": [([targets, [horizon], names], fs.point, fs.log_pred_marginal, *quantiles)]}
     if cfg.emit_draws:
-        draw_ids = range(1, fs.draws.shape[1] + 1)
-        tables["draws.csv"] = [([targets, [horizon], names, draw_ids], fs.draws.transpose(0, 2, 1))]
+        tables["draws.csv"] = []  # its rows are written; _write_rows flushes them
 
     # Cumulative log-score differences vs the baseline over the window.
     main_l = runs[K][2]
@@ -355,7 +370,8 @@ def run_grid_search(
 
 
 def _load_forecast_dir(directory: str, obs: ObservationSeries) -> dict[int, ForecastSeries]:
-    """Rebuild per-horizon forecast blocks from an emitted run directory.
+    """Rebuild per-horizon forecast blocks from an emitted run directory,
+    each target's CRPS scored from its draws.csv rows.
 
     Joint log predictives are not recoverable from the per-variable files,
     so file-based scoring reports marginal log scores only.
@@ -383,7 +399,7 @@ def _load_forecast_dir(directory: str, obs: ObservationSeries) -> dict[int, Fore
             point=f_values[rows, h - 1, :, 0],
             log_pred=np.full(len(rows), np.nan),
             log_pred_marginal=f_values[rows, h - 1, :, 1],
-            draws=d_values[rows, h - 1, :, :, 0].transpose(0, 2, 1),
+            crps=crps_series(d_values[rows, h - 1, :, :, 0], obs.values[rows]),
         )
     return out
 
@@ -424,7 +440,7 @@ def build_report(score_files: list[str]) -> tuple[list[str], list[list]]:
     model_order: list[str] = []
     combiner_order: list[str] = []
     for path in score_files:
-        with _decoding(path, DataFormatError), open(path, newline="", encoding="utf-8") as fh:
+        with _decoding(path, DataFormatError), open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             missing = [c for c in REPORT_COLUMNS if c not in (reader.fieldnames or [])]
             if missing:

@@ -33,9 +33,12 @@ reads that path.
 A step given its forecast's realized target scores its own particle
 mixture with _mixture_log_predictives, run_combiner's kernel too, from the
 log densities of its (L, P, N) particle means and its (P, N) log prior
-weights, which die inside the step.  run_block writes every step's entries
-into outputs made before the first step, so a run holds the cloud, its
-scratch and the outputs, and nothing of the size steps x particles.
+weights, which die inside the step.  run_block scores each step's (P, J, L)
+predictive draws at their target (crps_series), hands them to the caller's
+per-target function, if any, and drops them.  It writes every step's
+entries into outputs made before the first step, so a run holds the cloud,
+its scratch and the outputs, and nothing of the size steps x particles or
+steps x draws.
 
 A step advances the block's state in place.  The state carries one scratch
 array the size of the latent cloud x and one the size of the coefficient
@@ -53,6 +56,7 @@ another layout in its last bits.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -76,6 +80,7 @@ from .latent import (
     init_particles,
     propagate_cloud,
 )
+from .metrics import crps_series
 from .rng import substream
 
 BAND_LO = 0.025
@@ -246,7 +251,7 @@ class FilterOutput:
     path and resample flags, the one-step log predictives (T,), and the
     out-of-sample forecast block at the run's horizon.  A run without bands
     leaves the six band fields as None, and one whose steps score nothing
-    the forecasts' point and log predictives; the draws are always there."""
+    the forecasts' point and log predictives; the CRPS is always there."""
 
     horizon: int
     weights_mean: np.ndarray | None
@@ -288,8 +293,8 @@ class ParticleFilter:
             raise InputError(
                 f"sigma_obs has {len(cfg.sigma_obs)} entries for {panel.n_vars} variables"
             )
-        if n_pred_draws < 1:
-            raise InputError("need at least one predictive draw")
+        if n_pred_draws < 2:
+            raise InputError("need at least two predictive draws: each target's CRPS is scored as they are made")
         self.panel = panel
         self.mode = mode
         self.cfg = cfg
@@ -451,9 +456,13 @@ class ParticleFilter:
         rng: np.random.Generator,
         x0_spread: float = 0.0,
         bands: bool = True,
+        on_draws: Callable[[int, np.ndarray], None] | None = None,
     ) -> FilterOutput:
-        """Filter one point: the block run with P = 1."""
-        return self.run_block(obs, n_particles, np.asarray(alpha0, dtype=float)[None], rng, x0_spread, bands=bands)[0]
+        """Filter one point: the block run with P = 1, whose on_draws gets
+        each target's (J, L) draws."""
+        each = None if on_draws is None else lambda s, draws: on_draws(s, draws[0])
+        alpha0 = np.asarray(alpha0, dtype=float)[None]
+        return self.run_block(obs, n_particles, alpha0, rng, x0_spread, bands=bands, on_draws=each)[0]
 
     def run_block(
         self,
@@ -464,6 +473,7 @@ class ParticleFilter:
         x0_spread: float = 0.0,
         summaries: bool = True,
         bands: bool = True,
+        on_draws: Callable[[int, np.ndarray], None] | None = None,
     ) -> list[FilterOutput]:
         """Filter a block of P points at once, point p starting from
         alpha0[p] (a (P, 3) array), every point drawing from rng; returns
@@ -471,13 +481,16 @@ class ParticleFilter:
         Generator in rng's state.  Any point's failure raises for the whole
         block.  alpha0[p, 0] is point p's alpha0 mean and both band ends.
 
-        Steps 1..S, S = T - h + 1, emit the forecasts of targets h..T; with
-        summaries each step scores its own (at horizon one, its log
-        predictive is the update's one-step predictive), and with bands the
-        posterior bands are read from each step's state.  Every entry is
-        written into outputs made before the first step.  A panel longer
-        than the observations also emits forecasts after step S; their
-        targets are not observed, and they are dropped.
+        Steps 1..S, S = T - h + 1, emit the forecasts of targets h..T.
+        Each step's (P, J, L) predictive draws are scored at their target
+        (CRPS), passed to on_draws(target, draws) when it is given, and
+        dropped.  With summaries each step also scores its point and log
+        predictives (at horizon one, its log predictive is the update's
+        one-step predictive), and with bands the posterior bands are read
+        from each step's state.  Every entry is written into outputs made
+        before the first step.  A panel longer than the observations also
+        makes forecasts after step S; their targets are not observed, and
+        they are dropped unseen.
         """
         panel, h = self.panel, self.horizon
         T = obs.n_steps
@@ -490,7 +503,7 @@ class ParticleFilter:
 
         state = self.init_state(n_particles, alpha0[:, 1:], x0_spread, rng)
         P, S, K, L = len(alpha0), T - h + 1, panel.n_models, panel.n_vars
-        shapes = {"ess": (T,), "resampled": (T,), "one_step_log_pred": (T,), "draws": (S, self.n_pred_draws, L)}
+        shapes = {"ess": (T,), "resampled": (T,), "one_step_log_pred": (T,), "crps": (S, L)}
         if summaries:
             shapes |= {"point": (S, L), "log_pred": (S,), "log_pred_marginal": (S, L)}
         for stat in ("mean", "lo", "hi") if bands else ():
@@ -502,12 +515,18 @@ class ParticleFilter:
             out[key][..., 0] = alpha0[:, :1]
             dest[key] = out[key][..., 1:]
         for t, y_t in enumerate(obs.values, start=1):
-            state, record = self.step(state, y_t, obs.values[t + h - 2] if summaries and t <= S else None)
+            y_target = obs.values[t + h - 2] if t <= S else None
+            state, record = self.step(state, y_t, y_target if summaries else None)
+            draws = record.pop("draws", None)
+            if y_target is not None:
+                record["crps"] = crps_series(np.moveaxis(draws, 1, -1), y_target)
+                if on_draws is not None:
+                    on_draws(t + h - 1, draws)
+            del draws
             if bands:
                 record |= self._bands(state)
             for key, value in record.items():
-                if t <= S or key != "draws":
-                    dest[key][:, t - 1] = value
+                dest[key][:, t - 1] = value
         targets = np.arange(h, T + 1)
 
         def at(key, p):
@@ -518,7 +537,7 @@ class ParticleFilter:
                 h,
                 *(at(key, p) for key in _STEP_FIELDS),
                 forecasts=ForecastSeries(
-                    h, targets, at("point", p), at("log_pred", p), at("log_pred_marginal", p), out["draws"][p]
+                    h, targets, at("point", p), at("log_pred", p), at("log_pred_marginal", p), out["crps"][p]
                 ),
             )
             for p in range(P)
@@ -537,11 +556,13 @@ def run_filter(
     alpha0: np.ndarray = (0.0, 0.0, 0.0),
     x0_spread: float = 0.0,
     n_pred_draws: int = 1000,
+    on_draws: Callable[[int, np.ndarray], None] | None = None,
 ) -> FilterOutput:
     """Configure and run the filter; sigma_obs defaults to the calibrated
-    equal-weight residual scale when no NoiseConfig is given."""
+    equal-weight residual scale when no NoiseConfig is given.  on_draws, if
+    given, gets each target's (J, L) predictive draws (ParticleFilter.run)."""
     if cfg is None:
         cfg = NoiseConfig(default_sigma_obs(obs, panel))
     pf = ParticleFilter(panel, mode, cfg, horizon=horizon, kappa=kappa, n_pred_draws=n_pred_draws)
     rng = substream(seed, "filter")
-    return pf.run(obs, n_particles, np.asarray(alpha0, dtype=float), rng, x0_spread=x0_spread)
+    return pf.run(obs, n_particles, np.asarray(alpha0, dtype=float), rng, x0_spread=x0_spread, on_draws=on_draws)

@@ -20,23 +20,58 @@ from .core import ForecastSeries, InputError, ObservationSeries
 
 
 def crps_series(draws: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample CRPS per time step: draws (S, D) against outcomes (S,).
+    """Sample CRPS of each row of draws (..., D) against its outcome in ys
+    (...): mean|X - y| - 0.5 mean|X - X'|, with the sorted-form identity for
+    the pairwise term, in O(D log D).
 
-    Uses the sorted-form identity for the pairwise term, which equals the
-    kernel form mean|X - y| - 0.5 mean|X - X'| exactly, in O(D log D).
-    The sorted copy is the only (S, D) temporary: the pairwise term is
-    taken from it first, and |X - y| is then written into it.
+    The draws are sorted into a C-contiguous copy, the only (..., D)
+    temporary: the pairwise term is taken from it first, and |X - y| is then
+    written into it.  The pairwise term is einsum's own loop, not a BLAS
+    product, and every row is summed alone over contiguous memory, so a
+    row's CRPS has the same bits whatever rows share the call and whatever
+    the layout of draws: a target scores the same in a block, alone, or in
+    a step of the filter.
     """
-    draws = np.asarray(draws, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    srt = np.sort(draws, axis=1)
-    D = srt.shape[1]
+    srt = np.array(draws, dtype=float, order="C")
+    srt.sort(axis=-1)
+    D = srt.shape[-1]
     if D < 2:
         raise InputError("CRPS needs at least two draws")
     coeff = 2.0 * np.arange(1, D + 1) - D - 1
-    pairwise = 2.0 * (srt @ coeff)  # sum_{i,j} |x_i - x_j| for sorted x, i 1-based
-    term1 = np.mean(np.abs(np.subtract(srt, ys[:, None], out=srt), out=srt), axis=1)
+    pairwise = 2.0 * np.einsum("...j,j->...", srt, coeff)  # sum_{i,j} |x_i - x_j| for sorted x, i 1-based
+    ys = np.asarray(ys, dtype=float)[..., None]
+    term1 = np.mean(np.abs(np.subtract(srt, ys, out=srt), out=srt), axis=-1)
     return term1 - 0.5 * pairwise / (D * D)
+
+
+def percentiles(draws: np.ndarray, q: tuple[float, ...]) -> np.ndarray:
+    """np.percentile(draws, q, axis=0) of draws (J, ...) by numpy's default
+    linear rule, bit for bit: (len(q), ...).
+
+    Percentile p takes the order statistics at i = floor((J-1) p/100) and
+    i + 1 and combines them as numpy's _lerp does, a + (b - a) g, or
+    b - (b - a)(1 - g) where g >= 0.5, with g = (J-1) p/100 - i.  The order
+    statistics come from numpy's own partition of a copy, at the positions
+    np.percentile asks for, so even ties of -0.0 and 0.0 fall alike, and a
+    column holding a NaN gives its largest value, a NaN, as numpy does.
+    np.percentile itself would load numpy.ma (through np.unique) into every
+    process that takes forecast quantiles.
+    """
+    last = len(draws) - 1
+    picks = []  # (i, i + 1, g) per percentile; numpy takes index -1 twice past the end
+    for p in q:
+        virtual = last * (p / 100)
+        i = -1 if virtual >= last else math.floor(virtual)
+        picks.append((i, -1 if i < 0 else i + 1, virtual - i))
+    part = np.array(draws, dtype=float)
+    part.partition(sorted({0, -1, *(k for i, j, _ in picks for k in (i, j))}), axis=0)
+    out = np.empty((len(q), *part.shape[1:]))
+    for row, (i, j, gamma) in zip(out, picks):
+        a, b = part[i], part[j]
+        diff = b - a
+        row[...] = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+    np.copyto(out, part[-1], where=np.isnan(part[-1]))
+    return out
 
 
 def _t_two_sided(stat: float, df: int) -> float:
@@ -145,8 +180,9 @@ def loss_series(
     """Per-target loss paths used both for scoring and for DM comparisons.
 
     Returns per-variable squared errors, negative marginal log predictives
-    and CRPS values, plus the joint negative log predictive, restricted to
-    the evaluation window.
+    and CRPS values (the block's own, scored where its draws were made),
+    plus the joint negative log predictive, restricted to the evaluation
+    window.
     """
     rows = _eval_slice(fs.targets, window)
     targets = fs.targets[rows]
@@ -156,11 +192,10 @@ def loss_series(
     sq_err = (y - fs.point[rows]) ** 2
     neg_lp_marginal = -fs.log_pred_marginal[rows]
     neg_lp_joint = -fs.log_pred[rows]
-    crps = np.column_stack([crps_series(fs.draws[rows, :, l], y[:, l]) for l in range(obs.n_vars)])
     return {
         "targets": targets,
         "sq_err": sq_err,
         "neg_log_pred": neg_lp_marginal,
         "neg_log_pred_joint": neg_lp_joint,
-        "crps": crps,
+        "crps": fs.crps[rows],
     }

@@ -40,7 +40,9 @@ import numpy as np
 from .core import InputError, NoiseConfig, ObservationSeries, PredictorPanel, default_sigma_obs
 from .filtering import ParticleFilter
 from .latent import DTVW
-from .metrics import _eval_slice, crps_series
+# The filter scores its own draws, so nothing here calls crps_series; the
+# benchmark's tracer (perfbench/tracer.py) still wraps it as tune.crps_series.
+from .metrics import _eval_slice, crps_series  # noqa: F401
 from .rng import substream
 
 Axis = tuple[float, float, float]  # (lo, hi, step)
@@ -51,7 +53,10 @@ Axis = tuple[float, float, float]  # (lo, hi, step)
 # per-step overhead once, but hold more memory: a block's filter state and
 # its scratch hold two (K*L, points, particles) arrays and two (2, points,
 # particles) arrays, stored entry-major (see latent), so each step's
-# elementwise loops run over whole (points, particles) slabs.
+# elementwise loops run over whole (points, particles) slabs.  Its outputs
+# keep each point's (T, L) CRPS and not its (T, draws, L) predictive draws,
+# which every step scores and drops (see filtering), so the draw count adds
+# one step's draws to a block and nothing that grows with T.
 # On the nonlinear design (T = 100, 250 particles, K*L = 6, 193 points;
 # perfbench's grid_nonlinear, median of 10 alternating pairs against the
 # allocating step at 24,000 elements; 2-vCPU Xeon, numpy 2.4):
@@ -212,7 +217,9 @@ def make_crps_runner(
     """Objective factory: a reduced-cost diversity-driven filter run per
     point, scored by mean CRPS over the evaluation window (one variable, or
     the average).  A point whose filter run fails alone (a RuntimeError such
-    as degeneracy, or an InputError) scores +inf."""
+    as degeneracy, or an InputError) scores +inf.  The filter scores each
+    step's draws itself, so a block keeps (points, T, L) CRPS values and no
+    draws."""
     if cfg is None:
         cfg = NoiseConfig(default_sigma_obs(obs, panel))
     pf = ParticleFilter(panel, DTVW, cfg, horizon=horizon, kappa=kappa, n_pred_draws=eval_draws)
@@ -220,10 +227,8 @@ def make_crps_runner(
     cols = range(obs.n_vars) if variable is None else [variable]
 
     def score(fs) -> float:
-        rows = _eval_slice(fs.targets, eval_window)
-        y = obs.values[fs.targets[rows] - 1]
-        per_var = [crps_series(fs.draws[rows, :, l], y[:, l]).mean() for l in cols]
-        return float(np.mean(per_var))
+        crps = fs.crps[_eval_slice(fs.targets, eval_window)]
+        return float(np.mean([crps[:, l].mean() for l in cols]))
 
     def run_points(points: np.ndarray, seed: int) -> list[float]:
         alpha0 = np.column_stack([np.zeros(len(points)), points])

@@ -172,15 +172,34 @@ def crps_from_draws(draws: np.ndarray, y: float) -> float:
 
 
 def crps_series_allocating(draws: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """crps_series' expression with a new array for every step, including
-    |X - y| before the pairwise term: the bits the kernel, which reuses its
-    sorted copy, must reproduce."""
-    srt = np.sort(np.asarray(draws, dtype=float), axis=1)
-    D = srt.shape[1]
-    term1 = np.mean(np.abs(srt - np.asarray(ys, dtype=float)[:, None]), axis=1)
+    """crps_series' expression for draws (..., D) against ys (...), with a
+    new array for every step, including |X - y| before the pairwise term:
+    the bits the kernel, which reuses its sorted copy, must reproduce."""
+    srt = np.sort(np.ascontiguousarray(draws, dtype=float), axis=-1)
+    D = srt.shape[-1]
+    term1 = np.mean(np.abs(srt - np.asarray(ys, dtype=float)[..., None]), axis=-1)
     coeff = 2.0 * np.arange(1, D + 1) - D - 1
-    pairwise = 2.0 * (srt @ coeff)
+    pairwise = 2.0 * np.einsum("...j,j->...", srt, coeff)
     return term1 - 0.5 * pairwise / (D * D)
+
+
+class DrawsLog:
+    """An on_draws function that keeps a copy of every target's draws, in
+    the order given: targets (S,) and draws, the S arrays stacked."""
+
+    def __init__(self):
+        self.kept: list[tuple[int, np.ndarray]] = []
+
+    def __call__(self, target: int, draws: np.ndarray) -> None:
+        self.kept.append((target, draws.copy()))
+
+    @property
+    def targets(self) -> np.ndarray:
+        return np.array([target for target, _ in self.kept])
+
+    @property
+    def draws(self) -> np.ndarray:
+        return np.stack([draws for _, draws in self.kept])
 
 
 def bma_weights_loop(lp: np.ndarray, window: int | None = None) -> np.ndarray:
@@ -201,15 +220,18 @@ def bma_weights_loop(lp: np.ndarray, window: int | None = None) -> np.ndarray:
 def one_hot_mixture(obs, panel, k: int, horizon: int = 1, fallback_sigma: float = 0.1) -> ForecastSeries:
     """Model k's forecasts as a mixture of all K Gaussian-fitted panel cells
     with weight one on k and zero elsewhere: the weighted sum of the means,
-    the log-sum-exp of the weighted log predictives and model k's draws."""
+    the log-sum-exp of the weighted log predictives, and the CRPS of model
+    k's draws (NaN for a panel of one draw per cell)."""
     T, K, L = obs.n_steps, panel.n_models, obs.n_vars
     targets = np.arange(horizon, T + 1)
     w = np.zeros((len(targets), K))
     w[:, k - 1] = 1.0
     point = np.einsum("sk,skl->sl", w, panel._means[targets - 1, :, :, horizon - 1])
     log_pred, log_pred_marginal = weighted_log_predictives(obs, panel, w, horizon, fallback_sigma)
-    draws = np.moveaxis(panel.draws[targets - 1, k - 1, :, horizon - 1, :], 2, 1)
-    return ForecastSeries(horizon, targets, point, log_pred, log_pred_marginal, draws)
+    draws = panel.draws[targets - 1, k - 1, :, horizon - 1, :]  # (S, L, D)
+    y = obs.values[targets - 1]
+    crps = crps_series_allocating(draws, y) if panel.n_draws > 1 else np.full(y.shape, np.nan)
+    return ForecastSeries(horizon, targets, point, log_pred, log_pred_marginal, crps)
 
 
 def weighted_log_predictives(obs, panel, w: np.ndarray, horizon: int = 1, fallback_sigma: float = 0.1):
@@ -279,18 +301,21 @@ def propagate_particle(
 
 def crps_objective(obs, panel, point, seed, eval_window=None, variable=None, **filter_kw) -> float:
     """The grid objective at one point, run alone: one diversity-driven
-    filter run scored by mean CRPS over the window, +inf if the run fails."""
+    filter run whose draws are collected and scored afterwards, one
+    variable's (S, J) slice of the stacked block at a time, by mean CRPS
+    over the window; +inf if the run fails."""
+    log = DrawsLog()
     try:
-        out = run_filter(obs, panel, DTVW, seed=seed, alpha0=(0.0, *point), **filter_kw)
+        run_filter(obs, panel, DTVW, seed=seed, alpha0=(0.0, *point), on_draws=log, **filter_kw)
     except (RuntimeError, InputError):
         return np.inf
-    fs = out.forecasts
-    mask = np.ones(len(fs.targets), dtype=bool)
+    targets, draws = log.targets, log.draws
+    mask = np.ones(len(targets), dtype=bool)
     if eval_window is not None:
-        mask = (fs.targets >= eval_window[0]) & (fs.targets <= eval_window[1])
-    y = obs.values[fs.targets[mask] - 1]
+        mask = (targets >= eval_window[0]) & (targets <= eval_window[1])
+    y = obs.values[targets[mask] - 1]
     cols = range(obs.n_vars) if variable is None else [variable]
-    return float(np.mean([crps_series(fs.draws[mask][:, :, l], y[:, l]).mean() for l in cols]))
+    return float(np.mean([crps_series(draws[mask][:, :, l], y[:, l]).mean() for l in cols]))
 
 
 def systematic_indices(w: np.ndarray, offset: float, n: int) -> np.ndarray:
@@ -432,12 +457,13 @@ def mixture_log_predictives(y: np.ndarray, pred_means: np.ndarray, log_prior: np
     return joint, logsumexp(log_prior[..., None] + marg, axis=-2)
 
 
-def run_block_stacked(pf, obs, n_particles, alpha0, rng, x0_spread=0.0, bands=True) -> list:
+def run_block_stacked(pf, obs, n_particles, alpha0, rng, x0_spread=0.0, bands=True) -> tuple[list, np.ndarray]:
     """ParticleFilter.run_block through step_allocating, scoring its
     forecasts after the last step: every step's records are kept, stacked
     by key, and the log predictives are evaluated on the stacked
-    (P, S, N, L) particle means and (P, S, N) log prior weights.  Steps past
-    S = T - h + 1 are dropped from the forecast keys."""
+    (P, S, N, L) particle means and (P, S, N) log prior weights, and the
+    CRPS on the stacked (P, S, J, L) draws.  Steps past S = T - h + 1 are
+    dropped from the forecast keys.  Returns the outputs and the draws."""
     T, h = obs.n_steps, pf.horizon
     S = T - h + 1
     alpha0 = np.asarray(alpha0, dtype=float)
@@ -460,17 +486,20 @@ def run_block_stacked(pf, obs, n_particles, alpha0, rng, x0_spread=0.0, bands=Tr
     out["log_pred"], out["log_pred_marginal"] = mixture_log_predictives(
         obs.values[targets - 1], out.pop("pred_means"), out.pop("log_prior"), pf.cfg.sigma_obs
     )
+    draws = out.pop("draws")
+    out["crps"] = crps_series_allocating(np.moveaxis(draws, 2, -1), obs.values[targets - 1])
 
     def at(key, p):
         return out[key][p] if key in out else None
 
-    return [
+    outputs = [
         FilterOutput(
             h,
             *(at(key, p) for key in _STEP_FIELDS),
             forecasts=ForecastSeries(
-                h, targets, at("point", p), at("log_pred", p), at("log_pred_marginal", p), out["draws"][p]
+                h, targets, at("point", p), at("log_pred", p), at("log_pred_marginal", p), out["crps"][p]
             ),
         )
         for p in range(len(alpha0))
     ]
+    return outputs, draws

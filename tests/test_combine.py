@@ -11,7 +11,8 @@ from divcast.combine import (
     single_model_result,
 )
 from divcast.core import InputError, ObservationSeries, PredictorPanel
-from oracles import bma_weights_loop, one_hot_mixture, rmsfe, weighted_log_predictives
+from divcast.metrics import crps_series
+from oracles import DrawsLog, bma_weights_loop, one_hot_mixture, rmsfe, weighted_log_predictives
 
 
 class TestBmaWeights:
@@ -176,11 +177,12 @@ class TestEqualCombiner:
         draws = rng.normal(size=(3, 2, 1, 1, 4))
         panel = PredictorPanel(draws, ("a", "b"), ("y",))
         obs = ObservationSeries(rng.normal(size=(3, 1)), ("y",))
-        res = run_combiner("equal", obs, panel)
-        assert res.forecasts.draws.shape == (3, 8, 1)
-        np.testing.assert_allclose(
-            np.sort(res.forecasts.draws[1, :, 0]), np.sort(draws[1, :, 0, 0].ravel())
-        )
+        log = DrawsLog()
+        res = run_combiner("equal", obs, panel, on_draws=log)
+        np.testing.assert_array_equal(log.targets, [1, 2, 3])
+        assert log.draws.shape == (3, 8, 1)
+        np.testing.assert_allclose(np.sort(log.draws[1, :, 0]), np.sort(draws[1, :, 0, 0].ravel()))
+        np.testing.assert_array_equal(res.forecasts.crps, crps_series(log.draws.transpose(0, 2, 1), obs.values))
 
 
 class TestBmaCombiner:
@@ -257,7 +259,7 @@ class TestSingleModel:
             for k in range(1, K + 1):
                 res = single_model_result(obs, panel, k, horizon, sigma)
                 ref = one_hot_mixture(obs, panel, k, horizon, sigma)
-                for field in ("targets", "point", "log_pred", "log_pred_marginal", "draws"):
+                for field in ("targets", "point", "log_pred", "log_pred_marginal", "crps"):
                     got, want = getattr(res.forecasts, field), getattr(ref, field)
                     assert got.shape == want.shape
                     np.testing.assert_array_equal(got, want)

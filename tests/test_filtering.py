@@ -31,6 +31,7 @@ from divcast.filtering import (
 from divcast.latent import ADAPTIVE_TVW, DTVW, TVW, cloud_weight_tensor
 from divcast.rng import substream
 from oracles import (
+    DrawsLog,
     allocating_state,
     band_stats,
     cloud_weight_tensor_numpy,
@@ -49,9 +50,10 @@ from oracles import (
 TOL = 1e-12
 # The step's weighted means over the particles and the draws' sums over the
 # models run on the entry-major layout and the oracles' on a particle-major
-# one, so these record entries agree within TOL at any model count.  A band
-# end is the mean where the band is widened to contain it.
-ROUND_OFF = {"point", "log_pred", "log_pred_marginal", "draws"} | {
+# one, so these record entries, and the CRPS of the draws, agree within TOL
+# at any model count.  A band end is the mean where the band is widened to
+# contain it.
+ROUND_OFF = {"point", "log_pred", "log_pred_marginal", "draws", "crps"} | {
     f"{name}_{stat}" for name in ("weights", "alpha") for stat in ("mean", "lo", "hi")
 }
 
@@ -523,13 +525,17 @@ class TestScoredPerStep:
         pf = ParticleFilter(panel, DTVW, cfg, horizon=horizon, kappa=0.9, n_pred_draws=12)
         alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0], [0.0, 8.0, 8.0]])[:n_points]
         kw = dict(x0_spread=0.5, bands=bands)
-        got = pf.run_block(obs, 60, alpha0, substream(3, "filter"), **kw)
-        expected = run_block_stacked(pf, obs, 60, alpha0, substream(3, "filter"), **kw)
+        log = DrawsLog()
+        got = pf.run_block(obs, 60, alpha0, substream(3, "filter"), on_draws=log, **kw)
+        expected, expected_draws = run_block_stacked(pf, obs, 60, alpha0, substream(3, "filter"), **kw)
         exact = panel.n_models < 8
         assert len(got) == len(expected) == n_points
+        # on_draws saw every observed target once, in order, and nothing past them
+        np.testing.assert_array_equal(log.targets, np.arange(horizon, obs.n_steps + 1))
+        assert_matches(np.moveaxis(log.draws, 0, 1), expected_draws, exact and "draws" not in ROUND_OFF, "draws")
         for g, e in zip(got, expected):
             np.testing.assert_array_equal(g.forecasts.targets, np.arange(horizon, obs.n_steps + 1))
-            for name in ("targets", "point", "log_pred", "log_pred_marginal", "draws"):
+            for name in ("targets", "point", "log_pred", "log_pred_marginal", "crps"):
                 a, b = getattr(g.forecasts, name), getattr(e.forecasts, name)
                 assert_matches(a, b, exact and name not in ROUND_OFF, name)
             for name in ("weights_mean", "alpha_mean", "ess", "resampled", "one_step_log_pred"):
@@ -583,10 +589,12 @@ class TestRun:
     def test_same_seed_bitwise_identical(self):
         obs, panel = make_problem(T=25, seed=2)
         kw = dict(n_particles=100, seed=11, alpha0=(0.0, 5.0, 2.0), n_pred_draws=16)
-        a = run_filter(obs, panel, DTVW, **kw)
-        b = run_filter(obs, panel, DTVW, **kw)
+        logs = DrawsLog(), DrawsLog()
+        a = run_filter(obs, panel, DTVW, on_draws=logs[0], **kw)
+        b = run_filter(obs, panel, DTVW, on_draws=logs[1], **kw)
         np.testing.assert_array_equal(a.forecasts.point, b.forecasts.point)
-        np.testing.assert_array_equal(a.forecasts.draws, b.forecasts.draws)
+        np.testing.assert_array_equal(a.forecasts.crps, b.forecasts.crps)
+        np.testing.assert_array_equal(logs[0].draws, logs[1].draws)
         np.testing.assert_array_equal(a.weights_mean, b.weights_mean)
         np.testing.assert_array_equal(a.alpha_mean, b.alpha_mean)
         np.testing.assert_array_equal(a.one_step_log_pred, b.one_step_log_pred)
@@ -597,14 +605,17 @@ class TestRun:
         # is left out of the transition and alpha0 stays at its initial value
         obs, panel = generate(SimSpec(design="nonlinear_incomplete", T=40, seed=3))
         kw = dict(n_particles=120, seed=5, n_pred_draws=24)
-        ref = run_filter(obs, panel, mode, alpha0=(0.0, 5.0, 2.0), **kw)
+        ref_draws = DrawsLog()
+        ref = run_filter(obs, panel, mode, alpha0=(0.0, 5.0, 2.0), on_draws=ref_draws, **kw)
         assert ref.resampled.any()
         for a0 in (0.3, -5.0):
-            out = run_filter(obs, panel, mode, alpha0=(a0, 5.0, 2.0), **kw)
+            draws = DrawsLog()
+            out = run_filter(obs, panel, mode, alpha0=(a0, 5.0, 2.0), on_draws=draws, **kw)
             for name in ("weights_mean", "weights_lo", "weights_hi", "ess", "resampled", "one_step_log_pred"):
                 np.testing.assert_array_equal(getattr(out, name), getattr(ref, name), err_msg=name)
-            for name in ("point", "log_pred", "log_pred_marginal", "draws"):
+            for name in ("point", "log_pred", "log_pred_marginal", "crps"):
                 np.testing.assert_array_equal(getattr(out.forecasts, name), getattr(ref.forecasts, name), err_msg=name)
+            np.testing.assert_array_equal(draws.draws, ref_draws.draws)
             for name in ("alpha_mean", "alpha_lo", "alpha_hi"):
                 np.testing.assert_array_equal(getattr(out, name)[:, 1:], getattr(ref, name)[:, 1:], err_msg=name)
                 np.testing.assert_allclose(getattr(out, name)[:, 0], a0, rtol=1e-12, atol=0, err_msg=name)
@@ -622,14 +633,16 @@ class TestRun:
 
     def test_output_invariants(self):
         obs, panel = make_problem(T=30, seed=4)
-        out = run_filter(obs, panel, DTVW, n_particles=200, seed=3, alpha0=(0.0, 8.0, 4.0))
+        log = DrawsLog()
+        out = run_filter(obs, panel, DTVW, n_particles=200, seed=3, alpha0=(0.0, 8.0, 4.0), on_draws=log)
         sums = out.weights_mean.sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-10)
         assert np.all(out.weights_lo <= out.weights_mean + 1e-12)
         assert np.all(out.weights_hi >= out.weights_mean - 1e-12)
         assert np.all(out.alpha_lo <= out.alpha_mean + 1e-12)
         assert np.all(out.alpha_hi >= out.alpha_mean - 1e-12)
-        assert out.forecasts.draws.shape == (30, 1000, 1)
+        assert log.draws.shape == (30, 1000, 1)
+        assert out.forecasts.crps.shape == (30, 1) and np.all(out.forecasts.crps > 0)
 
     def test_multi_horizon_targets(self):
         obs, panel = generate(
@@ -661,13 +674,15 @@ class TestRun:
         draws = rng.normal(size=(T, K, L, 1, 4))
         panel = PredictorPanel(draws, ("a", "b", "c"))
         obs = ObservationSeries(rng.normal(size=(T, L)), ("u", "v"))
+        log = DrawsLog()
         out = run_filter(obs, panel, DTVW, n_particles=80, seed=2, alpha0=(0.0, 3.0, 1.0),
-                         n_pred_draws=25)
+                         n_pred_draws=25, on_draws=log)
         assert out.weights_mean.shape == (T, K, L)
         np.testing.assert_allclose(out.weights_mean.sum(axis=1), 1.0, atol=1e-10)
         assert out.forecasts.point.shape == (T, L)
         assert out.forecasts.log_pred_marginal.shape == (T, L)
-        assert out.forecasts.draws.shape == (T, 25, L)
+        assert log.draws.shape == (T, 25, L)
+        assert out.forecasts.crps.shape == (T, L)
         assert np.all(np.isfinite(out.forecasts.log_pred))
 
     def test_horizon_one_log_pred_is_the_update_predictive(self):
@@ -681,14 +696,17 @@ class TestRun:
         cfg = NoiseConfig(default_sigma_obs(obs, panel))
         pf = ParticleFilter(panel, DTVW, cfg, horizon=horizon, kappa=0.9, n_pred_draws=8)
         alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0]])
-        block = pf.run_block(obs, 40, alpha0, substream(3, "filter"), x0_spread=0.5)
-        for a0, got in zip(alpha0, block):
-            alone = pf.run(obs, 40, a0, substream(3, "filter"), x0_spread=0.5)
+        block_draws = DrawsLog()
+        block = pf.run_block(obs, 40, alpha0, substream(3, "filter"), x0_spread=0.5, on_draws=block_draws)
+        for p, (a0, got) in enumerate(zip(alpha0, block)):
+            draws = DrawsLog()
+            alone = pf.run(obs, 40, a0, substream(3, "filter"), x0_spread=0.5, on_draws=draws)
             for name in ("weights_mean", "weights_lo", "weights_hi", "alpha_mean", "alpha_lo", "alpha_hi",
                          "ess", "resampled", "one_step_log_pred"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
-            for name in ("targets", "point", "log_pred", "log_pred_marginal", "draws"):
+            for name in ("targets", "point", "log_pred", "log_pred_marginal", "crps"):
                 np.testing.assert_array_equal(getattr(got.forecasts, name), getattr(alone.forecasts, name))
+            np.testing.assert_array_equal(block_draws.draws[:, p], draws.draws)
 
     @pytest.mark.parametrize("horizon", [1, 2])
     @pytest.mark.parametrize("summaries,bands", [(True, True), (True, False), (False, True), (False, False)])
@@ -699,28 +717,35 @@ class TestRun:
         alpha0 = np.array([[0.0, 1.0, 0.5], [0.0, -2.0, 3.0], [0.0, 4.0, -1.0], [0.0, 0.0, 0.0], [0.0, 8.0, 8.0]])
         kw = dict(x0_spread=0.5, summaries=summaries, bands=bands)
         for n_points in (3, 5):
-            block = pf.run_block(obs, 40, alpha0[:n_points], substream(3, "filter"), **kw)
+            block_draws = DrawsLog()
+            block = pf.run_block(obs, 40, alpha0[:n_points], substream(3, "filter"), on_draws=block_draws, **kw)
             # the points resample at different steps
             assert len({out.resampled.tobytes() for out in block}) > 1
-            for a0, got in zip(alpha0, block):
-                (alone,) = pf.run_block(obs, 40, a0[None], substream(3, "filter"), **kw)
+            for p, (a0, got) in enumerate(zip(alpha0, block)):
+                draws = DrawsLog()
+                (alone,) = pf.run_block(obs, 40, a0[None], substream(3, "filter"), on_draws=draws, **kw)
                 for name in ("weights_mean", "weights_lo", "weights_hi", "alpha_mean", "alpha_lo", "alpha_hi",
                              "ess", "resampled", "one_step_log_pred"):
                     np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
-                for name in ("targets", "point", "log_pred", "log_pred_marginal", "draws"):
+                for name in ("targets", "point", "log_pred", "log_pred_marginal", "crps"):
                     np.testing.assert_array_equal(getattr(got.forecasts, name), getattr(alone.forecasts, name))
+                np.testing.assert_array_equal(block_draws.draws[:, p], draws.draws[:, 0])
 
     def test_bands_flag_drops_only_the_bands(self):
         obs, panel = generate(SimSpec(design="complete_ar", T=20, seed=5, n_pred_draws=4, horizons=2))
         pf = ParticleFilter(panel, DTVW, NoiseConfig(default_sigma_obs(obs, panel)), kappa=0.9, n_pred_draws=8)
-        full = pf.run(obs, 40, np.array([0.0, 1.0, 0.5]), substream(3, "filter"), x0_spread=0.5)
-        lean = pf.run(obs, 40, np.array([0.0, 1.0, 0.5]), substream(3, "filter"), x0_spread=0.5, bands=False)
+        logs = DrawsLog(), DrawsLog()
+        full = pf.run(obs, 40, np.array([0.0, 1.0, 0.5]), substream(3, "filter"), x0_spread=0.5, on_draws=logs[0])
+        lean = pf.run(
+            obs, 40, np.array([0.0, 1.0, 0.5]), substream(3, "filter"), x0_spread=0.5, bands=False, on_draws=logs[1]
+        )
         for name in ("weights_mean", "weights_lo", "weights_hi", "alpha_mean", "alpha_lo", "alpha_hi"):
             assert getattr(lean, name) is None and getattr(full, name) is not None
         for name in ("ess", "resampled", "one_step_log_pred"):
             np.testing.assert_array_equal(getattr(lean, name), getattr(full, name))
-        for name in ("targets", "point", "log_pred", "log_pred_marginal", "draws"):
+        for name in ("targets", "point", "log_pred", "log_pred_marginal", "crps"):
             np.testing.assert_array_equal(getattr(lean.forecasts, name), getattr(full.forecasts, name))
+        np.testing.assert_array_equal(logs[0].draws, logs[1].draws)
 
     def test_horizon_beyond_observations_rejected(self):
         obs, panel = generate(SimSpec(design="complete_ar", T=20, seed=1, n_pred_draws=4, horizons=3))

@@ -7,6 +7,7 @@ from divcast.dgp import SimSpec, generate
 from divcast.filtering import ParticleFilter
 from divcast.latent import DTVW
 from divcast.rng import substream
+from oracles import DrawsLog
 
 
 class CountingGenerator:
@@ -46,23 +47,24 @@ def test_shared_stream_draws_once_without_resampling():
 
     def run(kappa, observations, points):
         pf = ParticleFilter(panel, DTVW, cfg, kappa=kappa, n_pred_draws=6)
-        g = CountingGenerator(substream(3, "filter"))
-        return pf.run_block(observations, 30, points, g, x0_spread=0.5), g
+        g, draws = CountingGenerator(substream(3, "filter")), DrawsLog()
+        return pf.run_block(observations, 30, points, g, x0_spread=0.5, on_draws=draws), g, draws
 
     # kappa below 1/N: the ESS never falls under it, so nothing resamples
-    alone, one = run(1e-3, obs, alpha0[:1])
-    block, shared = run(1e-3, obs, alpha0)
+    alone, one, alone_draws = run(1e-3, obs, alpha0[:1])
+    block, shared, block_draws = run(1e-3, obs, alpha0)
     assert not any(out.resampled.any() for out in block)
     assert shared.calls == one.calls
     # x0, then alpha, x and draw noise per step; the picks' and the
     # resampling offsets per step
     assert shared.calls["standard_normal"] == 1 + 3 * obs.n_steps
     assert shared.calls["random"] == 2 * obs.n_steps
-    np.testing.assert_array_equal(block[0].forecasts.draws, alone[0].forecasts.draws)
+    np.testing.assert_array_equal(block_draws.draws[:, 0], alone_draws.draws[:, 0])
+    np.testing.assert_array_equal(block[0].forecasts.crps, alone[0].forecasts.crps)
 
     # Resampling, and other data, leave the stream's use as it was.
-    resampling, g_resampling = run(0.9, obs, alpha0)
-    moved, g_moved = run(0.9, perturbed, alpha0)
+    resampling, g_resampling, _ = run(0.9, obs, alpha0)
+    moved, g_moved, _ = run(0.9, perturbed, alpha0)
     flags = [np.array([out.resampled for out in outs]) for outs in (resampling, moved)]
     assert flags[0].any() and not np.array_equal(flags[0], flags[1])
     for g in (g_resampling, g_moved):
