@@ -58,19 +58,17 @@ def percentiles(draws: np.ndarray, q: tuple[float, ...]) -> np.ndarray:
     process that takes forecast quantiles.
     """
     last = len(draws) - 1
-    picks = []  # (i, i + 1, g) per percentile; numpy takes index -1 twice past the end
-    for p in q:
-        virtual = last * (p / 100)
-        i = -1 if virtual >= last else math.floor(virtual)
-        picks.append((i, -1 if i < 0 else i + 1, virtual - i))
+    virtual = last * (np.asarray(q, dtype=float) / 100)
+    i = np.where(virtual >= last, -1, np.floor(virtual)).astype(np.intp)  # numpy takes -1 past the end
+    j = np.where(i < 0, -1, i + 1)
+    gamma = (virtual - i).reshape(-1, *[1] * (np.ndim(draws) - 1))
     part = np.array(draws, dtype=float)
-    part.partition(sorted({0, -1, *(k for i, j, _ in picks for k in (i, j))}), axis=0)
-    out = np.empty((len(q), *part.shape[1:]))
-    for row, (i, j, gamma) in zip(out, picks):
-        a, b = part[i], part[j]
-        diff = b - a
-        row[...] = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
-    np.copyto(out, part[-1], where=np.isnan(part[-1]))
+    part.partition(sorted({0, -1, *i.tolist(), *j.tolist()}), axis=0)
+    a, b = part[i], part[j]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    np.copyto(out, part[-1], where=np.isnan(part[-1]))  # NaN sorts last
     return out
 
 
