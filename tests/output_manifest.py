@@ -30,7 +30,9 @@ runs' outputs are apart when the digests differ.  After the manifest it
 prints one line for every CSV file both directories hold: the largest
 |a - b| / max(1, |b|) over the cells both parse as numbers (a from OUT_DIR,
 b from OTHER_DIR), the count of other cells that differ, and the two row
-counts when they differ.  A file only one directory holds is named too.  A
+counts when they differ.  Under it, one line for each column (named by
+OUT_DIR's header) whose numeric cells differ gives that column's largest
+relative difference.  A file only one directory holds is named too.  A
 last line sums them up: the largest max_rel over every file, the total
 text_diffs, and the counts of files with unequal row counts or held by one
 directory only, when there are any.
@@ -211,15 +213,18 @@ def _as_float(cell: str) -> float | None:
         return None
 
 
-def compare_csv(path: str, other: str) -> tuple[float, int, int, int]:
+def compare_csv(path: str, other: str) -> tuple[float, int, int, int, dict[str, float]]:
     """How far the CSV at path is from the one at other: the largest relative
     difference of its numeric cells, the count of other cells that differ,
-    and the two row counts."""
+    the two row counts, and the largest relative difference of each column
+    whose numeric cells differ, by the column's name in path's header, in
+    column order."""
     rows, other_rows = _cells(path), _cells(other)
-    worst, text_diffs = 0.0, 0
+    header = rows[0] if rows else []
+    worst, text_diffs, columns = 0.0, 0, {}
     for row, other_row in zip(rows, other_rows):
         text_diffs += abs(len(row) - len(other_row))
-        for a, b in zip(row, other_row):
+        for j, (a, b) in enumerate(zip(row, other_row)):
             if a == b:
                 continue
             x, y = _as_float(a), _as_float(b)
@@ -227,8 +232,11 @@ def compare_csv(path: str, other: str) -> tuple[float, int, int, int]:
                 text_diffs += 1
             else:
                 rel = abs(x - y) / max(1.0, abs(y))
-                worst = max(worst, math.inf if math.isnan(rel) else rel)
-    return worst, text_diffs, len(rows), len(other_rows)
+                rel = math.inf if math.isnan(rel) else rel
+                worst = max(worst, rel)
+                columns[j] = max(columns.get(j, 0.0), rel)
+    named = {header[j] if j < len(header) else f"#{j + 1}": columns[j] for j in sorted(columns)}
+    return worst, text_diffs, len(rows), len(other_rows), named
 
 
 def compare_dirs(out: str, other: str) -> list[str]:
@@ -251,12 +259,13 @@ def compare_dirs(out: str, other: str) -> list[str]:
         elif rel not in mine:
             lines.append(f"compare {rel}  only in {other}")
         else:
-            rel_max, diffs, n, n_other = compare_csv(os.path.join(out, rel), os.path.join(other, rel))
+            rel_max, diffs, n, n_other, columns = compare_csv(os.path.join(out, rel), os.path.join(other, rel))
             line = f"compare {rel}  max_rel {rel_max:.3g}  text_diffs {diffs}"
             if n != n_other:
                 line += f"  rows {n} vs {n_other}"
                 row_diffs += 1
             lines.append(line)
+            lines += [f"compare {rel}  column {name}  max_rel {value:.3g}" for name, value in columns.items()]
             worst, text_diffs = max(worst, rel_max), text_diffs + diffs
     summary = f"compare all  max_rel {worst:.3g}  text_diffs {text_diffs}"
     if row_diffs:

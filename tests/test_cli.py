@@ -797,9 +797,10 @@ class TestStartup:
         assert result.stdout.strip() == "2"
 
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
-        # crps_series' (targets, draws) @ (draws,) product is about 120 x 200
-        # here, above the 9,216 entries from which OpenBLAS splits it over
-        # threads
+        # no output may depend on the BLAS thread count: OpenBLAS splits a
+        # product over threads from 9,216 entries, which is why crps_series
+        # takes its pairwise term with einsum and not a (targets, draws) @
+        # (draws,) product, about 120 x 200 here
         outputs = {}
         for threads in ("2", None):
             run_dir = tmp_path / f"threads_{threads}"
@@ -846,6 +847,20 @@ class TestStartup:
         assert result.returncode == 0, result.stderr
         assert result.stderr == ""
         assert (tmp_path / "report.csv").exists()
+
+    def test_run_loads_no_numpy_ma(self, tmp_path):
+        # np.percentile loads numpy.ma (about 1.2 MB) through np.unique;
+        # run takes forecast.csv's quantiles with metrics.percentiles
+        cfg, out_dir = write_config(tmp_path, method="dtvw", n_particles=20, n_pred_draws=20, extra="baseline = bma\n")
+        code = textwrap.dedent(f"""
+            import sys
+            from divcast.cli import main
+            assert main(["run", "--config", {cfg!r}]) == 0
+            assert "numpy.ma" not in sys.modules
+        """)
+        result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert len(list(csv.DictReader(open(os.path.join(out_dir, "forecast.csv"))))) == 2 * 120
 
     def test_a_library_import_keeps_openssl(self):
         # only main owns its process; a host program that imports divcast

@@ -31,6 +31,18 @@ class TestObservationsIO:
         assert obs.n_steps == 3 and obs.n_vars == 1
         np.testing.assert_array_equal(obs.values[:, 0], [0.5, 0.25, -1.0])
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # spreadsheet programs save "UTF-8 with BOM"; the mark is not a
+        # character of the first column's name
+        path = tmp_path / "obs.csv"
+        path.write_text("\ufefft,variable,value\n1,y,0.5\n2,y,0.25\n", encoding="utf-8")
+        obs = load_observations(str(path))
+        np.testing.assert_array_equal(obs.values[:, 0], [0.5, 0.25])
+        assert obs.variable_names == ("y",)
+        path.write_text("\ufefft,variable,value\n1,y,0.5\n2,y,oops\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"obs.csv:3: non-numeric value 'oops'"):
+            load_observations(str(path))
+
     def test_interleaved_variables_order_from_first_occurrence(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text(
@@ -169,6 +181,15 @@ class TestPanelIO:
         assert panel.draws.shape == (2, 2, 1, 1, 1)
         assert panel.model_names == ("a", "b")
         assert panel.variable_names == ("y",)
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        rows = ["\ufefft,model,variable,horizon,draw,value"]
+        rows += [f"{t},{m},y,1,{d},{t + d / 10}" for t in (1, 2) for m in ("a", "b") for d in (1, 2)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        panel = load_panel(str(path))
+        assert panel.draws.shape == (2, 2, 1, 1, 2)
+        np.testing.assert_array_equal(panel.draws[1, 0, 0, 0], [2.1, 2.2])
 
     def test_missing_draw_names_cell(self, tmp_path):
         path = tmp_path / "panel.csv"
@@ -321,6 +342,12 @@ class TestConfig:
         assert grid is None  # only a search reads [gridsearch]
         _, grid = load_config(self.write(tmp_path, self.BASE), search=True)
         assert grid.stage2_step == 0.5 and grid.stage1 == ((-10.0, 10.0, 2.0),) * 2
+
+    def test_byte_order_mark_before_the_first_section(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("\ufeff" + self.BASE, encoding="utf-8")
+        cfg, _ = load_config(str(path))
+        assert cfg.method == "dtvw" and cfg.observations == "obs.csv"
 
     def test_stage2_bounds(self, tmp_path):
         text = self.BASE + "stage2_bounds = 1, 8, 3, 10\n"

@@ -6,7 +6,8 @@ import pytest
 
 from divcast.core import ConfigError, DataFormatError, InputError, ObservationSeries, PredictorPanel
 from divcast.dataio import RunConfig, load_observations, load_panel
-from divcast.experiment import build_report, run_experiment, score_runs, _noise_config
+from divcast.experiment import build_report, run_experiment, run_method, score_runs, _noise_config
+from divcast.metrics import loss_series
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "pseudo_empirical")
 
@@ -150,6 +151,20 @@ class TestRunExperiment:
         block = obs.n_steps * n_pred_draws * obs.n_vars * 8
         assert peak - start < block / 4, f"peaked at {(peak - start) / block:.3f} blocks"
 
+    def test_a_targets_crps_does_not_depend_on_the_window(self, pseudo_data):
+        # Each target's CRPS is scored where its draws are made, so a window
+        # that drops target 1 leaves every other target's bits as they were;
+        # scoring the window's rows in one BLAS product moved 4 of the 238.
+        obs, panel = pseudo_data
+        cfg = RunConfig(
+            method="dtvw", observations="-", panel="-", alpha0=(0.0, 10.0, 8.5),
+            n_particles=1000, n_pred_draws=1000, seed=1,
+        )
+        fs = run_method("dtvw", obs, panel, cfg, 1, _noise_config(cfg, obs, panel), bands=False).forecasts
+        whole, cut = loss_series(fs, obs), loss_series(fs, obs, (2, obs.n_steps))
+        assert cut["crps"].shape == (obs.n_steps - 1, obs.n_vars) == (119, 2)
+        assert cut["crps"].tobytes() == whole["crps"][1:].tobytes()
+
     def test_equal_on_two_model_panel_constant_half(self, tmp_path):
         rng = np.random.default_rng(0)
         draws = rng.normal(size=(12, 2, 1, 1, 4))
@@ -235,6 +250,8 @@ class TestScoreAndReport:
         key = ("bma", "1", "infl")
         emitted = by_key[key]
         assert float(emitted[3]) == pytest.approx(float(in_memory[key]["rmsfe"]), rel=1e-12)
+        # CRPS from draws.csv, a block per horizon, has the bits of the run's, scored target by target
+        assert emitted[header.index("crps")] == float(in_memory[key]["crps"])
         assert emitted[-1] == "equal"  # first-listed run is the DM baseline
 
     def test_incomplete_draws_rejected(self, pseudo_data, tmp_path):
@@ -269,6 +286,13 @@ class TestScoreAndReport:
         assert metrics == {"rmsfe", "ls", "crps"}
         filled = [r for r in rows if r[1] == "infl" and r[0] == 1]
         assert all(all(cell != "" for cell in r[3:]) for r in filled)
+
+    def test_report_reads_a_score_file_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("\ufeffmethod,kind,horizon,variable,rmsfe,ls,crps\nequal,combiner,1,y,0.5,1.5,0.25\n", encoding="utf-8")
+        header, rows = build_report([str(path)])
+        assert header == ["horizon", "variable", "metric", "equal"]
+        assert rows == [[1, "y", "rmsfe", "0.5"], [1, "y", "ls", "1.5"], [1, "y", "crps", "0.25"]]
 
 
 class TestNoiseConfigDefaults:

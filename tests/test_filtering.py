@@ -464,11 +464,11 @@ class TestInPlaceStep:
     def test_run_block_working_set(self):
         # F is one (K*L, P, N) float array, the entry-major latent cloud.  The
         # state and its scratch hold 2.67 F: two such arrays and two (2, P, N)
-        # coefficient arrays.  The (P, S, J, L) draws, 0.67 F, and the (P, T)
+        # coefficient arrays.  The (P, S, L) CRPS, 0.07 F, and the (P, T)
         # ESS, flags and one-step predictives, 0.14 F, are allocated before
         # the first step, and a step's temporaries stay below 1 F: the latent
         # noise is one (N, K*L) draw and its transpose, and the models are
-        # summed one (P, N) slab at a time.  The traced peak is 4.19 F.
+        # summed one (P, N) slab at a time.  The traced peak is 3.58 F.
         obs, panel = generate(SimSpec(design="nonlinear_incomplete", T=100, seed=1, n_pred_draws=10))
         assert panel.n_models * panel.n_vars == 6
         pf = ParticleFilter(panel, DTVW, NoiseConfig(default_sigma_obs(obs, panel)), n_pred_draws=10)
@@ -485,6 +485,29 @@ class TestInPlaceStep:
         finally:
             tracemalloc.stop()
         assert peak < 5 * F, f"run_block peaked {peak / F:.2f} F above its start"
+
+    def test_run_block_working_set_does_not_grow_with_the_draws(self):
+        # Each step's (P, J, L) draws are scored and dropped, so J adds one
+        # step's temporaries, the largest of them the (L, K, P, J) weights of
+        # the picked particles, and nothing that grows with T.  At J = 500
+        # the traced peak is 5.94 F against a bound of 7 F; keeping every
+        # step's draws, (P, T, J, L), reached 39.5 F.
+        obs, panel = generate(SimSpec(design="nonlinear_incomplete", T=100, seed=1, n_pred_draws=10))
+        P, N, J = 64, 250, 500
+        pf = ParticleFilter(panel, DTVW, NoiseConfig(default_sigma_obs(obs, panel)), n_pred_draws=J)
+        pf.diversity_path  # built once per filter, outside the traced run
+        axis = np.linspace(-10.0, 10.0, 8)
+        alpha0 = np.column_stack([np.zeros(P), np.repeat(axis, 8), np.tile(axis, 8)])
+        F = P * N * 6 * 8
+        picked = P * J * 6 * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            pf.run_block(obs, N, alpha0, substream(0, "filter"), summaries=False, bands=False)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * F + picked, f"run_block peaked {peak / F:.2f} F above its start"
 
     def test_run_block_working_set_with_summaries(self):
         # Each step scores its own forecast, so its (P, N, L) particle means
@@ -513,8 +536,8 @@ class TestInPlaceStep:
 
 
 class TestScoredPerStep:
-    """Each step of run_block scores its own forecast; the log predictives
-    and draws must equal those of the stacked tail, which runs
+    """Each step of run_block scores its own forecast; the log predictives,
+    the draws and their CRPS must equal those of the stacked tail, which runs
     the allocating step and evaluates every step's particle mixture after
     the last step; below eight models bit for bit (but for the ROUND_OFF
     entries), and from eight on within TOL."""
@@ -752,6 +775,12 @@ class TestRun:
         short = ObservationSeries(obs.values[:2], obs.variable_names)
         with pytest.raises(InputError, match="no forecast target"):
             run_filter(short, panel, TVW, n_particles=10, horizon=3, n_pred_draws=4)
+
+    def test_one_predictive_draw_rejected(self):
+        # each step scores its draws' CRPS, which needs two of them
+        obs, panel = generate(SimSpec(design="complete_ar", T=20, seed=1, n_pred_draws=4))
+        with pytest.raises(InputError, match="at least two predictive draws"):
+            ParticleFilter(panel, TVW, NoiseConfig(default_sigma_obs(obs, panel)), n_pred_draws=1)
 
     def test_gaussian_logpdf_matches_oracle(self):
         rng = np.random.default_rng(4)

@@ -9,7 +9,7 @@ from scipy import stats
 
 from divcast.core import InputError, ObservationSeries
 from divcast.experiment import SCORE_HEADER, _score_rows
-from divcast.metrics import _t_two_sided, crps_series, dm_test
+from divcast.metrics import _t_two_sided, crps_series, dm_test, percentiles
 from oracles import crps_from_draws, crps_series_allocating, log_score, rmsfe
 
 
@@ -118,8 +118,8 @@ class TestCrps:
     )
     @example(S=3, D=4, L=2, decimals=0, seed=0)
     def test_bitwise_equal_to_the_allocating_form(self, S, D, L, decimals, seed):
-        # one variable's strided slice of an (S, D, L) draws block, as
-        # loss_series passes it; rounding to few decimals makes ties
+        # one variable's strided slice of an (S, D, L) draws block; rounding
+        # to few decimals makes ties
         rng = np.random.default_rng(seed)
         draws = rng.normal(scale=3.0, size=(S, D, L))
         ys = rng.normal(scale=3.0, size=S)
@@ -129,9 +129,72 @@ class TestCrps:
             got = crps_series(draws[:, :, l], ys)
             assert got.tobytes() == crps_series_allocating(draws[:, :, l], ys).tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        S=st.integers(1, 40), J=st.integers(2, 1100), L=st.integers(1, 3),
+        decimals=st.sampled_from([0, 2, None]), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(S=100, J=10, L=1, decimals=None, seed=0)
+    @example(S=7, J=1000, L=2, decimals=None, seed=1)
+    def test_a_rows_bits_do_not_depend_on_the_rows_beside_it(self, S, J, L, decimals, seed):
+        # A target scores the same bits alone, in a block, as one variable's
+        # strided slice of an (S, J, L) block, and in the filter's per-step
+        # (L, J) layout; a BLAS matrix-vector product gave a row different
+        # bits by how many rows shared the call.
+        rng = np.random.default_rng(seed)
+        draws = rng.normal(scale=rng.uniform(0.01, 100.0), size=(S, J, L))
+        ys = rng.normal(size=(S, L))
+        if decimals is not None:
+            draws = np.round(draws, decimals)
+        whole = crps_series(np.moveaxis(draws, 1, -1), ys)  # (S, L), the rows C-contiguous copies
+        for l in range(L):
+            expected = whole[:, l].tobytes()
+            assert crps_series(draws[:, :, l], ys[:, l]).tobytes() == expected
+            assert crps_series(np.ascontiguousarray(draws[:, :, l]), ys[:, l]).tobytes() == expected
+            alone = [crps_series(draws[s, :, l], ys[s, l]) for s in range(S)]
+            assert np.array(alone).tobytes() == expected
+        for s in range(S):
+            assert crps_series(draws[s].T, ys[s]).tobytes() == whole[s].tobytes()
+
     def test_single_draw_rejected(self):
         with pytest.raises(InputError):
             crps(np.array([1.0]), 0.0)
+
+
+class TestPercentiles:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        J=st.integers(2, 1200), L=st.integers(1, 3), scale=st.sampled_from([1e-300, 1e-5, 1.0, 1e5, 1e300]),
+        ties=st.sampled_from([None, 0, 1, "signed_zeros"]), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(J=2, L=1, scale=1.0, ties=None, seed=0)
+    @example(J=1000, L=2, scale=1e300, ties=None, seed=3)
+    @example(J=41, L=2, scale=1.0, ties="signed_zeros", seed=5)
+    def test_bitwise_equal_to_numpy_percentile(self, J, L, scale, ties, seed):
+        # forecast.csv's quantiles: numpy's default linear rule, bit for
+        # bit, without np.percentile, which loads numpy.ma
+        rng = np.random.default_rng(seed)
+        draws = rng.normal(size=(J, L))
+        if ties == "signed_zeros":
+            draws = rng.choice([-0.0, 0.0, 1.0], size=(J, L))
+        elif ties is not None:
+            draws = np.round(draws, ties)
+        draws *= scale
+        q = (2.5, 50.0, 97.5)
+        assert percentiles(draws, q).tobytes() == np.percentile(draws, list(q), axis=0).tobytes()
+
+    @pytest.mark.parametrize("q", [(0.0, 100.0), (100.0, 33.3, 0.1), (99.999,)])
+    def test_ends_and_other_percentiles(self, q):
+        draws = np.random.default_rng(2).normal(size=(7, 3))
+        draws[3, 1] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert percentiles(draws, q).tobytes() == np.percentile(draws, list(q), axis=0).tobytes()
+
+    def test_a_column_with_a_nan_is_nan(self):
+        draws = np.random.default_rng(2).normal(size=(9, 2))
+        draws[4, 0] = np.nan
+        got = percentiles(draws, (2.5, 50.0, 97.5))
+        assert np.isnan(got[:, 0]).all() and not np.isnan(got[:, 1]).any()
 
 
 def reference_dm(loss_a, loss_b, h):
