@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ConfigError, DataFormatError, ObservationSeries, PredictorPanel
+from .core import ConfigError, DataFormatError, NoiseConfig, ObservationSeries, PredictorPanel
 from .latent import MODE_TAGS as FILTER_METHODS
 from .tune import MAX_DRAWS, MAX_PARTICLES, GridSpec
 
@@ -315,11 +315,8 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if "bma_roll" in (self.method, self.baseline) and self.window is None:
             raise ConfigError("bma_roll requires a window")
-        samplers = (*FILTER_METHODS, "bma", "bma_roll")
-        if self.n_pred_draws < 2 and (self.method in samplers or self.baseline in samplers):
-            raise ConfigError("n_pred_draws must be >= 2: CRPS needs at least two draws")
-        if self.n_pred_draws > MAX_DRAWS:
-            raise ConfigError(f"n_pred_draws must be at most {MAX_DRAWS:,}")
+        if not 2 <= self.n_pred_draws <= MAX_DRAWS:
+            raise ConfigError(f"n_pred_draws must lie in 2..{MAX_DRAWS:,}: CRPS needs at least two draws")
         if not 0 < self.kappa <= 1:
             raise ConfigError("ess_threshold must lie in (0, 1]")
         if not 1 <= self.n_particles <= MAX_PARTICLES:
@@ -328,16 +325,11 @@ class RunConfig:
             raise ConfigError("horizons must be a non-empty list of positive integers")
         if len(set(self.horizons)) < len(self.horizons):
             raise ConfigError(f"horizons must not repeat, got {', '.join(map(str, self.horizons))}")
-        if len(self.alpha0) != 3:
-            raise ConfigError("alpha0 must have three components")
-        if not np.all(np.isfinite(self.alpha0)):
-            raise ConfigError("alpha0 must be finite")
+        if len(self.alpha0) != 3 or not np.all(np.isfinite(self.alpha0)):
+            raise ConfigError("alpha0 must be three finite values")
         if not 0 <= self.x0_spread < np.inf:
             raise ConfigError("x0_spread must be finite and >= 0")
-        if self.sigma_obs is not None and not all(s > 0 and 0 < s * s < np.inf for s in self.sigma_obs):
-            raise ConfigError("sigma_obs must be > 0, and its square above 0 and finite")
-        if not (0 <= self.sigma_x < np.inf and 0 <= self.sigma_alpha < np.inf):
-            raise ConfigError("sigma_x and sigma_alpha must be finite and >= 0")
+        NoiseConfig(1.0 if self.sigma_obs is None else self.sigma_obs, self.sigma_x, self.sigma_alpha)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.window is not None and self.window < 1:
@@ -363,14 +355,72 @@ def _parse_bool(raw: str) -> bool:
         raise ValueError(f"not a boolean: {raw!r}") from None
 
 
+def _floats_of(raw: str, form: str) -> tuple[float, ...]:
+    """As many comma-separated floats as form names."""
+    if len(values := _parse_floats(raw)) != form.count(",") + 1:
+        raise ValueError(f"expects {form}")
+    return values
+
+
+def _stage2_bounds(raw: str) -> tuple:
+    bounds = _floats_of(raw, "lo1, hi1, lo2, hi2")
+    return bounds[:2], bounds[2:]
+
+
+RUNS = frozenset(METHODS)
+FILTERS = frozenset(FILTER_METHODS)
+LEARNERS = frozenset({"adaptive_tvw", "dtvw"})  # the filter methods that move a coefficient
+SEARCH = frozenset({"gridsearch"})
+# Every config key: its section (None: the one named after the run's method,
+# which a baseline method reads too, and [dtvw] for gridsearch), its field of
+# RunConfig (of GridSpec under [gridsearch]), its parser, and the methods and
+# commands that read it.  A run reads the keys of its method and of a
+# baseline that is a method, gridsearch those of its dtvw search; a key that
+# nothing in the command reads keeps its default and is not checked.
+KEYS = (
+    ("data", "observations", "observations", str, RUNS | SEARCH),
+    ("data", "panel", "panel", str, RUNS | SEARCH),
+    ("run", "method", "method", str, RUNS),
+    ("run", "horizons", "horizons", _parse_ints, RUNS | SEARCH),
+    ("run", "n_particles", "n_particles", int, FILTERS | SEARCH),
+    ("run", "seed", "seed", int, RUNS | SEARCH),
+    ("run", "n_pred_draws", "n_pred_draws", int, FILTERS | {"bma", "bma_roll"}),
+    ("run", "eval_start", "eval_start", int, RUNS | SEARCH),
+    ("run", "eval_end", "eval_end", int, RUNS | SEARCH),
+    ("run", "ess_threshold", "kappa", float, FILTERS | SEARCH),
+    ("run", "baseline", "baseline", str, RUNS),
+    ("run", "out_dir", "out_dir", str, RUNS | SEARCH),
+    ("run", "emit_draws", "emit_draws", _parse_bool, RUNS),
+    ("noise", "sigma_obs", "sigma_obs", _parse_floats, FILTERS | SEARCH),
+    ("noise", "sigma_x", "sigma_x", float, FILTERS | SEARCH),
+    ("noise", "sigma_alpha", "sigma_alpha", float, LEARNERS | SEARCH),
+    (None, "alpha0", "alpha0", _parse_floats, LEARNERS),
+    (None, "x0_spread", "x0_spread", float, FILTERS | SEARCH),
+    (None, "fallback_sigma", "fallback_sigma", float, RUNS),
+    ("bma_roll", "window", "window", int, frozenset({"bma_roll"})),
+    ("gridsearch", "stage1", "stage1", lambda raw: (_floats_of(raw, "lo, hi, step"),) * 2, SEARCH),
+    ("gridsearch", "stage2_step", "stage2_step", lambda raw: None if raw.lower() == "none" else float(raw), SEARCH),
+    ("gridsearch", "stage2_bounds", "stage2_bounds", _stage2_bounds, SEARCH),
+    ("gridsearch", "stage2_margin", "stage2_margin", int, SEARCH),
+    ("gridsearch", "eval_draws", "eval_draws", int, SEARCH),
+    ("gridsearch", "grid_particles", "grid_particles", int, SEARCH),
+    ("gridsearch", "variable", "variable", str, SEARCH),
+)
+# The values of a key that a method reads but that move no output, by
+# position (None: every value); each is still checked.  No cloud carries
+# alpha0's first value and adaptive_tvw never moves its third, so alphas.csv
+# only repeats them; equal weighting pools the panel's draws and draws
+# nothing at random.
+INERT = {("alpha0", "adaptive_tvw"): (0, 2), ("alpha0", "dtvw"): (0,), ("seed", "equal"): None}
+
+
 def load_config(path: str, overrides: dict | None = None, search: bool = False) -> tuple[RunConfig, GridSpec | None]:
     """Parse an INI-style config file; overrides (from CLI flags) win.
 
-    Only a grid search (``search``) reads ``[gridsearch]``: otherwise the
-    section is neither read nor checked, and the GridSpec returned is None.
-    A grid search reads neither ``[run] n_pred_draws``, ``[run] baseline``,
-    ``alpha0`` nor ``fallback_sigma``, so their defaults stand and none is
-    checked.
+    KEYS decides which keys are read: those of the run's method and of a
+    baseline method, or under ``search`` those of gridsearch, which alone
+    reads ``[gridsearch]``; otherwise the GridSpec returned is None.  An
+    unknown method reads no key, and RunConfig names it.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     # ConfigParser.read would skip a file that cannot be opened, a directory say
@@ -381,82 +431,28 @@ def load_config(path: str, overrides: dict | None = None, search: bool = False) 
             raise ConfigError(f"{path}: {exc}") from exc
 
     def get(section, key, cast=str):
-        """section.key converted by cast, or None when absent or blank."""
-        if not parser.has_option(section, key):
-            return None
-        raw = parser.get(section, key).strip()
-        if not raw:
-            return None
+        """section.key converted by cast; None when absent or blank."""
+        raw = parser.get(section, key, fallback="").strip()
         try:
-            return cast(raw)
+            return cast(raw) if raw else None
         except ValueError as exc:
             raise ConfigError(f"{path}: [{section}] {key} = {raw!r}: {exc}") from None
 
-    values: dict = {"method": get("run", "method") or "equal"}
-    for section, key, name, cast in [
-        ("data", "observations", "observations", str),
-        ("data", "panel", "panel", str),
-        ("run", "horizons", "horizons", _parse_ints),
-        ("run", "n_particles", "n_particles", int),
-        ("run", "seed", "seed", int),
-        ("run", "n_pred_draws", "n_pred_draws", int),
-        ("run", "eval_start", "eval_start", int),
-        ("run", "eval_end", "eval_end", int),
-        ("run", "ess_threshold", "kappa", float),
-        ("run", "baseline", "baseline", str),
-        ("run", "out_dir", "out_dir", str),
-        ("run", "emit_draws", "emit_draws", _parse_bool),
-        ("noise", "sigma_obs", "sigma_obs", _parse_floats),
-        ("noise", "sigma_x", "sigma_x", float),
-        ("noise", "sigma_alpha", "sigma_alpha", float),
-    ]:
-        if search and name in ("n_pred_draws", "baseline"):
-            continue
-        if (value := get(section, key, cast)) is not None:
-            values[name] = value
-
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    method = overrides.get("method") or values["method"]
-    baseline = overrides.get("baseline") or values.get("baseline")
-    section_keys = [(method, "alpha0", _parse_floats), (method, "x0_spread", float), (method, "fallback_sigma", float)]
-    if "bma_roll" in (method, baseline):
-        section_keys.append(("bma_roll", "window", int))
-    for section, key, cast in section_keys:
-        if search and key in ("alpha0", "fallback_sigma"):
-            continue
-        if (value := get(section, key, cast)) is not None:
-            values[key] = value
+    method = overrides.get("method") or get("run", "method") or "equal"
+    readers = SEARCH if search else {method, overrides.get("baseline") or get("run", "baseline")}
+    values: dict = {"method": method, "observations": "", "panel": ""}
+    grid: dict = {}
+    for section, key, name, cast, users in KEYS:
+        if readers & users and parser.get(section or method, key, fallback="").strip():
+            (grid if section == "gridsearch" else values)[name] = get(section or method, key, cast)
 
     known = {f.name for f in fields(RunConfig)}
     for key, value in overrides.items():
         if key not in known:
             raise ConfigError(f"unknown config override {key!r}")
         values[key] = value
-
-    if not values.get("observations") or not values.get("panel"):
+    cfg = RunConfig(**values)
+    if not cfg.observations or not cfg.panel:
         raise ConfigError(f"{path}: [data] must name observations and panel files")
-    try:
-        cfg = RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if not search:
-        return cfg, None
-
-    grid: dict = {}
-    stage1 = get("gridsearch", "stage1", _parse_floats)
-    if stage1 is not None:
-        if len(stage1) != 3:
-            raise ConfigError("stage1 expects lo, hi, step")
-        grid["stage1"] = (stage1, stage1)
-    step = get("gridsearch", "stage2_step")
-    if step is not None:
-        grid["stage2_step"] = None if step.lower() == "none" else get("gridsearch", "stage2_step", float)
-    bounds = get("gridsearch", "stage2_bounds", _parse_floats)
-    if bounds is not None:
-        if len(bounds) != 4:
-            raise ConfigError("stage2_bounds expects lo1, hi1, lo2, hi2")
-        grid["stage2_bounds"] = ((bounds[0], bounds[1]), (bounds[2], bounds[3]))
-    for key, cast in [("stage2_margin", int), ("eval_draws", int), ("grid_particles", int), ("variable", str)]:
-        if (value := get("gridsearch", key, cast)) is not None:
-            grid[key] = value
-    return cfg, GridSpec(**grid)
+    return cfg, GridSpec(**grid) if search else None

@@ -31,7 +31,9 @@ from .core import (
     _check_alignment,
     default_sigma_obs,
 )
-from .dataio import FILTER_METHODS, METHODS, RunConfig, _block_writer, _decoding, _write_rows, read_table, write_table
+from .dataio import (
+    FILTER_METHODS, LEARNERS, METHODS, RunConfig, _block_writer, _decoding, _write_rows, read_table, write_table,
+)
 from .filtering import FilterOutput, ParticleFilter
 from .latent import LatentMode
 from .metrics import crps_series, dm_test, loss_series, percentiles
@@ -258,8 +260,9 @@ def _run_horizon(
         times = range(1, obs.n_steps + 1)
         if isinstance(main, FilterOutput):
             bands = (main.weights_mean, main.weights_lo, main.weights_hi)
-            alphas = ([times, ("alpha0", "alpha1", "alpha2")], main.alpha_mean, main.alpha_lo, main.alpha_hi)
-            tables["alphas.csv"] = [alphas]
+            if cfg.method in LEARNERS:  # tvw's coefficients never move
+                alphas = ([times, ("alpha0", "alpha1", "alpha2")], main.alpha_mean, main.alpha_lo, main.alpha_hi)
+                tables["alphas.csv"] = [alphas]
         else:
             bands = (main.weights,) * 3
         tables["weights.csv"] = [([times, panel.model_names, names], *bands)]

@@ -188,7 +188,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "settings",
         [
-            {"n_particles": "abc"},
+            {"method": "dtvw", "n_particles": "abc"},
             {"method": "dtvw", "n_pred_draws": 1, "commands": ("run",)},
             {"method": "dtvw", "extra": "baseline = bma_roll\n", "commands": ("run",)},
             {"method": "dtvw", "extra": "[gridsearch]\ngrid_particles = -5\n"},
@@ -388,37 +388,6 @@ class TestGridsearch:
                 surfaces[name] = fh.read()
         assert surfaces["tvw"] == surfaces["dtvw"]
         assert surfaces["no_spread"] != surfaces["dtvw"]
-
-    @pytest.mark.parametrize(
-        "settings",
-        [
-            {"n_pred_draws": 1},
-            {"extra": "baseline = bma_roll\n"},
-            {"extra": "baseline = nope\n"},
-            {"extra": "[dtvw]\nfallback_sigma = -1\n"},
-            {"extra": "[dtvw]\nalpha0 = nan, 1, 2\n"},
-        ],
-        ids=[
-            "one_pred_draw", "baseline_bma_roll_without_window", "unknown_baseline", "negative_fallback_sigma",
-            "non_finite_alpha0",
-        ],
-    )
-    def test_ignores_the_run_only_keys(self, tmp_path, settings):
-        # the search samples eval_draws, scores neither a baseline nor the
-        # single models, and starts every point from its own lattice
-        # coefficients, so a [run] n_pred_draws or baseline, a fallback_sigma
-        # or an alpha0 that `run` would reject leaves it unchanged
-        grid = "[gridsearch]\nstage1 = -2, 2, 2\nstage2_step = none\neval_draws = 5\ngrid_particles = 40\n"
-        surfaces = []
-        for name, keyed in (("plain", {}), ("keyed", settings)):
-            (tmp_path / name).mkdir()
-            kw = dict(method="dtvw", n_particles=60, **keyed)
-            kw["extra"] = kw.get("extra", "") + grid
-            cfg, out_dir = write_config(tmp_path / name, **kw)
-            assert main(["gridsearch", "--config", cfg]) == 0
-            with open(os.path.join(out_dir, "surface.csv"), "rb") as fh:
-                surfaces.append(fh.read())
-        assert surfaces[0] == surfaces[1]
 
     def test_horizon_beyond_panel_exit_2_before_filtering(self, tmp_path, capsys):
         # the fixture panel has horizons 1..3; the objective's filter is built

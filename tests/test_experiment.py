@@ -86,6 +86,18 @@ class TestRunExperiment:
         w1_final = [float(r["mean"]) for r in weights if r["model"] == "M1" and r["t"] == "60"]
         assert w1_final[0] > 0.8
 
+    @pytest.mark.parametrize("method", ["tvw", "adaptive_tvw", "dtvw"])
+    def test_alphas_only_from_a_method_that_moves_a_coefficient(self, pseudo_data, tmp_path, method):
+        # tvw pins its coefficients, so its rows would only repeat the config
+        obs, panel = pseudo_data
+        cfg = RunConfig(
+            method=method, observations="-", panel="-", n_particles=30, n_pred_draws=10, seed=2,
+            out_dir=str(tmp_path / "out"),
+        )
+        paths = run_experiment(cfg, obs, panel)
+        assert ("alphas.csv" in paths) == (method != "tvw")
+        assert os.path.exists(os.path.join(cfg.out_dir, "alphas.csv")) == (method != "tvw")
+
     def test_bands_only_at_the_smallest_horizon(self, pseudo_data, tmp_path, monkeypatch):
         import divcast.experiment as experiment
         from divcast import tune
